@@ -3,11 +3,22 @@
 Any object with ``vocab_size`` and ``next_dist(context) -> ndarray`` can
 drive the decoders; the in-repo implementation is an n-gram model with
 interpolated absolute discounting.
+
+Sampling draws from a table built once per row: the cumulative
+distribution of the normalised (tempered) row, searched with one
+``rng.random()``.  That is the algorithm of ``Generator.choice(len(q),
+p=q)``, so every draw, and the generator state after it, equals what
+``choice`` gives.  When tempering underflows the table is the argmax id
+and the draw uses no randomness.  ``NGramModel`` keeps its tables, keyed
+by trailing context and temperature, in a least-recently-used cache of
+at most ``TABLE_CACHE_BYTES`` of table data (8 bytes per vocabulary
+entry per table); other models get a table built per draw.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -26,6 +37,10 @@ DEFAULT_ORDER = {
 }
 
 MODEL_MAGIC = "verseforge-ngram v1"
+MODEL_HEADER = ("order", "discount", "vocab_size", "vocab_hash")
+
+# Byte budget of an NGramModel's sampling-table cache.
+TABLE_CACHE_BYTES = 64 << 20
 
 
 class NGramError(ValueError):
@@ -53,7 +68,9 @@ class NGramModel:
         self.discount = discount
         # context tuple (length < order) -> {token id: count}
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        # (trailing context, temperature) -> sampling table, least
+        # recently used first
+        self._tables: OrderedDict = OrderedDict()
 
     def _count(self, ctx: tuple[int, ...], token: int) -> None:
         bucket = self.counts.setdefault(ctx, {})
@@ -64,14 +81,14 @@ class NGramModel:
         for i, token in enumerate(ids):
             for k in range(min(self.order, i + 1)):
                 self._count(tuple(ids[i - k:i]), token)
-        self._cache.clear()
+        self._tables.clear()
+
+    def _context(self, context: Sequence[int]) -> tuple[int, ...]:
+        return tuple(context[-(self.order - 1):]) if self.order > 1 else ()
 
     def next_dist(self, context: Sequence[int]) -> np.ndarray:
         """Distribution over the vocabulary given trailing context ids."""
-        ctx = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
-        cached = self._cache.get(ctx)
-        if cached is not None:
-            return cached
+        ctx = self._context(context)
         p = np.full(self.vocab_size, 1.0 / self.vocab_size)
         d = self.discount
         for k in range(len(ctx) + 1):
@@ -79,14 +96,31 @@ class NGramModel:
             bucket = self.counts.get(sub)
             if not bucket:
                 continue
+            if min(bucket) < 0 or max(bucket) >= self.vocab_size:
+                raise NGramError(
+                    f"token id out of range [0, {self.vocab_size}) after context "
+                    f"{list(sub)}: {sorted(bucket)}")
             total = sum(bucket.values())
             arr = np.zeros(self.vocab_size)
             for t, c in bucket.items():
                 arr[t] = c - d if c > d else 0.0
             arr /= total
             p = arr + (d * len(bucket) / total) * p
-        self._cache[ctx] = p
         return p
+
+    def table(self, context: Sequence[int], temperature: float):
+        """``sampling_table`` of the row for the trailing context, cached."""
+        key = (self._context(context), temperature)
+        tables = self._tables
+        table = tables.get(key)
+        if table is not None:
+            tables.move_to_end(key)
+            return table
+        table = sampling_table(self.next_dist(key[0]), temperature)
+        tables[key] = table
+        while len(tables) * 8 * self.vocab_size > TABLE_CACHE_BYTES:
+            tables.popitem(last=False)
+        return table
 
     def logprob(self, ids: Sequence[int]) -> float:
         lp = 0.0
@@ -123,22 +157,38 @@ def sample(model, context, temperature: float, seed: int) -> int:
     return sample_with_rng(model, context, temperature, rng)
 
 
-def sample_with_rng(model, context, temperature: float, rng) -> int:
-    if temperature <= 0:
-        raise NGramError(f"temperature must be > 0, got {temperature}")
-    p = model.next_dist(context)
+def sampling_table(p: np.ndarray, temperature: float) -> np.ndarray | int:
+    """What a draw from row ``p`` at ``temperature`` needs: the cumulative
+    distribution that ``Generator.choice`` builds for the normalised
+    (tempered) row, or the argmax id when tempering underflows."""
     if temperature != 1.0:
         with np.errstate(divide="ignore"):
             logits = np.log(p) / temperature
         logits -= logits.max()
-        p = np.exp(logits)
-        total = p.sum()
+        q = np.exp(logits)
+        total = q.sum()
         if not np.isfinite(total) or total <= 0:
-            return int(np.argmax(model.next_dist(context)))
-        p = p / total
+            return int(np.argmax(p))
+        q /= total
     else:
-        p = p / p.sum()
-    return int(rng.choice(len(p), p=p))
+        q = p / p.sum()
+    if not (q >= 0).all():
+        raise NGramError("next-token probabilities contain NaN or negative entries")
+    cdf = q.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def sample_with_rng(model, context, temperature: float, rng) -> int:
+    if temperature <= 0:
+        raise NGramError(f"temperature must be > 0, got {temperature}")
+    if isinstance(model, NGramModel):
+        table = model.table(context, temperature)
+    else:
+        table = sampling_table(model.next_dist(context), temperature)
+    if type(table) is int:
+        return table
+    return int(table.searchsorted(rng.random(), side="right"))
 
 
 def save(model: NGramModel, path) -> None:
@@ -176,6 +226,9 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
                 counts[ctx] = bucket
             else:
                 header[parts[0]] = parts[1]
+    missing = [key for key in MODEL_HEADER if key not in header]
+    if missing:
+        raise NGramError(f"{path}: header lacks {', '.join(missing)}")
     model = NGramModel(
         order=int(header["order"]),
         vocab_size=int(header["vocab_size"]),
@@ -186,5 +239,9 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
         raise NGramError(
             f"{path}: model was trained against a different vocabulary "
             f"({model.vocab_hash} != {vocab.content_hash()})")
+    if vocab is not None and len(vocab) != model.vocab_size:
+        raise NGramError(
+            f"{path}: vocab_size {model.vocab_size} does not match the "
+            f"vocabulary's {len(vocab)} tokens")
     model.counts = counts
     return model

@@ -150,14 +150,18 @@ def classify_meter(pattern: str, context: list[str] | None = None,
 
 def strophe_meters(patterns: list[str], scheme: str,
                    threshold: float = DEFAULT_THRESHOLD) -> list[MeterLabel]:
-    """Per-verse meters with rhyme-group contextualization."""
+    """Per-verse meters with rhyme-group contextualization.
+
+    A verse without syllables (empty pattern) is N and adds nothing to
+    the context of its rhyme-group partners.
+    """
     if len(patterns) != len(scheme):
         raise ValueError("one stress pattern per scheme letter required")
     groups: dict[str, list[int]] = {}
     for i, letter in enumerate(scheme):
-        if letter != "X":
+        if patterns[i] and letter != "X":
             groups.setdefault(letter, []).append(i)
-    out: list[MeterLabel | None] = [None] * len(patterns)
+    out = [MeterLabel.NOT_RECOGNIZED] * len(patterns)
     for letter, idxs in groups.items():
         label = classify_meter(patterns[idxs[0]],
                                context=[patterns[i] for i in idxs],
@@ -165,7 +169,7 @@ def strophe_meters(patterns: list[str], scheme: str,
         for i in idxs:
             out[i] = label
     for i, letter in enumerate(scheme):
-        if letter == "X":
+        if patterns[i] and letter == "X":
             out[i] = classify_meter(patterns[i], threshold=threshold)
     return out
 

@@ -123,3 +123,23 @@ def test_significance(tmp_path, capsys):
     b.write_text("0.9\n0.8\n0.7\n", encoding="utf-8")
     assert main(["significance", "--a", str(a), "--b", str(b)]) == 0
     assert capsys.readouterr().out.strip() == "p-value\t1.0"
+
+
+@pytest.mark.parametrize("bad_id", ["999", "-1"])
+def test_generate_with_out_of_range_token_id(mini_corpus, tmp_path, capsys, bad_id):
+    vocab = tmp_path / "uni.vocab"
+    model = tmp_path / "uni.ngram"
+    main(["train-tokenizer", "--corpus", str(mini_corpus),
+          "--kind", "unicode", "--out", str(vocab)])
+    main(["train-lm", "--corpus", str(mini_corpus), "--vocab", str(vocab),
+          "--order", "3", "--test-fraction", "0.1", "--out", str(model)])
+    lines = model.read_text(encoding="utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("C\t\t"))
+    lines[at] += f" {bad_id}:1"
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["generate", "--model", str(model), "--vocab", str(vocab),
+               "--scheme", "ABAB", "--year", "1900"])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert "out of range" in err and "Traceback" not in err

@@ -52,15 +52,16 @@ def fixture_texts(fixture_strophes):
     return [formats.encode(s, DataFormat.METER_VERSE) for s in fixture_strophes[:150]]
 
 
+def train_model(texts, kind):
+    vocab = tok.build_vocab(kind, [line for text in texts for line in text.split("\n")],
+                            vocab_size=120)
+    seqs = [tok.encode(vocab, text) + [vocab.eos_id] for text in texts]
+    return ngram.train(seqs, ngram.DEFAULT_ORDER[kind], vocab), vocab
+
+
 @pytest.fixture(scope="module")
 def models(fixture_texts):
-    lines = [line for text in fixture_texts for line in text.split("\n")]
-    out = {}
-    for kind in KINDS:
-        vocab = tok.build_vocab(kind, lines, vocab_size=120)
-        seqs = [tok.encode(vocab, text) + [vocab.eos_id] for text in fixture_texts]
-        out[kind.value] = ngram.train(seqs, ngram.DEFAULT_ORDER[kind], vocab), vocab
-    return out
+    return {kind.value: train_model(fixture_texts, kind) for kind in KINDS}
 
 
 def generations(model, vocab, temperature):
@@ -108,3 +109,14 @@ def test_draw_matches_generator_choice(row, seed, draws):
     rng = np.random.default_rng(seed)
     model = RowModel(row)
     assert [ngram.sample_with_rng(model, [], 1.0, rng) for _ in range(draws)] == expected
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.3])
+def test_generation_unchanged_under_a_one_table_cache(fixture_texts, monkeypatch,
+                                                     temperature):
+    model, vocab = train_model(fixture_texts, tok.TokenizerKind.UNICODE)
+    monkeypatch.setattr(ngram, "TABLE_CACHE_BYTES", 8 * model.vocab_size)
+    text = generations(model, vocab, temperature)
+    assert len(model._tables) == 1
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_SHA256[("unicode", temperature)]

@@ -125,6 +125,17 @@ def test_load_rejects_wrong_vocab(tmp_path, fixture_strophes):
     ngram.load(path)  # without a vocab the check is skipped
 
 
+def test_load_rejects_vocab_size_mismatch(tmp_path, fixture_strophes):
+    m, vocab, _ = corpus_model(fixture_strophes)
+    path = tmp_path / "m.ngram"
+    ngram.save(m, path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace(f"vocab_size\t{len(vocab)}\n",
+                                 f"vocab_size\t{len(vocab) + 5}\n"), encoding="utf-8")
+    with pytest.raises(NGramError, match="vocab_size"):
+        ngram.load(path, vocab)
+
+
 def test_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "m.ngram"
     path.write_text("not a model\n")
@@ -135,3 +146,76 @@ def test_load_rejects_foreign_file(tmp_path):
 def test_default_orders():
     assert ngram.DEFAULT_ORDER[TokenizerKind.UNICODE] > ngram.DEFAULT_ORDER[TokenizerKind.SYLLABLE]
     assert set(ngram.DEFAULT_ORDER) == set(TokenizerKind)
+
+
+def write_model(path, header, lines):
+    path.write_text("\n".join([ngram.MODEL_MAGIC]
+                              + [f"{k}\t{v}" for k, v in header.items()]
+                              + lines) + "\n", encoding="utf-8")
+
+
+HEADER = {"order": "2", "discount": "0.75", "vocab_size": "3", "vocab_hash": ""}
+
+
+@pytest.mark.parametrize("missing", list(HEADER))
+def test_load_rejects_missing_header_key(tmp_path, missing):
+    path = tmp_path / "m.ngram"
+    write_model(path, {k: v for k, v in HEADER.items() if k != missing}, ["C\t\t0:2 1:1"])
+    with pytest.raises(NGramError, match=missing):
+        ngram.load(path)
+
+
+@pytest.mark.parametrize("bad_id", [3, 7, -1])
+@pytest.mark.parametrize("ctx", ["", "0"], ids=["unigram", "bigram"])
+def test_token_id_out_of_range_is_an_ngram_error(tmp_path, bad_id, ctx):
+    path = tmp_path / "m.ngram"
+    write_model(path, HEADER, ["C\t\t0:2 1:1", f"C\t{ctx}\t0:1 {bad_id}:1"])
+    model = ngram.load(path)
+    with pytest.raises(NGramError, match="out of range"):
+        model.next_dist([0])
+    with pytest.raises(NGramError, match="out of range"):
+        ngram.sample(model, [0], 1.0, seed=0)
+
+
+def test_table_cache_is_bounded_and_evicts_least_recently_used(monkeypatch):
+    m = tiny_model()
+    monkeypatch.setattr(ngram, "TABLE_CACHE_BYTES", 2 * 8 * m.vocab_size)
+    rng = np.random.default_rng(0)
+    for ctx in ([0], [1], [0], [2]):
+        ngram.sample_with_rng(m, ctx, 1.0, rng)
+        assert len(m._tables) <= 2
+    # [1] was used least recently when [2] arrived
+    assert list(m._tables) == [((0,), 1.0), ((2,), 1.0)]
+    ngram.sample_with_rng(m, [0], 0.5, rng)
+    assert list(m._tables) == [((2,), 1.0), ((0,), 0.5)]
+
+
+def test_add_sequence_drops_stale_tables():
+    m = tiny_model()
+    before = m.table([0], 1.0)
+    m.add_sequence([0, 2, 2, 2])
+    assert not m._tables
+    after = m.table([0], 1.0)
+    assert np.array_equal(after, ngram.sampling_table(m.next_dist([0]), 1.0))
+    assert not np.array_equal(before, after)
+
+
+def test_tables_match_choice_and_reject_bad_rows():
+    m = tiny_model()
+    for ctx in ([0], [1], [2]):
+        for temperature in (1.0, 0.3):
+            expected = np.random.default_rng(5)
+            got = np.random.default_rng(5)
+            p = m.next_dist(ctx)
+            if temperature != 1.0:
+                p = np.exp(np.log(p) / temperature - np.max(np.log(p) / temperature))
+            q = p / p.sum()
+            draws = [int(expected.choice(len(q), p=q)) for _ in range(20)]
+            assert [ngram.sample_with_rng(m, ctx, temperature, got)
+                    for _ in range(20)] == draws
+    with np.errstate(invalid="ignore"):
+        for row in ([0.5, np.nan, 0.5], [1.0, -0.5, 0.5], [0.0, 0.0, 0.0]):
+            with pytest.raises(NGramError, match="NaN or negative"):
+                ngram.sampling_table(np.array(row), 1.0)
+        # underflow: the argmax, without a draw
+        assert ngram.sampling_table(np.array([0.0, 0.0, 0.0]), 0.5) == 0

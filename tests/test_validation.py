@@ -74,6 +74,25 @@ def test_strophe_meters_pool_by_rhyme_group():
         strophe_meters(patterns, "ABAB" + "CC")
 
 
+def test_strophe_meters_verse_without_syllables_is_not_recognized():
+    patterns = [FIG1_PATTERNS[0], "", FIG1_PATTERNS[2], FIG1_PATTERNS[3]]
+    # the empty verse is N; its partner is classified from its own pattern
+    assert strophe_meters(patterns, "ABAB") == [
+        MeterLabel.IAMB, MeterLabel.NOT_RECOGNIZED, MeterLabel.IAMB, MeterLabel.IAMB]
+    assert strophe_meters(["", "", "", ""], "AAXX") == [MeterLabel.NOT_RECOGNIZED] * 4
+
+
+def test_evaluate_accepts_verse_without_syllables():
+    req = GenerationRequest("ABAB", YearBucket(1900), DataFormat.METER_VERSE,
+                            per_verse_meters=(MeterLabel.IAMB,) * 4)
+    lines = [f"J # 9 # x # {text}" for text in EXAMPLE_VERSES]
+    lines[1] = "J # 3 # eje # 123"
+    report = evaluate([(req, gen_from_text("\n".join(["# ABAB # 1900"] + lines), req))])
+    assert report.n_parse_failures == 0
+    assert report.meter_acc_verse == 0.75
+    assert report.meter_acc == 0.0
+
+
 def test_normalize_clausula_folds_length_and_y():
     assert normalize_clausula("oří") == normalize_clausula("oři") == "oři"
     assert normalize_clausula("ýny") == "ini"
