@@ -7,6 +7,7 @@ decoders that moves a single draw changes the hash.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -83,17 +84,6 @@ def test_seeded_generation_golden(models, kind, temperature):
     assert digest == GOLDEN_SHA256[(kind, temperature)]
 
 
-class RowModel:
-    """A model that offers only ``next_dist``: one fixed row."""
-
-    def __init__(self, row):
-        self.row = np.asarray(row, dtype=float)
-        self.vocab_size = len(self.row)
-
-    def next_dist(self, context):
-        return self.row
-
-
 rows = st.lists(
     st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1, max_size=40,
 ).filter(lambda r: sum(r) > 0)
@@ -107,7 +97,8 @@ def test_draw_matches_generator_choice(row, seed, draws):
     expected_rng = np.random.default_rng(seed)
     expected = [int(expected_rng.choice(len(q), p=q)) for _ in range(draws)]
     rng = np.random.default_rng(seed)
-    model = RowModel(row)
+    # a model that offers only next_dist
+    model = SimpleNamespace(vocab_size=len(p), next_dist=lambda context: p)
     assert [ngram.sample_with_rng(model, [], 1.0, rng) for _ in range(draws)] == expected
 
 

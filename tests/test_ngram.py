@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,9 @@ def test_tables_match_choice_and_reject_bad_rows():
             if temperature != 1.0:
                 p = np.exp(np.log(p) / temperature - np.max(np.log(p) / temperature))
             q = p / p.sum()
+            cdf = q.cumsum()
+            cdf /= cdf[-1]  # as Generator.choice builds it
+            assert np.array_equal(m.table(ctx, temperature), cdf)
             draws = [int(expected.choice(len(q), p=q)) for _ in range(20)]
             assert [ngram.sample_with_rng(m, ctx, temperature, got)
                     for _ in range(20)] == draws
@@ -218,4 +223,7 @@ def test_tables_match_choice_and_reject_bad_rows():
             with pytest.raises(NGramError, match="NaN or negative"):
                 ngram.sampling_table(np.array(row), 1.0)
         # underflow: the argmax, without a draw
-        assert ngram.sampling_table(np.array([0.0, 0.0, 0.0]), 0.5) == 0
+        zeros = SimpleNamespace(vocab_size=3, next_dist=lambda ctx: np.zeros(3))
+        rng = np.random.default_rng(1)
+        assert ngram.sample_with_rng(zeros, [], 0.5, rng) == 0
+        assert rng.random() == np.random.default_rng(1).random()
