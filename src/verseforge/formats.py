@@ -88,10 +88,11 @@ def annotate(strophe: Strophe, fmt: DataFormat, syllabifier=None):
         if fmt is DataFormat.BASIC:
             lines.append((None, v.text))
             continue
+        analysis = phonology.analyze(v.text, syllabifier)
         ann = LineAnnotation(
             meter=v.gold_meter if fmt is DataFormat.METER_VERSE else None,
-            syllable_count=len(phonology.verse_syllables(v.text, syllabifier)),
-            ending_hint=phonology.ending_hint(v.text, syllabifier),
+            syllable_count=len(analysis.syllables),
+            ending_hint=analysis.ending_hint(),
         )
         lines.append((ann, v.text))
     return ParsedStrophe(header, tuple(lines))
@@ -185,21 +186,24 @@ class VerseCheck:
     actual_hint: str
 
 
+def verse_check(ann: LineAnnotation | None,
+                analysis: phonology.VerseAnalysis) -> VerseCheck:
+    """Does a verse's annotation match what phonology derives from its
+    text?  This is the raw signal behind Num syl / End acc."""
+    if ann is None:
+        raise FormatError("consistency_check needs annotated lines")
+    actual_syl = len(analysis.syllables)
+    return VerseCheck(
+        syl_ok=actual_syl == ann.syllable_count,
+        end_ok=analysis.clausula == ann.ending_hint.lower(),
+        annotated_syl=ann.syllable_count,
+        actual_syl=actual_syl,
+        annotated_hint=ann.ending_hint,
+        actual_hint=analysis.clausula,
+    )
+
+
 def consistency_check(parsed: ParsedStrophe, syllabifier=None) -> list[VerseCheck]:
-    """Per verse: does the annotation match what phonology derives from
-    the verse text?  This is the raw signal behind Num syl / End acc."""
-    checks = []
-    for ann, text in parsed.lines:
-        if ann is None:
-            raise FormatError("consistency_check needs annotated lines")
-        sylls = phonology.verse_syllables(text, syllabifier)
-        actual_hint = phonology.ending_hint(text, syllabifier) if sylls else ""
-        checks.append(VerseCheck(
-            syl_ok=len(sylls) == ann.syllable_count,
-            end_ok=actual_hint == ann.ending_hint.lower(),
-            annotated_syl=ann.syllable_count,
-            actual_syl=len(sylls),
-            annotated_hint=ann.ending_hint,
-            actual_hint=actual_hint,
-        ))
-    return checks
+    """``verse_check`` of every verse of a parsed strophe."""
+    return [verse_check(ann, phonology.analyze(text, syllabifier))
+            for ann, text in parsed.lines]

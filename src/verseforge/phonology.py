@@ -4,12 +4,19 @@ Rule-based: vowel/diphthong/syllabic-liquid nuclei, consonant clusters
 split by a maximal-onset rule over a fixed onset whitelist.  Irregular
 words can be overridden through an exceptions file (one
 ``word<TAB>syl-la-bles`` per line).
+
+``analyze`` is the one path from a verse to its syllables, stress
+pattern and clausula; ``verse_syllables``, ``stress_pattern`` and
+``ending_hint`` read their fact off it.  Each ``Syllabifier`` memoizes
+the split of every raw whitespace token it has seen, up to
+``TOKEN_MEMO_ENTRIES`` tokens, after which the memo starts afresh.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 VOWELS = set("aáeéěiíoóuúůyý")
 DIPHTHONGS = ("ou", "au", "eu")
@@ -45,6 +52,11 @@ UNSTRESSED_MONOSYLLABLES = {
     "své", "tvá", "tvé", "tvou", "tvůj", "ten", "ta", "to", "tu",
     "ty", "vy", "my", "on", "zda",
 }
+
+
+# Bound of a Syllabifier's token memo, in entries; a full memo is
+# cleared.  About 0.5 KB per entry, so at most about 32 MB.
+TOKEN_MEMO_ENTRIES = 65536
 
 
 class PhonologyError(ValueError):
@@ -122,7 +134,14 @@ class Syllabifier:
     """Splits words into syllables, with optional per-word overrides."""
 
     def __init__(self, exceptions: dict[str, tuple[str, ...]] | None = None):
-        self.exceptions = dict(exceptions or {})
+        self._exceptions = MappingProxyType(dict(exceptions or {}))
+        self._tokens: dict[str, SyllableSplit | None] = {}
+
+    @property
+    def exceptions(self):
+        """Per-word overrides, read-only so that the token memo cannot
+        go stale."""
+        return self._exceptions
 
     @classmethod
     def from_exceptions_file(cls, path) -> "Syllabifier":
@@ -165,7 +184,20 @@ class Syllabifier:
             return SyllableSplit(word, (), clitic=True)
         return SyllableSplit(word, _split_at(word, nuclei))
 
+    def split_token(self, token: str) -> SyllableSplit | None:
+        """Split of a whitespace token with its punctuation removed, or
+        None when nothing is left; memoized per token."""
+        split = self._tokens.get(token, _MISSING)
+        if split is _MISSING:
+            core = strip_punct(token)
+            split = syllabify(core, self) if core else None
+            if len(self._tokens) >= TOKEN_MEMO_ENTRIES:
+                self._tokens.clear()
+            self._tokens[token] = split
+        return split
 
+
+_MISSING = object()
 _DEFAULT = Syllabifier()
 
 
@@ -188,12 +220,34 @@ def words(text: str) -> list[str]:
     return out
 
 
+@dataclass(frozen=True)
+class VerseAnalysis:
+    """What phonology derives from one verse."""
+
+    text: str
+    syllables: tuple[str, ...]
+    stress: str
+    clausula: str  # "" when the verse has no syllables
+
+    def ending_hint(self) -> str:
+        """The clausula; PhonologyError when the verse has no syllables."""
+        if not self.syllables:
+            raise PhonologyError(f"verse has no syllables: {self.text!r}")
+        return self.clausula
+
+
+def analyze(text: str, syllabifier: Syllabifier | None = None) -> VerseAnalysis:
+    """Syllables, stress pattern and clausula of a verse, from one split
+    of each of its words."""
+    split_token = (syllabifier or _DEFAULT).split_token
+    splits = [sp for sp in map(split_token, text.split()) if sp is not None]
+    sylls = tuple(s for sp in splits for s in sp.syllables)
+    return VerseAnalysis(text, sylls, _stress(splits), _clausula(sylls))
+
+
 def verse_syllables(text: str, syllabifier: Syllabifier | None = None) -> list[str]:
     """All syllables of a verse, in order.  Clitics contribute none."""
-    sylls = []
-    for w in words(text):
-        sylls.extend(syllabify(w, syllabifier).syllables)
-    return sylls
+    return list(analyze(text, syllabifier).syllables)
 
 
 def stress_pattern(text: str, syllabifier: Syllabifier | None = None) -> str:
@@ -203,7 +257,16 @@ def stress_pattern(text: str, syllabifier: Syllabifier | None = None) -> str:
     prepositions absorb the stress of the following word; function-word
     monosyllables stay unstressed.
     """
-    splits = [syllabify(w, syllabifier) for w in words(text)]
+    return analyze(text, syllabifier).stress
+
+
+def ending_hint(text: str, syllabifier: Syllabifier | None = None) -> str:
+    """Clausula of a verse: its last two syllables with the onset of the
+    earlier one removed; lowercase."""
+    return analyze(text, syllabifier).ending_hint()
+
+
+def _stress(splits: list[SyllableSplit]) -> str:
     marks = []
     i = 0
     while i < len(splits):
@@ -242,12 +305,9 @@ def _strip_onset(syllable: str) -> str:
     return syllable
 
 
-def ending_hint(text: str, syllabifier: Syllabifier | None = None) -> str:
-    """Clausula of a verse: its last two syllables with the onset of the
-    earlier one removed; lowercase."""
-    sylls = verse_syllables(text, syllabifier)
+def _clausula(sylls: tuple[str, ...]) -> str:
     if not sylls:
-        raise PhonologyError(f"verse has no syllables: {text!r}")
+        return ""
     if len(sylls) == 1:
         return _strip_onset(sylls[-1]).lower()
     return (_strip_onset(sylls[-2]) + sylls[-1]).lower()

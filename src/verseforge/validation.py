@@ -11,8 +11,9 @@ import numpy as np
 
 from . import phonology
 from .corpus import METER_ORDER, MeterLabel, derive_rhyme_scheme
-from .formats import DataFormat
-from .phonology import ending_hint, verse_syllables
+from .formats import DataFormat, verse_check
+# verse_syllables is not called here; perfbench's tracer wraps it by this name.
+from .phonology import ending_hint, verse_syllables  # noqa: F401
 
 # Missing stress on a strong position costs more than an intrusive
 # stress on a weak one; a verse matching no template above the threshold
@@ -23,6 +24,10 @@ DEFAULT_THRESHOLD = 0.6
 
 # Dactylotrochee compositions get impractically many above this length.
 MAX_COMPOSED_LENGTH = 24
+
+# Bound of the per-pattern score cache, in distinct stress patterns
+# (about 0.4 KB each).
+PATTERN_CACHE_ENTRIES = 16384
 
 
 def _score_strong(pattern: str, strong: frozenset[int]) -> float:
@@ -121,13 +126,19 @@ def meter_score(pattern: str, label: MeterLabel) -> float:
     return best
 
 
+_SCORED_LABELS = tuple(MeterLabel(letter) for letter in METER_ORDER[:-1])
+
+
+@lru_cache(maxsize=PATTERN_CACHE_ENTRIES)
+def _pattern_scores(pattern: str) -> tuple[float, ...]:
+    """``meter_score`` of a pattern for each label of ``_SCORED_LABELS``."""
+    return tuple(meter_score(pattern, label) for label in _SCORED_LABELS)
+
+
 def _pooled_scores(patterns: list[str]) -> dict[MeterLabel, float]:
-    scores = {}
-    for letter in METER_ORDER[:-1]:
-        label = MeterLabel(letter)
-        vals = [meter_score(p, label) for p in patterns]
-        scores[label] = sum(vals) / len(vals)
-    return scores
+    rows = [_pattern_scores(p) for p in patterns]
+    return {label: sum(row[k] for row in rows) / len(rows)
+            for k, label in enumerate(_SCORED_LABELS)}
 
 
 def classify_meter(pattern: str, context: list[str] | None = None,
@@ -196,14 +207,13 @@ def rhymes(verse_a: str, verse_b: str, syllabifier=None) -> bool:
 
 def predict_scheme(verse_texts: list[str], syllabifier=None) -> str:
     """Rhyme scheme read off the verses' normalized clausulae."""
-    if len(verse_texts) not in (4, 6):
-        raise ValueError(f"unsupported verse count {len(verse_texts)}")
-    keys = []
-    for text in verse_texts:
-        try:
-            keys.append(normalize_clausula(ending_hint(text, syllabifier)))
-        except phonology.PhonologyError:
-            keys.append(None)
+    return _scheme_of([phonology.analyze(t, syllabifier) for t in verse_texts])
+
+
+def _scheme_of(analyses: list[phonology.VerseAnalysis]) -> str:
+    if len(analyses) not in (4, 6):
+        raise ValueError(f"unsupported verse count {len(analyses)}")
+    keys = [normalize_clausula(a.clausula) if a.syllables else None for a in analyses]
     ids = [None if k is None else keys.index(k) for k in keys]
     return derive_rhyme_scheme(ids)
 
@@ -264,9 +274,8 @@ def evaluate(pairs, syllabifier=None,
 
     Unparseable strophes fail all strophe-level metrics and are counted
     separately; verse-level metrics run over parseable strophes only.
+    Each verse is analysed once.
     """
-    from .formats import consistency_check
-
     syl_hits = end_hits = verse_total = 0
     end_forced = [0, 0]  # hits, total
     end_free = [0, 0]
@@ -283,7 +292,8 @@ def evaluate(pairs, syllabifier=None,
             meter_flags.append(0)
             continue
         parsed = gen.parsed
-        checks = consistency_check(parsed, syllabifier)
+        analyses = [phonology.analyze(t, syllabifier) for t in parsed.verse_texts]
+        checks = [verse_check(ann, a) for (ann, _), a in zip(parsed.lines, analyses)]
         flags = list(gen.forced_flags) + [False] * (len(checks) - len(gen.forced_flags))
         for check, forced in zip(checks, flags):
             verse_total += 1
@@ -293,18 +303,15 @@ def evaluate(pairs, syllabifier=None,
             side[0] += check.end_ok
             side[1] += 1
 
-        sylls = []
-        for text in parsed.verse_texts:
-            sylls.extend(s.casefold() for s in verse_syllables(text, syllabifier))
+        sylls = [s.casefold() for a in analyses for s in a.syllables]
         if sylls:
             unique_ratios.append(len(set(sylls)) / len(sylls))
 
-        predicted = predict_scheme(parsed.verse_texts, syllabifier)
+        predicted = _scheme_of(analyses)
         rhyme_flags.append(int(predicted == request.scheme))
 
         wanted = _requested_meters(request, parsed)
-        patterns = [phonology.stress_pattern(t, syllabifier) for t in parsed.verse_texts]
-        got = strophe_meters(patterns, request.scheme, threshold)
+        got = strophe_meters([a.stress for a in analyses], request.scheme, threshold)
         verse_ok = [w is not None and g == w for g, w in zip(got, wanted)]
         meter_verse_hits += sum(verse_ok)
         meter_verse_total += len(verse_ok)

@@ -155,3 +155,17 @@ def test_repeated_analysis_matches_a_fresh_syllabifier(text):
     expected = verse_facts(text, Syllabifier())
     assert verse_facts(text, SHARED) == expected
     assert verse_facts(text) == expected
+
+
+def test_goldens_hold_under_a_two_token_memo(fixture_strophes, monkeypatch):
+    monkeypatch.setattr(ph, "TOKEN_MEMO_ENTRIES", 2)
+    syl = Syllabifier()
+    fmt = DataFormat.METER_VERSE
+    texts = []
+    for s in fixture_strophes:
+        texts.append(formats.encode(s, fmt, syl))
+        assert len(syl._tokens) <= 2
+    assert sha256("\n\x00\n".join(texts)) == ENCODE_SHA256[fmt.value]
+    report = validation.evaluate(_pairs(fixture_strophes, texts, fmt, faults=True), syl)
+    assert len(syl._tokens) <= 2
+    assert report_digest(report) == REPORT_SHA256[(fmt.value, "faults")]

@@ -153,3 +153,43 @@ def test_nonclitic_words_have_syllables(word):
 def test_stress_marks_match_syllable_count(ws):
     text = " ".join(ws)
     assert len(ph.stress_pattern(text)) == len(ph.verse_syllables(text))
+
+
+def test_analyze_holds_each_fact_of_a_verse():
+    a = ph.analyze(EXAMPLE_VERSES[0])
+    assert a.syllables == ("Tvá", "loď", "jde", "po", "vy", "so", "kém", "mo", "ři")
+    assert a.stress == "xXxXxxxXx"
+    assert a.clausula == a.ending_hint() == "oři"
+    empty = ph.analyze("v z, k")
+    assert (empty.syllables, empty.stress, empty.clausula) == ((), "", "")
+    with pytest.raises(ph.PhonologyError, match="no syllables"):
+        empty.ending_hint()
+
+
+def test_exceptions_and_default_syllabifiers_share_no_memo(tmp_path):
+    path = tmp_path / "exc.tsv"
+    path.write_text("moři\tmoř-i\n", encoding="utf-8")
+    syl = ph.Syllabifier.from_exceptions_file(path)
+    for _ in range(2):
+        assert ph.verse_syllables("po moři,", syl) == ["po", "moř", "i"]
+        assert ph.verse_syllables("po moři,") == ["po", "mo", "ři"]
+        assert ph.verse_syllables("po moři,", ph.Syllabifier()) == ["po", "mo", "ři"]
+    assert syl.split_token("moři,").syllables == ("moř", "i")
+    assert ph.Syllabifier().split_token("moři,").syllables == ("mo", "ři")
+
+
+def test_exceptions_are_read_only(tmp_path):
+    syl = ph.Syllabifier({"moři": ("moř", "i")})
+    with pytest.raises(TypeError):
+        syl.exceptions["reje"] = ("rej", "e")
+    with pytest.raises(AttributeError):
+        syl.exceptions = {}
+    assert ph.verse_syllables("reje moři", syl) == ["re", "je", "moř", "i"]
+
+
+def test_token_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(ph, "TOKEN_MEMO_ENTRIES", 3)
+    syl = ph.Syllabifier()
+    for text in EXAMPLE_VERSES:
+        assert ph.verse_syllables(text, syl) == ph.verse_syllables(text, ph.Syllabifier())
+        assert len(syl._tokens) <= 3
