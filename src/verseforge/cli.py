@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import nullcontext
 
 import click
 
@@ -33,6 +34,11 @@ def _config(ctx) -> dict:
 
 def _syllabifier(path) -> Syllabifier | None:
     return Syllabifier.from_exceptions_file(path) if path else None
+
+
+def _numbered_lines(f, path) -> list[tuple[str, str]]:
+    """The non-blank lines of a file, each with its ``path:lineno``."""
+    return [(f"{path}:{n}", line) for n, line in enumerate(f, 1) if line.strip()]
 
 
 def _format_lines(strophes, fmt, syllabifier):
@@ -143,7 +149,28 @@ def train_lm(ctx, corpus_path, vocab_path, order, discount, test_fraction, seed,
     click.echo(f"order-{order} model over {model.vocab_size} tokens -> {out}")
 
 
-def _request_from_dict(d, fmt) -> GenerationRequest:
+def _record(line: str, where: str) -> dict:
+    """One JSONL line, which must hold an object."""
+    try:
+        d = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{where}: {e}") from None
+    if not isinstance(d, dict):
+        raise FormatError(f"{where}: expected a JSON object, got {type(d).__name__}")
+    return d
+
+
+_OPTIONAL_FIELD_TYPES = (
+    ("meters", list), ("temperature", (int, float)), ("seed", int), ("max_tokens", int),
+)
+
+
+def _request_from_dict(d, fmt, where="request") -> GenerationRequest:
+    if not isinstance(d.get("scheme"), str):
+        raise FormatError(f"{where}: a request needs a string 'scheme'")
+    for key, types in _OPTIONAL_FIELD_TYPES:
+        if d.get(key) is not None and not isinstance(d[key], types):
+            raise FormatError(f"{where}: bad {key!r} {d[key]!r}")
     meters = d.get("meters")
     return GenerationRequest(
         scheme=d["scheme"],
@@ -187,33 +214,30 @@ def generate(ctx, model_path, vocab_path, scheme, year, meters, strophe_meter,
     decode_fn = generation.generate_forced if decoding == "forced" else generation.generate_basic
 
     if requests_path:
-        results = []
-        with open(requests_path, encoding="utf-8") as f:
+        n_done = 0
+        with open(requests_path, encoding="utf-8") as f, \
+                (open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout)) as sink:
             for i, line in enumerate(f):
                 line = line.strip()
                 if not line:
                     continue
-                d = json.loads(line)
+                where = f"{requests_path}:{i + 1}"
+                d = _record(line, where)
                 d.setdefault("temperature", temperature)
                 d.setdefault("seed", seed + i)
                 d.setdefault("max_tokens", max_tokens)
-                req = _request_from_dict(d, fmt)
+                req = _request_from_dict(d, fmt, where)
                 gen = decode_fn(model, vocab, req, syllabifier)
-                results.append({
+                sink.write(json.dumps({
                     "raw_text": gen.raw_text,
                     "forced": list(gen.forced_flags),
                     "truncated": gen.truncated,
                     "parse_error": gen.parse_error,
                     "request": d,
-                })
-        sink = open(out, "w", encoding="utf-8") if out else sys.stdout
-        try:
-            for r in results:
-                sink.write(json.dumps(r, ensure_ascii=False) + "\n")
-        finally:
-            if out:
-                sink.close()
-        click.echo(f"{len(results)} strophes generated", err=True)
+                }, ensure_ascii=False) + "\n")
+                sink.flush()
+                n_done += 1
+        click.echo(f"{n_done} strophes generated", err=True)
         return
 
     if scheme is None:
@@ -249,23 +273,27 @@ def evaluate(ctx, requests_path, generations_path, report_path, threshold, fmt,
     pairs = []
     with open(requests_path, encoding="utf-8") as rf, \
             open(generations_path, encoding="utf-8") as gf:
-        req_lines = [l for l in rf.read().splitlines() if l.strip()]
-        gen_lines = [l for l in gf.read().splitlines() if l.strip()]
+        req_lines = _numbered_lines(rf, requests_path)
+        gen_lines = _numbered_lines(gf, generations_path)
     if len(req_lines) != len(gen_lines):
         raise FormatError(
             f"{len(req_lines)} requests but {len(gen_lines)} generations")
-    for rl, gl in zip(req_lines, gen_lines):
-        req = _request_from_dict(json.loads(rl), fmt)
-        g = json.loads(gl)
+    for (r_where, rl), (g_where, gl) in zip(req_lines, gen_lines):
+        req = _request_from_dict(_record(rl, r_where), fmt, r_where)
+        g = _record(gl, g_where)
+        raw_text, forced = g.get("raw_text"), g.get("forced", [])
+        if not isinstance(raw_text, str) or not isinstance(forced, list):
+            raise FormatError(
+                f"{g_where}: a generation needs a string 'raw_text' and a list 'forced'")
         try:
-            parsed = formats.parse(g["raw_text"], fmt)
+            parsed = formats.parse(raw_text, fmt)
             error = None
         except FormatError as e:
             parsed, error = None, str(e)
         gen = generation.GeneratedStrophe(
-            raw_text=g["raw_text"], request=req, parsed=parsed,
+            raw_text=raw_text, request=req, parsed=parsed,
             parse_error=error, truncated=bool(g.get("truncated")),
-            forced_flags=tuple(g.get("forced", [])))
+            forced_flags=tuple(forced))
         pairs.append((req, gen))
     report = validation.evaluate(pairs, syllabifier, threshold)
     for key, value in report.to_dict().items():

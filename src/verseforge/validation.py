@@ -344,6 +344,8 @@ def permutation_test(scores_a, scores_b, repetitions: int = 100,
     b = np.asarray(scores_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired score vectors must have equal length")
+    if not len(a):
+        raise ValueError("no paired scores")
     diff = a - b
     observed = abs(diff.mean())
     rng = np.random.default_rng(seed)

@@ -143,3 +143,89 @@ def test_generate_with_out_of_range_token_id(mini_corpus, tmp_path, capsys, bad_
     err = capsys.readouterr().err
     assert rc == 5
     assert "out of range" in err and "Traceback" not in err
+
+
+def test_significance_of_empty_files_exits_5(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("", encoding="utf-8")
+    b.write_text("\n", encoding="utf-8")
+    assert main(["significance", "--a", str(a), "--b", str(b)]) == 5
+    assert "no paired scores" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("model")
+    src = (DATA / "fixture_corpus.jsonl").read_text(encoding="utf-8")
+    corpus_path = tmp / "mini.jsonl"
+    corpus_path.write_text("".join(src.splitlines(keepends=True)[:80]), encoding="utf-8")
+    vocab, model = tmp / "uni.vocab", tmp / "uni.ngram"
+    assert main(["train-tokenizer", "--corpus", str(corpus_path),
+                 "--kind", "unicode", "--out", str(vocab)]) == 0
+    assert main(["train-lm", "--corpus", str(corpus_path), "--vocab", str(vocab),
+                 "--order", "3", "--test-fraction", "0.1", "--out", str(model)]) == 0
+    return vocab, model
+
+
+GOOD_REQUEST = '{"scheme": "ABAB", "year": "1900"}'
+
+
+@pytest.mark.parametrize("bad,lineno", [
+    ('{"year": "1900"}', 2),  # no scheme
+    ('["ABAB"]', 2),  # not an object
+    ('"ABAB"', 2),
+    ('{"scheme": 4}', 2),
+    ('{"scheme": null}', 2),
+    ('{"scheme": "ABAB", "seed": "x"}', 2),
+    ('{"scheme": "ABAB", "meters": 3}', 2),
+    ("{not json", 2),
+])
+def test_generate_rejects_a_bad_request_line(small_model, tmp_path, capsys, bad, lineno):
+    vocab, model = small_model
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text(f"{GOOD_REQUEST}\n{bad}\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["generate", "--model", str(model), "--vocab", str(vocab),
+               "--requests", str(requests), "--out", str(tmp_path / "gen.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert f"requests.jsonl:{lineno}:" in err and "Traceback" not in err
+
+
+def test_generate_streams_results_before_a_late_failure(small_model, tmp_path, capsys):
+    vocab, model = small_model
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text(f"{GOOD_REQUEST}\n{GOOD_REQUEST}\n{{}}\n{GOOD_REQUEST}\n",
+                        encoding="utf-8")
+    out = tmp_path / "gen.jsonl"
+    rc = main(["generate", "--model", str(model), "--vocab", str(vocab),
+               "--requests", str(requests), "--out", str(out)])
+    assert rc != 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2
+    assert all(json.loads(line)["request"]["scheme"] == "ABAB" for line in lines)
+    assert "requests.jsonl:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("requests,generations,where", [
+    ('{"scheme": "ABAB"}\n{"year": 1900}\n', '{"raw_text": "# ABAB # 1900"}\n' * 2,
+     "requests.jsonl:2:"),
+    ('{"scheme": "ABAB"}\n' * 2, '{"raw_text": "# ABAB # 1900"}\n\n{"forced": []}\n',
+     "generations.jsonl:3:"),
+    ('{"scheme": "ABAB"}\n' * 2, '{"raw_text": "# ABAB # 1900"}\n[1, 2]\n',
+     "generations.jsonl:2:"),
+    ('{"scheme": "ABAB"}\n7\n', '{"raw_text": "# ABAB # 1900"}\n' * 2,
+     "requests.jsonl:2:"),
+    ('{"scheme": "ABAB"}\n' * 2, '{"raw_text": "# ABAB # 1900"}\n{"raw_text": 5}\n',
+     "generations.jsonl:2:"),
+])
+def test_evaluate_rejects_a_bad_line(tmp_path, capsys, requests, generations, where):
+    (tmp_path / "requests.jsonl").write_text(requests, encoding="utf-8")
+    (tmp_path / "generations.jsonl").write_text(generations, encoding="utf-8")
+    rc = main(["evaluate", "--requests", str(tmp_path / "requests.jsonl"),
+               "--generations", str(tmp_path / "generations.jsonl"),
+               "--report", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert where in err and "Traceback" not in err

@@ -202,3 +202,8 @@ def test_permutation_is_seed_deterministic():
 def test_permutation_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         permutation_test([1, 2], [1, 2, 3])
+
+
+def test_permutation_of_empty_scores_raises():
+    with pytest.raises(ValueError, match="no paired scores"):
+        permutation_test([], [])
