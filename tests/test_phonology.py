@@ -186,10 +186,3 @@ def test_exceptions_are_read_only(tmp_path):
         syl.exceptions = {}
     assert ph.verse_syllables("reje moři", syl) == ["re", "je", "moř", "i"]
 
-
-def test_token_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(ph, "TOKEN_MEMO_ENTRIES", 3)
-    syl = ph.Syllabifier()
-    for text in EXAMPLE_VERSES:
-        assert ph.verse_syllables(text, syl) == ph.verse_syllables(text, ph.Syllabifier())
-        assert len(syl._tokens) <= 3
