@@ -1,10 +1,12 @@
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verseforge import ngram, tokenizers as tok
-from verseforge.ngram import NGramError, NGramModel
+from verseforge.ngram import DEFAULT_DISCOUNT, NGramError, NGramModel
 from verseforge.tokenizers import TokenizerKind
 
 
@@ -227,3 +229,107 @@ def test_tables_match_choice_and_reject_bad_rows():
         rng = np.random.default_rng(1)
         assert ngram.sample_with_rng(zeros, [], 0.5, rng) == 0
         assert rng.random() == np.random.default_rng(1).random()
+
+
+def reference_next_dist(model, context):
+    """``next_dist`` as a fresh per-level loop: one ``np.zeros(V)`` row
+    filled, divided and blended at each backoff level."""
+    ctx = model._context(context)
+    p = np.full(model.vocab_size, 1.0 / model.vocab_size)
+    d = model.discount
+    for k in range(len(ctx) + 1):
+        sub = ctx[len(ctx) - k:]
+        bucket = model.counts.get(sub)
+        if not bucket:
+            continue
+        if min(bucket) < 0 or max(bucket) >= model.vocab_size:
+            raise NGramError(
+                f"token id out of range [0, {model.vocab_size}) after context "
+                f"{list(sub)}: {sorted(bucket)}")
+        total = sum(bucket.values())
+        arr = np.zeros(model.vocab_size)
+        for t, c in bucket.items():
+            arr[t] = c - d if c > d else 0.0
+        arr /= total
+        p = arr + (d * len(bucket) / total) * p
+    return p
+
+
+@st.composite
+def small_models(draw):
+    """A model of order 1-6 over 2-9 tokens, some of whose context buckets
+    may be dropped, so that a longer context can be known while one of
+    its shorter suffixes is not."""
+    order = draw(st.integers(1, 6))
+    vocab_size = draw(st.integers(2, 9))
+    tokens = st.integers(0, vocab_size - 1)
+    discount = draw(st.sampled_from([0.1, 0.5, DEFAULT_DISCOUNT, 0.9]))
+    model = NGramModel(order, vocab_size, discount=discount)
+    for seq in draw(st.lists(st.lists(tokens, max_size=12), min_size=1, max_size=4)):
+        model.add_sequence(seq)
+    if model.counts:
+        for ctx in draw(st.sets(st.sampled_from(sorted(model.counts)), max_size=3)):
+            del model.counts[ctx]
+    contexts = draw(st.lists(st.lists(tokens, max_size=order + 1), min_size=1, max_size=12))
+    return model, contexts, draw(st.lists(tokens, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=small_models(), budget_rows=st.sampled_from([None, 1, 2, 3]))
+def test_next_dist_is_the_per_level_loop(case, budget_rows):
+    model, contexts, more = case
+    budget = (ngram.TABLE_CACHE_BYTES if budget_rows is None
+              else budget_rows * 8 * model.vocab_size)
+    with patch.object(ngram, "TABLE_CACHE_BYTES", budget):
+        for _ in range(2):  # cold, then warm (or evicted)
+            for ctx in contexts + [[]]:
+                assert np.array_equal(model.next_dist(ctx), reference_next_dist(model, ctx))
+                model.table(ctx, 1.0)
+            assert len(model._tables) * 8 * model.vocab_size <= budget
+        model.add_sequence(more)
+        for ctx in contexts:
+            assert np.array_equal(model.next_dist(ctx), reference_next_dist(model, ctx))
+
+
+def deep_model():
+    """order 6 over 5 tokens, trained so that every level has a bucket."""
+    m = NGramModel(order=6, vocab_size=5)
+    m.add_sequence([0, 1, 2, 3, 4, 0, 1, 2, 3, 0, 1, 2, 4, 4, 1])
+    return m
+
+
+@pytest.mark.parametrize("make, ctx", [
+    (lambda: NGramModel(order=1, vocab_size=4), []),
+    (lambda: deep_model(), []),
+    (lambda: deep_model(), [1]),
+    (lambda: deep_model(), [0, 1, 2]),
+    (lambda: deep_model(), [0, 1, 2, 3, 4]),
+    (lambda: deep_model(), [4, 4, 4, 4, 4]),  # upper buckets all empty
+    (lambda: deep_model(), [3, 3, 3, 0, 1]),  # only the short ones known
+], ids=["order-1-untrained", "empty", "one", "three", "five", "unseen", "short-only"])
+def test_next_dist_rows_belong_to_the_caller(make, ctx):
+    m = make()
+    if m.order == 1:
+        m.add_sequence([0, 1, 1, 3])
+    first = m.next_dist(ctx)
+    expected = first.copy()
+    first[:] = -1.0
+    assert np.array_equal(m.next_dist(ctx), expected)
+    assert np.array_equal(m.next_dist(ctx), reference_next_dist(m, ctx))
+    assert m.next_dist(ctx) is not m.next_dist(ctx)
+
+
+@pytest.mark.parametrize("bad_ctx", ["", "1", "0,1", "2,0,1"])
+def test_out_of_range_short_bucket_raises_on_every_call(tmp_path, bad_ctx):
+    path = tmp_path / "m.ngram"
+    header = dict(HEADER, order="6", vocab_size="3")
+    buckets = {"": "0:2 1:1", "1": "0:1", "0,1": "2:1", "2,0,1": "0:1",
+               "1,2,0,1": "1:1"}
+    buckets[bad_ctx] += " 9:1"
+    write_model(path, header, [f"C\t{ctx}\t{ev}" for ctx, ev in buckets.items()])
+    model = ngram.load(path)
+    for _ in range(3):
+        with pytest.raises(NGramError, match="out of range"):
+            model.next_dist([0, 1, 2, 0, 1])
+        with pytest.raises(NGramError, match="out of range"):
+            model.table([1, 2, 0, 1], 1.0)
