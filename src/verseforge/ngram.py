@@ -39,8 +39,12 @@ DEFAULT_ORDER = {
 MODEL_MAGIC = "verseforge-ngram v1"
 MODEL_HEADER = ("order", "discount", "vocab_size", "vocab_hash")
 
-# Byte budget of an NGramModel's sampling-table cache.
+# Byte budget of an NGramModel's sampling tables and shared rows.
 TABLE_CACHE_BYTES = 64 << 20
+
+# Longest context suffix whose partial row next_dist shares between
+# contexts.
+SHARED_SUFFIX_LEN = 3
 
 
 class NGramError(ValueError):
@@ -68,9 +72,11 @@ class NGramModel:
         self.discount = discount
         # context tuple (length < order) -> {token id: count}
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
-        # (trailing context, temperature) -> sampling table, least
-        # recently used first
+        # (trailing context, temperature) -> sampling table, and
+        # (short suffix, None) -> shared row; least recently used first
         self._tables: OrderedDict = OrderedDict()
+        # the shared row of the empty context, held outside the cache
+        self._base: np.ndarray | None = None
 
     def _count(self, ctx: tuple[int, ...], token: int) -> None:
         bucket = self.counts.setdefault(ctx, {})
@@ -82,31 +88,63 @@ class NGramModel:
             for k in range(min(self.order, i + 1)):
                 self._count(tuple(ids[i - k:i]), token)
         self._tables.clear()
+        self._base = None
 
     def _context(self, context: Sequence[int]) -> tuple[int, ...]:
         return tuple(context[-(self.order - 1):]) if self.order > 1 else ()
 
+    def _level(self, p: np.ndarray, sub: tuple[int, ...]) -> np.ndarray:
+        """``p`` blended with the discounted counts of context ``sub`` (``p``
+        itself when ``sub`` has no bucket), as a new row."""
+        bucket = self.counts.get(sub)
+        if not bucket:
+            return p
+        if min(bucket) < 0 or max(bucket) >= self.vocab_size:
+            raise NGramError(
+                f"token id out of range [0, {self.vocab_size}) after context "
+                f"{list(sub)}: {sorted(bucket)}")
+        d = self.discount
+        total = sum(bucket.values())
+        p = (d * len(bucket) / total) * p
+        for t, c in bucket.items():
+            p[t] = (c - d if c > d else 0.0) / total + p[t]
+        return p
+
+    def _shared_row(self, suffix: tuple[int, ...]) -> np.ndarray:
+        """Read-only row after the levels of ``suffix`` and of its shorter
+        suffixes, memoized beside the tables."""
+        if not suffix:
+            if self._base is None:
+                uniform = np.full(self.vocab_size, 1.0 / self.vocab_size)
+                self._base = self._level(uniform, ())
+                self._base.flags.writeable = False
+            return self._base
+        key = (suffix, None)
+        tables = self._tables
+        row = tables.get(key)
+        if row is not None:
+            tables.move_to_end(key)
+            return row
+        row = self._level(self._shared_row(suffix[1:]), suffix)
+        row.flags.writeable = False
+        self._remember(key, row)
+        return row
+
     def next_dist(self, context: Sequence[int]) -> np.ndarray:
         """Distribution over the vocabulary given trailing context ids."""
         ctx = self._context(context)
-        p = np.full(self.vocab_size, 1.0 / self.vocab_size)
-        d = self.discount
-        for k in range(len(ctx) + 1):
-            sub = ctx[len(ctx) - k:]
-            bucket = self.counts.get(sub)
-            if not bucket:
-                continue
-            if min(bucket) < 0 or max(bucket) >= self.vocab_size:
-                raise NGramError(
-                    f"token id out of range [0, {self.vocab_size}) after context "
-                    f"{list(sub)}: {sorted(bucket)}")
-            total = sum(bucket.values())
-            arr = np.zeros(self.vocab_size)
-            for t, c in bucket.items():
-                arr[t] = c - d if c > d else 0.0
-            arr /= total
-            p = arr + (d * len(bucket) / total) * p
-        return p
+        n = len(ctx)
+        shared = min(SHARED_SUFFIX_LEN, max(n - 1, 0))
+        p = self._shared_row(ctx[n - shared:])
+        for k in range(shared + 1, n + 1):
+            p = self._level(p, ctx[n - k:])
+        return p if p.flags.writeable else p.copy()
+
+    def _remember(self, key, value) -> None:
+        tables = self._tables
+        tables[key] = value
+        while len(tables) * 8 * self.vocab_size > TABLE_CACHE_BYTES:
+            tables.popitem(last=False)
 
     def table(self, context: Sequence[int], temperature: float):
         """``sampling_table`` of the row for the trailing context, cached."""
@@ -117,9 +155,7 @@ class NGramModel:
             tables.move_to_end(key)
             return table
         table = sampling_table(self.next_dist(key[0]), temperature)
-        tables[key] = table
-        while len(tables) * 8 * self.vocab_size > TABLE_CACHE_BYTES:
-            tables.popitem(last=False)
+        self._remember(key, table)
         return table
 
     def logprob(self, ids: Sequence[int]) -> float:
