@@ -8,7 +8,9 @@ echoed into each output artifact.
 from __future__ import annotations
 
 import json
+import logging
 import sys
+from collections import Counter
 from contextlib import nullcontext
 
 import click
@@ -24,6 +26,8 @@ from .tokenizers import TokenizerError, TokenizerKind
 EXIT_MISSING_FILE = 3
 EXIT_SCHEMA = 4
 EXIT_OTHER = 5
+
+log = logging.getLogger(__name__)
 
 
 def _config(ctx) -> dict:
@@ -134,19 +138,32 @@ def train_tokenizer(ctx, corpus_path, kind, vocab_size, out, fmt, exceptions):
 @click.pass_context
 def train_lm(ctx, corpus_path, vocab_path, order, discount, test_fraction, seed,
              out, fmt, exceptions):
-    """Train the n-gram model on the train split of the corpus."""
+    """Train the n-gram model on the train split of the corpus and log
+    its perplexity on the held-out split."""
     vocab = tokenizers.load_vocab(vocab_path)
     syllabifier = _syllabifier(exceptions)
     order = order or ngram.DEFAULT_ORDER[vocab.kind]
+    fmt = DataFormat.parse(fmt)
     strophes = corpus.ingest(corpus_path)
-    train_set, _ = corpus.split(strophes, test_fraction, seed)
-    seqs = (tokenizers.encode(vocab, text, syllabifier) + [vocab.eos_id]
-            for text in _format_lines(train_set, DataFormat.parse(fmt), syllabifier))
-    model = ngram.train(seqs, order, vocab, discount)
+    train_set, held_out = corpus.split(strophes, test_fraction, seed)
+
+    def sequences(split):
+        return (tokenizers.encode(vocab, text, syllabifier) + [vocab.eos_id]
+                for text in _format_lines(split, fmt, syllabifier))
+
+    model = ngram.train(sequences(train_set), order, vocab, discount)
     ngram.save(model, out)
     with open(out, "a", encoding="utf-8") as f:
         f.write(f"config\t{json.dumps(_config(ctx))}\n")
     click.echo(f"order-{order} model over {model.vocab_size} tokens -> {out}")
+    per_order = Counter(len(c) + 1 for c in model.counts)
+    log.info("contexts per order: %s",
+             " ".join(f"{k}:{per_order[k]}" for k in sorted(per_order)))
+    if held_out:
+        log.info("held-out perplexity %.4f over %d strophes",
+                 model.perplexity(sequences(held_out)), len(held_out))
+    else:
+        log.info("held-out split is empty; no perplexity")
 
 
 def _record(line: str, where: str) -> dict:
@@ -285,16 +302,8 @@ def evaluate(ctx, requests_path, generations_path, report_path, threshold, fmt,
         if not isinstance(raw_text, str) or not isinstance(forced, list):
             raise FormatError(
                 f"{g_where}: a generation needs a string 'raw_text' and a list 'forced'")
-        try:
-            parsed = formats.parse(raw_text, fmt)
-            error = None
-        except FormatError as e:
-            parsed, error = None, str(e)
-        gen = generation.GeneratedStrophe(
-            raw_text=raw_text, request=req, parsed=parsed,
-            parse_error=error, truncated=bool(g.get("truncated")),
-            forced_flags=tuple(forced))
-        pairs.append((req, gen))
+        pairs.append((req, generation.GeneratedStrophe.from_text(
+            raw_text, req, bool(g.get("truncated")), forced)))
     report = validation.evaluate(pairs, syllabifier, threshold)
     for key, value in report.to_dict().items():
         click.echo(f"{key}\t{value}")
@@ -317,6 +326,7 @@ def significance(path_a, path_b, repetitions, seed):
 
 
 def main(argv=None):
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as e:

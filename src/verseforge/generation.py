@@ -64,6 +64,17 @@ class GeneratedStrophe:
     forced_flags: tuple[bool, ...]
     machine_generated: bool = field(default=True, init=False)
 
+    @classmethod
+    def from_text(cls, raw_text: str, request: GenerationRequest,
+                  truncated: bool = False, forced_flags=()) -> GeneratedStrophe:
+        """The strophe ``raw_text`` parsed in the request's format, or
+        its parse error."""
+        try:
+            parsed, error = formats.parse(raw_text, request.fmt), None
+        except formats.FormatError as e:
+            parsed, error = None, str(e)
+        return cls(raw_text, request, parsed, error, truncated, tuple(forced_flags))
+
     @property
     def ok(self) -> bool:
         return self.parsed is not None
@@ -131,16 +142,6 @@ def _meter_seed(request: GenerationRequest, verse_index: int) -> str:
     return ""
 
 
-def _finish(raw_text, request, truncated, forced_flags) -> GeneratedStrophe:
-    try:
-        parsed = formats.parse(raw_text, request.fmt)
-        error = None
-    except formats.FormatError as e:
-        parsed, error = None, str(e)
-    return GeneratedStrophe(raw_text, request, parsed, error, truncated,
-                            tuple(forced_flags))
-
-
 def generate_basic(model, vocab, request: GenerationRequest,
                    syllabifier=None) -> GeneratedStrophe:
     """Prompt with the header line, then decode until end-of-sequence,
@@ -160,7 +161,7 @@ def generate_basic(model, vocab, request: GenerationRequest,
         if not completed:
             break
     raw = "\n".join([prompt.split("\n", 1)[0]] + lines)
-    return _finish(raw, request, dec.truncated, [False] * len(lines))
+    return GeneratedStrophe.from_text(raw, request, dec.truncated, [False] * len(lines))
 
 
 def generate_forced(model, vocab, request: GenerationRequest,
@@ -214,4 +215,4 @@ def generate_forced(model, vocab, request: GenerationRequest,
         if vi < len(request.scheme) - 1 and dec.ids[-1] != vocab.sep_id:
             dec.feed("\n")
     raw = "\n".join([header_line] + lines)
-    return _finish(raw, request, dec.truncated, forced_flags)
+    return GeneratedStrophe.from_text(raw, request, dec.truncated, forced_flags)

@@ -1,6 +1,6 @@
 """Shared test utilities: a scripted language model and small factories."""
 
-from verseforge import formats, tokenizers
+from verseforge import tokenizers
 from verseforge.formats import DataFormat
 from verseforge.generation import GeneratedStrophe
 
@@ -69,11 +69,4 @@ def scripted_model(fmt: DataFormat):
 
 def gen_from_text(raw_text, request, forced_flags=()):
     """GeneratedStrophe as the evaluator would reconstruct it."""
-    try:
-        parsed = formats.parse(raw_text, request.fmt)
-        error = None
-    except formats.FormatError as e:
-        parsed, error = None, str(e)
-    return GeneratedStrophe(raw_text=raw_text, request=request, parsed=parsed,
-                            parse_error=error, truncated=False,
-                            forced_flags=tuple(forced_flags))
+    return GeneratedStrophe.from_text(raw_text, request, forced_flags=forced_flags)

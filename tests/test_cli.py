@@ -1,8 +1,11 @@
 import json
+import logging
 
 import pytest
 
+from verseforge import corpus, formats, ngram, tokenizers
 from verseforge.cli import main
+from verseforge.formats import DataFormat
 from conftest import DATA
 
 
@@ -50,6 +53,39 @@ def test_ingest_and_stats(mini_corpus, tmp_path, capsys):
     assert main(["stats", "--corpus", str(mini_corpus)]) == 0
     out = capsys.readouterr().out
     assert "scheme\t" in out and "meter\t" in out
+
+
+def test_train_lm_logs_held_out_perplexity(mini_corpus, tmp_path, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="verseforge")
+    vocab_path = tmp_path / "uni.vocab"
+    model_path = tmp_path / "uni.ngram"
+    assert main(["train-tokenizer", "--corpus", str(mini_corpus),
+                 "--kind", "unicode", "--out", str(vocab_path)]) == 0
+    capsys.readouterr()
+    train_lm = ["train-lm", "--corpus", str(mini_corpus), "--vocab", str(vocab_path),
+                "--order", "4", "--seed", "3", "--out", str(model_path)]
+    assert main(train_lm + ["--test-fraction", "0.1"]) == 0
+    vocab = tokenizers.load_vocab(vocab_path)
+    out = capsys.readouterr()
+    assert out.out == f"order-4 model over {len(vocab)} tokens -> {model_path}\n"
+    assert "perplexity" not in model_path.read_text(encoding="utf-8")
+
+    model = ngram.load(model_path, vocab)
+    per_order, ppl = [r.getMessage() for r in caplog.records if r.name == "verseforge.cli"]
+    assert per_order == "contexts per order: " + " ".join(
+        f"{k}:{sum(len(c) == k - 1 for c in model.counts)}" for k in range(1, 5))
+    _, held_out = corpus.split(corpus.ingest(mini_corpus), 0.1, 3)
+    seqs = [tokenizers.encode(vocab, formats.encode(s, DataFormat.METER_VERSE))
+            + [vocab.eos_id] for s in held_out]
+    assert ppl == (f"held-out perplexity {model.perplexity(seqs):.4f} "
+                   f"over {len(held_out)} strophes")
+    assert 1.0 < model.perplexity(seqs) < len(vocab)
+
+    caplog.clear()
+    assert main(train_lm + ["--test-fraction", "0.001"]) == 0
+    messages = [r.getMessage() for r in caplog.records if r.name == "verseforge.cli"]
+    assert messages[1] == "held-out split is empty; no perplexity"
+    assert not any("held-out perplexity" in m for m in messages)
 
 
 def test_full_pipeline(mini_corpus, tmp_path, capsys):

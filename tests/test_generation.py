@@ -196,3 +196,19 @@ def test_trained_model_generation_is_seed_deterministic(fixture_strophes):
     assert a.raw_text == b.raw_text
     c = generate_forced(model, vocab, request("ABAB", temperature=0.5, seed=14))
     assert isinstance(c.raw_text, str)  # may or may not differ; just runs
+
+
+def test_from_text_parses_or_keeps_the_error():
+    req = request()
+    text = "# ABAB # 1900 # J\n" + "\n".join(
+        f"{7 + i} # na # hrady dálky" for i in range(4))
+    gen = generation.GeneratedStrophe.from_text(text, req, True, [False, True, False, True])
+    assert gen.ok and gen.parse_error is None and gen.truncated
+    assert gen.parsed == formats.parse(text, req.fmt)
+    assert gen.forced_flags == (False, True, False, True)
+
+    bad = generation.GeneratedStrophe.from_text("# nonsense", req)
+    assert not bad.ok and not bad.truncated and bad.forced_flags == ()
+    with pytest.raises(formats.FormatError) as e:
+        formats.parse("# nonsense", req.fmt)
+    assert bad.parse_error == str(e.value)
