@@ -13,6 +13,18 @@ and the draw uses no randomness.  ``NGramModel`` keeps its tables, keyed
 by trailing context and temperature, in a least-recently-used cache of
 at most ``TABLE_CACHE_BYTES`` of table data (8 bytes per vocabulary
 entry per table); other models get a table built per draw.
+
+A row is built level by level, from the empty context up to the longest
+known suffix of the context: each level with counts scales the row by
+its backoff weight and adds its discounted counts in place.  The levels
+of the last ``SHARED_SUFFIX_LEN`` tokens, short of the whole context,
+depend only on those tokens, so every context that ends in them shares
+one read-only partial row.  These rows live in the same cache
+and byte budget as the tables, under ``(suffix, None)``; the row of the
+empty context, which every context shares, is kept apart and never
+evicted.  ``add_sequence`` drops both.  The arithmetic is that of a
+fresh row per level, operation for operation, so rows are bit-identical
+to it, and ``next_dist`` always returns a row the caller owns.
 """
 
 from __future__ import annotations
