@@ -1,9 +1,10 @@
-"""Seeded generation goldens.
+"""Seeded generation, vocabulary file and model file goldens.
 
-Each case trains a small model from the fixture corpus, decodes a few
-seeded requests with both decoders and compares the sha256 of the
-output with a pinned value.  A change to the model, the sampler or the
-decoders that moves a single draw changes the hash.
+Each generation case trains a small model from the fixture corpus,
+decodes a few seeded requests with both decoders and compares the
+sha256 of the output with a pinned value.  A change to the model, the
+sampler or the decoders that moves a single draw changes the hash.  The
+saved vocabulary and model files are pinned the same way.
 """
 
 import hashlib
@@ -58,6 +59,46 @@ def train_model(texts, kind):
                             vocab_size=120)
     seqs = [tok.encode(vocab, text) + [vocab.eos_id] for text in texts]
     return ngram.train(seqs, ngram.DEFAULT_ORDER[kind], vocab), vocab
+
+
+VOCAB_SHA256 = {
+    ("unicode", None):
+        "295fbb5f293459e0c65c94d20af582ebe8874a070f1aa161576018c1e105c154",
+    ("syllable", None):
+        "fbe79e4b6a68de225069f528fc65ce4c683155f03b936cded588f02a5a8bac95",
+    ("our", 120):
+        "cdff751c99550becfe74546997cefe388a0fe8ee5487630660748d4c59371ae7",
+    ("our", 400):
+        "7d6784eec2f17cf6d2c8f177e8cc1292e52aba1877fcbcf8b47b5ff0af85d7b5",
+    ("base", 120):
+        "64ca22e5344848ded26aef461dc96ae1193b1c6773408a32d32b7b877aefd8b8",
+    ("base", 400):
+        "74b770d59322445c8b6352783e4f14fdc0973cd7ecf337ecdfe9df1346098de9",
+}
+
+# order-10 unicode model
+MODEL_SHA256 = "5507af0469a091776bb0eed8e43514a722d4769361a93f9fe0f9c0880203fd2b"
+
+
+def file_sha256(save, obj, path):
+    save(obj, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind,size", list(VOCAB_SHA256))
+def test_vocab_file_golden(fixture_texts, tmp_path, kind, size):
+    lines = [line for text in fixture_texts for line in text.split("\n")]
+    vocab = tok.build_vocab(tok.TokenizerKind(kind), lines, vocab_size=size)
+    digest = file_sha256(tok.save_vocab, vocab, tmp_path / "v.vocab")
+    assert digest == VOCAB_SHA256[(kind, size)]
+
+
+def test_model_file_golden(fixture_texts, tmp_path):
+    lines = [line for text in fixture_texts for line in text.split("\n")]
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, lines)
+    seqs = [tok.encode(vocab, text) + [vocab.eos_id] for text in fixture_texts]
+    model = ngram.train(seqs, 10, vocab)
+    assert file_sha256(ngram.save, model, tmp_path / "m.ngram") == MODEL_SHA256
 
 
 @pytest.fixture(scope="module")
