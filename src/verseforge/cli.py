@@ -115,10 +115,8 @@ def train_tokenizer(ctx, corpus_path, kind, vocab_size, out, fmt, exceptions):
     """Build a tokenizer vocabulary from format-encoded strophes."""
     kind = TokenizerKind.parse(kind)
     syllabifier = _syllabifier(exceptions)
-    lines = []
-    for text in _format_lines(corpus.ingest(corpus_path), DataFormat.parse(fmt), syllabifier):
-        lines.extend(text.split("\n"))
-    vocab = tokenizers.build_vocab(kind, lines, vocab_size, syllabifier)
+    texts = _format_lines(corpus.ingest(corpus_path), DataFormat.parse(fmt), syllabifier)
+    vocab = tokenizers.build_vocab(kind, texts, vocab_size, syllabifier)
     tokenizers.save_vocab(vocab, out)
     with open(out, "a", encoding="utf-8") as f:
         f.write(f"#! config\t{json.dumps(_config(ctx))}\n")

@@ -47,6 +47,9 @@ class CorpusFormatError(ValueError):
 
 
 SCHEME_LENGTHS = (4, 6)
+# Letters of a rhyme scheme: rhyme groups in order of first appearance,
+# X for a verse that rhymes with none.
+SCHEME_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWX"
 NAN_YEAR = None  # sentinel spelled "NaN" on disk and in headers
 
 
@@ -92,16 +95,14 @@ def derive_rhyme_scheme(groups: list[int | None]) -> str:
     counts = Counter(g for g in groups if g is not None)
     letters = []
     assigned: dict[int, str] = {}
-    next_letter = ord("A")
     for g in groups:
         if g is None or counts[g] < 2:
             letters.append("X")
             continue
         if g not in assigned:
-            if chr(next_letter) == "X":
+            if SCHEME_LETTERS[len(assigned)] == "X":
                 raise CorpusFormatError("too many rhyme groups in strophe")
-            assigned[g] = chr(next_letter)
-            next_letter += 1
+            assigned[g] = SCHEME_LETTERS[len(assigned)]
         letters.append(assigned[g])
     return "".join(letters)
 
@@ -125,13 +126,11 @@ class Strophe:
     poem_index: int | None = None
 
     def __post_init__(self):
-        if len(self.verses) not in SCHEME_LENGTHS:
-            raise CorpusFormatError(
-                f"unsupported strophe length {len(self.verses)}: expected 4 or 6")
+        # derive_rhyme_scheme rejects an unsupported verse count first
+        derived = derive_rhyme_scheme([v.rhyme_group for v in self.verses])
         if len(self.scheme) != len(self.verses):
             raise CorpusFormatError(
                 f"scheme {self.scheme} does not match verse count {len(self.verses)}")
-        derived = derive_rhyme_scheme([v.rhyme_group for v in self.verses])
         if derived != self.scheme:
             raise CorpusFormatError(
                 f"scheme {self.scheme} inconsistent with rhyme groups ({derived})")

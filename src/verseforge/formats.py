@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import phonology
-from .corpus import MeterLabel, Strophe, YearBucket, modal_meter
+from .corpus import SCHEME_LETTERS, MeterLabel, Strophe, YearBucket, modal_meter
 
 SEP = " # "
 
@@ -76,17 +76,18 @@ class ParsedStrophe:
         return [text for _, text in self.lines]
 
 
-def annotate(strophe: Strophe, fmt: DataFormat, syllabifier=None):
-    """Header + per-line annotations for a gold strophe."""
+def encode(strophe: Strophe, fmt: DataFormat, syllabifier=None) -> str:
+    """A gold strophe as text in ``fmt``: its header, then each verse
+    behind the annotation prefix that phonology derives for it."""
     header = StropheHeader(
         scheme=strophe.scheme,
         year_bucket=strophe.year_bucket,
         strophe_meter=None if fmt is DataFormat.METER_VERSE else modal_meter(strophe),
     )
-    lines = []
+    out = [header.render(fmt)]
     for v in strophe.verses:
         if fmt is DataFormat.BASIC:
-            lines.append((None, v.text))
+            out.append(v.text)
             continue
         analysis = phonology.analyze(v.text, syllabifier)
         ann = LineAnnotation(
@@ -94,15 +95,7 @@ def annotate(strophe: Strophe, fmt: DataFormat, syllabifier=None):
             syllable_count=len(analysis.syllables),
             ending_hint=analysis.ending_hint(),
         )
-        lines.append((ann, v.text))
-    return ParsedStrophe(header, tuple(lines))
-
-
-def encode(strophe: Strophe, fmt: DataFormat, syllabifier=None) -> str:
-    parsed = annotate(strophe, fmt, syllabifier)
-    out = [parsed.header.render(fmt)]
-    for ann, text in parsed.lines:
-        out.append(text if ann is None else ann.prefix(fmt) + text)
+        out.append(ann.prefix(fmt) + v.text)
     return "\n".join(out)
 
 
@@ -117,7 +110,7 @@ def _parse_header(line: str, fmt: DataFormat, lineno: int) -> StropheHeader:
         raise FormatError(
             f"line {lineno}: header has {len(fields)} fields, expected {want}")
     scheme, year = fields[0], fields[1]
-    if not scheme or any(c not in "ABCDEFGHIJKLMNOPQRSTUVWX" for c in scheme):
+    if not scheme or any(c not in SCHEME_LETTERS for c in scheme):
         raise FormatError(f"line {lineno}: bad rhyme scheme {scheme!r}")
     try:
         bucket = YearBucket.parse(year)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formats, ngram, tokenizers
-from .corpus import MeterLabel, YearBucket
+from .corpus import SCHEME_LENGTHS, SCHEME_LETTERS, MeterLabel, YearBucket
 from .formats import DataFormat, LineAnnotation, ParsedStrophe, StropheHeader
 
 MAX_VERSE_RETRIES = 8
@@ -34,9 +34,9 @@ class GenerationRequest:
     max_tokens: int = 2000
 
     def __post_init__(self):
-        if len(self.scheme) not in (4, 6):
+        if len(self.scheme) not in SCHEME_LENGTHS:
             raise GenerationError(f"scheme length must be 4 or 6, got {self.scheme!r}")
-        if any(c not in "ABCDEFGHIJKLMNOPQRSTUVWX" for c in self.scheme):
+        if any(c not in SCHEME_LETTERS for c in self.scheme):
             raise GenerationError(f"bad scheme {self.scheme!r}")
         if self.per_verse_meters is not None and len(self.per_verse_meters) != len(self.scheme):
             raise GenerationError("per_verse_meters length must match scheme length")

@@ -90,15 +90,12 @@ class NGramModel:
         # the shared row of the empty context, held outside the cache
         self._base: np.ndarray | None = None
 
-    def _count(self, ctx: tuple[int, ...], token: int) -> None:
-        bucket = self.counts.setdefault(ctx, {})
-        bucket[token] = bucket.get(token, 0) + 1
-
     def add_sequence(self, ids: Sequence[int]) -> None:
         ids = list(ids)
         for i, token in enumerate(ids):
             for k in range(min(self.order, i + 1)):
-                self._count(tuple(ids[i - k:i]), token)
+                bucket = self.counts.setdefault(tuple(ids[i - k:i]), {})
+                bucket[token] = bucket.get(token, 0) + 1
         self._tables.clear()
         self._base = None
 
@@ -199,12 +196,6 @@ def train(sequences, order: int, vocab: Vocab,
     return model
 
 
-def sample(model, context, temperature: float, seed: int) -> int:
-    """One token draw; deterministic for fixed (model, context, T, seed)."""
-    rng = np.random.default_rng(seed)
-    return sample_with_rng(model, context, temperature, rng)
-
-
 def sampling_table(p: np.ndarray, temperature: float) -> np.ndarray | int:
     """What a draw from row ``p`` at ``temperature`` needs: the cumulative
     distribution that ``Generator.choice`` builds for the normalised
@@ -265,15 +256,18 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
             if not line:
                 continue
             parts = line.split("\t")
-            if parts[0] == "C":
-                ctx = tuple(int(x) for x in parts[1].split(",")) if parts[1] else ()
-                bucket = {}
-                for ev in parts[2].split(" "):
-                    t, c = ev.split(":")
-                    bucket[int(t)] = int(c)
-                counts[ctx] = bucket
-            else:
-                header[parts[0]] = parts[1]
+            try:
+                if parts[0] == "C":
+                    ctx = tuple(int(x) for x in parts[1].split(",")) if parts[1] else ()
+                    bucket = {}
+                    for ev in parts[2].split(" "):
+                        t, c = ev.split(":")
+                        bucket[int(t)] = int(c)
+                    counts[ctx] = bucket
+                else:
+                    header[parts[0]] = parts[1]
+            except (IndexError, ValueError):
+                raise NGramError(f"{path}:{lineno}: malformed model line") from None
     missing = [key for key in MODEL_HEADER if key not in header]
     if missing:
         raise NGramError(f"{path}: header lacks {', '.join(missing)}")

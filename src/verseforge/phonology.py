@@ -69,14 +69,14 @@ class SyllableSplit:
 
     word: str
     syllables: tuple[str, ...]
-    clitic: bool = False
 
     def __len__(self):
         return len(self.syllables)
 
-
-def _is_vowel(ch: str) -> bool:
-    return ch.lower() in VOWELS
+    @property
+    def clitic(self) -> bool:
+        """A word with no nucleus, such as the preposition "z"."""
+        return not self.syllables
 
 
 def _find_nuclei(word: str) -> list[tuple[int, int]]:
@@ -170,7 +170,7 @@ class Syllabifier:
         syllables and are flagged as clitics.
         """
         if not word:
-            return SyllableSplit(word, (), clitic=True)
+            return SyllableSplit(word, ())
         override = self.exceptions.get(word.lower())
         if override is not None:
             # Re-case the override to the actual input.
@@ -181,7 +181,7 @@ class Syllabifier:
             return SyllableSplit(word, tuple(pieces))
         nuclei = _find_nuclei(word)
         if not nuclei:
-            return SyllableSplit(word, (), clitic=True)
+            return SyllableSplit(word, ())
         return SyllableSplit(word, _split_at(word, nuclei))
 
     def split_token(self, token: str) -> SyllableSplit | None:
@@ -208,16 +208,6 @@ def syllabify(word: str, syllabifier: Syllabifier | None = None) -> SyllableSpli
 def strip_punct(token: str) -> str:
     return "".join(
         ch for ch in token if not unicodedata.category(ch).startswith("P"))
-
-
-def words(text: str) -> list[str]:
-    """Whitespace tokens with punctuation removed, empties dropped."""
-    out = []
-    for tok in text.split():
-        core = strip_punct(tok)
-        if core:
-            out.append(core)
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Four tokenization schemes behind one vocabulary interface.
 
-BASE      BPE with an externally trained vocab file
+BASE      BPE trained on the poetry corpus, the same training as OUR
 OUR       BPE trained on the poetry corpus itself
 SYLLABLE  rule-based syllable tokens with a leading-space marker
 UNICODE   one token per character
 
 Annotation pieces (rhyme schemes, meter letters, numbers, ``#``) are
 kept atomic for OUR and SYLLABLE so frequent annotations stay single
-tokens; UNICODE always splits to characters.
+tokens; UNICODE always splits to characters.  BASE and OUR differ only
+in their label, and so in their content hash.
 """
 
 from __future__ import annotations
@@ -140,10 +141,14 @@ def load_vocab(path) -> Vocab:
                 continue
             if line.startswith("#!"):
                 parts = line[2:].strip().split("\t")
-                if parts[0] == "kind":
-                    kind = TokenizerKind.parse(parts[1])
-                elif parts[0] == "protected":
-                    protected.add(_unescape(parts[1]))
+                try:
+                    if parts[0] == "kind":
+                        kind = TokenizerKind.parse(parts[1])
+                    elif parts[0] == "protected":
+                        protected.add(_unescape(parts[1]))
+                except IndexError:
+                    raise TokenizerError(
+                        f"{path}:{lineno}: '#! {parts[0]}' needs a value") from None
                 continue
             try:
                 tok, idx = line.rsplit("\t", 1)
@@ -192,18 +197,21 @@ def bpe_piece_tokens(piece: str, vocab: Vocab) -> list[str]:
                 best_id, best_at = mid, i
         if best_id is None:
             break
-        # merge every occurrence of this pair, leftmost first
-        pair = (symbols[best_at], symbols[best_at + 1])
-        out, i = [], 0
-        while i < len(symbols):
-            if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == pair:
-                out.append(symbols[i] + symbols[i + 1])
-                i += 2
-            else:
-                out.append(symbols[i])
-                i += 1
-        symbols = out
+        symbols = _merge_pair(symbols, (symbols[best_at], symbols[best_at + 1]))
     return symbols
+
+
+def _merge_pair(symbols, pair: tuple[str, str]) -> list[str]:
+    """``symbols`` with every occurrence of ``pair`` merged, leftmost first."""
+    out, i = [], 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == pair:
+            out.append(symbols[i] + symbols[i + 1])
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return out
 
 
 def line_tokens(vocab: Vocab, line: str, syllabifier=None) -> list[str]:
@@ -242,10 +250,6 @@ def decode(vocab: Vocab, ids) -> str:
     return "".join(out)
 
 
-def count_unknown(vocab: Vocab, ids) -> int:
-    return sum(1 for i in ids if i == vocab.unk_id)
-
-
 def chars_per_token(vocab: Vocab, sample_lines, syllabifier=None) -> float:
     """Average characters per token over a sample of lines."""
     n_chars = n_tokens = 0
@@ -260,25 +264,27 @@ def chars_per_token(vocab: Vocab, sample_lines, syllabifier=None) -> float:
 # ---------------------------------------------------------------------------
 # vocabulary construction
 
-def _collect_protected(corpus_lines) -> tuple[set[str], Counter]:
+def _collect_protected(texts) -> tuple[set[str], Counter]:
+    """Annotation pieces, and the count of every other piece, in ``texts``."""
     protected = set()
     piece_freq = Counter()
-    for line in corpus_lines:
-        for piece in pieces(line):
-            if is_annotation_piece(piece):
-                protected.add(piece)
-            else:
-                piece_freq[piece] += 1
+    for text in texts:
+        for line in text.split("\n"):
+            for piece in pieces(line):
+                if is_annotation_piece(piece):
+                    protected.add(piece)
+                else:
+                    piece_freq[piece] += 1
     return protected, piece_freq
 
 
-def build_unicode_vocab(corpus_lines) -> Vocab:
-    chars = sorted({ch for line in corpus_lines for ch in line} - {"\n"})
+def build_unicode_vocab(texts) -> Vocab:
+    chars = sorted({ch for text in texts for ch in text} - {"\n"})
     return Vocab(TokenizerKind.UNICODE, [SEP_TOKEN, EOS_TOKEN, UNK_TOKEN] + chars)
 
 
-def build_syllable_vocab(corpus_lines, syllabifier=None) -> Vocab:
-    protected, piece_freq = _collect_protected(corpus_lines)
+def build_syllable_vocab(texts, syllabifier=None) -> Vocab:
+    protected, piece_freq = _collect_protected(texts)
     seen = set()
     for piece in piece_freq:
         seen.update(syllable_piece_tokens(piece, syllabifier))
@@ -286,7 +292,7 @@ def build_syllable_vocab(corpus_lines, syllabifier=None) -> Vocab:
     return Vocab(TokenizerKind.SYLLABLE, tokens, protected)
 
 
-def train_bpe(corpus_lines, vocab_size: int,
+def train_bpe(texts, vocab_size: int,
               kind: TokenizerKind = TokenizerKind.OUR) -> Vocab:
     """Standard BPE merge training over space-attached word pieces.
 
@@ -294,11 +300,11 @@ def train_bpe(corpus_lines, vocab_size: int,
     reached; ties break on the lexicographically smaller pair, so the
     merge list is deterministic.
     """
-    corpus_lines = list(corpus_lines)
-    if not any(line for line in corpus_lines):
+    texts = list(texts)
+    protected, piece_freq = _collect_protected(texts)
+    alphabet = sorted({ch for text in texts for ch in text} - {"\n"} - protected)
+    if not alphabet and not protected:
         raise TokenizerError("cannot train BPE on an empty corpus")
-    protected, piece_freq = _collect_protected(corpus_lines)
-    alphabet = sorted({ch for line in corpus_lines for ch in line} - {"\n"} - protected)
     base = [SEP_TOKEN, EOS_TOKEN, UNK_TOKEN] + sorted(protected) + alphabet
     if vocab_size < len(base):
         raise TokenizerError(
@@ -319,25 +325,18 @@ def train_bpe(corpus_lines, vocab_size: int,
         if merged not in known:
             tokens.append(merged)
             known.add(merged)
-        new_words = {}
-        for symbols, freq in words.items():
-            out, i = [], 0
-            while i < len(symbols):
-                if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == pair:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(symbols[i])
-                    i += 1
-            new_words[tuple(out)] = new_words.get(tuple(out), 0) + freq
-        words = new_words
+        # Each symbol tuple joins back to its own distinct piece, so no two
+        # merged tuples collide.
+        words = {tuple(_merge_pair(symbols, pair)): freq
+                 for symbols, freq in words.items()}
     return Vocab(kind, tokens, protected)
 
 
-def build_vocab(kind: TokenizerKind, corpus_lines, vocab_size: int = 40000,
+def build_vocab(kind: TokenizerKind, texts, vocab_size: int = 40000,
                 syllabifier=None) -> Vocab:
+    """A ``kind`` vocabulary over ``texts``, single lines or whole strophes."""
     if kind is TokenizerKind.UNICODE:
-        return build_unicode_vocab(corpus_lines)
+        return build_unicode_vocab(texts)
     if kind is TokenizerKind.SYLLABLE:
-        return build_syllable_vocab(corpus_lines, syllabifier)
-    return train_bpe(corpus_lines, vocab_size, kind)
+        return build_syllable_vocab(texts, syllabifier)
+    return train_bpe(texts, vocab_size, kind)

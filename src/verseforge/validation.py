@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import phonology
-from .corpus import METER_ORDER, MeterLabel, derive_rhyme_scheme
+from .corpus import METER_ORDER, SCHEME_LENGTHS, MeterLabel, derive_rhyme_scheme
 from .formats import DataFormat, verse_check
 # verse_syllables is not called here; perfbench's tracer wraps it by this name.
 from .phonology import ending_hint, verse_syllables  # noqa: F401
@@ -211,7 +211,7 @@ def predict_scheme(verse_texts: list[str], syllabifier=None) -> str:
 
 
 def _scheme_of(analyses: list[phonology.VerseAnalysis]) -> str:
-    if len(analyses) not in (4, 6):
+    if len(analyses) not in SCHEME_LENGTHS:
         raise ValueError(f"unsupported verse count {len(analyses)}")
     keys = [normalize_clausula(a.clausula) if a.syllables else None for a in analyses]
     ids = [None if k is None else keys.index(k) for k in keys]

@@ -265,3 +265,33 @@ def test_evaluate_rejects_a_bad_line(tmp_path, capsys, requests, generations, wh
     err = capsys.readouterr().err
     assert rc == 4
     assert where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["#! kind", "#! protected", "#! kind\t"])
+def test_generate_rejects_a_truncated_vocab_line(small_model, tmp_path, capsys, bad):
+    vocab, model = small_model
+    lines = vocab.read_text(encoding="utf-8").splitlines()
+    lines.insert(1, bad)
+    bad_vocab = tmp_path / "bad.vocab"
+    bad_vocab.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["generate", "--model", str(model), "--vocab", str(bad_vocab),
+               "--scheme", "ABAB", "--year", "1900"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "bad.vocab:2:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["order", "C\t0", "C\t\t0", "C\tx\t0:1"])
+def test_generate_rejects_a_truncated_model_line(small_model, tmp_path, capsys, bad):
+    vocab, model = small_model
+    lines = model.read_text(encoding="utf-8").splitlines()
+    lines.insert(1, bad)
+    bad_model = tmp_path / "bad.ngram"
+    bad_model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["generate", "--model", str(bad_model), "--vocab", str(vocab),
+               "--scheme", "ABAB", "--year", "1900"])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert "bad.ngram:2:" in err and "Traceback" not in err

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from verseforge import tokenizers as tok
+from verseforge import formats, tokenizers as tok
+from verseforge.formats import DataFormat
 from verseforge.tokenizers import (
     EOS_TOKEN,
     SEP_TOKEN,
@@ -76,6 +77,15 @@ def test_round_trip_syllable_and_unicode(fixture_strophes):
         assert tok.decode(vocab, tok.encode(vocab, text)) == text
 
 
+@pytest.mark.parametrize("kind", list(TokenizerKind))
+def test_build_vocab_splits_strophe_texts(fixture_strophes, kind):
+    texts = [formats.encode(s, DataFormat.METER_VERSE) for s in fixture_strophes[:100]]
+    lines = [line for text in texts for line in text.split("\n")]
+    vocab = tok.build_vocab(kind, texts, vocab_size=200)
+    assert vocab == tok.build_vocab(kind, lines, vocab_size=200)
+    assert vocab.unk_id not in tok.encode(vocab, texts[0])
+
+
 def test_encode_joins_lines_with_sep():
     vocab = tok.build_unicode_vocab(["ab"])
     ids = tok.encode(vocab, "a\nb")
@@ -85,7 +95,7 @@ def test_encode_joins_lines_with_sep():
 def test_unknown_tokens_map_to_unk():
     vocab = tok.build_unicode_vocab(["ab"])
     ids = tok.encode(vocab, "aQb")
-    assert tok.count_unknown(vocab, ids) == 1
+    assert ids.count(vocab.unk_id) == 1
     assert tok.decode(vocab, ids) == "a" + UNK_GLYPH + "b"
 
 
