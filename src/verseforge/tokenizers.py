@@ -1,14 +1,15 @@
 """Four tokenization schemes behind one vocabulary interface.
 
-BASE      BPE trained on the poetry corpus, the same training as OUR
+BASE      BPE; ``build_vocab`` trains it on the corpus exactly as OUR
 OUR       BPE trained on the poetry corpus itself
 SYLLABLE  rule-based syllable tokens with a leading-space marker
 UNICODE   one token per character
 
 Annotation pieces (rhyme schemes, meter letters, numbers, ``#``) are
-kept atomic for OUR and SYLLABLE so frequent annotations stay single
-tokens; UNICODE always splits to characters.  BASE and OUR differ only
-in their label, and so in their content hash.
+kept atomic when the vocabulary holds them, as every OUR, BASE and
+SYLLABLE vocabulary built here does, so frequent annotations stay
+single tokens; UNICODE always splits to characters.  Built BASE and OUR
+vocabularies differ only in their label, and so in their content hash.
 """
 
 from __future__ import annotations
