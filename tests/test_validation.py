@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verseforge import formats, validation
-from verseforge.corpus import MeterLabel, YearBucket
+from verseforge.corpus import METER_ORDER, MeterLabel, YearBucket
 from verseforge.formats import DataFormat
 from verseforge.generation import GenerationRequest
 from verseforge.validation import (
@@ -80,6 +81,59 @@ def test_strophe_meters_verse_without_syllables_is_not_recognized():
     assert strophe_meters(patterns, "ABAB") == [
         MeterLabel.IAMB, MeterLabel.NOT_RECOGNIZED, MeterLabel.IAMB, MeterLabel.IAMB]
     assert strophe_meters(["", "", "", ""], "AAXX") == [MeterLabel.NOT_RECOGNIZED] * 4
+
+
+# Reference: classify_meter and strophe_meters as they were before a
+# rhyme group and an X verse went through one pooled-score path.
+
+def reference_classify_meter(pattern: str, context: list[str] | None = None,
+                             threshold: float = validation.DEFAULT_THRESHOLD) -> MeterLabel:
+    if not pattern:
+        raise ValueError("empty stress pattern")
+    patterns = context if context else [pattern]
+    scores = validation._pooled_scores(patterns)
+    best = max(scores.items(),
+               key=lambda kv: (kv[1], -METER_ORDER.index(kv[0].value)))
+    if best[1] < threshold:
+        return MeterLabel.NOT_RECOGNIZED
+    return best[0]
+
+
+def reference_strophe_meters(patterns: list[str], scheme: str,
+                             threshold: float = validation.DEFAULT_THRESHOLD) -> list[MeterLabel]:
+    if len(patterns) != len(scheme):
+        raise ValueError("one stress pattern per scheme letter required")
+    groups: dict[str, list[int]] = {}
+    for i, letter in enumerate(scheme):
+        if patterns[i] and letter != "X":
+            groups.setdefault(letter, []).append(i)
+    out = [MeterLabel.NOT_RECOGNIZED] * len(patterns)
+    for letter, idxs in groups.items():
+        label = reference_classify_meter(patterns[idxs[0]],
+                                         context=[patterns[i] for i in idxs],
+                                         threshold=threshold)
+        for i in idxs:
+            out[i] = label
+    for i, letter in enumerate(scheme):
+        if patterns[i] and letter == "X":
+            out[i] = reference_classify_meter(patterns[i], threshold=threshold)
+    return out
+
+
+@st.composite
+def schemes_and_patterns(draw):
+    n = draw(st.sampled_from([4, 6]))
+    scheme = draw(st.one_of(st.just("X" * n), st.text("ABCX", min_size=n, max_size=n)))
+    patterns = draw(st.lists(st.text("xX", max_size=14), min_size=n, max_size=n))
+    return scheme, patterns
+
+
+@settings(max_examples=300, deadline=None)
+@given(schemes_and_patterns(), st.sampled_from([0.3, validation.DEFAULT_THRESHOLD, 0.9]))
+def test_strophe_meters_match_reference(case, threshold):
+    scheme, patterns = case
+    assert (strophe_meters(patterns, scheme, threshold)
+            == reference_strophe_meters(patterns, scheme, threshold))
 
 
 def test_evaluate_accepts_verse_without_syllables():
