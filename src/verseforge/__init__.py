@@ -27,6 +27,6 @@ from .phonology import (
     verse_syllables,
 )
 from .tokenizers import TokenizerError, TokenizerKind, Vocab, build_vocab, chars_per_token, decode, encode, train_bpe
-from .validation import MetricsReport, classify_meter, evaluate, permutation_test, predict_scheme, rhymes
+from .validation import MetricsReport, classify_meter, evaluate, permutation_test, predict_scheme
 
 __version__ = "0.1.0"

@@ -121,25 +121,18 @@ class Verse:
 @dataclass(frozen=True)
 class Strophe:
     verses: tuple[Verse, ...]
-    scheme: str
+    scheme: str = field(init=False)  # derived from the verses' rhyme groups
     year_bucket: YearBucket
     poem_index: int | None = None
 
     def __post_init__(self):
-        # derive_rhyme_scheme rejects an unsupported verse count first
-        derived = derive_rhyme_scheme([v.rhyme_group for v in self.verses])
-        if len(self.scheme) != len(self.verses):
-            raise CorpusFormatError(
-                f"scheme {self.scheme} does not match verse count {len(self.verses)}")
-        if derived != self.scheme:
-            raise CorpusFormatError(
-                f"scheme {self.scheme} inconsistent with rhyme groups ({derived})")
+        # derive_rhyme_scheme rejects an unsupported verse count
+        object.__setattr__(self, "scheme",
+                           derive_rhyme_scheme([v.rhyme_group for v in self.verses]))
 
     @classmethod
     def from_verses(cls, verses, year, poem_index=None) -> "Strophe":
-        verses = tuple(verses)
-        scheme = derive_rhyme_scheme([v.rhyme_group for v in verses])
-        return cls(verses, scheme, bucketize_year(year), poem_index)
+        return cls(tuple(verses), bucketize_year(year), poem_index)
 
 
 @dataclass

@@ -7,7 +7,7 @@ that shares its scheme letter, then resumes free sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class GeneratedStrophe:
     parse_error: str | None
     truncated: bool
     forced_flags: tuple[bool, ...]
-    machine_generated: bool = field(default=True, init=False)
 
     @classmethod
     def from_text(cls, raw_text: str, request: GenerationRequest,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,12 +44,12 @@ DEFAULT_DISCOUNT = 0.75
 DEFAULT_ORDER = {
     TokenizerKind.UNICODE: 8,
     TokenizerKind.SYLLABLE: 4,
-    TokenizerKind.BASE: 3,
     TokenizerKind.OUR: 3,
 }
 
 MODEL_MAGIC = "verseforge-ngram v1"
-MODEL_HEADER = ("order", "discount", "vocab_size", "vocab_hash")
+# Header keys and the type of each value.
+MODEL_HEADER = {"order": int, "discount": float, "vocab_size": int, "vocab_hash": str}
 
 # Byte budget of an NGramModel's sampling tables and shared rows.
 TABLE_CACHE_BYTES = 64 << 20
@@ -61,12 +61,6 @@ SHARED_SUFFIX_LEN = 3
 
 class NGramError(ValueError):
     pass
-
-
-class LanguageModel(Protocol):
-    vocab_size: int
-
-    def next_dist(self, context: Sequence[int]) -> np.ndarray: ...
 
 
 class NGramModel:
@@ -265,17 +259,17 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
                         bucket[int(t)] = int(c)
                     counts[ctx] = bucket
                 else:
-                    header[parts[0]] = parts[1]
+                    header[parts[0]] = MODEL_HEADER.get(parts[0], str)(parts[1])
             except (IndexError, ValueError):
                 raise NGramError(f"{path}:{lineno}: malformed model line") from None
     missing = [key for key in MODEL_HEADER if key not in header]
     if missing:
         raise NGramError(f"{path}: header lacks {', '.join(missing)}")
     model = NGramModel(
-        order=int(header["order"]),
-        vocab_size=int(header["vocab_size"]),
+        order=header["order"],
+        vocab_size=header["vocab_size"],
         vocab_hash=header["vocab_hash"],
-        discount=float(header["discount"]),
+        discount=header["discount"],
     )
     if vocab is not None and vocab.content_hash() != model.vocab_hash:
         raise NGramError(

@@ -1,15 +1,13 @@
-"""Four tokenization schemes behind one vocabulary interface.
+"""Three tokenization schemes behind one vocabulary interface.
 
-BASE      BPE; ``build_vocab`` trains it on the corpus exactly as OUR
 OUR       BPE trained on the poetry corpus itself
 SYLLABLE  rule-based syllable tokens with a leading-space marker
 UNICODE   one token per character
 
 Annotation pieces (rhyme schemes, meter letters, numbers, ``#``) are
-kept atomic when the vocabulary holds them, as every OUR, BASE and
-SYLLABLE vocabulary built here does, so frequent annotations stay
-single tokens; UNICODE always splits to characters.  Built BASE and OUR
-vocabularies differ only in their label, and so in their content hash.
+kept atomic when the vocabulary holds them, as every OUR and SYLLABLE
+vocabulary built here does, so frequent annotations stay single tokens;
+UNICODE always splits to characters.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ _WORD_RE = re.compile(r"^([\W\d_]*)([^\W\d_]+)([\W\d_]*)$", re.UNICODE)
 
 
 class TokenizerKind(str, Enum):
-    BASE = "base"
     OUR = "our"
     SYLLABLE = "syllable"
     UNICODE = "unicode"
@@ -42,7 +39,8 @@ class TokenizerKind(str, Enum):
         try:
             return cls(s.lower())
         except ValueError:
-            raise TokenizerError(f"unknown tokenizer kind {s!r}") from None
+            raise TokenizerError(f"unknown tokenizer kind {s!r}; expected one of "
+                                 f"{', '.join(k.value for k in cls)}") from None
 
 
 class TokenizerError(ValueError):
@@ -150,6 +148,8 @@ def load_vocab(path) -> Vocab:
                 except IndexError:
                     raise TokenizerError(
                         f"{path}:{lineno}: '#! {parts[0]}' needs a value") from None
+                except TokenizerError as e:
+                    raise TokenizerError(f"{path}:{lineno}: {e}") from None
                 continue
             try:
                 tok, idx = line.rsplit("\t", 1)
@@ -293,8 +293,7 @@ def build_syllable_vocab(texts, syllabifier=None) -> Vocab:
     return Vocab(TokenizerKind.SYLLABLE, tokens, protected)
 
 
-def train_bpe(texts, vocab_size: int,
-              kind: TokenizerKind = TokenizerKind.OUR) -> Vocab:
+def train_bpe(texts, vocab_size: int) -> Vocab:
     """Standard BPE merge training over space-attached word pieces.
 
     Merges the most frequent adjacent pair until the vocabulary budget is
@@ -330,7 +329,7 @@ def train_bpe(texts, vocab_size: int,
         # merged tuples collide.
         words = {tuple(_merge_pair(symbols, pair)): freq
                  for symbols, freq in words.items()}
-    return Vocab(kind, tokens, protected)
+    return Vocab(TokenizerKind.OUR, tokens, protected)
 
 
 def build_vocab(kind: TokenizerKind, texts, vocab_size: int = 40000,
@@ -340,4 +339,4 @@ def build_vocab(kind: TokenizerKind, texts, vocab_size: int = 40000,
         return build_unicode_vocab(texts)
     if kind is TokenizerKind.SYLLABLE:
         return build_syllable_vocab(texts, syllabifier)
-    return train_bpe(texts, vocab_size, kind)
+    return train_bpe(texts, vocab_size)

@@ -12,7 +12,7 @@ import numpy as np
 from . import phonology
 from .corpus import METER_ORDER, SCHEME_LENGTHS, MeterLabel, derive_rhyme_scheme
 from .formats import DataFormat, verse_check
-# verse_syllables is not called here; perfbench's tracer wraps it by this name.
+# Neither is called here; perfbench's tracer wraps both by these names.
 from .phonology import ending_hint, verse_syllables  # noqa: F401
 
 # Missing stress on a strong position costs more than an intrusive
@@ -141,16 +141,12 @@ def _pooled_scores(patterns: list[str]) -> dict[MeterLabel, float]:
             for k, label in enumerate(_SCORED_LABELS)}
 
 
-def classify_meter(pattern: str, context: list[str] | None = None,
+def classify_meter(patterns: list[str],
                    threshold: float = DEFAULT_THRESHOLD) -> MeterLabel:
-    """Best-scoring meter template, N below the threshold.
-
-    ``context`` pools the scores of rhyme-linked verses (their patterns,
-    including this one) before the argmax.
-    """
-    if not pattern:
+    """Best-scoring meter template for the pooled scores of ``patterns``
+    (one verse, or the verses of a rhyme group), N below the threshold."""
+    if not patterns or not all(patterns):
         raise ValueError("empty stress pattern")
-    patterns = context if context else [pattern]
     scores = _pooled_scores(patterns)
     best = max(scores.items(),
                key=lambda kv: (kv[1], -METER_ORDER.index(kv[0].value)))
@@ -163,25 +159,21 @@ def strophe_meters(patterns: list[str], scheme: str,
                    threshold: float = DEFAULT_THRESHOLD) -> list[MeterLabel]:
     """Per-verse meters with rhyme-group contextualization.
 
-    A verse without syllables (empty pattern) is N and adds nothing to
-    the context of its rhyme-group partners.
+    The verses of a rhyme group share one label; an X verse is a group of
+    its own.  A verse without syllables (empty pattern) is N and adds
+    nothing to the scores of its rhyme-group partners.
     """
     if len(patterns) != len(scheme):
         raise ValueError("one stress pattern per scheme letter required")
-    groups: dict[str, list[int]] = {}
+    groups: dict[str | int, list[int]] = {}
     for i, letter in enumerate(scheme):
-        if patterns[i] and letter != "X":
-            groups.setdefault(letter, []).append(i)
+        if patterns[i]:
+            groups.setdefault(i if letter == "X" else letter, []).append(i)
     out = [MeterLabel.NOT_RECOGNIZED] * len(patterns)
-    for letter, idxs in groups.items():
-        label = classify_meter(patterns[idxs[0]],
-                               context=[patterns[i] for i in idxs],
-                               threshold=threshold)
+    for idxs in groups.values():
+        label = classify_meter([patterns[i] for i in idxs], threshold)
         for i in idxs:
             out[i] = label
-    for i, letter in enumerate(scheme):
-        if patterns[i] and letter == "X":
-            out[i] = classify_meter(patterns[i], threshold=threshold)
     return out
 
 
@@ -196,13 +188,6 @@ _LENGTH_FOLD = str.maketrans({
 def normalize_clausula(clausula: str) -> str:
     folded = clausula.casefold().translate(_LENGTH_FOLD)
     return folded.replace("y", "i")
-
-
-def rhymes(verse_a: str, verse_b: str, syllabifier=None) -> bool:
-    """Clausulae equal after case and vowel-length normalization."""
-    a = ending_hint(verse_a, syllabifier)
-    b = ending_hint(verse_b, syllabifier)
-    return normalize_clausula(a) == normalize_clausula(b)
 
 
 def predict_scheme(verse_texts: list[str], syllabifier=None) -> str:
@@ -223,8 +208,8 @@ def _scheme_of(analyses: list[phonology.VerseAnalysis]) -> str:
 
 @dataclass
 class MetricsReport:
-    num_syl: float
-    end_acc: float
+    num_syl: float | None
+    end_acc: float | None
     unique: float
     rhyme_acc: float
     meter_acc: float
@@ -253,8 +238,8 @@ class MetricsReport:
         }
 
 
-def _ratio(hits, total):
-    return hits / total if total else 0.0
+def _ratio(hits, total, empty=0.0):
+    return hits / total if total else empty
 
 
 def _requested_meters(request, parsed) -> list[MeterLabel | None]:
@@ -274,9 +259,11 @@ def evaluate(pairs, syllabifier=None,
 
     Unparseable strophes fail all strophe-level metrics and are counted
     separately; verse-level metrics run over parseable strophes only.
-    Each verse is analysed once.
+    Num syl and End acc check annotated verses only, and are None when
+    no verse carries an annotation (the basic format).  Each verse is
+    analysed once.
     """
-    syl_hits = end_hits = verse_total = 0
+    syl_hits = verse_total = 0
     end_forced = [0, 0]  # hits, total
     end_free = [0, 0]
     unique_ratios = []
@@ -293,12 +280,13 @@ def evaluate(pairs, syllabifier=None,
             continue
         parsed = gen.parsed
         analyses = [phonology.analyze(t, syllabifier) for t in parsed.verse_texts]
-        checks = [verse_check(ann, a) for (ann, _), a in zip(parsed.lines, analyses)]
-        flags = list(gen.forced_flags) + [False] * (len(checks) - len(gen.forced_flags))
-        for check, forced in zip(checks, flags):
-            verse_total += 1
+        flags = list(gen.forced_flags) + [False] * (len(analyses) - len(gen.forced_flags))
+        verse_total += len(analyses)
+        for (ann, _), a, forced in zip(parsed.lines, analyses, flags):
+            if ann is None:
+                continue
+            check = verse_check(ann, a)
             syl_hits += check.syl_ok
-            end_hits += check.end_ok
             side = end_forced if forced else end_free
             side[0] += check.end_ok
             side[1] += 1
@@ -317,9 +305,10 @@ def evaluate(pairs, syllabifier=None,
         meter_verse_total += len(verse_ok)
         meter_flags.append(int(all(verse_ok)))
 
+    checked = end_forced[1] + end_free[1]
     return MetricsReport(
-        num_syl=_ratio(syl_hits, verse_total),
-        end_acc=_ratio(end_hits, verse_total),
+        num_syl=_ratio(syl_hits, checked, None),
+        end_acc=_ratio(end_forced[0] + end_free[0], checked, None),
         unique=_ratio(sum(unique_ratios), len(unique_ratios)),
         rhyme_acc=_ratio(sum(rhyme_flags), len(rhyme_flags)),
         meter_acc=_ratio(sum(meter_flags), len(meter_flags)),
@@ -327,8 +316,8 @@ def evaluate(pairs, syllabifier=None,
         n_strophes=len(rhyme_flags),
         n_verses=verse_total,
         n_parse_failures=n_fail,
-        end_acc_forced=_ratio(end_forced[0], end_forced[1]) if end_forced[1] else None,
-        end_acc_free=_ratio(end_free[0], end_free[1]) if end_free[1] else None,
+        end_acc_forced=_ratio(*end_forced, None),
+        end_acc_free=_ratio(*end_free, None),
         per_strophe_rhyme=rhyme_flags,
         per_strophe_meter=meter_flags,
     )

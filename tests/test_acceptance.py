@@ -57,7 +57,7 @@ def test_criterion_1_running_example_phonology():
     stress_rows = ["xXxXxxxXx", "xXxXxXxXx", "xXxXxXxXx", "xXxXxXxxx"]
     for verse, row in zip(EXAMPLE_VERSES, stress_rows):
         assert ph.stress_pattern(verse) == row, verse
-        assert validation.classify_meter(ph.stress_pattern(verse)) is MeterLabel.IAMB
+        assert validation.classify_meter([ph.stress_pattern(verse)]) is MeterLabel.IAMB
 
     assert validation.predict_scheme(EXAMPLE_VERSES) == "ABAB"
     assert time.perf_counter() - t0 < 1.0

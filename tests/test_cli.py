@@ -131,6 +131,47 @@ def test_full_pipeline(mini_corpus, tmp_path, capsys):
     assert 0.0 <= report["num_syl"] <= 1.0
 
 
+def test_basic_format_round_trip(mini_corpus, tmp_path, capsys):
+    vocab = tmp_path / "uni.vocab"
+    model = tmp_path / "uni.ngram"
+    basic = ["--format", "basic"]
+    assert main(["train-tokenizer", "--corpus", str(mini_corpus),
+                 "--kind", "unicode", "--out", str(vocab)] + basic) == 0
+    assert main(["train-lm", "--corpus", str(mini_corpus), "--vocab", str(vocab),
+                 "--order", "6", "--test-fraction", "0.1", "--out", str(model)] + basic) == 0
+    requests = tmp_path / "requests.jsonl"
+    recs = [{"scheme": "ABAB", "year": "1900", "strophe_meter": "J", "seed": i}
+            for i in range(4)]
+    requests.write_text("".join(json.dumps(r) + "\n" for r in recs), encoding="utf-8")
+    generations = tmp_path / "gen.jsonl"
+    assert main(["generate", "--model", str(model), "--vocab", str(vocab),
+                 "--requests", str(requests), "--out", str(generations),
+                 "--decoding", "basic", "--temperature", "0.3"] + basic) == 0
+    capsys.readouterr()
+    report_path = tmp_path / "report.json"
+    assert main(["evaluate", "--requests", str(requests), "--generations", str(generations),
+                 "--report", str(report_path)] + basic) == 0
+    report = json.loads(report_path.read_text(encoding="utf-8"))["report"]
+    assert report["n_strophes"] == 4 and report["n_parse_failures"] < 4
+    assert report["num_syl"] is None and report["end_acc"] is None
+
+
+def test_removed_kind_base_is_a_schema_error(small_model, mini_corpus, tmp_path, capsys):
+    assert main(["train-tokenizer", "--corpus", str(mini_corpus),
+                 "--kind", "base", "--out", str(tmp_path / "b.vocab")]) == 4
+    assert "our, syllable, unicode" in capsys.readouterr().err
+    vocab, model = small_model
+    lines = vocab.read_text(encoding="utf-8").splitlines()
+    lines[1] = "#! kind\tbase"
+    base_vocab = tmp_path / "base.vocab"
+    base_vocab.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["generate", "--model", str(model), "--vocab", str(base_vocab),
+               "--scheme", "ABAB", "--year", "1900"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "base.vocab:2:" in err and "Traceback" not in err
+
+
 def test_generate_without_scheme_or_requests(mini_corpus, tmp_path, capsys):
     vocab = tmp_path / "uni.vocab"
     model = tmp_path / "uni.ngram"
@@ -282,7 +323,8 @@ def test_generate_rejects_a_truncated_vocab_line(small_model, tmp_path, capsys, 
     assert "bad.vocab:2:" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("bad", ["order", "C\t0", "C\t\t0", "C\tx\t0:1"])
+@pytest.mark.parametrize("bad", ["order", "C\t0", "C\t\t0", "C\tx\t0:1",
+                                 "order\tx", "discount\ty", "vocab_size\tz"])
 def test_generate_rejects_a_truncated_model_line(small_model, tmp_path, capsys, bad):
     vocab, model = small_model
     lines = model.read_text(encoding="utf-8").splitlines()

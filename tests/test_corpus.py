@@ -66,11 +66,9 @@ def test_scheme_invariant_under_relabeling(groups, offset):
 
 def test_strophe_checks_scheme_against_groups():
     verses = [V(rhyme=r) for r in (1, 2, 1, 2)]
-    Strophe(tuple(verses), "ABAB", YearBucket(1900))  # consistent
-    with pytest.raises(CorpusFormatError, match="inconsistent"):
-        Strophe(tuple(verses), "AABB", YearBucket(1900))
-    with pytest.raises(CorpusFormatError):
-        Strophe(tuple(verses[:3] + [V(rhyme=2)] * 3), "ABAB", YearBucket(1900))
+    assert Strophe(tuple(verses), YearBucket(1900)).scheme == "ABAB"
+    with pytest.raises(CorpusFormatError, match="unsupported strophe length 5"):
+        Strophe(tuple(verses[:3] + [V(rhyme=2)] * 2), YearBucket(1900))
 
 
 def test_empty_verse_rejected():
@@ -129,10 +127,10 @@ def test_split_is_deterministic_and_exact(fixture_strophes):
 
 def test_modal_meter_tie_breaks_by_frequency_order():
     verses = [V(rhyme=1, meter=m) for m in ("D", "D", "T", "T")]
-    strophe = Strophe(tuple(verses), "AAAA", YearBucket(1900))
+    strophe = Strophe(tuple(verses), YearBucket(1900))
     assert modal_meter(strophe) is MeterLabel.TROCHEE
     verses = [V(rhyme=1, meter=m) for m in ("T", "T", "T", "D")]
-    strophe = Strophe(tuple(verses), "AAAA", YearBucket(1900))
+    strophe = Strophe(tuple(verses), YearBucket(1900))
     assert modal_meter(strophe) is MeterLabel.TROCHEE
 
 

@@ -59,7 +59,7 @@ def test_forced_contract(fmt, scheme):
     model, vocab = scripted_model(fmt)
     gen = generate_forced(model, vocab, request(scheme, fmt))
     assert gen.ok, gen.parse_error
-    assert gen.machine_generated and not gen.truncated
+    assert not gen.truncated
     prefixes = ann_prefixes(gen, fmt)
     first = {}
     for i, letter in enumerate(scheme):

@@ -70,10 +70,6 @@ VOCAB_SHA256 = {
         "cdff751c99550becfe74546997cefe388a0fe8ee5487630660748d4c59371ae7",
     ("our", 400):
         "7d6784eec2f17cf6d2c8f177e8cc1292e52aba1877fcbcf8b47b5ff0af85d7b5",
-    ("base", 120):
-        "64ca22e5344848ded26aef461dc96ae1193b1c6773408a32d32b7b877aefd8b8",
-    ("base", 400):
-        "74b770d59322445c8b6352783e4f14fdc0973cd7ecf337ecdfe9df1346098de9",
 }
 
 # order-10 unicode model

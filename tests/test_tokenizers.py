@@ -51,11 +51,11 @@ def test_our_bpe_keeps_annotations_atomic():
 
 
 def test_base_bpe_splits_annotations():
-    # a generic (externally trained) vocabulary has no protected pieces,
-    # so the scheme splits into learned subwords
+    # a BPE vocabulary without protected pieces (one trained elsewhere,
+    # say) splits the scheme into learned subwords
     tokens = SPECIALS + ["#", " #", "AB", " AB", " 1900",
                         " ", "A", "B", "1", "9", "0"]
-    vocab = Vocab(TokenizerKind.BASE, tokens)
+    vocab = Vocab(TokenizerKind.OUR, tokens)
     assert tok.line_tokens(vocab, HEADER) == ["#", " AB", "AB", " #", " 1900"]
 
 
@@ -178,5 +178,6 @@ def test_load_vocab_errors(tmp_path):
 
 def test_kind_parse():
     assert TokenizerKind.parse("SYLLABLE") is TokenizerKind.SYLLABLE
-    with pytest.raises(TokenizerError):
-        TokenizerKind.parse("wordpiece")
+    for bad in ("wordpiece", "base"):
+        with pytest.raises(TokenizerError, match="expected one of our, syllable, unicode"):
+            TokenizerKind.parse(bad)

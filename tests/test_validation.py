@@ -12,7 +12,6 @@ from verseforge.validation import (
     normalize_clausula,
     permutation_test,
     predict_scheme,
-    rhymes,
     strophe_meters,
 )
 from conftest import EXAMPLE_VERSES
@@ -23,7 +22,7 @@ FIG1_PATTERNS = ["xXxXxxxXx", "xXxXxXxXx", "xXxXxXxXx", "xXxXxXxxx"]
 
 def test_example_patterns_are_iambic():
     for pattern in FIG1_PATTERNS:
-        assert classify_meter(pattern) is MeterLabel.IAMB, pattern
+        assert classify_meter([pattern]) is MeterLabel.IAMB, pattern
 
 
 @pytest.mark.parametrize("pattern,label", [
@@ -36,7 +35,7 @@ def test_example_patterns_are_iambic():
     ("xxxxxxxxx", MeterLabel.NOT_RECOGNIZED),
 ])
 def test_classify_meter(pattern, label):
-    assert classify_meter(pattern) is label
+    assert classify_meter([pattern]) is label
 
 
 def test_hexameter_template_scores_but_is_subsumed():
@@ -44,25 +43,26 @@ def test_hexameter_template_scores_but_is_subsumed():
     # and dactylotrochee comes first in the frequency order
     pattern = "XxXxXxXxXxxXx"
     assert meter_score(pattern, MeterLabel.HEXAMETER) == pytest.approx(1.0)
-    assert classify_meter(pattern) is MeterLabel.DACTYLOTROCHEE
+    assert classify_meter([pattern]) is MeterLabel.DACTYLOTROCHEE
 
 
 def test_threshold_override():
-    assert classify_meter("xxxxxxxxx", threshold=0.3) is MeterLabel.IAMB
-    assert classify_meter("xXxXxxxXx", threshold=0.9) is MeterLabel.NOT_RECOGNIZED
+    assert classify_meter(["xxxxxxxxx"], threshold=0.3) is MeterLabel.IAMB
+    assert classify_meter(["xXxXxxxXx"], threshold=0.9) is MeterLabel.NOT_RECOGNIZED
 
 
 def test_empty_pattern_raises():
-    with pytest.raises(ValueError):
-        classify_meter("")
+    for patterns in ([""], [], ["xXxX", ""]):
+        with pytest.raises(ValueError, match="empty stress pattern"):
+            classify_meter(patterns)
 
 
 def test_context_pooling_changes_the_argmax():
     # a mostly flat verse reads trochaic alone, iambic next to clean
     # iambic rhyme partners
     noisy, iambic = "xxxxxxXxX", "xXxXxXxXx"
-    assert classify_meter(noisy) is MeterLabel.TROCHEE
-    pooled = classify_meter(noisy, context=[noisy, iambic, iambic])
+    assert classify_meter([noisy]) is MeterLabel.TROCHEE
+    pooled = classify_meter([noisy, iambic, iambic])
     assert pooled is MeterLabel.IAMB
 
 
@@ -154,12 +154,6 @@ def test_normalize_clausula_folds_length_and_y():
     assert normalize_clausula("eje") != normalize_clausula("aje")
 
 
-def test_rhymes_on_example_verses():
-    assert rhymes(EXAMPLE_VERSES[0], EXAMPLE_VERSES[2])  # oři / oří
-    assert rhymes(EXAMPLE_VERSES[1], EXAMPLE_VERSES[3])  # eje / eje
-    assert not rhymes(EXAMPLE_VERSES[0], EXAMPLE_VERSES[1])
-
-
 def test_predict_scheme():
     assert predict_scheme(EXAMPLE_VERSES) == "ABAB"
     assert predict_scheme(["moře", "louka", "zoře", "věta"]) == "AXAX"
@@ -214,6 +208,15 @@ def test_evaluate_perturbed_ending_hint(fixture_strophes):
     report = evaluate([(req, bad)])
     assert report.end_acc == 0.75
     assert report.num_syl == 1.0
+
+
+def test_evaluate_basic_format_skips_verse_checks(fixture_strophes):
+    # basic lines carry no annotation: num_syl and end_acc have nothing
+    # to check, every other metric reads as for verse_par
+    basic = evaluate(gold_pairs(fixture_strophes[:60], DataFormat.BASIC)).to_dict()
+    verse_par = evaluate(gold_pairs(fixture_strophes[:60], DataFormat.VERSE_PAR)).to_dict()
+    assert basic["n_parse_failures"] == 0
+    assert basic == dict(verse_par, num_syl=None, end_acc=None, end_acc_free=None)
 
 
 def test_evaluate_counts_parse_failures(fixture_strophes):
