@@ -48,7 +48,6 @@ DEFAULT_ORDER = {
 }
 
 MODEL_MAGIC = "verseforge-ngram v1"
-# Header keys and the type of each value.
 MODEL_HEADER = {"order": int, "discount": float, "vocab_size": int, "vocab_hash": str}
 
 # Byte budget of an NGramModel's sampling tables and shared rows.

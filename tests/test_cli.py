@@ -156,20 +156,10 @@ def test_basic_format_round_trip(mini_corpus, tmp_path, capsys):
     assert report["num_syl"] is None and report["end_acc"] is None
 
 
-def test_removed_kind_base_is_a_schema_error(small_model, mini_corpus, tmp_path, capsys):
+def test_train_tokenizer_rejects_the_removed_kind_base(mini_corpus, tmp_path, capsys):
     assert main(["train-tokenizer", "--corpus", str(mini_corpus),
                  "--kind", "base", "--out", str(tmp_path / "b.vocab")]) == 4
     assert "our, syllable, unicode" in capsys.readouterr().err
-    vocab, model = small_model
-    lines = vocab.read_text(encoding="utf-8").splitlines()
-    lines[1] = "#! kind\tbase"
-    base_vocab = tmp_path / "base.vocab"
-    base_vocab.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    rc = main(["generate", "--model", str(model), "--vocab", str(base_vocab),
-               "--scheme", "ABAB", "--year", "1900"])
-    err = capsys.readouterr().err
-    assert rc == 4
-    assert "base.vocab:2:" in err and "Traceback" not in err
 
 
 def test_generate_without_scheme_or_requests(mini_corpus, tmp_path, capsys):
@@ -308,7 +298,7 @@ def test_evaluate_rejects_a_bad_line(tmp_path, capsys, requests, generations, wh
     assert where in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("bad", ["#! kind", "#! protected", "#! kind\t"])
+@pytest.mark.parametrize("bad", ["#! kind", "#! protected", "#! kind\t", "#! kind\tbase"])
 def test_generate_rejects_a_truncated_vocab_line(small_model, tmp_path, capsys, bad):
     vocab, model = small_model
     lines = vocab.read_text(encoding="utf-8").splitlines()
