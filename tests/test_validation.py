@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from verseforge.corpus import METER_ORDER, MeterLabel, YearBucket
 from verseforge.formats import DataFormat
 from verseforge.generation import GenerationRequest
 from verseforge.validation import (
+    MAX_COMPOSED_LENGTH,
     classify_meter,
     evaluate,
     meter_score,
@@ -134,6 +137,101 @@ def test_strophe_meters_match_reference(case, threshold):
     scheme, patterns = case
     assert (strophe_meters(patterns, scheme, threshold)
             == reference_strophe_meters(patterns, scheme, threshold))
+
+
+# Reference: the meter templates as they were built from every ordering
+# of 2- and 3-syllable feet.
+
+def _periodic(n: int, first: int, period: int) -> frozenset[int]:
+    return frozenset(range(first, n + 1, period))
+
+
+@lru_cache(maxsize=None)
+def _foot_compositions(n: int) -> tuple[tuple[int, ...], ...]:
+    """All orderings of 2- and 3-syllable feet summing to n."""
+    if n == 0:
+        return ((),)
+    out = []
+    for foot in (2, 3):
+        if foot <= n:
+            for rest in _foot_compositions(n - foot):
+                out.append((foot,) + rest)
+    return tuple(out)
+
+
+def _composed_strong_sets(n: int, offset: int = 0):
+    """Foot-start positions of dactyl/trochee mixes (at least one of each)."""
+    if n > MAX_COMPOSED_LENGTH:
+        return
+    for feet in _foot_compositions(n):
+        if 2 not in feet or 3 not in feet:
+            continue
+        strong, pos = [], offset + 1
+        for f in feet:
+            strong.append(pos)
+            pos += f
+        yield frozenset(strong)
+
+
+@lru_cache(maxsize=None)
+def reference_template_strong_sets(label: MeterLabel, n: int) -> tuple[frozenset[int], ...]:
+    """Candidate stressed-position sets of a meter at verse length n."""
+    if label is MeterLabel.IAMB:
+        return (_periodic(n, 2, 2),)
+    if label is MeterLabel.TROCHEE:
+        return (_periodic(n, 1, 2),)
+    if label is MeterLabel.DACTYL:
+        return (_periodic(n, 1, 3),)
+    if label is MeterLabel.AMPHIBRACH:
+        return (_periodic(n, 2, 3),)
+    if label is MeterLabel.DACTYLOTROCHEE:
+        return tuple(_composed_strong_sets(n))
+    if label is MeterLabel.DACTYLOTROCHEE_ANACRUSIS:
+        out = []
+        for ana in (1, 2):
+            if n - ana >= 5:
+                out.extend(_composed_strong_sets(n - ana, offset=ana))
+        return tuple(out)
+    if label is MeterLabel.HEXAMETER:
+        # Six feet; fifth a full dactyl, sixth a trochee.
+        out = []
+        for feet in _foot_compositions(n - 5):
+            if len(feet) == 4:
+                strong, pos = [], 1
+                for f in feet + (3, 2):
+                    strong.append(pos)
+                    pos += f
+                out.append(frozenset(strong))
+        return tuple(out)
+    if label is MeterLabel.PENTAMETER:
+        # Two dactylic hemistichs, third and sixth feet reduced to the
+        # stressed syllable alone.
+        if n != 14:
+            return ()
+        strong, pos = [], 1
+        for f in (3, 3, 1, 3, 3, 1):
+            strong.append(pos)
+            pos += f
+        return (frozenset(strong),)
+    return ()
+
+
+@pytest.mark.parametrize("label", list(MeterLabel))
+def test_template_strong_sets_match_reference(label):
+    for n in range(41):
+        got = validation.template_strong_sets(label, n)
+        want = reference_template_strong_sets(label, n)
+        assert len(got) == len(want) and set(got) == set(want), (label, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("xX", max_size=40))
+def test_meter_score_matches_reference(pattern):
+    for label in validation._SCORED_LABELS:
+        want = max((validation._score_strong(pattern, strong)
+                    for strong in reference_template_strong_sets(label, len(pattern))),
+                   default=float("-inf"))
+        assert meter_score(pattern, label) == want, label
 
 
 def test_evaluate_accepts_verse_without_syllables():
