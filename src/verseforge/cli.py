@@ -206,8 +206,8 @@ def _request_from_dict(d, fmt, where="request") -> GenerationRequest:
 @click.option("--year", default="NaN", show_default=True)
 @click.option("--meters", default=None, help="comma-separated per-verse meters")
 @click.option("--strophe-meter", default=None)
-@click.option("--decoding", default="forced", show_default=True,
-              type=click.Choice(["basic", "forced"]))
+@click.option("--decoding", type=click.Choice(["basic", "forced"]),
+              help="[default: basic for --format basic, else forced]")
 @click.option("--temperature", default=1.0, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--max-tokens", default=2000, show_default=True)
@@ -226,6 +226,8 @@ def generate(ctx, model_path, vocab_path, scheme, year, meters, strophe_meter,
     model = ngram.load(model_path, vocab)
     syllabifier = _syllabifier(exceptions)
     fmt = DataFormat.parse(fmt)
+    if decoding is None:
+        decoding = ctx.params["decoding"] = "basic" if fmt is DataFormat.BASIC else "forced"
     decode_fn = generation.generate_forced if decoding == "forced" else generation.generate_basic
 
     if requests_path:

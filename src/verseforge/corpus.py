@@ -50,7 +50,6 @@ SCHEME_LENGTHS = (4, 6)
 # Letters of a rhyme scheme: rhyme groups in order of first appearance,
 # X for a verse that rhymes with none.
 SCHEME_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWX"
-NAN_YEAR = None  # sentinel spelled "NaN" on disk and in headers
 
 
 @dataclass(frozen=True)

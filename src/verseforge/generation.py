@@ -74,10 +74,6 @@ class GeneratedStrophe:
             parsed, error = None, str(e)
         return cls(raw_text, request, parsed, error, truncated, tuple(forced_flags))
 
-    @property
-    def ok(self) -> bool:
-        return self.parsed is not None
-
 
 class _Decoder:
     def __init__(self, model, vocab: tokenizers.Vocab, request: GenerationRequest,

@@ -105,6 +105,8 @@ class NGramModel:
             raise NGramError(
                 f"token id out of range [0, {self.vocab_size}) after context "
                 f"{list(sub)}: {sorted(bucket)}")
+        if min(bucket.values()) < 1:
+            raise NGramError(f"count below 1 after context {list(sub)}")
         d = self.discount
         total = sum(bucket.values())
         p = (d * len(bucket) / total) * p

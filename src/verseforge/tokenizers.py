@@ -176,10 +176,9 @@ def syllable_piece_tokens(piece: str, syllabifier=None) -> list[str]:
     if m is None:
         return [piece]
     pre, letters, post = m.groups()
-    split = phonology.syllabify(letters, syllabifier)
-    if len(split) == 0:
+    sylls = list(phonology.analyze(letters, syllabifier).syllables)
+    if not sylls:
         return [piece]
-    sylls = list(split.syllables)
     sylls[0] = space + pre + sylls[0]
     sylls[-1] = sylls[-1] + post
     return sylls

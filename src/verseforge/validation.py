@@ -4,8 +4,9 @@ and the paired permutation significance test."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from itertools import accumulate, chain, combinations, product
 
 import numpy as np
 
@@ -44,77 +45,51 @@ def _score_strong(pattern: str, strong: frozenset[int]) -> float:
     return 1.0 - UNDERFILL_WEIGHT * under - OVERFILL_WEIGHT * over
 
 
-def _periodic(n: int, first: int, period: int) -> frozenset[int]:
-    return frozenset(range(first, n + 1, period))
+# (first stressed position, period) of the periodic meters
+_PERIODIC = {
+    MeterLabel.IAMB: (2, 2),
+    MeterLabel.TROCHEE: (1, 2),
+    MeterLabel.DACTYL: (1, 3),
+    MeterLabel.AMPHIBRACH: (2, 3),
+}
 
 
-@lru_cache(maxsize=None)
-def _foot_compositions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All orderings of 2- and 3-syllable feet summing to n."""
-    if n == 0:
-        return ((),)
-    out = []
-    for foot in (2, 3):
-        if foot <= n:
-            for rest in _foot_compositions(n - foot):
-                out.append((foot,) + rest)
-    return tuple(out)
+def _starts(feet, first: int) -> frozenset[int]:
+    """Start positions of consecutive feet, the first at ``first``."""
+    return frozenset(accumulate(feet[:-1], initial=first))
 
 
-def _composed_strong_sets(n: int, offset: int = 0):
-    """Foot-start positions of dactyl/trochee mixes (at least one of each)."""
+def _mixed(n: int, first: int):
+    """Foot starts of each ordering of 2- and 3-syllable feet summing to n
+    with at least one of each, the first foot at ``first``."""
     if n > MAX_COMPOSED_LENGTH:
         return
-    for feet in _foot_compositions(n):
-        if 2 not in feet or 3 not in feet:
+    for n3 in range(1, n // 3 + 1):
+        n2, odd = divmod(n - 3 * n3, 2)
+        if odd or not n2:
             continue
-        strong, pos = [], offset + 1
-        for f in feet:
-            strong.append(pos)
-            pos += f
-        yield frozenset(strong)
+        for threes in combinations(range(n2 + n3), n3):
+            yield _starts([3 if i in threes else 2 for i in range(n2 + n3)], first)
 
 
 @lru_cache(maxsize=None)
 def template_strong_sets(label: MeterLabel, n: int) -> tuple[frozenset[int], ...]:
     """Candidate stressed-position sets of a meter at verse length n."""
-    if label is MeterLabel.IAMB:
-        return (_periodic(n, 2, 2),)
-    if label is MeterLabel.TROCHEE:
-        return (_periodic(n, 1, 2),)
-    if label is MeterLabel.DACTYL:
-        return (_periodic(n, 1, 3),)
-    if label is MeterLabel.AMPHIBRACH:
-        return (_periodic(n, 2, 3),)
+    if label in _PERIODIC:
+        first, period = _PERIODIC[label]
+        return (frozenset(range(first, n + 1, period)),)
     if label is MeterLabel.DACTYLOTROCHEE:
-        return tuple(_composed_strong_sets(n))
+        return tuple(_mixed(n, 1))
     if label is MeterLabel.DACTYLOTROCHEE_ANACRUSIS:
-        out = []
-        for ana in (1, 2):
-            if n - ana >= 5:
-                out.extend(_composed_strong_sets(n - ana, offset=ana))
-        return tuple(out)
+        return tuple(chain(_mixed(n - 1, 2), _mixed(n - 2, 3)))
     if label is MeterLabel.HEXAMETER:
         # Six feet; fifth a full dactyl, sixth a trochee.
-        out = []
-        for feet in _foot_compositions(n - 5):
-            if len(feet) == 4:
-                strong, pos = [], 1
-                for f in feet + (3, 2):
-                    strong.append(pos)
-                    pos += f
-                out.append(frozenset(strong))
-        return tuple(out)
+        return tuple(_starts(feet + (3, 2), 1)
+                     for feet in product((2, 3), repeat=4) if sum(feet) == n - 5)
     if label is MeterLabel.PENTAMETER:
         # Two dactylic hemistichs, third and sixth feet reduced to the
         # stressed syllable alone.
-        if n != 14:
-            return ()
-        strong, pos = [], 1
-        for f in (3, 3, 1, 3, 3, 1):
-            strong.append(pos)
-            pos += f
-        return (frozenset(strong),)
+        return (_starts((3, 3, 1, 3, 3, 1), 1),) if n == 14 else ()
     return ()
 
 
@@ -223,19 +198,8 @@ class MetricsReport:
     per_strophe_meter: list[int] = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "num_syl": self.num_syl,
-            "end_acc": self.end_acc,
-            "unique": self.unique,
-            "rhyme_acc": self.rhyme_acc,
-            "meter_acc": self.meter_acc,
-            "meter_acc_verse": self.meter_acc_verse,
-            "n_strophes": self.n_strophes,
-            "n_verses": self.n_verses,
-            "n_parse_failures": self.n_parse_failures,
-            "end_acc_forced": self.end_acc_forced,
-            "end_acc_free": self.end_acc_free,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if not f.name.startswith("per_strophe_")}
 
 
 def _ratio(hits, total, empty=0.0):
@@ -294,6 +258,14 @@ def evaluate(pairs, syllabifier=None,
         sylls = [s.casefold() for a in analyses for s in a.syllables]
         if sylls:
             unique_ratios.append(len(set(sylls)) / len(sylls))
+
+        if len(analyses) != len(request.scheme):
+            # a verse count the request did not ask for fails rhyme and
+            # meter, and each of its verses is a meter miss
+            rhyme_flags.append(0)
+            meter_flags.append(0)
+            meter_verse_total += len(analyses)
+            continue
 
         predicted = _scheme_of(analyses)
         rhyme_flags.append(int(predicted == request.scheme))

@@ -82,7 +82,7 @@ def test_criterion_3_forced_generation_contract():
         req = GenerationRequest(scheme=scheme, year_bucket=corpus.YearBucket(1900),
                                 fmt=fmt, strophe_meter=MeterLabel.IAMB)
         gen = generate_forced(model, vocab, req)
-        assert gen.ok, (scheme, gen.parse_error)
+        assert gen.parsed is not None, (scheme, gen.parse_error)
         prefixes = [ann.prefix(fmt) for ann, _ in gen.parsed.lines]
         first = {}
         for i, letter in enumerate(scheme):
@@ -234,13 +234,13 @@ def test_criterion_8_end_to_end(fixture_strophes):
                                 fmt=fmt, temperature=0.3, seed=i)
         pairs.append((req, generate_forced(model, vocab, req)))
 
-    parsed = [g for _, g in pairs if g.ok]
+    parsed = [g for _, g in pairs if g.parsed is not None]
     assert len(parsed) / len(pairs) >= 0.9
 
     forced = [0, 0]
     free_first = [0, 0]
     for req, g in pairs:
-        if not g.ok:
+        if g.parsed is None:
             continue
         seen = set()
         for check, was_forced, letter in zip(consistency_check(g.parsed),

@@ -156,6 +156,23 @@ def test_basic_format_round_trip(mini_corpus, tmp_path, capsys):
     assert report["num_syl"] is None and report["end_acc"] is None
 
 
+def test_generate_decoding_defaults_from_the_format(mini_corpus, tmp_path, capsys):
+    vocab = tmp_path / "uni.vocab"
+    model = tmp_path / "uni.ngram"
+    basic = ["--format", "basic"]
+    assert main(["train-tokenizer", "--corpus", str(mini_corpus),
+                 "--kind", "unicode", "--out", str(vocab)] + basic) == 0
+    assert main(["train-lm", "--corpus", str(mini_corpus), "--vocab", str(vocab),
+                 "--order", "6", "--test-fraction", "0.1", "--out", str(model)] + basic) == 0
+    capsys.readouterr()
+    assert main(["generate", "--model", str(model), "--vocab", str(vocab),
+                 "--scheme", "ABAB", "--year", "1900", "--strophe-meter", "J",
+                 "--temperature", "0.3"] + basic) == 0
+    out = capsys.readouterr().out.split("\n")
+    assert json.loads(out[1][len("# config "):])["decoding"] == "basic"
+    assert out[2].startswith("# ABAB # 1900 # J")
+
+
 def test_train_tokenizer_rejects_the_removed_kind_base(mini_corpus, tmp_path, capsys):
     assert main(["train-tokenizer", "--corpus", str(mini_corpus),
                  "--kind", "base", "--out", str(tmp_path / "b.vocab")]) == 4
@@ -181,6 +198,22 @@ def test_evaluate_count_mismatch(tmp_path, capsys):
     rc = main(["evaluate", "--requests", str(a), "--generations", str(b),
                "--report", str(tmp_path / "r.json")])
     assert rc == 4
+
+
+@pytest.mark.parametrize("scheme", ["AAB", "ABABAB"])
+def test_evaluate_reports_a_verse_count_the_request_did_not_ask_for(tmp_path, capsys, scheme):
+    lines = [f"J # 9 # x # verš číslo {i}" for i in range(len(scheme))]
+    raw_text = "\n".join([f"# {scheme} # 1900"] + lines)
+    (tmp_path / "requests.jsonl").write_text('{"scheme": "ABAB"}\n', encoding="utf-8")
+    (tmp_path / "generations.jsonl").write_text(
+        json.dumps({"raw_text": raw_text}) + "\n", encoding="utf-8")
+    report_path = tmp_path / "r.json"
+    assert main(["evaluate", "--requests", str(tmp_path / "requests.jsonl"),
+                 "--generations", str(tmp_path / "generations.jsonl"),
+                 "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text(encoding="utf-8"))["report"]
+    assert report["n_parse_failures"] == 0 and report["n_verses"] == len(scheme)
+    assert report["rhyme_acc"] == report["meter_acc"] == report["meter_acc_verse"] == 0.0
 
 
 def test_significance(tmp_path, capsys):
@@ -210,6 +243,22 @@ def test_generate_with_out_of_range_token_id(mini_corpus, tmp_path, capsys, bad_
     err = capsys.readouterr().err
     assert rc == 5
     assert "out of range" in err and "Traceback" not in err
+
+
+def test_generate_with_an_all_zero_bucket(small_model, tmp_path, capsys):
+    vocab, model = small_model
+    lines = model.read_text(encoding="utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("C\t\t"))
+    events = lines[at].split("\t")[2].split(" ")
+    lines[at] = "C\t\t" + " ".join(ev.split(":")[0] + ":0" for ev in events)
+    bad_model = tmp_path / "zero.ngram"
+    bad_model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["generate", "--model", str(bad_model), "--vocab", str(vocab),
+               "--scheme", "ABAB", "--year", "1900"])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert "count below 1" in err and "Traceback" not in err
 
 
 def test_significance_of_empty_files_exits_5(tmp_path, capsys):

@@ -58,7 +58,7 @@ def ann_prefixes(gen, fmt):
 def test_forced_contract(fmt, scheme):
     model, vocab = scripted_model(fmt)
     gen = generate_forced(model, vocab, request(scheme, fmt))
-    assert gen.ok, gen.parse_error
+    assert gen.parsed is not None, gen.parse_error
     assert not gen.truncated
     prefixes = ann_prefixes(gen, fmt)
     first = {}
@@ -79,7 +79,7 @@ def test_forced_contract(fmt, scheme):
 def test_xxxx_triggers_no_forcing():
     model, vocab = scripted_model(DataFormat.VERSE_PAR)
     gen = generate_forced(model, vocab, request("XXXX"))
-    assert gen.ok
+    assert gen.parsed is not None
     assert gen.forced_flags == (False, False, False, False)
 
 
@@ -91,7 +91,7 @@ def test_forced_contract_randomized_schemes():
         fmt = rng.choice([DataFormat.VERSE_PAR, DataFormat.METER_VERSE])
         model, vocab = scripted_model(fmt)
         gen = generate_forced(model, vocab, request(scheme, fmt))
-        assert gen.ok, (scheme, gen.parse_error)
+        assert gen.parsed is not None, (scheme, gen.parse_error)
         prefixes = ann_prefixes(gen, fmt)
         first = {}
         for i, letter in enumerate(scheme):
@@ -115,7 +115,7 @@ def test_retry_recovers_from_malformed_annotation():
     _, vocab = scripted_model(DataFormat.VERSE_PAR)
     model = FlakyLM(vocab, DataFormat.VERSE_PAR, bad_attempts=2)
     gen = generate_forced(model, vocab, request("ABAB"))
-    assert gen.ok, gen.parse_error
+    assert gen.parsed is not None, gen.parse_error
     assert model.tries == 3
     assert gen.parsed.lines[0][1] == model.body(0)
 
@@ -124,7 +124,7 @@ def test_retries_exhausted_yields_structured_error():
     _, vocab = scripted_model(DataFormat.VERSE_PAR)
     model = FlakyLM(vocab, DataFormat.VERSE_PAR, bad_attempts=MAX_VERSE_RETRIES)
     gen = generate_forced(model, vocab, request("ABAB"))
-    assert not gen.ok
+    assert gen.parsed is None
     assert gen.parse_error is not None
     assert model.tries >= MAX_VERSE_RETRIES
     # the bad verse collapses to its (empty) prefix; later verses are intact
@@ -135,13 +135,13 @@ def test_truncation_is_reported():
     model, vocab = scripted_model(DataFormat.VERSE_PAR)
     gen = generate_forced(model, vocab, request("ABAB", max_tokens=5))
     assert gen.truncated
-    assert not gen.ok
+    assert gen.parsed is None
 
 
 def test_generate_basic_with_scripted_model():
     model, vocab = scripted_model(DataFormat.VERSE_PAR)
     gen = generate_basic(model, vocab, request("ABAB"))
-    assert gen.ok, gen.parse_error
+    assert gen.parsed is not None, gen.parse_error
     assert gen.forced_flags == (False, False, False, False)
     assert gen.raw_text.split("\n")[1:] == [model.plan(i) for i in range(4)]
 
@@ -153,7 +153,7 @@ def test_meter_verse_per_verse_meter_seeding():
               MeterLabel.DACTYL, MeterLabel.AMPHIBRACH)
     req = GenerationRequest("XXXX", YearBucket(1900), fmt, per_verse_meters=meters)
     gen = generate_forced(model, vocab, req)
-    assert gen.ok
+    assert gen.parsed is not None
     # each line keeps the seeded meter letter: the scripted model continues
     # "M #" with its own syllable/hint fields
     for line, meter in zip(gen.raw_text.split("\n")[1:], meters):
@@ -203,12 +203,12 @@ def test_from_text_parses_or_keeps_the_error():
     text = "# ABAB # 1900 # J\n" + "\n".join(
         f"{7 + i} # na # hrady dálky" for i in range(4))
     gen = generation.GeneratedStrophe.from_text(text, req, True, [False, True, False, True])
-    assert gen.ok and gen.parse_error is None and gen.truncated
+    assert gen.parsed is not None and gen.parse_error is None and gen.truncated
     assert gen.parsed == formats.parse(text, req.fmt)
     assert gen.forced_flags == (False, True, False, True)
 
     bad = generation.GeneratedStrophe.from_text("# nonsense", req)
-    assert not bad.ok and not bad.truncated and bad.forced_flags == ()
+    assert bad.parsed is None and not bad.truncated and bad.forced_flags == ()
     with pytest.raises(formats.FormatError) as e:
         formats.parse("# nonsense", req.fmt)
     assert bad.parse_error == str(e.value)

@@ -184,6 +184,19 @@ def test_token_id_out_of_range_is_an_ngram_error(tmp_path, bad_id, ctx):
         ngram.sample_with_rng(model, [0], 1.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("events", ["0:0 1:0", "0:2 1:0", "0:2 1:-1"])
+@pytest.mark.parametrize("ctx", ["", "0"], ids=["unigram", "bigram"])
+def test_count_below_one_is_an_ngram_error(tmp_path, events, ctx):
+    path = tmp_path / "m.ngram"
+    write_model(path, HEADER, ["C\t\t0:2 1:1", f"C\t{ctx}\t{events}"])
+    model = ngram.load(path)
+    for _ in range(2):  # nothing is cached past the error
+        with pytest.raises(NGramError, match=rf"count below 1 after context \[{ctx}\]"):
+            model.next_dist([0])
+    with pytest.raises(NGramError, match="count below 1"):
+        ngram.sample_with_rng(model, [0], 1.0, np.random.default_rng(0))
+
+
 def test_table_cache_is_bounded_and_evicts_least_recently_used(monkeypatch):
     m = tiny_model()
     monkeypatch.setattr(ngram, "TABLE_CACHE_BYTES", 2 * 8 * m.vocab_size)

@@ -1,9 +1,10 @@
+import tracemalloc
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verseforge import formats, validation
+from verseforge import formats, phonology, validation
 from verseforge.corpus import METER_ORDER, MeterLabel, YearBucket
 from verseforge.formats import DataFormat
 from verseforge.generation import GenerationRequest
@@ -234,6 +235,17 @@ def test_meter_score_matches_reference(pattern):
         assert meter_score(pattern, label) == want, label
 
 
+def test_hexameter_templates_of_a_long_verse_stay_small():
+    validation.template_strong_sets.cache_clear()
+    tracemalloc.start()
+    try:
+        meter_score("Xx" * 25, MeterLabel.HEXAMETER)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_evaluate_accepts_verse_without_syllables():
     req = GenerationRequest("ABAB", YearBucket(1900), DataFormat.METER_VERSE,
                             per_verse_meters=(MeterLabel.IAMB,) * 4)
@@ -337,6 +349,27 @@ def test_evaluate_splits_end_acc_by_forcing(fixture_strophes):
     assert report.end_acc_free == 1.0
     report = evaluate([(req, gold)])
     assert report.end_acc_forced is None  # nothing was forced
+
+
+@pytest.mark.parametrize("scheme", ["AAB", "ABABAB"])
+def test_evaluate_scores_a_verse_count_the_request_did_not_ask_for(fixture_strophes, scheme):
+    # the strophe parses, so its verses are checked as usual; it fails
+    # rhyme and meter, and each of its verses is a meter miss
+    (req, gold), = gold_pairs([next(s for s in fixture_strophes if s.scheme == "ABAB")])
+    header, *verses = gold.raw_text.split("\n")
+    verses = (verses * 2)[:len(scheme)]
+    other = gen_from_text("\n".join([f"# {scheme}" + header[len("# ABAB"):]] + verses), req)
+    report = evaluate([(req, gold), (req, other)])
+    assert report.n_parse_failures == 0
+    assert report.n_strophes == 2 and report.n_verses == 4 + len(scheme)
+    assert report.per_strophe_rhyme == [1, 0] and report.per_strophe_meter == [1, 0]
+    assert report.meter_acc_verse == 4 / (4 + len(scheme))
+    assert report.num_syl == 1.0 and report.end_acc == 1.0
+    alone = evaluate([(req, other)])
+    sylls = [s.casefold() for _, text in other.parsed.lines
+             for s in phonology.analyze(text).syllables]
+    assert alone.unique == len(set(sylls)) / len(sylls)
+    assert alone.meter_acc_verse == 0.0
 
 
 def test_permutation_identical_inputs_give_one():
