@@ -139,6 +139,14 @@ def test_basic_format_round_trip(mini_corpus, tmp_path, capsys):
                  "--kind", "unicode", "--out", str(vocab)] + basic) == 0
     assert main(["train-lm", "--corpus", str(mini_corpus), "--vocab", str(vocab),
                  "--order", "6", "--test-fraction", "0.1", "--out", str(model)] + basic) == 0
+    capsys.readouterr()
+    # without --decoding, the basic format decodes basic
+    assert main(["generate", "--model", str(model), "--vocab", str(vocab),
+                 "--scheme", "ABAB", "--year", "1900", "--strophe-meter", "J",
+                 "--temperature", "0.3"] + basic) == 0
+    out = capsys.readouterr().out.split("\n")
+    assert json.loads(out[1][len("# config "):])["decoding"] == "basic"
+    assert out[2].startswith("# ABAB # 1900 # J")
     requests = tmp_path / "requests.jsonl"
     recs = [{"scheme": "ABAB", "year": "1900", "strophe_meter": "J", "seed": i}
             for i in range(4)]
@@ -154,23 +162,6 @@ def test_basic_format_round_trip(mini_corpus, tmp_path, capsys):
     report = json.loads(report_path.read_text(encoding="utf-8"))["report"]
     assert report["n_strophes"] == 4 and report["n_parse_failures"] < 4
     assert report["num_syl"] is None and report["end_acc"] is None
-
-
-def test_generate_decoding_defaults_from_the_format(mini_corpus, tmp_path, capsys):
-    vocab = tmp_path / "uni.vocab"
-    model = tmp_path / "uni.ngram"
-    basic = ["--format", "basic"]
-    assert main(["train-tokenizer", "--corpus", str(mini_corpus),
-                 "--kind", "unicode", "--out", str(vocab)] + basic) == 0
-    assert main(["train-lm", "--corpus", str(mini_corpus), "--vocab", str(vocab),
-                 "--order", "6", "--test-fraction", "0.1", "--out", str(model)] + basic) == 0
-    capsys.readouterr()
-    assert main(["generate", "--model", str(model), "--vocab", str(vocab),
-                 "--scheme", "ABAB", "--year", "1900", "--strophe-meter", "J",
-                 "--temperature", "0.3"] + basic) == 0
-    out = capsys.readouterr().out.split("\n")
-    assert json.loads(out[1][len("# config "):])["decoding"] == "basic"
-    assert out[2].startswith("# ABAB # 1900 # J")
 
 
 def test_train_tokenizer_rejects_the_removed_kind_base(mini_corpus, tmp_path, capsys):
