@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 
@@ -7,6 +8,7 @@ from verseforge import corpus, formats, ngram, tokenizers
 from verseforge.cli import main
 from verseforge.formats import DataFormat
 from conftest import DATA
+from test_goldens import OUR_DEFAULT_BUDGET_SHA256
 
 
 @pytest.fixture()
@@ -162,6 +164,17 @@ def test_basic_format_round_trip(mini_corpus, tmp_path, capsys):
     report = json.loads(report_path.read_text(encoding="utf-8"))["report"]
     assert report["n_strophes"] == 4 and report["n_parse_failures"] < 4
     assert report["num_syl"] is None and report["end_acc"] is None
+
+
+def test_train_tokenizer_our_at_the_default_budget(tmp_path, capsys):
+    out = tmp_path / "our.vocab"
+    assert main(["train-tokenizer", "--corpus", str(DATA / "fixture_corpus.jsonl"),
+                 "--kind", "our", "--out", str(out)]) == 0
+    assert "707 tokens (our)" in capsys.readouterr().out
+    data = out.read_bytes()
+    vocab, config = data[:data.rindex(b"#! config\t")], data[data.rindex(b"#! config\t"):]
+    assert b'"vocab_size": 40000' in config
+    assert hashlib.sha256(vocab).hexdigest() == OUR_DEFAULT_BUDGET_SHA256
 
 
 def test_train_tokenizer_rejects_the_removed_kind_base(mini_corpus, tmp_path, capsys):

@@ -89,6 +89,19 @@ def test_vocab_file_golden(fixture_texts, tmp_path, kind, size):
     assert digest == VOCAB_SHA256[(kind, size)]
 
 
+# `our` at the CLI's default budget on the whole fixture; training stops
+# at 707 tokens, when no pair is left
+OUR_DEFAULT_BUDGET_SHA256 = "680d1f6c70159e3f0ce4675910b9b0a9b4949bfedb3752c2bb55f20278a48517"
+
+
+def test_our_vocab_at_the_default_budget_golden(fixture_strophes, tmp_path):
+    texts = [formats.encode(s, DataFormat.METER_VERSE) for s in fixture_strophes]
+    vocab = tok.build_vocab(tok.TokenizerKind.OUR, texts, vocab_size=40000)
+    assert len(vocab) == 707
+    digest = file_sha256(tok.save_vocab, vocab, tmp_path / "v.vocab")
+    assert digest == OUR_DEFAULT_BUDGET_SHA256
+
+
 def test_model_file_golden(fixture_texts, tmp_path):
     lines = [line for text in fixture_texts for line in text.split("\n")]
     vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, lines)

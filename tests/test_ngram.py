@@ -61,6 +61,39 @@ def test_constructor_validation():
         ngram.train([], order=2, vocab=tok.build_unicode_vocab(["ab"]))
 
 
+
+def reference_counts(sequences, order):
+    """Counts of ``add_sequence`` as a loop over every context of every
+    position."""
+    counts = {}
+    for ids in sequences:
+        ids = list(ids)
+        for i, token in enumerate(ids):
+            for k in range(min(order, i + 1)):
+                bucket = counts.setdefault(tuple(ids[i - k:i]), {})
+                bucket[token] = bucket.get(token, 0) + 1
+    return counts
+
+
+id_sequences = st.lists(st.lists(st.integers(0, 4), max_size=14), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(order=st.integers(1, 6), sequences=id_sequences, more=id_sequences)
+def test_counts_match_the_per_position_loop(order, sequences, more):
+    vocab = tok.build_unicode_vocab(["ab"])
+    model = ngram.train(iter(sequences), order, vocab)
+    assert model.counts == reference_counts(sequences, order)
+    for seq in more:
+        model.add_sequence(seq)
+    assert model.counts == reference_counts(sequences + more, order)
+
+
+def test_training_on_one_empty_sequence_counts_nothing():
+    model = ngram.train([[]], order=3, vocab=tok.build_unicode_vocab(["ab"]))
+    assert model.counts == {}
+
+
 def test_sample_determinism_and_temperature():
     m = tiny_model()
     def sample(temperature, seed):

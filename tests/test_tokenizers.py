@@ -1,5 +1,7 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from verseforge import formats, tokenizers as tok
 from verseforge.formats import DataFormat
@@ -143,6 +145,65 @@ def test_bpe_stops_when_no_pairs_remain():
     # budget larger than anything learnable: single-char words only
     vocab = tok.train_bpe(["a b c"], vocab_size=100)
     assert len(vocab) < 100
+
+
+def reference_train_bpe(texts, vocab_size: int) -> Vocab:
+    """``train_bpe`` as a full recount of every pair after each merge."""
+    texts = list(texts)
+    protected, piece_freq = tok._collect_protected(texts)
+    alphabet = sorted({ch for text in texts for ch in text} - {"\n"} - protected)
+    if not alphabet and not protected:
+        raise TokenizerError("cannot train BPE on an empty corpus")
+    base = [SEP_TOKEN, EOS_TOKEN, UNK_TOKEN] + sorted(protected) + alphabet
+    if vocab_size < len(base):
+        raise TokenizerError(
+            f"vocab_size {vocab_size} below alphabet+specials ({len(base)})")
+    words = {tuple(piece): freq for piece, freq in piece_freq.items()}
+    tokens = list(base)
+    known = set(tokens)
+    while len(tokens) < vocab_size:
+        pair_counts = Counter()
+        for symbols, freq in words.items():
+            for a, b in zip(symbols, symbols[1:]):
+                pair_counts[(a, b)] += freq
+        if not pair_counts:
+            break
+        top = max(pair_counts.values())
+        pair = min(p for p, c in pair_counts.items() if c == top)
+        merged = pair[0] + pair[1]
+        if merged not in known:
+            tokens.append(merged)
+            known.add(merged)
+        words = {tuple(tok._merge_pair(symbols, pair)): freq
+                 for symbols, freq in words.items()}
+    return Vocab(TokenizerKind.OUR, tokens, protected)
+
+
+# Runs such as "aaaa" overlap their own pairs and merge to strings that
+# other merges also make ("a"+"aa" and "aa"+"a"); "AB" is protected
+# where it stands alone, while "aAB" and "AB1" make its letters alphabet
+# symbols whose merge is already a token; few distinct symbols give ties
+# at the top count.
+bpe_words = st.one_of(
+    st.text("ab", min_size=1, max_size=7),
+    st.sampled_from(["", "#", "AB", "A", "12", "aAB", "AB1", "b#", "aaaa"]),
+)
+bpe_corpora = st.lists(st.lists(bpe_words, max_size=6).map(" ".join), min_size=1, max_size=6)
+
+
+def bpe_outcome(train, texts, vocab_size):
+    try:
+        vocab = train(texts, vocab_size)
+    except TokenizerError as e:
+        return str(e)
+    return vocab.kind, vocab.tokens, vocab.protected
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=bpe_corpora, vocab_size=st.integers(0, 50))
+def test_bpe_training_matches_the_full_recount(texts, vocab_size):
+    assert (bpe_outcome(tok.train_bpe, texts, vocab_size)
+            == bpe_outcome(reference_train_bpe, texts, vocab_size))
 
 
 def test_vocab_validation():
