@@ -30,7 +30,7 @@ to it, and ``next_dist`` always returns a row the caller owns.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Sequence
 
 import numpy as np
@@ -84,13 +84,34 @@ class NGramModel:
         self._base: np.ndarray | None = None
 
     def add_sequence(self, ids: Sequence[int]) -> None:
-        ids = list(ids)
-        for i, token in enumerate(ids):
-            for k in range(min(self.order, i + 1)):
-                bucket = self.counts.setdefault(tuple(ids[i - k:i]), {})
-                bucket[token] = bucket.get(token, 0) + 1
+        self._add([ids])
+
+    def _add(self, sequences) -> int:
+        """Count ``sequences`` in; the number of sequences.
+
+        Each distinct window of ``order`` tokens is counted once over all
+        sequences, where a window at a sequence start is the shorter
+        prefix; then its count goes to the bucket of every suffix of its
+        context.  Popping the windows frees them while the buckets grow.
+        """
+        order = self.order
+        windows = Counter()
+        n = 0
+        for seq in sequences:
+            ids = tuple(seq)
+            windows.update(ids[:k] for k in range(1, min(order - 1, len(ids)) + 1))
+            windows.update(zip(*(ids[k:] for k in range(order))))
+            n += 1
+        counts = self.counts
+        while windows:
+            window, c = windows.popitem()
+            token = window[-1]
+            for k in range(len(window)):
+                bucket = counts.setdefault(window[k:-1], {})
+                bucket[token] = bucket.get(token, 0) + c
         self._tables.clear()
         self._base = None
+        return n
 
     def _context(self, context: Sequence[int]) -> tuple[int, ...]:
         return tuple(context[-(self.order - 1):]) if self.order > 1 else ()
@@ -182,11 +203,7 @@ def train(sequences, order: int, vocab: Vocab,
           discount: float = DEFAULT_DISCOUNT) -> NGramModel:
     """Exact n-gram counting over id sequences (append EOS beforehand)."""
     model = NGramModel(order, len(vocab), vocab.content_hash(), discount)
-    empty = True
-    for seq in sequences:
-        model.add_sequence(seq)
-        empty = False
-    if empty:
+    if not model._add(sequences):
         raise NGramError("cannot train on an empty corpus")
     return model
 

@@ -13,8 +13,9 @@ UNICODE always splits to characters.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -296,8 +297,11 @@ def train_bpe(texts, vocab_size: int) -> Vocab:
     """Standard BPE merge training over space-attached word pieces.
 
     Merges the most frequent adjacent pair until the vocabulary budget is
-    reached; ties break on the lexicographically smaller pair, so the
-    merge list is deterministic.
+    reached or no pair is left; ties break on the lexicographically
+    smaller pair, so the merge list is deterministic.  Pair counts are
+    kept across merges: a merge recounts only the pieces that held the
+    merged pair, and the next pair comes from a heap of ``(-count,
+    pair)`` whose stale entries are skipped.
     """
     texts = list(texts)
     protected, piece_freq = _collect_protected(texts)
@@ -308,26 +312,50 @@ def train_bpe(texts, vocab_size: int) -> Vocab:
     if vocab_size < len(base):
         raise TokenizerError(
             f"vocab_size {vocab_size} below alphabet+specials ({len(base)})")
-    words = {tuple(piece): freq for piece, freq in piece_freq.items()}
+    words = [list(piece) for piece in piece_freq]
+    freqs = list(piece_freq.values())
+    pair_counts = Counter()
+    # pair -> indices of the words that hold it, or held it before a merge
+    holders = defaultdict(set)
+    for i, symbols in enumerate(words):
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] += freqs[i]
+            holders[pair].add(i)
+    heap = [(-c, pair) for pair, c in pair_counts.items()]
+    heapq.heapify(heap)
     tokens = list(base)
     known = set(tokens)
     while len(tokens) < vocab_size:
-        pair_counts = Counter()
-        for symbols, freq in words.items():
-            for a, b in zip(symbols, symbols[1:]):
-                pair_counts[(a, b)] += freq
-        if not pair_counts:
+        while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        top = max(pair_counts.values())
-        pair = min(p for p, c in pair_counts.items() if c == top)
+        pair = heapq.heappop(heap)[1]
         merged = pair[0] + pair[1]
         if merged not in known:
             tokens.append(merged)
             known.add(merged)
-        # Each symbol tuple joins back to its own distinct piece, so no two
-        # merged tuples collide.
-        words = {tuple(_merge_pair(symbols, pair)): freq
-                 for symbols, freq in words.items()}
+        delta = Counter()
+        for i in holders.pop(pair):
+            old = words[i]
+            new = _merge_pair(old, pair)
+            if len(new) == len(old):
+                continue
+            freq = freqs[i]
+            for p in zip(old, old[1:]):
+                delta[p] -= freq
+            for p in zip(new, new[1:]):
+                delta[p] += freq
+                holders[p].add(i)
+            words[i] = new
+        for p, d in delta.items():
+            if not d:
+                continue
+            pair_counts[p] += d
+            if pair_counts[p]:
+                heapq.heappush(heap, (-pair_counts[p], p))
+            else:
+                del pair_counts[p]
     return Vocab(TokenizerKind.OUR, tokens, protected)
 
 

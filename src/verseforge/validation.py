@@ -72,12 +72,18 @@ def _mixed(n: int, first: int):
             yield _starts([3 if i in threes else 2 for i in range(n2 + n3)], first)
 
 
-@lru_cache(maxsize=None)
 def template_strong_sets(label: MeterLabel, n: int) -> tuple[frozenset[int], ...]:
     """Candidate stressed-position sets of a meter at verse length n."""
     if label in _PERIODIC:
         first, period = _PERIODIC[label]
         return (frozenset(range(first, n + 1, period)),)
+    return _composed_strong_sets(label, n)
+
+
+@lru_cache(maxsize=None)
+def _composed_strong_sets(label: MeterLabel, n: int) -> tuple[frozenset[int], ...]:
+    """``template_strong_sets`` of a meter of mixed feet, none beyond
+    ``MAX_COMPOSED_LENGTH`` syllables and a short anacrusis."""
     if label is MeterLabel.DACTYLOTROCHEE:
         return tuple(_mixed(n, 1))
     if label is MeterLabel.DACTYLOTROCHEE_ANACRUSIS:

@@ -236,7 +236,7 @@ def test_meter_score_matches_reference(pattern):
 
 
 def test_hexameter_templates_of_a_long_verse_stay_small():
-    validation.template_strong_sets.cache_clear()
+    validation._composed_strong_sets.cache_clear()
     tracemalloc.start()
     try:
         meter_score("Xx" * 25, MeterLabel.HEXAMETER)
@@ -244,6 +244,23 @@ def test_hexameter_templates_of_a_long_verse_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_template_cache_stays_small_after_verses_of_every_length():
+    # Templates of mixed feet exist only up to MAX_COMPOSED_LENGTH syllables
+    # after an anacrusis of at most two; they are built before tracing.
+    for label in MeterLabel:
+        for n in range(MAX_COMPOSED_LENGTH + 3):
+            validation.template_strong_sets(label, n)
+    validation._pattern_scores.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(1, 801):
+            validation._pattern_scores(("xX" * n)[:n])
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2 << 20
 
 
 def test_evaluate_accepts_verse_without_syllables():
