@@ -77,13 +77,16 @@ def template_strong_sets(label: MeterLabel, n: int) -> tuple[frozenset[int], ...
     if label in _PERIODIC:
         first, period = _PERIODIC[label]
         return (frozenset(range(first, n + 1, period)),)
+    # No template of mixed feet is longer than MAX_COMPOSED_LENGTH
+    # syllables after an anacrusis of at most two, so the cache is bounded.
+    if n > MAX_COMPOSED_LENGTH + 2:
+        return ()
     return _composed_strong_sets(label, n)
 
 
 @lru_cache(maxsize=None)
 def _composed_strong_sets(label: MeterLabel, n: int) -> tuple[frozenset[int], ...]:
-    """``template_strong_sets`` of a meter of mixed feet, none beyond
-    ``MAX_COMPOSED_LENGTH`` syllables and a short anacrusis."""
+    """``template_strong_sets`` of a meter of mixed feet."""
     if label is MeterLabel.DACTYLOTROCHEE:
         return tuple(_mixed(n, 1))
     if label is MeterLabel.DACTYLOTROCHEE_ANACRUSIS:

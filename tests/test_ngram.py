@@ -3,7 +3,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from verseforge import ngram, tokenizers as tok
 from verseforge.ngram import DEFAULT_DISCOUNT, NGramError, NGramModel
@@ -80,6 +80,7 @@ id_sequences = st.lists(st.lists(st.integers(0, 4), max_size=14), min_size=1, ma
 
 @settings(max_examples=300, deadline=None)
 @given(order=st.integers(1, 6), sequences=id_sequences, more=id_sequences)
+@example(order=3, sequences=[[]], more=[])
 def test_counts_match_the_per_position_loop(order, sequences, more):
     vocab = tok.build_unicode_vocab(["ab"])
     model = ngram.train(iter(sequences), order, vocab)
@@ -87,11 +88,6 @@ def test_counts_match_the_per_position_loop(order, sequences, more):
     for seq in more:
         model.add_sequence(seq)
     assert model.counts == reference_counts(sequences + more, order)
-
-
-def test_training_on_one_empty_sequence_counts_nothing():
-    model = ngram.train([[]], order=3, vocab=tok.build_unicode_vocab(["ab"]))
-    assert model.counts == {}
 
 
 def test_sample_determinism_and_temperature():
