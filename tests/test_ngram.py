@@ -61,7 +61,6 @@ def test_constructor_validation():
         ngram.train([], order=2, vocab=tok.build_unicode_vocab(["ab"]))
 
 
-
 def reference_counts(sequences, order):
     """Counts of ``add_sequence`` as a loop over every context of every
     position."""
