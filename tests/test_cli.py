@@ -380,3 +380,24 @@ def test_generate_rejects_a_truncated_model_line(small_model, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert rc == 5
     assert "bad.ngram:2:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [
+    "C\t{ctx},\t{ev}", "C\t{ctx},x\t{ev}",
+    "C\t{ctx}\t0:1:2", "C\t{ctx}\t0:", "C\t{ctx}\t:1", "C\t{ctx}\t0:1  2:1",
+])
+def test_generate_rejects_a_malformed_model_line_after_valid_ones(small_model, tmp_path,
+                                                                  capsys, bad):
+    vocab, model = small_model
+    lines = model.read_text(encoding="utf-8").splitlines()
+    _, ctx, ev = next(line for line in reversed(lines) if line.startswith("C\t")).split("\t")
+    assert "," in ctx
+    lines.append(bad.format(ctx=ctx, ev=ev))
+    bad_model = tmp_path / "bad.ngram"
+    bad_model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["generate", "--model", str(bad_model), "--vocab", str(vocab),
+               "--scheme", "ABAB", "--year", "1900"])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert f"bad.ngram:{len(lines)}:" in err and "Traceback" not in err

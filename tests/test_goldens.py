@@ -75,6 +75,13 @@ VOCAB_SHA256 = {
 # order-10 unicode model
 MODEL_SHA256 = "5507af0469a091776bb0eed8e43514a722d4769361a93f9fe0f9c0880203fd2b"
 
+# the models of `train_model`: order-4 syllable (293 tokens) and order-3
+# our (120 tokens), so ids have up to 3 digits
+KIND_MODEL_SHA256 = {
+    "syllable": "05815960b9d6e5b3e82d5598d580b712051b5727eab1f1ac03849121f9ce570e",
+    "our": "b9c8aabfc39b897e5b90f9ce6da32d800cb020c29e8ffbd658e86fe76bea1f28",
+}
+
 
 def file_sha256(save, obj, path):
     save(obj, path)
@@ -113,6 +120,13 @@ def test_model_file_golden(fixture_texts, tmp_path):
 @pytest.fixture(scope="module")
 def models(fixture_texts):
     return {kind.value: train_model(fixture_texts, kind) for kind in KINDS}
+
+
+@pytest.mark.parametrize("kind", list(KIND_MODEL_SHA256))
+def test_model_file_golden_per_kind(models, tmp_path, kind):
+    model, _ = models[kind]
+    digest = file_sha256(ngram.save, model, tmp_path / "m.ngram")
+    assert digest == KIND_MODEL_SHA256[kind]
 
 
 def generations(model, vocab, temperature):

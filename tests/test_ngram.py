@@ -142,12 +142,13 @@ def test_save_load_reproduces_distributions(tmp_path, fixture_strophes):
     ngram.save(m, path)
     loaded = ngram.load(path, vocab)
     assert loaded.order == m.order and loaded.discount == m.discount
+    assert loaded.counts == m.counts
     rng = np.random.default_rng(3)
     flat = [i for s in seqs for i in s]
     for _ in range(50):
         at = rng.integers(4, len(flat))
         ctx = flat[at - 4:at]
-        assert np.max(np.abs(loaded.next_dist(ctx) - m.next_dist(ctx))) <= 1e-12
+        assert np.array_equal(loaded.next_dist(ctx), m.next_dist(ctx))
 
 
 def test_load_rejects_wrong_vocab(tmp_path, fixture_strophes):
@@ -377,3 +378,165 @@ def test_out_of_range_short_bucket_raises_on_every_call(tmp_path, bad_ctx):
             model.next_dist([0, 1, 2, 0, 1])
         with pytest.raises(NGramError, match="out of range"):
             model.table([1, 2, 0, 1], 1.0)
+
+
+def reference_save(model, path):
+    """``save`` as it was before contexts reused their parent's text: each
+    context and bucket formatted on its own."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(ngram.MODEL_MAGIC + "\n")
+        f.write(f"order\t{model.order}\n")
+        f.write(f"discount\t{model.discount!r}\n")
+        f.write(f"vocab_size\t{model.vocab_size}\n")
+        f.write(f"vocab_hash\t{model.vocab_hash}\n")
+        for ctx in sorted(model.counts):
+            bucket = model.counts[ctx]
+            ctx_s = ",".join(map(str, ctx))
+            ev = " ".join(f"{t}:{c}" for t, c in sorted(bucket.items()))
+            f.write(f"C\t{ctx_s}\t{ev}\n")
+
+
+def reference_load(path):
+    """``load`` (without a vocabulary) as it was before contexts reused
+    their parent's parse: each line parsed on its own."""
+    with open(path, encoding="utf-8") as f:
+        if f.readline().rstrip("\n") != ngram.MODEL_MAGIC:
+            raise NGramError(f"{path}: not a verseforge n-gram model")
+        header = {}
+        counts = {}
+        for lineno, line in enumerate(f, 2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            try:
+                if parts[0] == "C":
+                    ctx = tuple(int(x) for x in parts[1].split(",")) if parts[1] else ()
+                    bucket = {}
+                    for ev in parts[2].split(" "):
+                        t, c = ev.split(":")
+                        bucket[int(t)] = int(c)
+                    counts[ctx] = bucket
+                else:
+                    header[parts[0]] = ngram.MODEL_HEADER.get(parts[0], str)(parts[1])
+            except (IndexError, ValueError):
+                raise NGramError(f"{path}:{lineno}: malformed model line") from None
+    missing = [key for key in ngram.MODEL_HEADER if key not in header]
+    if missing:
+        raise NGramError(f"{path}: header lacks {', '.join(missing)}")
+    model = NGramModel(order=header["order"], vocab_size=header["vocab_size"],
+                       vocab_hash=header["vocab_hash"], discount=header["discount"])
+    model.counts = counts
+    return model
+
+
+@st.composite
+def hand_built_models(draw):
+    """A model of order 1-6 over ids up to 1500: the counts of a few
+    sequences drawn from a small id pool, so that many contexts share a
+    parent and many buckets share an event string, with some contexts
+    dropped and some hand-built buckets added, so that the contexts need
+    not be prefix-closed."""
+    order = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.integers(0, 1500), min_size=1, max_size=6, unique=True))
+    ids = st.sampled_from(pool) | st.integers(0, 1500)
+    model = NGramModel(order, 1501, vocab_hash="h")
+    sequences = draw(st.lists(st.lists(ids, max_size=12), max_size=4))
+    for seq in sequences:
+        model.add_sequence(seq)
+    edited = False
+    if model.counts:
+        for ctx in draw(st.sets(st.sampled_from(sorted(model.counts)), max_size=3)):
+            del model.counts[ctx]
+            edited = True
+    contexts = st.lists(ids, max_size=order - 1).map(tuple)
+    buckets = st.dictionaries(ids, st.integers(1, 10**6), min_size=1, max_size=5)
+    for ctx, bucket in draw(st.dictionaries(contexts, buckets, max_size=6)).items():
+        model.counts[ctx] = bucket
+        edited = True
+    return model, sequences, edited
+
+
+def assert_same_model(got, expected):
+    assert (got.order, got.discount, got.vocab_size, got.vocab_hash) == \
+        (expected.order, expected.discount, expected.vocab_size, expected.vocab_hash)
+    assert got.counts == expected.counts
+    assert list(got.counts) == list(expected.counts)
+    assert len({id(b) for b in got.counts.values()}) == len(got.counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=hand_built_models(), extra=st.lists(st.integers(0, 1500), max_size=8),
+       rnd=st.randoms(use_true_random=False))
+def test_save_and_load_match_the_per_line_reference(tmp_path_factory, case, extra, rnd):
+    model, sequences, edited = case
+    tmp = tmp_path_factory.mktemp("io")
+    path, expected_path = tmp / "m.ngram", tmp / "ref.ngram"
+    ngram.save(model, path)
+    reference_save(model, expected_path)
+    data = path.read_bytes()
+    assert data == expected_path.read_bytes()
+
+    loaded = ngram.load(path)
+    assert_same_model(loaded, reference_load(path))
+    assert loaded.counts == model.counts
+
+    lines = data.decode("utf-8").split("\n")[:-1]
+    head, body = lines[:5], lines[5:]
+    variants = [head + rnd.sample(body, len(body))]
+    if body:
+        at = rnd.randrange(len(body))
+        body.insert(rnd.randrange(len(body) + 1), body[at])
+        variants.append(head + body)
+    for variant in variants:
+        path.write_text("\n".join(variant) + "\n", encoding="utf-8")
+        assert_same_model(ngram.load(path), reference_load(path))
+
+    # buckets are the loaded model's own: adding a sequence counts it in
+    # once per context, as in a model counted from scratch
+    loaded.add_sequence(extra)
+    model.add_sequence(extra)
+    assert loaded.counts == model.counts
+    if not edited:
+        assert loaded.counts == ngram.train(sequences + [extra], model.order,
+                                            tok.build_unicode_vocab(["ab"])).counts
+
+
+@st.composite
+def mutated_model_files(draw):
+    """The ``C`` lines of a hand-built model with a few lines mutated: a
+    character inserted, deleted or replaced, or the line cut short."""
+    model, _, _ = draw(hand_built_models())
+    lines = ["C\t\t0:1"]
+    for ctx in sorted(model.counts):
+        ev = " ".join(f"{t}:{c}" for t, c in sorted(model.counts[ctx].items()))
+        lines.append(f"C\t{','.join(map(str, ctx))}\t{ev}")
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        line = lines[at]
+        i = draw(st.integers(0, len(line)))
+        ch = draw(st.sampled_from([",", ":", " ", "\t", "x", "-", "0", "7", "+", "_"]))
+        lines[at] = draw(st.sampled_from([
+            line[:i] + ch + line[i:], line[:i] + line[i + 1:],
+            line[:i] + ch + line[i + 1:], line[:i]]))
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=mutated_model_files())
+@example(lines=["C\t\t0:1", "C\t3\t1:1", "C\t3:1:4\t0:1"])
+@example(lines=["C\t\t0:1", "C\t1\t2:1", "C\t1,,2\t0:1"])
+@example(lines=["C\t\t0:1", "C\t5\t0:1", "C\t,5\t0:1"])
+@example(lines=["C\t\t0:1", "C\t1\t0:1", "C\t1,\t0:1"])
+@example(lines=["C\t\t0:1", "C\t1\t0:1 0:3", "C\t1,2\t0:1  2:1"])
+def test_load_refuses_the_lines_the_per_line_reference_refuses(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("bad") / "m.ngram"
+    write_model(path, HEADER, lines)
+    try:
+        expected = reference_load(path)
+    except NGramError as e:
+        with pytest.raises(NGramError) as got:
+            ngram.load(path)
+        assert str(got.value) == str(e)
+    else:
+        assert_same_model(ngram.load(path), expected)
