@@ -243,26 +243,68 @@ def sample_with_rng(model, context, temperature: float, rng) -> int:
 
 
 def save(model: NGramModel, path) -> None:
+    """Write the counts, one ``C`` line per context in tuple order.
+
+    In that order a context's parent (the context one token shorter) is
+    the last context of its length written before it, when the parent
+    has a bucket; then the context's text is the parent's text and one
+    more id.  Other contexts are formatted in full.  The text of a
+    one-event bucket is memoized by its event.  Lines are written one by
+    one, so the file is never held whole in memory.
+    """
     with open(path, "w", encoding="utf-8") as f:
         f.write(MODEL_MAGIC + "\n")
         f.write(f"order\t{model.order}\n")
         f.write(f"discount\t{model.discount!r}\n")
         f.write(f"vocab_size\t{model.vocab_size}\n")
         f.write(f"vocab_hash\t{model.vocab_hash}\n")
-        for ctx in sorted(model.counts):
-            bucket = model.counts[ctx]
-            ctx_s = ",".join(map(str, ctx))
-            ev = " ".join(f"{t}:{c}" for t, c in sorted(bucket.items()))
+        counts = model.counts
+        last = {}  # context length -> (context, text) last written
+        single = {}  # (token, count) -> event text
+        for ctx in sorted(counts):
+            n = len(ctx)
+            if n:
+                parent, parent_s = last.get(n - 1, (None, None))
+                if ctx[:-1] == parent:
+                    ctx_s = f"{parent_s},{ctx[-1]}"
+                else:
+                    ctx_s = ",".join(map(str, ctx))
+                last[n] = ctx, ctx_s
+            else:
+                ctx_s = ""
+            bucket = counts[ctx]
+            if len(bucket) == 1:
+                item, = bucket.items()
+                ev = single.get(item)
+                if ev is None:
+                    ev = single[item] = f"{item[0]}:{item[1]}"
+            else:
+                ev = " ".join([f"{t}:{c}" for t, c in sorted(bucket.items())])
             f.write(f"C\t{ctx_s}\t{ev}\n")
 
 
 def load(path, vocab: Vocab | None = None) -> NGramModel:
-    """Load a count dump; refuses to pair with a mismatched vocabulary."""
+    """Load a count dump; refuses to pair with a mismatched vocabulary.
+
+    A context whose text, up to its last comma, is the text of a context
+    already parsed is that context's tuple and one more id; in a file
+    written by ``save`` this holds for every context whose parent has a
+    bucket.  Each distinct event text is parsed once, and every context
+    gets its own copy of the bucket.  A file is refused at the same
+    lines as with each line parsed on its own.
+    """
     with open(path, encoding="utf-8") as f:
         if f.readline().rstrip("\n") != MODEL_MAGIC:
             raise NGramError(f"{path}: not a verseforge n-gram model")
         header = {}
         counts = {}
+        # text length -> (text, context) last parsed.  In tuple order the
+        # contexts between a parent and its child extend the parent, so
+        # their texts are longer: the parent is still the entry of its
+        # text's length.  The empty context is never an entry, so ",5"
+        # does not parse.
+        last = {}
+        parsed = {}  # event text -> the bucket first parsed from it
         for lineno, line in enumerate(f, 2):
             line = line.rstrip("\n")
             if not line:
@@ -270,12 +312,25 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
             parts = line.split("\t")
             try:
                 if parts[0] == "C":
-                    ctx = tuple(int(x) for x in parts[1].split(",")) if parts[1] else ()
-                    bucket = {}
-                    for ev in parts[2].split(" "):
-                        t, c = ev.split(":")
-                        bucket[int(t)] = int(c)
-                    counts[ctx] = bucket
+                    ctx_s = parts[1]
+                    if ctx_s:
+                        cut = ctx_s.rfind(",")
+                        parent_s, parent = last.get(cut, (None, None))
+                        if ctx_s[:cut] == parent_s:
+                            ctx = parent + (int(ctx_s[cut + 1:]),)
+                        else:
+                            ctx = tuple([int(x) for x in ctx_s.split(",")])
+                        last[len(ctx_s)] = ctx_s, ctx
+                    else:
+                        ctx = ()
+                    ev_s = parts[2]
+                    bucket = parsed.get(ev_s)
+                    if bucket is None:
+                        bucket = parsed[ev_s] = {}
+                        for ev in ev_s.split(" "):
+                            t, c = ev.split(":")
+                            bucket[int(t)] = int(c)
+                    counts[ctx] = bucket.copy()
                 else:
                     header[parts[0]] = MODEL_HEADER.get(parts[0], str)(parts[1])
             except (IndexError, ValueError):
