@@ -319,8 +319,14 @@ def evaluate(ctx, requests_path, generations_path, report_path, threshold, fmt,
 def significance(path_a, path_b, repetitions, seed):
     """Paired permutation test over two score files (one value per line)."""
     def read(path):
+        scores = []
         with open(path, encoding="utf-8") as f:
-            return [float(l) for l in f.read().split()]
+            for lineno, line in enumerate(f, 1):
+                try:
+                    scores += map(float, line.split())
+                except ValueError as e:
+                    raise FormatError(f"{path}:{lineno}: {e}") from None
+        return scores
     p = validation.permutation_test(read(path_a), read(path_b), repetitions, seed)
     click.echo(f"p-value\t{p}")
 

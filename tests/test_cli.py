@@ -274,6 +274,17 @@ def test_significance_of_empty_files_exits_5(tmp_path, capsys):
     assert "no paired scores" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scores", ["0.9\nx\n0.7\n", "0.9\n0.8 x\n0.7\n"])
+def test_significance_of_a_non_number_names_its_line(tmp_path, capsys, scores):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text(scores, encoding="utf-8")
+    b.write_text("0.9\n0.8\n0.7\n", encoding="utf-8")
+    assert main(["significance", "--a", str(a), "--b", str(b)]) == 4
+    err = capsys.readouterr().err
+    assert "a.txt:2:" in err and "'x'" in err and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def small_model(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("model")
