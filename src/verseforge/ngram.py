@@ -245,12 +245,11 @@ def sample_with_rng(model, context, temperature: float, rng) -> int:
 def save(model: NGramModel, path) -> None:
     """Write the counts, one ``C`` line per context in tuple order.
 
-    In that order a context's parent (the context one token shorter) is
-    the last context of its length written before it, when the parent
-    has a bucket; then the context's text is the parent's text and one
-    more id.  Other contexts are formatted in full.  The text of a
-    one-event bucket is memoized by its event.  Lines are written one by
-    one, so the file is never held whole in memory.
+    In that order a context's parent (one token shorter) is the last
+    context of its length written before it, if it has a bucket; then
+    the context's text is the parent's text and one more id.  The text
+    of a one-event bucket is memoized.  Lines are written one by one,
+    so the file is never held whole in memory.
     """
     with open(path, "w", encoding="utf-8") as f:
         f.write(MODEL_MAGIC + "\n")
@@ -262,16 +261,12 @@ def save(model: NGramModel, path) -> None:
         last = {}  # context length -> (context, text) last written
         single = {}  # (token, count) -> event text
         for ctx in sorted(counts):
-            n = len(ctx)
-            if n:
-                parent, parent_s = last.get(n - 1, (None, None))
-                if ctx[:-1] == parent:
-                    ctx_s = f"{parent_s},{ctx[-1]}"
-                else:
-                    ctx_s = ",".join(map(str, ctx))
-                last[n] = ctx, ctx_s
+            parent, parent_s = last.get(len(ctx) - 1, (None, None))
+            if parent and ctx[:-1] == parent:  # "" + ",5" would be ",5"
+                ctx_s = f"{parent_s},{ctx[-1]}"
             else:
-                ctx_s = ""
+                ctx_s = ",".join(map(str, ctx))
+            last[len(ctx)] = ctx, ctx_s
             bucket = counts[ctx]
             if len(bucket) == 1:
                 item, = bucket.items()
@@ -286,12 +281,12 @@ def save(model: NGramModel, path) -> None:
 def load(path, vocab: Vocab | None = None) -> NGramModel:
     """Load a count dump; refuses to pair with a mismatched vocabulary.
 
-    A context whose text, up to its last comma, is the text of a context
-    already parsed is that context's tuple and one more id; in a file
-    written by ``save`` this holds for every context whose parent has a
-    bucket.  Each distinct event text is parsed once, and every context
-    gets its own copy of the bucket.  A file is refused at the same
-    lines as with each line parsed on its own.
+    A context whose text up to its last comma is the text of the last
+    context parsed with a text that long extends that context's tuple by
+    one id; in a file written by ``save`` this holds for every context
+    whose parent has a bucket.  Each distinct event text is parsed once,
+    and every context gets a bucket of its own.  The same lines are
+    refused as when each line is parsed on its own.
     """
     with open(path, encoding="utf-8") as f:
         if f.readline().rstrip("\n") != MODEL_MAGIC:
@@ -300,11 +295,9 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
         counts = {}
         # text length -> (text, context) last parsed.  In tuple order the
         # contexts between a parent and its child extend the parent, so
-        # their texts are longer: the parent is still the entry of its
-        # text's length.  The empty context is never an entry, so ",5"
-        # does not parse.
+        # their texts are longer and the parent's entry is still there.
         last = {}
-        parsed = {}  # event text -> the bucket first parsed from it
+        parsed = {}  # event text -> the bucket first parsed from it, unchanged
         for lineno, line in enumerate(f, 2):
             line = line.rstrip("\n")
             if not line:
@@ -313,16 +306,14 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
             try:
                 if parts[0] == "C":
                     ctx_s = parts[1]
-                    if ctx_s:
-                        cut = ctx_s.rfind(",")
-                        parent_s, parent = last.get(cut, (None, None))
-                        if ctx_s[:cut] == parent_s:
-                            ctx = parent + (int(ctx_s[cut + 1:]),)
-                        else:
-                            ctx = tuple([int(x) for x in ctx_s.split(",")])
-                        last[len(ctx_s)] = ctx_s, ctx
+                    cut = ctx_s.rfind(",")
+                    parent_s, parent = last.get(cut, (None, None))
+                    # the empty context is nobody's parent: ",5" is refused
+                    if cut > 0 and ctx_s[:cut] == parent_s:
+                        ctx = parent + (int(ctx_s[cut + 1:]),)
                     else:
-                        ctx = ()
+                        ctx = tuple([int(x) for x in ctx_s.split(",")]) if ctx_s else ()
+                    last[len(ctx_s)] = ctx_s, ctx
                     ev_s = parts[2]
                     bucket = parsed.get(ev_s)
                     if bucket is None:
@@ -330,7 +321,9 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
                         for ev in ev_s.split(" "):
                             t, c = ev.split(":")
                             bucket[int(t)] = int(c)
-                    counts[ctx] = bucket.copy()
+                    else:
+                        bucket = bucket.copy()
+                    counts[ctx] = bucket
                 else:
                     header[parts[0]] = MODEL_HEADER.get(parts[0], str)(parts[1])
             except (IndexError, ValueError):
