@@ -262,7 +262,7 @@ def save(model: NGramModel, path) -> None:
         single = {}  # (token, count) -> event text
         for ctx in sorted(counts):
             parent, parent_s = last.get(len(ctx) - 1, (None, None))
-            if parent and ctx[:-1] == parent:  # "" + ",5" would be ",5"
+            if parent and ctx[:-1] == parent:  # (5,) is "5", not "" + ",5"
                 ctx_s = f"{parent_s},{ctx[-1]}"
             else:
                 ctx_s = ",".join(map(str, ctx))
