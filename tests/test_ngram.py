@@ -493,7 +493,7 @@ def test_save_and_load_match_the_per_line_reference(tmp_path_factory, case, extr
         assert_same_model(ngram.load(path), reference_load(path))
 
     # buckets are the loaded model's own: adding a sequence counts it in
-    # once per context, as in a model counted from scratch
+    # once per context, as in a model counted afresh
     loaded.add_sequence(extra)
     model.add_sequence(extra)
     assert loaded.counts == model.counts
