@@ -90,6 +90,22 @@ def test_train_lm_logs_held_out_perplexity(mini_corpus, tmp_path, capsys, caplog
     assert not any("held-out perplexity" in m for m in messages)
 
 
+# train-lm's log line on the first 80 fixture poems at order 6, pinned
+CONTEXTS_PER_ORDER = "contexts per order: 1:1 2:67 3:374 4:878 5:1455 6:2053"
+
+
+def test_train_lm_logs_contexts_per_order(mini_corpus, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="verseforge")
+    vocab_path = tmp_path / "uni.vocab"
+    assert main(["train-tokenizer", "--corpus", str(mini_corpus),
+                 "--kind", "unicode", "--out", str(vocab_path)]) == 0
+    assert main(["train-lm", "--corpus", str(mini_corpus), "--vocab", str(vocab_path),
+                 "--order", "6", "--test-fraction", "0.1",
+                 "--out", str(tmp_path / "uni.ngram")]) == 0
+    messages = [r.getMessage() for r in caplog.records if r.name == "verseforge.cli"]
+    assert messages[0] == CONTEXTS_PER_ORDER
+
+
 def test_full_pipeline(mini_corpus, tmp_path, capsys):
     vocab = tmp_path / "uni.vocab"
     model = tmp_path / "uni.ngram"
