@@ -323,9 +323,13 @@ def significance(path_a, path_b, repetitions, seed):
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
                 try:
-                    scores += map(float, line.split())
+                    values = [float(v) for v in line.split()]
                 except ValueError as e:
                     raise FormatError(f"{path}:{lineno}: {e}") from None
+                if len(values) > 1:
+                    raise FormatError(
+                        f"{path}:{lineno}: {len(values)} values; expected one score per line")
+                scores += values
         return scores
     p = validation.permutation_test(read(path_a), read(path_b), repetitions, seed)
     click.echo(f"p-value\t{p}")

@@ -301,6 +301,16 @@ def test_significance_of_a_non_number_names_its_line(tmp_path, capsys, scores):
     assert "a.txt:2:" in err and "'x'" in err and "Traceback" not in err
 
 
+def test_significance_refuses_two_values_on_one_line(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("0.9\n0.8 0.7\n0.6\n", encoding="utf-8")
+    b.write_text("0.9\n0.8\n0.7\n0.6\n", encoding="utf-8")
+    assert main(["significance", "--a", str(a), "--b", str(b)]) == 4
+    err = capsys.readouterr().err
+    assert "a.txt:2:" in err and "one score per line" in err and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def small_model(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("model")
