@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from collections import Counter
 from contextlib import nullcontext
 
 import click
@@ -154,9 +153,8 @@ def train_lm(ctx, corpus_path, vocab_path, order, discount, test_fraction, seed,
     with open(out, "a", encoding="utf-8") as f:
         f.write(f"config\t{json.dumps(_config(ctx))}\n")
     click.echo(f"order-{order} model over {model.vocab_size} tokens -> {out}")
-    per_order = Counter(len(c) + 1 for c in model.counts)
     log.info("contexts per order: %s",
-             " ".join(f"{k}:{per_order[k]}" for k in sorted(per_order)))
+             " ".join(f"{k}:{n}" for k, n in enumerate(model.contexts_per_length(), 1) if n))
     if held_out:
         log.info("held-out perplexity %.4f over %d strophes",
                  model.perplexity(sequences(held_out)), len(held_out))

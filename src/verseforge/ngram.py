@@ -4,6 +4,23 @@ Any object with ``vocab_size`` and ``next_dist(context) -> ndarray`` can
 drive the decoders; the in-repo implementation is an n-gram model with
 interpolated absolute discounting.
 
+The counts are held in flat arrays, the reverse-trie layout of KenLM's
+``trie`` store (Heafield 2011, "KenLM: Faster and Smaller Language Model
+Queries").  Each node is a context in a trie of reversed contexts: the
+children of the node of ``ctx`` are the nodes of ``(t,) + ctx``.  Nodes
+are numbered breadth first, each node's children contiguous and sorted
+by ``t``, so one backoff level of a lookup is one ``bisect`` over an
+``array`` of child tokens.  A node holds a bucket id, or -1 when its
+context has no counts; a bucket holds an offset into the event arrays
+(token ids sorted ascending, with their counts) and its total.  The node
+set holds every substring of every context with counts, so contexts
+missing from a hand-built model get event-free nodes.  ``train``
+numbers the nodes straight from the token arrays, ``load`` from one
+record per file line with the buckets of equal event strings shared,
+and hand-built models come from a dict through ``NGramModel.from_counts``.
+``NGramModel.counts`` is a read-only ``Mapping`` view of the counts in
+tuple order; each lookup returns a new dict.
+
 Sampling draws from a table built once per row: the cumulative
 distribution of the normalised (tempered) row, searched with one
 ``rng.random()``.  That is the algorithm of ``Generator.choice(len(q),
@@ -14,23 +31,26 @@ by trailing context and temperature, in a least-recently-used cache of
 at most ``TABLE_CACHE_BYTES`` of table data (8 bytes per vocabulary
 entry per table); other models get a table built per draw.
 
-A row is built level by level, from the empty context up to the longest
-known suffix of the context: each level with counts scales the row by
-its backoff weight and adds its discounted counts in place.  The levels
-of the last ``SHARED_SUFFIX_LEN`` tokens, short of the whole context,
-depend only on those tokens, so every context that ends in them shares
-one read-only partial row.  These rows live in the same cache
-and byte budget as the tables, under ``(suffix, None)``; the row of the
-empty context, which every context shares, is kept apart and never
-evicted.  ``add_sequence`` drops both.  The arithmetic is that of a
-fresh row per level, operation for operation, so rows are bit-identical
-to it, and ``next_dist`` always returns a row the caller owns.
+A row is built level by level, from the root down to the deepest node on
+the context's path: each level with counts scales the row by its backoff
+weight and adds its discounted counts in place.  The levels of the last
+``SHARED_SUFFIX_LEN`` tokens, short of the whole context, depend only on
+those tokens, so every context that ends in them shares one read-only
+partial row.  These rows live in the same cache and byte budget as the
+tables, under ``(node, None)``; the row of the empty context, which every
+context shares, is kept apart and never evicted.  ``add_sequence`` drops
+both.  The arithmetic is that of a fresh row per level, operation for
+operation, so rows are bit-identical to it, and ``next_dist`` always
+returns a row the caller owns.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, OrderedDict
+from array import array
+from bisect import bisect_left
+from collections import OrderedDict
+from collections.abc import ItemsView, Mapping
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +82,316 @@ class NGramError(ValueError):
     pass
 
 
+def _ints(a) -> array:
+    out = array("q")
+    out.frombytes(memoryview(np.ascontiguousarray(a, np.int64)).cast("B"))
+    return out
+
+
+def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted values that ``x`` may hold and the rank in them of each
+    entry; every value from the least to the greatest when that range is
+    no longer than ``x``."""
+    lo, hi = (int(x.min()), int(x.max())) if len(x) else (0, -1)
+    if hi - lo <= len(x):
+        return np.arange(lo, hi + 1), x - lo
+    return np.unique(x, return_inverse=True)
+
+
+class _Numbering:
+    """Numbers the contexts of some items as trie nodes, one depth at a
+    time.  Each step moves some items one token deeper; the nodes it makes
+    are numbered in order of (parent, token), which is breadth-first order
+    with each node's children contiguous and sorted by token."""
+
+    def __init__(self, n_items: int, values: np.ndarray):
+        self.values = values  # sorted distinct tokens; steps give ranks into it
+        self.node = np.zeros(n_items, np.int64)
+        self.keys = []  # per depth: parent * len(values) + token rank
+        self.starts = [0, 1]  # first node of each depth, then the node count
+
+    def step(self, items: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        keys, inverse = np.unique(self.node[items] * len(self.values) + ranks,
+                                  return_inverse=True)
+        nodes = self.starts[-1] + inverse
+        self.node[items] = nodes
+        self.keys.append(keys)
+        self.starts.append(self.starts[-1] + len(keys))
+        return nodes
+
+    def trie(self, bucket, ev_off, total, ev_id, ev_count) -> _Trie:
+        parents, ranks = np.divmod(np.concatenate([np.zeros(0, np.int64)] + self.keys),
+                                   max(len(self.values), 1))
+        return _Trie.of(self.starts, parents, self.values[ranks], bucket,
+                        ev_off, total, ev_id, ev_count)
+
+
+class _Trie:
+    """The counts as arrays; see the module docstring."""
+
+    def __init__(self, kids, tok, bucket, starts, ev_off, total, ev_id, ev_count):
+        self.kids = kids  # node -> its first child; kids[node + 1] ends the run
+        self.tok = tok  # node -> first id of its context (the root's is unused)
+        self.bucket = bucket  # node -> bucket id, or -1
+        self.starts = starts  # depth -> its first node, then the node count
+        self.ev_off = ev_off  # bucket -> its first event; ev_off[b + 1] ends it
+        self.total = total  # bucket -> sum of its counts, as a float
+        self.ev_id = ev_id
+        self.ev_count = ev_count
+        self.size = int(np.count_nonzero(np.frombuffer(bucket, np.int64) >= 0))
+
+    @classmethod
+    def of(cls, starts, parents, tok, bucket, ev_off, total, ev_id, ev_count) -> _Trie:
+        """The trie of nodes numbered breadth first, given the parent and
+        token of each node but the root."""
+        kids = 1 + np.searchsorted(parents, np.arange(starts[-1] + 1))
+        return cls(_ints(kids), _ints(np.concatenate([np.zeros(1, np.int64), tok])),
+                   _ints(bucket), starts, ev_off, total, ev_id, ev_count)
+
+    @classmethod
+    def from_sequences(cls, sequences, order: int) -> tuple[_Trie, int]:
+        """The counts of every position of ``sequences`` after each of its
+        contexts up to ``order - 1`` ids; also the number of sequences.
+        The context ``k`` ids long of a position is its parent context's
+        node stepped by the id ``k`` places back."""
+        ids, lengths = array("q"), []
+        for seq in sequences:
+            ids.extend(seq)
+            lengths.append(len(seq))
+        ids = np.frombuffer(ids, np.int64)
+        lengths = np.array(lengths, np.int64)
+        pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        values, ranks = _ranks(ids)
+        width = max(len(values), 1)
+        numbering = _Numbering(len(ids), values)
+        events = [np.unique(ranks, return_counts=True)]
+        items = np.arange(len(ids))
+        for k in range(1, order):
+            items = items[pos[items] >= k]
+            if not len(items):
+                break
+            nodes = numbering.step(items, ranks[items - k])
+            events.append(np.unique(nodes * width + ranks[items], return_counts=True))
+        ev_node, ev_rank = np.divmod(np.concatenate([e[0] for e in events]), width)
+        ev_count = np.concatenate([e[1] for e in events])
+        n = numbering.starts[-1]
+        ev_off = np.searchsorted(ev_node, np.arange(n + 1))
+        bucket = np.where(ev_off[1:] > ev_off[:-1], np.arange(n), -1)
+        total = np.bincount(ev_node, weights=ev_count, minlength=n)
+        trie = numbering.trie(bucket, _ints(ev_off), array("d", total.tobytes()),
+                              _ints(values[ev_rank]), _ints(ev_count))
+        return trie, len(lengths)
+
+    def walk(self, ctx) -> list[int]:
+        """Nodes of ``ctx[len(ctx) - k:]`` for k = 0, 1, ... while they exist."""
+        kids, tok = self.kids, self.tok
+        node, path = 0, [0]
+        for t in reversed(ctx):
+            lo, hi = kids[node], kids[node + 1]
+            node = bisect_left(tok, t, lo, hi)
+            if node == hi or tok[node] != t:
+                break
+            path.append(node)
+        return path
+
+    def events(self, b: int) -> dict[int, int]:
+        o, e = self.ev_off[b], self.ev_off[b + 1]
+        return dict(zip(self.ev_id[o:e], self.ev_count[o:e]))
+
+    def contexts_per_length(self) -> list[int]:
+        has = np.frombuffer(self.bucket, np.int64) >= 0
+        starts = self.starts
+        return [int(np.count_nonzero(has[starts[d]:starts[d + 1]]))
+                for d in range(len(starts) - 1)]
+
+    def tuple_order(self):
+        """Every node in tuple order of its context, with the context's
+        length and last id.  A context sorts by its first id, then by the
+        rest, which is its trie parent; so ranking the nodes up to each
+        depth by (token, parent's rank among the shallower nodes) ranks
+        them all.  As the node set holds every prefix of a context, each
+        context's prefix one id shorter comes right before its subtree."""
+        kids = np.frombuffer(self.kids, np.int64)
+        tok = np.frombuffer(self.tok, np.int64)
+        starts = self.starts
+        n = len(tok)
+        parent = np.repeat(np.arange(n), np.diff(kids))  # of nodes 1 .. n - 1
+        depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        last = tok.copy()
+        for d in range(2, len(starts) - 1):
+            last[starts[d]:starts[d + 1]] = last[parent[starts[d] - 1:starts[d + 1] - 1]]
+        ranks = _ranks(tok[1:])[1]
+        rank = np.zeros(n, np.int64)
+        for d in range(1, len(starts) - 1):
+            end = starts[d + 1]
+            key = ranks[:end - 1] * end + rank[parent[:end - 1]]
+            rank[1 + np.argsort(key)] = np.arange(1, end)
+        order = np.empty(n, np.int64)
+        order[rank] = np.arange(n)
+        return order, depth[order], last[order]
+
+    def items(self):
+        """``(context, bucket dict)`` of every context with counts, in tuple
+        order."""
+        order, depth, last = self.tuple_order()
+        bucket = self.bucket
+        ctxs = [()] * len(self.starts)
+        for node, d, t in zip(order.tolist(), depth.tolist(), last.tolist()):
+            ctx = ctxs[d] = ctxs[d - 1] + (t,) if d else ()
+            if bucket[node] >= 0:
+                yield ctx, self.events(bucket[node])
+
+
+class _Records:
+    """Contexts and buckets in the order they are read: each context a
+    record that extends an earlier record (its context without the last
+    id) by one id; each bucket its events sorted by id."""
+
+    def __init__(self):
+        self.parent = array("q")
+        self.last = array("q")
+        self.depth = array("q")
+        self.bucket = array("q")
+        self.ev_off = array("q", [0])
+        self.total = array("d")
+        self.ev_id = array("q")
+        self.ev_count = array("q")
+        self.regular = True  # each context extends a record read before it
+
+    def add_bucket(self, bucket: dict[int, int]) -> int:
+        """The id of a new bucket; ``OverflowError`` when an id or count
+        does not fit in 64 bits."""
+        for t in sorted(bucket):
+            self.ev_id.append(t)
+            self.ev_count.append(bucket[t])
+        self.ev_off.append(len(self.ev_id))
+        self.total.append(float(sum(bucket.values())))
+        return len(self.total) - 1
+
+    def add(self, parent: int, token: int, depth: int, bucket: int) -> int:
+        self.parent.append(parent)
+        self.last.append(token)
+        self.depth.append(depth)
+        self.bucket.append(bucket)
+        return len(self.last) - 1
+
+    def add_context(self, ctx: Sequence[int], bucket: int) -> int:
+        """Record ``ctx`` with its prefixes, which get no bucket."""
+        parent = -1
+        self.regular = self.regular and len(ctx) < 2
+        for d in range(1, len(ctx)):
+            parent = self.add(parent, ctx[d - 1], d, -1)
+        return self.add(parent, ctx[-1] if ctx else 0, len(ctx), bucket)
+
+    def trie(self) -> _Trie:
+        return (self.regular and self._distinct_closed_trie()) or self._numbered_trie()
+
+    def _distinct_closed_trie(self) -> _Trie | None:
+        """The trie in one pass per depth, when each record holds a context
+        of its own whose suffix one id shorter is held too, as in a file
+        written by ``save``; None otherwise.  The nodes of a depth sort by
+        reversed context, that is by (last id, the prefix's rank at the
+        depth above).  The suffix of a context is the node of the depth
+        above keyed (last id, the rank of the prefix's suffix)."""
+        parent = np.frombuffer(self.parent, np.int64)
+        depth = np.frombuffer(self.depth, np.int64)
+        values, ranks = _ranks(np.frombuffer(self.last, np.int64))
+        per_depth = np.bincount(depth, minlength=1)
+        if per_depth[0] > 1 or not per_depth[1:].all():
+            return None
+        by_depth = np.argsort(depth, kind="stable")
+        offsets = np.cumsum(per_depth)
+        node = np.zeros(len(depth), np.int64)
+        suffix = np.zeros(len(depth), np.int64)  # node of the context without its first id
+        first = ranks.copy()  # rank of each context's first id
+        n = 1 + len(depth) - per_depth[0]
+        parents, toks = np.empty(n - 1, np.int64), np.empty(n - 1, np.int64)
+        starts = [0, 1]
+        keys = None
+        for d in range(1, len(per_depth)):
+            recs = by_depth[offsets[d - 1]:offsets[d]]
+            key = ranks[recs]
+            if d > 1:
+                key = key * (starts[d] - starts[d - 1]) + node[parent[recs]] - starts[d - 1]
+            order = np.argsort(key)
+            recs, key = recs[order], key[order]
+            if (key[1:] == key[:-1]).any():
+                return None
+            if d > 1:
+                # ascending, as the suffix's reversed context leads the context's
+                prefix = parent[recs]
+                query = (ranks[recs] * (starts[d - 1] - starts[d - 2])
+                         + suffix[prefix] - starts[d - 2])
+                at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+                if (keys[at] != query).any():
+                    return None
+                suffix[recs] = starts[d - 1] + at
+                first[recs] = first[prefix]
+            keys = key
+            starts.append(starts[d] + len(recs))
+            node[recs] = np.arange(starts[d], starts[d + 1])
+            parents[starts[d] - 1:starts[d + 1] - 1] = suffix[recs]
+            toks[starts[d] - 1:starts[d + 1] - 1] = values[first[recs]]
+        bucket = np.full(n, -1, np.int64)
+        bucket[node] = np.frombuffer(self.bucket, np.int64)
+        del node, suffix, first, ranks, by_depth
+        return _Trie.of(starts, parents, toks, bucket,
+                        self.ev_off, self.total, self.ev_id, self.ev_count)
+
+    def _numbered_trie(self) -> _Trie:
+        """Records that share a context share its node; of those with a
+        bucket, the last one read gives the node its bucket.  The id of a
+        record's context ``k`` places back is the last id of its ancestor
+        ``k - 1`` records up."""
+        parent, depth = np.frombuffer(self.parent, np.int64), np.frombuffer(self.depth, np.int64)
+        values, ranks = _ranks(np.frombuffer(self.last, np.int64))
+        numbering = _Numbering(len(depth), values)
+        items, up = np.flatnonzero(depth > 0), np.arange(len(depth))
+        k = 1
+        while len(items):
+            at = up[items]
+            numbering.step(items, ranks[at])
+            up[items] = parent[at]
+            k += 1
+            items = items[depth[items] >= k]
+        rec_bucket = np.frombuffer(self.bucket, np.int64)
+        with_bucket = np.flatnonzero(rec_bucket >= 0)[::-1]
+        nodes, latest = np.unique(numbering.node[with_bucket], return_index=True)
+        bucket = np.full(numbering.starts[-1], -1, np.int64)
+        bucket[nodes] = rec_bucket[with_bucket[latest]]
+        return numbering.trie(bucket, self.ev_off, self.total, self.ev_id, self.ev_count)
+
+
+class Counts(Mapping):
+    """Read-only view of a model's counts, context tuple -> {token id:
+    count}, iterated in tuple order.  Each lookup returns a new dict."""
+
+    def __init__(self, trie: _Trie):
+        self._trie = trie
+
+    def __len__(self) -> int:
+        return self._trie.size
+
+    def __getitem__(self, ctx) -> dict[int, int]:
+        trie = self._trie
+        if isinstance(ctx, tuple):
+            path = trie.walk(ctx)
+            if len(path) == len(ctx) + 1 and trie.bucket[path[-1]] >= 0:
+                return trie.events(trie.bucket[path[-1]])
+        raise KeyError(ctx)
+
+    def __iter__(self):
+        return (ctx for ctx, _ in self._trie.items())
+
+    def items(self):
+        return _CountItems(self)
+
+
+class _CountItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._trie.items()
+
+
 class NGramModel:
     """Interpolated absolute-discounting n-gram model over token ids."""
 
@@ -75,82 +405,92 @@ class NGramModel:
         self.vocab_size = vocab_size
         self.vocab_hash = vocab_hash
         self.discount = discount
-        # context tuple (length < order) -> {token id: count}
-        self.counts: dict[tuple[int, ...], dict[int, int]] = {}
+        self._trie = _Records().trie()
         # (trailing context, temperature) -> sampling table, and
-        # (short suffix, None) -> shared row; least recently used first
+        # (node, None) -> shared row; least recently used first
         self._tables: OrderedDict = OrderedDict()
         # the shared row of the empty context, held outside the cache
         self._base: np.ndarray | None = None
 
-    def add_sequence(self, ids: Sequence[int]) -> None:
-        self._add([ids])
+    @classmethod
+    def from_counts(cls, counts: Mapping, order: int, vocab_size: int,
+                    vocab_hash: str = "", discount: float = DEFAULT_DISCOUNT) -> NGramModel:
+        """A model holding ``counts``, context tuple -> {token id: count}."""
+        model = cls(order, vocab_size, vocab_hash, discount)
+        model._set_counts(counts)
+        return model
 
-    def _add(self, sequences) -> int:
-        """Count ``sequences`` in; the number of sequences.
-
-        Each distinct window of ``order`` tokens is counted once over all
-        sequences, where a window at a sequence start is the shorter
-        prefix; then its count goes to the bucket of every suffix of its
-        context.  Popping the windows frees them while the buckets grow.
-        """
-        order = self.order
-        windows = Counter()
-        n = 0
-        for seq in sequences:
-            ids = tuple(seq)
-            windows.update(ids[:k] for k in range(1, min(order - 1, len(ids)) + 1))
-            windows.update(zip(*(ids[k:] for k in range(order))))
-            n += 1
-        counts = self.counts
-        while windows:
-            window, c = windows.popitem()
-            token = window[-1]
-            for k in range(len(window)):
-                bucket = counts.setdefault(window[k:-1], {})
-                bucket[token] = bucket.get(token, 0) + c
+    def _set_counts(self, counts: Mapping) -> None:
+        records = _Records()
+        for ctx, bucket in counts.items():
+            records.add_context(ctx, records.add_bucket(bucket))
+        self._trie = records.trie()
         self._tables.clear()
         self._base = None
-        return n
+
+    @property
+    def counts(self) -> Counts:
+        return Counts(self._trie)
+
+    def contexts_per_length(self) -> list[int]:
+        """Number of contexts with counts, by context length."""
+        return self._trie.contexts_per_length()
+
+    def add_sequence(self, ids: Sequence[int]) -> None:
+        """Count ``ids`` in; the store is rebuilt."""
+        counts = dict(self.counts.items())
+        ids = tuple(ids)
+        for i, token in enumerate(ids):
+            for k in range(min(self.order, i + 1)):
+                bucket = counts.setdefault(ids[i - k:i], {})
+                bucket[token] = bucket.get(token, 0) + 1
+        self._set_counts(counts)
 
     def _context(self, context: Sequence[int]) -> tuple[int, ...]:
         return tuple(context[-(self.order - 1):]) if self.order > 1 else ()
 
-    def _level(self, p: np.ndarray, sub: tuple[int, ...]) -> np.ndarray:
-        """``p`` blended with the discounted counts of context ``sub`` (``p``
-        itself when ``sub`` has no bucket), as a new row."""
-        bucket = self.counts.get(sub)
-        if not bucket:
+    def _level(self, p: np.ndarray, node: int, ctx: tuple[int, ...], k: int) -> np.ndarray:
+        """``p`` blended with the discounted counts of ``node``, the node of
+        ``ctx[len(ctx) - k:]`` (``p`` itself when it has no counts), as a
+        new row."""
+        trie = self._trie
+        b = trie.bucket[node]
+        if b < 0:
             return p
-        if min(bucket) < 0 or max(bucket) >= self.vocab_size:
+        o, e = trie.ev_off[b], trie.ev_off[b + 1]
+        if o == e:
+            return p
+        ids, counts = trie.ev_id, trie.ev_count
+        if ids[o] < 0 or ids[e - 1] >= self.vocab_size:
             raise NGramError(
                 f"token id out of range [0, {self.vocab_size}) after context "
-                f"{list(sub)}: {sorted(bucket)}")
-        if min(bucket.values()) < 1:
-            raise NGramError(f"count below 1 after context {list(sub)}")
+                f"{list(ctx[len(ctx) - k:])}: {list(ids[o:e])}")
+        if (counts[o] if e - o == 1 else min(counts[o:e])) < 1:
+            raise NGramError(f"count below 1 after context {list(ctx[len(ctx) - k:])}")
         d = self.discount
-        total = sum(bucket.values())
-        p = (d * len(bucket) / total) * p
-        for t, c in bucket.items():
-            p[t] = (c - d if c > d else 0.0) / total + p[t]
+        total = trie.total[b]
+        p = (d * (e - o) / total) * p
+        for i in range(o, e):
+            t = ids[i]
+            p[t] = (counts[i] - d) / total + p[t]
         return p
 
-    def _shared_row(self, suffix: tuple[int, ...]) -> np.ndarray:
-        """Read-only row after the levels of ``suffix`` and of its shorter
-        suffixes, memoized beside the tables."""
-        if not suffix:
+    def _shared_row(self, ctx: tuple[int, ...], path: list[int], j: int) -> np.ndarray:
+        """Read-only row after the levels of ``path[:j + 1]``, memoized
+        beside the tables."""
+        if not j:
             if self._base is None:
                 uniform = np.full(self.vocab_size, 1.0 / self.vocab_size)
-                self._base = self._level(uniform, ())
+                self._base = self._level(uniform, 0, ctx, 0)
                 self._base.flags.writeable = False
             return self._base
-        key = (suffix, None)
+        key = (path[j], None)
         tables = self._tables
         row = tables.get(key)
         if row is not None:
             tables.move_to_end(key)
             return row
-        row = self._level(self._shared_row(suffix[1:]), suffix)
+        row = self._level(self._shared_row(ctx, path, j - 1), path[j], ctx, j)
         row.flags.writeable = False
         self._remember(key, row)
         return row
@@ -158,11 +498,11 @@ class NGramModel:
     def next_dist(self, context: Sequence[int]) -> np.ndarray:
         """Distribution over the vocabulary given trailing context ids."""
         ctx = self._context(context)
-        n = len(ctx)
-        shared = min(SHARED_SUFFIX_LEN, max(n - 1, 0))
-        p = self._shared_row(ctx[n - shared:])
-        for k in range(shared + 1, n + 1):
-            p = self._level(p, ctx[n - k:])
+        path = self._trie.walk(ctx)
+        j = min(SHARED_SUFFIX_LEN, max(len(ctx) - 1, 0), len(path) - 1)
+        p = self._shared_row(ctx, path, j)
+        for k in range(j + 1, len(path)):
+            p = self._level(p, path[k], ctx, k)
         return p if p.flags.writeable else p.copy()
 
     def _remember(self, key, value) -> None:
@@ -203,7 +543,8 @@ def train(sequences, order: int, vocab: Vocab,
           discount: float = DEFAULT_DISCOUNT) -> NGramModel:
     """Exact n-gram counting over id sequences (append EOS beforehand)."""
     model = NGramModel(order, len(vocab), vocab.content_hash(), discount)
-    if not model._add(sequences):
+    model._trie, n = _Trie.from_sequences(sequences, order)
+    if not n:
         raise NGramError("cannot train on an empty corpus")
     return model
 
@@ -245,89 +586,116 @@ def sample_with_rng(model, context, temperature: float, rng) -> int:
 def save(model: NGramModel, path) -> None:
     """Write the counts, one ``C`` line per context in tuple order.
 
-    In that order a context's parent (one token shorter) is the last
-    context of its length written before it, if it has a bucket; then
-    the context's text is the parent's text and one more id.  The text
-    of a one-event bucket is memoized.  Lines are written one by one,
-    so the file is never held whole in memory.
+    In that order a context's prefix one id shorter is the last context of
+    its length before it, so its text is that prefix's text and one more
+    id.  Each bucket's event text is formatted once, and the text of a
+    one-event bucket is shared by equal events.  Lines are written one by
+    one, so the file is never held whole in memory.
     """
+    trie = model._trie
+    order, depth, last = trie.tuple_order()
+    bucket, ev_off, ev_id, ev_count = trie.bucket, trie.ev_off, trie.ev_id, trie.ev_count
+    texts = [""] * len(trie.starts)
+    ev_texts = [None] * len(trie.total)
+    single = {}  # (token, count) -> event text
     with open(path, "w", encoding="utf-8") as f:
         f.write(MODEL_MAGIC + "\n")
         f.write(f"order\t{model.order}\n")
         f.write(f"discount\t{model.discount!r}\n")
         f.write(f"vocab_size\t{model.vocab_size}\n")
         f.write(f"vocab_hash\t{model.vocab_hash}\n")
-        counts = model.counts
-        last = {}  # context length -> (context, text) last written
-        single = {}  # (token, count) -> event text
-        for ctx in sorted(counts):
-            parent, parent_s = last.get(len(ctx) - 1, (None, None))
-            if parent and ctx[:-1] == parent:  # (5,) is "5", not "" + ",5"
-                ctx_s = f"{parent_s},{ctx[-1]}"
+        for node, d, t in zip(order.tolist(), depth.tolist(), last.tolist()):
+            if d:
+                ctx_s = texts[d] = f"{texts[d - 1]},{t}" if d > 1 else str(t)
             else:
-                ctx_s = ",".join(map(str, ctx))
-            last[len(ctx)] = ctx, ctx_s
-            bucket = counts[ctx]
-            if len(bucket) == 1:
-                item, = bucket.items()
-                ev = single.get(item)
-                if ev is None:
-                    ev = single[item] = f"{item[0]}:{item[1]}"
-            else:
-                ev = " ".join([f"{t}:{c}" for t, c in sorted(bucket.items())])
+                ctx_s = ""
+            b = bucket[node]
+            if b < 0:
+                continue
+            ev = ev_texts[b]
+            if ev is None:
+                o, e = ev_off[b], ev_off[b + 1]
+                if e - o == 1:
+                    item = ev_id[o], ev_count[o]
+                    ev = single.get(item)
+                    if ev is None:
+                        ev = single[item] = f"{item[0]}:{item[1]}"
+                else:
+                    ev = " ".join([f"{ev_id[i]}:{ev_count[i]}" for i in range(o, e)])
+                ev_texts[b] = ev
             f.write(f"C\t{ctx_s}\t{ev}\n")
 
 
 def load(path, vocab: Vocab | None = None) -> NGramModel:
     """Load a count dump; refuses to pair with a mismatched vocabulary.
 
-    A context whose text up to its last comma is the text of the last
-    context parsed with a text that long extends that context's tuple by
-    one id; in a file written by ``save`` this holds for every context
-    whose parent has a bucket.  Each distinct event text is parsed once,
-    and every context gets a bucket of its own.  The same lines are
-    refused as when each line is parsed on its own.
+    Each ``C`` line becomes a record.  A context whose text up to its last
+    comma is the text of the last context read with a text that long
+    extends that context's record by one id; in a file written by ``save``
+    this holds for every context of two or more ids.  Any other context
+    is parsed in full.  Each distinct event text is parsed into a bucket
+    once, and every line with that text shares it.  The same lines are
+    refused as when each line is parsed on its own, and also an id or
+    count that does not fit in 64 bits.
     """
+    records = _Records()
+    add_bucket, add_context = records.add_bucket, records.add_context
+    parents, lasts, depths, rec_buckets = (records.parent.append, records.last.append,
+                                           records.depth.append, records.bucket.append)
     with open(path, encoding="utf-8") as f:
         if f.readline().rstrip("\n") != MODEL_MAGIC:
             raise NGramError(f"{path}: not a verseforge n-gram model")
         header = {}
-        counts = {}
-        # text length -> (text, context) last parsed.  In tuple order the
-        # contexts between a parent and its child extend the parent, so
+        # text length -> (text, record, depth) last read.  In tuple order
+        # the contexts between a parent and its child extend the parent, so
         # their texts are longer and the parent's entry is still there.
         last = {}
-        parsed = {}  # event text -> the bucket first parsed from it, unchanged
+        no_parent = "\n", -1, 0  # no context text holds a newline
+        buckets = {}  # event text -> bucket id
+        rec = -1  # the last record
         for lineno, line in enumerate(f, 2):
-            line = line.rstrip("\n")
-            if not line:
+            if line == "\n":
                 continue
+            # a ``C`` line keeps its newline: it ends the last count, which
+            # int() reads as it reads the count alone
             parts = line.split("\t")
             try:
                 if parts[0] == "C":
-                    ctx_s = parts[1]
-                    cut = ctx_s.rfind(",")
-                    parent_s, parent = last.get(cut, (None, None))
-                    # the empty context is nobody's parent: ",5" is refused
-                    if cut > 0 and ctx_s[:cut] == parent_s:
-                        ctx = parent + (int(ctx_s[cut + 1:]),)
-                    else:
-                        ctx = tuple([int(x) for x in ctx_s.split(",")]) if ctx_s else ()
-                    last[len(ctx_s)] = ctx_s, ctx
-                    ev_s = parts[2]
-                    bucket = parsed.get(ev_s)
-                    if bucket is None:
-                        bucket = parsed[ev_s] = {}
+                    ctx_s, ev_s = parts[1], parts[2]
+                    b = buckets.get(ev_s)
+                    if b is None:
+                        bucket = {}
                         for ev in ev_s.split(" "):
                             t, c = ev.split(":")
                             bucket[int(t)] = int(c)
+                    cut = ctx_s.rfind(",")
+                    parent_s, parent, depth = last.get(cut, no_parent)
+                    # the empty context is nobody's parent: ",5" is refused
+                    if cut > 0 and ctx_s.startswith(parent_s):
+                        token = int(ctx_s[cut + 1:])
+                        if b is None:
+                            b = buckets[ev_s] = add_bucket(bucket)
+                        depth += 1
+                        parents(parent)
+                        lasts(token)
+                        depths(depth)
+                        rec_buckets(b)
+                        rec += 1
                     else:
-                        bucket = bucket.copy()
-                    counts[ctx] = bucket
+                        ctx = [int(x) for x in ctx_s.split(",")] if ctx_s else []
+                        if b is None:
+                            b = buckets[ev_s] = add_bucket(bucket)
+                        rec = add_context(ctx, b)
+                        depth = len(ctx)
+                    last[len(ctx_s)] = ctx_s, rec, depth
                 else:
+                    parts = line.rstrip("\n").split("\t")
                     header[parts[0]] = MODEL_HEADER.get(parts[0], str)(parts[1])
             except (IndexError, ValueError):
                 raise NGramError(f"{path}:{lineno}: malformed model line") from None
+            except OverflowError:
+                raise NGramError(f"{path}:{lineno}: an id or count does not fit "
+                                 f"in 64-bit integers") from None
     missing = [key for key in MODEL_HEADER if key not in header]
     if missing:
         raise NGramError(f"{path}: header lacks {', '.join(missing)}")
@@ -345,5 +713,5 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
         raise NGramError(
             f"{path}: vocab_size {model.vocab_size} does not match the "
             f"vocabulary's {len(vocab)} tokens")
-    model.counts = counts
+    model._trie = records.trie()
     return model

@@ -281,6 +281,21 @@ def test_generate_with_an_all_zero_bucket(small_model, tmp_path, capsys):
     assert "count below 1" in err and "Traceback" not in err
 
 
+def test_generate_with_a_count_beyond_64_bits(small_model, tmp_path, capsys):
+    vocab, model = small_model
+    lines = model.read_text(encoding="utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("C\t\t"))
+    lines[at] += f" 0:{10**400}"
+    bad_model = tmp_path / "big.ngram"
+    bad_model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["generate", "--model", str(bad_model), "--vocab", str(vocab),
+               "--scheme", "ABAB", "--year", "1900"])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert f"big.ngram:{at + 1}:" in err and "Traceback" not in err
+
+
 def test_significance_of_empty_files_exits_5(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -151,6 +152,37 @@ def test_save_load_reproduces_distributions(tmp_path, fixture_strophes):
         assert np.array_equal(loaded.next_dist(ctx), m.next_dist(ctx))
 
 
+def trie_layout(model):
+    """The node arrays of a model's store, with each node's events in
+    place of its bucket id (a loaded model shares equal buckets)."""
+    trie = model._trie
+    return (list(trie.kids), list(trie.tok), trie.starts,
+            [trie.events(b) if b >= 0 else None for b in trie.bucket])
+
+
+def test_trained_loaded_and_hand_built_models_share_one_layout(tmp_path, fixture_strophes):
+    m, _, _ = corpus_model(fixture_strophes)
+    path = tmp_path / "m.ngram"
+    ngram.save(m, path)
+    loaded = ngram.load(path)
+    built = NGramModel.from_counts(m.counts, m.order, m.vocab_size)
+    assert trie_layout(loaded) == trie_layout(built) == trie_layout(m)
+    assert len(loaded._trie.total) < len(m._trie.total)  # equal buckets are shared
+
+
+def test_counts_is_a_read_only_view_in_tuple_order(fixture_strophes):
+    m, _, _ = corpus_model(fixture_strophes)
+    keys = list(m.counts)
+    assert keys == sorted(keys) and len(keys) == len(m.counts)
+    ctx = keys[len(keys) // 2]
+    bucket = m.counts[ctx]
+    bucket.clear()
+    assert m.counts[ctx] and m.counts[ctx] is not m.counts[ctx]
+    assert (1, 2, 3, 4, 5, 6, 7) not in m.counts and [] not in m.counts
+    with pytest.raises(TypeError):
+        m.counts[ctx] = {0: 1}
+
+
 def test_load_rejects_wrong_vocab(tmp_path, fixture_strophes):
     m, vocab, _ = corpus_model(fixture_strophes)
     path = tmp_path / "m.ngram"
@@ -224,6 +256,78 @@ def test_count_below_one_is_an_ngram_error(tmp_path, events, ctx):
             model.next_dist([0])
     with pytest.raises(NGramError, match="count below 1"):
         ngram.sample_with_rng(model, [0], 1.0, np.random.default_rng(0))
+
+
+BIG = 2**63
+
+
+@pytest.mark.parametrize("line", [
+    f"C\t\t0:{BIG}", f"C\t\t{BIG}:1", f"C\t\t0:1 1:{-BIG - 1}", f"C\t\t{-BIG - 1}:1",
+    f"C\t{BIG}\t0:1", f"C\t0,{BIG}\t0:1", f"C\t1,{-BIG - 1},0\t0:1",
+], ids=["count", "id", "negative-count", "negative-id", "context", "context-tail",
+        "context-inner"])
+def test_load_refuses_ids_and_counts_beyond_64_bits(tmp_path, line):
+    path = tmp_path / "m.ngram"
+    write_model(path, HEADER, ["C\t\t0:2 1:1", "C\t0\t1:1", line])
+    with pytest.raises(NGramError, match=rf"^{path}:8: .*64-bit"):
+        ngram.load(path)
+
+
+def test_load_keeps_ids_and_counts_at_the_64_bit_bounds(tmp_path):
+    path = tmp_path / "m.ngram"
+    write_model(path, HEADER, ["C\t\t0:2 1:1", f"C\t0\t1:{BIG - 1}",
+                               f"C\t{-BIG}\t{-BIG}:1"])
+    model = ngram.load(path)
+    assert model.counts[(0,)] == {1: BIG - 1}
+    row = model.next_dist([0])
+    assert row.sum() == pytest.approx(1.0) and row[1] > 0.99
+    with pytest.raises(NGramError, match="out of range"):
+        model.next_dist([-BIG])
+
+
+def generated_model():
+    """An order-6 model of tens of thousands of contexts: 400 random
+    sequences of 60 ids over a 15-token vocabulary."""
+    vocab = tok.build_unicode_vocab(["abcdefghijkl"])
+    rng = np.random.default_rng(5)
+    seqs = [rng.integers(0, len(vocab), 60).tolist() for _ in range(400)]
+    return seqs, vocab
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+# Bytes per context of the store's arrays and of the transient state that
+# builds them.  The dict of context tuples to bucket dicts that the arrays
+# replace took over 400 bytes per context to train and to load.
+TRAIN_BYTES_PER_CONTEXT = 300
+LOAD_BYTES_PER_CONTEXT = 250
+
+
+def test_train_memory_stays_within_a_per_context_bound():
+    seqs, vocab = generated_model()
+    model, peak = traced_peak(lambda: ngram.train(seqs, 6, vocab))
+    assert len(model.counts) > 30_000
+    assert peak < TRAIN_BYTES_PER_CONTEXT * len(model.counts)
+
+
+def test_load_memory_stays_within_a_per_context_bound(tmp_path):
+    seqs, vocab = generated_model()
+    model = ngram.train(seqs, 6, vocab)
+    path = tmp_path / "m.ngram"
+    ngram.save(model, path)
+    n = len(model.counts)
+    model = None
+    loaded, peak = traced_peak(lambda: ngram.load(path, vocab))
+    assert len(loaded.counts) == n > 30_000
+    assert peak < LOAD_BYTES_PER_CONTEXT * n
 
 
 def test_table_cache_is_bounded_and_evicts_least_recently_used(monkeypatch):
@@ -309,12 +413,12 @@ def small_models(draw):
     vocab_size = draw(st.integers(2, 9))
     tokens = st.integers(0, vocab_size - 1)
     discount = draw(st.sampled_from([0.1, 0.5, DEFAULT_DISCOUNT, 0.9]))
-    model = NGramModel(order, vocab_size, discount=discount)
-    for seq in draw(st.lists(st.lists(tokens, max_size=12), min_size=1, max_size=4)):
-        model.add_sequence(seq)
-    if model.counts:
-        for ctx in draw(st.sets(st.sampled_from(sorted(model.counts)), max_size=3)):
-            del model.counts[ctx]
+    counts = reference_counts(
+        draw(st.lists(st.lists(tokens, max_size=12), min_size=1, max_size=4)), order)
+    if counts:
+        for ctx in draw(st.sets(st.sampled_from(sorted(counts)), max_size=3)):
+            del counts[ctx]
+    model = NGramModel.from_counts(counts, order, vocab_size, discount=discount)
     contexts = draw(st.lists(st.lists(tokens, max_size=order + 1), min_size=1, max_size=12))
     return model, contexts, draw(st.lists(tokens, max_size=8))
 
@@ -424,10 +528,10 @@ def reference_load(path):
     missing = [key for key in ngram.MODEL_HEADER if key not in header]
     if missing:
         raise NGramError(f"{path}: header lacks {', '.join(missing)}")
-    model = NGramModel(order=header["order"], vocab_size=header["vocab_size"],
-                       vocab_hash=header["vocab_hash"], discount=header["discount"])
-    model.counts = counts
-    return model
+    return NGramModel.from_counts(counts, order=header["order"],
+                                  vocab_size=header["vocab_size"],
+                                  vocab_hash=header["vocab_hash"],
+                                  discount=header["discount"])
 
 
 @st.composite
@@ -440,29 +544,33 @@ def hand_built_models(draw):
     order = draw(st.integers(1, 6))
     pool = draw(st.lists(st.integers(0, 1500), min_size=1, max_size=6, unique=True))
     ids = st.sampled_from(pool) | st.integers(0, 1500)
-    model = NGramModel(order, 1501, vocab_hash="h")
     sequences = draw(st.lists(st.lists(ids, max_size=12), max_size=4))
-    for seq in sequences:
-        model.add_sequence(seq)
+    counts = reference_counts(sequences, order)
     edited = False
-    if model.counts:
-        for ctx in draw(st.sets(st.sampled_from(sorted(model.counts)), max_size=3)):
-            del model.counts[ctx]
+    if counts:
+        for ctx in draw(st.sets(st.sampled_from(sorted(counts)), max_size=3)):
+            del counts[ctx]
             edited = True
     contexts = st.lists(ids, max_size=order - 1).map(tuple)
     buckets = st.dictionaries(ids, st.integers(1, 10**6), min_size=1, max_size=5)
     for ctx, bucket in draw(st.dictionaries(contexts, buckets, max_size=6)).items():
-        model.counts[ctx] = bucket
+        counts[ctx] = bucket
         edited = True
-    return model, sequences, edited
+    return NGramModel.from_counts(counts, order, 1501, vocab_hash="h"), sequences, edited
 
 
-def assert_same_model(got, expected):
+def assert_same_model(got, expected, tmp_path):
+    """Equal header and counts, the same saved bytes, and buckets that the
+    caller can change without changing the model."""
     assert (got.order, got.discount, got.vocab_size, got.vocab_hash) == \
         (expected.order, expected.discount, expected.vocab_size, expected.vocab_hash)
     assert got.counts == expected.counts
-    assert list(got.counts) == list(expected.counts)
-    assert len({id(b) for b in got.counts.values()}) == len(got.counts)
+    ngram.save(got, tmp_path / "got.ngram")
+    ngram.save(expected, tmp_path / "expected.ngram")
+    assert (tmp_path / "got.ngram").read_bytes() == (tmp_path / "expected.ngram").read_bytes()
+    for bucket in got.counts.values():
+        bucket.clear()
+    assert got.counts == expected.counts
 
 
 @settings(max_examples=200, deadline=None)
@@ -478,7 +586,7 @@ def test_save_and_load_match_the_per_line_reference(tmp_path_factory, case, extr
     assert data == expected_path.read_bytes()
 
     loaded = ngram.load(path)
-    assert_same_model(loaded, reference_load(path))
+    assert_same_model(loaded, reference_load(path), tmp)
     assert loaded.counts == model.counts
 
     lines = data.decode("utf-8").split("\n")[:-1]
@@ -490,7 +598,7 @@ def test_save_and_load_match_the_per_line_reference(tmp_path_factory, case, extr
         variants.append(head + body)
     for variant in variants:
         path.write_text("\n".join(variant) + "\n", encoding="utf-8")
-        assert_same_model(ngram.load(path), reference_load(path))
+        assert_same_model(ngram.load(path), reference_load(path), tmp)
 
     # buckets are the loaded model's own: adding a sequence counts it in
     # once per context, as in a model counted afresh
@@ -539,4 +647,4 @@ def test_load_refuses_the_lines_the_per_line_reference_refuses(tmp_path_factory,
             ngram.load(path)
         assert str(got.value) == str(e)
     else:
-        assert_same_model(ngram.load(path), expected)
+        assert_same_model(ngram.load(path), expected, path.parent)
