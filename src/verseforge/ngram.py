@@ -230,8 +230,8 @@ class _Trie:
         order[rank] = np.arange(n)
         return order, depth[order], last[order]
 
-    def items(self):
-        """``(context, bucket dict)`` of every context with counts, in tuple
+    def contexts(self):
+        """``(context, bucket id)`` of every context with counts, in tuple
         order."""
         order, depth, last = self.tuple_order()
         bucket = self.bucket
@@ -239,7 +239,7 @@ class _Trie:
         for node, d, t in zip(order.tolist(), depth.tolist(), last.tolist()):
             ctx = ctxs[d] = ctxs[d - 1] + (t,) if d else ()
             if bucket[node] >= 0:
-                yield ctx, self.events(bucket[node])
+                yield ctx, bucket[node]
 
 
 class _Records:
@@ -290,51 +290,47 @@ class _Records:
         """The trie in one pass per depth, when each record holds a context
         of its own whose suffix one id shorter is held too, as in a file
         written by ``save``; None otherwise.  The nodes of a depth sort by
-        reversed context, that is by (last id, the prefix's rank at the
-        depth above).  The suffix of a context is the node of the depth
-        above keyed (last id, the rank of the prefix's suffix)."""
+        reversed context, that is by (last id, the prefix's node).  The
+        suffix of a context is the node of the depth above keyed (last id,
+        the prefix's suffix), and its first id is the prefix's."""
         parent = np.frombuffer(self.parent, np.int64)
         depth = np.frombuffer(self.depth, np.int64)
         values, ranks = _ranks(np.frombuffer(self.last, np.int64))
         per_depth = np.bincount(depth, minlength=1)
         if per_depth[0] > 1 or not per_depth[1:].all():
             return None
-        by_depth = np.argsort(depth, kind="stable")
-        offsets = np.cumsum(per_depth)
         node = np.zeros(len(depth), np.int64)
-        suffix = np.zeros(len(depth), np.int64)  # node of the context without its first id
-        first = ranks.copy()  # rank of each context's first id
         n = 1 + len(depth) - per_depth[0]
         parents, toks = np.empty(n - 1, np.int64), np.empty(n - 1, np.int64)
         starts = [0, 1]
         keys = None
         for d in range(1, len(per_depth)):
-            recs = by_depth[offsets[d - 1]:offsets[d]]
-            key = ranks[recs]
-            if d > 1:
-                key = key * (starts[d] - starts[d - 1]) + node[parent[recs]] - starts[d - 1]
-            order = np.argsort(key)
-            recs, key = recs[order], key[order]
-            if (key[1:] == key[:-1]).any():
-                return None
-            if d > 1:
+            recs = np.flatnonzero(depth == d)
+            rank = ranks[recs]
+            if d == 1:
+                order = np.argsort(rank)
+                keys, recs, rank = rank[order], recs[order], rank[order]
+                up, first = 0, values[rank]
+            else:
+                prefix = node[parent[recs]]
+                key = rank * (starts[d] - starts[d - 1]) + prefix - starts[d - 1]
+                order = np.argsort(key)
+                recs, key, rank, prefix = recs[order], key[order], rank[order], prefix[order]
                 # ascending, as the suffix's reversed context leads the context's
-                prefix = parent[recs]
-                query = (ranks[recs] * (starts[d - 1] - starts[d - 2])
-                         + suffix[prefix] - starts[d - 2])
+                query = rank * (starts[d - 1] - starts[d - 2]) + parents[prefix - 1] - starts[d - 2]
                 at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
                 if (keys[at] != query).any():
                     return None
-                suffix[recs] = starts[d - 1] + at
-                first[recs] = first[prefix]
-            keys = key
+                keys, up, first = key, starts[d - 1] + at, toks[prefix - 1]
+            if (keys[1:] == keys[:-1]).any():
+                return None
             starts.append(starts[d] + len(recs))
             node[recs] = np.arange(starts[d], starts[d + 1])
-            parents[starts[d] - 1:starts[d + 1] - 1] = suffix[recs]
-            toks[starts[d] - 1:starts[d + 1] - 1] = values[first[recs]]
+            parents[starts[d] - 1:starts[d + 1] - 1] = up
+            toks[starts[d] - 1:starts[d + 1] - 1] = first
         bucket = np.full(n, -1, np.int64)
         bucket[node] = np.frombuffer(self.bucket, np.int64)
-        del node, suffix, first, ranks, by_depth
+        del node, ranks
         return _Trie.of(starts, parents, toks, bucket,
                         self.ev_off, self.total, self.ev_id, self.ev_count)
 
@@ -381,7 +377,7 @@ class Counts(Mapping):
         raise KeyError(ctx)
 
     def __iter__(self):
-        return (ctx for ctx, _ in self._trie.items())
+        return (ctx for ctx, _ in self._trie.contexts())
 
     def items(self):
         return _CountItems(self)
@@ -389,7 +385,8 @@ class Counts(Mapping):
 
 class _CountItems(ItemsView):
     def __iter__(self):
-        return self._mapping._trie.items()
+        trie = self._mapping._trie
+        return ((ctx, trie.events(b)) for ctx, b in trie.contexts())
 
 
 class NGramModel:
