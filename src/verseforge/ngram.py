@@ -651,8 +651,6 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
         buckets = {}  # event text -> bucket id
         rec = -1  # the last record
         for lineno, line in enumerate(f, 2):
-            if line == "\n":
-                continue
             # a ``C`` line keeps its newline: it ends the last count, which
             # int() reads as it reads the count alone
             parts = line.split("\t")
@@ -686,7 +684,10 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
                         depth = len(ctx)
                     last[len(ctx_s)] = ctx_s, rec, depth
                 else:
-                    parts = line.rstrip("\n").split("\t")
+                    line = line.rstrip("\n")
+                    if not line:
+                        continue
+                    parts = line.split("\t")
                     header[parts[0]] = MODEL_HEADER.get(parts[0], str)(parts[1])
             except (IndexError, ValueError):
                 raise NGramError(f"{path}:{lineno}: malformed model line") from None
