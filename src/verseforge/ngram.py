@@ -418,9 +418,15 @@ class NGramModel:
         return model
 
     def _set_counts(self, counts: Mapping) -> None:
+        """Record the contexts in tuple order, each extending the record of
+        its prefix one id shorter when that prefix has counts too."""
         records = _Records()
-        for ctx, bucket in counts.items():
-            records.add_context(ctx, records.add_bucket(bucket))
+        index = {}  # context -> its record
+        for ctx in sorted(counts):
+            b = records.add_bucket(counts[ctx])
+            parent = index.get(ctx[:-1]) if len(ctx) > 1 else None
+            index[ctx] = (records.add_context(ctx, b) if parent is None
+                          else records.add(parent, ctx[-1], len(ctx), b))
         self._trie = records.trie()
         self._tables.clear()
         self._base = None
