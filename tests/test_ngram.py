@@ -306,7 +306,8 @@ def traced_peak(fn):
 
 # Bytes per context of the store's arrays and of the transient state that
 # builds them.  The dict of context tuples to bucket dicts that the arrays
-# replace took over 400 bytes per context to train and to load.
+# replace peaked at about 370 bytes per context to train this model and
+# 340 to load it.
 TRAIN_BYTES_PER_CONTEXT = 300
 LOAD_BYTES_PER_CONTEXT = 250
 
