@@ -170,17 +170,45 @@ def test_trained_loaded_and_hand_built_models_share_one_layout(tmp_path, fixture
     assert len(loaded._trie.total) < len(m._trie.total)  # equal buckets are shared
 
 
-def test_counts_is_a_read_only_view_in_tuple_order(fixture_strophes):
+def test_counts_is_a_view_in_tuple_order(fixture_strophes):
     m, _, _ = corpus_model(fixture_strophes)
     keys = list(m.counts)
     assert keys == sorted(keys) and len(keys) == len(m.counts)
     ctx = keys[len(keys) // 2]
-    bucket = m.counts[ctx]
-    bucket.clear()
-    assert m.counts[ctx] and m.counts[ctx] is not m.counts[ctx]
+    assert m.counts[ctx] == m.counts[ctx] and m.counts[ctx] is not m.counts[ctx]
     assert (1, 2, 3, 4, 5, 6, 7) not in m.counts and [] not in m.counts
     with pytest.raises(TypeError):
         m.counts[ctx] = {0: 1}
+
+
+def test_a_changed_bucket_is_written_back_to_its_context_alone(tmp_path):
+    """Loaded contexts with equal events share one bucket in the store;
+    a change through one of them reaches that context and no other."""
+    path = tmp_path / "m.ngram"
+    write_model(path, dict(HEADER, order="3"),
+                ["C\t\t0:2 1:1", "C\t0\t1:1", "C\t1\t1:1", "C\t0,1\t1:1"])
+    model = ngram.load(path)
+    counts = model.counts
+    expected = {ctx: dict(bucket) for ctx, bucket in counts.items()}
+    rows = {ctx: model.next_dist(ctx) for ctx in expected}
+    bucket = counts[(1,)]
+    bucket[1] += 2
+    bucket[0] = 1
+    expected[(1,)] = {1: 3, 0: 1}
+    assert {ctx: dict(b) for ctx, b in model.counts.items()} == expected
+    assert counts == expected  # a view taken before the change sees it
+    for ctx in [(), (0,)]:  # (0, 1) backs off to (1,)
+        np.testing.assert_array_equal(model.next_dist(ctx), rows[ctx])
+    fresh = NGramModel.from_counts(expected, 3, 3)
+    for ctx in [(1,), (0, 1)]:
+        np.testing.assert_array_equal(model.next_dist(ctx), fresh.next_dist(ctx))
+    del bucket[0]
+    bucket.update({2: 1})
+    bucket.pop(2)
+    assert model.counts[(1,)] == {1: 3}
+    bucket.clear()
+    assert model.counts[(1,)] == {} and len(model.counts) == 4
+    np.testing.assert_array_equal(model.next_dist((1,)), model.next_dist(()))
 
 
 def test_load_rejects_wrong_vocab(tmp_path, fixture_strophes):
@@ -276,9 +304,17 @@ def test_load_refuses_ids_and_counts_beyond_64_bits(tmp_path, line):
 def test_load_keeps_ids_and_counts_at_the_64_bit_bounds(tmp_path):
     path = tmp_path / "m.ngram"
     write_model(path, HEADER, ["C\t\t0:2 1:1", f"C\t0\t1:{BIG - 1}",
-                               f"C\t{-BIG}\t{-BIG}:1"])
+                               f"C\t{-BIG}\t{-BIG}:1", f"C\t{BIG - 1}\t{BIG - 1}:1"])
     model = ngram.load(path)
     assert model.counts[(0,)] == {1: BIG - 1}
+    assert model.counts[(-BIG,)] == {-BIG: 1} and model.counts[(BIG - 1,)] == {BIG - 1: 1}
+    trained = ngram.train([[-BIG, BIG - 1]], 2, tok.build_unicode_vocab(["ab"]))
+    assert trained.counts[(-BIG,)] == {BIG - 1: 1} and trained.counts[()] == {-BIG: 1, BIG - 1: 1}
+    # the greatest id alone
+    write_model(path, HEADER, [f"C\t{BIG - 1}\t0:1"])
+    assert dict(ngram.load(path).counts.items()) == {(BIG - 1,): {0: 1}}
+    trained = ngram.train([[BIG - 1]], 2, tok.build_unicode_vocab(["ab"]))
+    assert dict(trained.counts.items()) == {(): {BIG - 1: 1}}
     row = model.next_dist([0])
     assert row.sum() == pytest.approx(1.0) and row[1] > 0.99
     with pytest.raises(NGramError, match="out of range"):
@@ -561,17 +597,20 @@ def hand_built_models(draw):
 
 
 def assert_same_model(got, expected, tmp_path):
-    """Equal header and counts, the same saved bytes, and buckets that the
-    caller can change without changing the model."""
+    """Equal header and counts, the same saved bytes, and, in a model
+    loaded from them, buckets that change their own context alone."""
     assert (got.order, got.discount, got.vocab_size, got.vocab_hash) == \
         (expected.order, expected.discount, expected.vocab_size, expected.vocab_hash)
     assert got.counts == expected.counts
     ngram.save(got, tmp_path / "got.ngram")
     ngram.save(expected, tmp_path / "expected.ngram")
     assert (tmp_path / "got.ngram").read_bytes() == (tmp_path / "expected.ngram").read_bytes()
-    for bucket in got.counts.values():
-        bucket.clear()
-    assert got.counts == expected.counts
+    copy = ngram.load(tmp_path / "got.ngram")
+    want = {ctx: dict(bucket) for ctx, bucket in expected.counts.items()}
+    for ctx in list(want)[:3]:
+        copy.counts[ctx][-1] = 1
+        want[ctx][-1] = 1
+        assert copy.counts == want
 
 
 @settings(max_examples=200, deadline=None)
