@@ -89,34 +89,6 @@ def _ints(a) -> array:
     return out
 
 
-class _Numbering:
-    """Numbers the contexts of some items as trie nodes, one depth at a
-    time.  Each step moves some items one token deeper; the nodes it makes
-    are numbered in order of (parent, token), which is breadth-first order
-    with each node's children contiguous and sorted by token."""
-
-    def __init__(self, n_items: int, values: np.ndarray):
-        self.values = values  # sorted distinct tokens; steps give ranks into it
-        self.node = np.zeros(n_items, np.int64)
-        self.keys = []  # per depth: parent * len(values) + token rank
-        self.starts = [0, 1]  # first node of each depth, then the node count
-
-    def step(self, items: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-        keys, inverse = np.unique(self.node[items] * len(self.values) + ranks,
-                                  return_inverse=True)
-        nodes = self.starts[-1] + inverse
-        self.node[items] = nodes
-        self.keys.append(keys)
-        self.starts.append(self.starts[-1] + len(keys))
-        return nodes
-
-    def trie(self, bucket, ev_off, total, ev_id, ev_count) -> _Trie:
-        parents, ranks = np.divmod(np.concatenate([np.zeros(0, np.int64)] + self.keys),
-                                   max(len(self.values), 1))
-        return _Trie.of(self.starts, parents, self.values[ranks], bucket,
-                        ev_off, total, ev_id, ev_count)
-
-
 class _Trie:
     """The counts as arrays; see the module docstring."""
 
@@ -144,7 +116,9 @@ class _Trie:
         """The counts of every position of ``sequences`` after each of its
         contexts up to ``order - 1`` ids; also the number of sequences.
         The context ``k`` ids long of a position is its parent context's
-        node stepped by the id ``k`` places back."""
+        node stepped by the id ``k`` places back.  The nodes of a depth
+        are numbered in order of (parent, token): breadth first, with each
+        node's children contiguous and sorted by token."""
         ids, lengths = array("q"), []
         for seq in sequences:
             ids.extend(seq)
@@ -154,23 +128,29 @@ class _Trie:
         pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         values, ranks = np.unique(ids, return_inverse=True)
         width = max(len(values), 1)
-        numbering = _Numbering(len(ids), values)
+        node = np.zeros(len(ids), np.int64)  # position -> node of its context
+        keys, starts = [], [0, 1]  # per depth: parent * width + token rank
         events = [np.unique(ranks, return_counts=True)]
         items = np.arange(len(ids))
         for k in range(1, order):
             items = items[pos[items] >= k]
             if not len(items):
                 break
-            nodes = numbering.step(items, ranks[items - k])
-            events.append(np.unique(nodes * width + ranks[items], return_counts=True))
+            key, inverse = np.unique(node[items] * width + ranks[items - k],
+                                     return_inverse=True)
+            node[items] = starts[-1] + inverse
+            keys.append(key)
+            starts.append(starts[-1] + len(key))
+            events.append(np.unique(node[items] * width + ranks[items], return_counts=True))
         ev_node, ev_rank = np.divmod(np.concatenate([e[0] for e in events]), width)
         ev_count = np.concatenate([e[1] for e in events])
-        n = numbering.starts[-1]
+        n = starts[-1]
         ev_off = np.searchsorted(ev_node, np.arange(n + 1))
         bucket = np.where(ev_off[1:] > ev_off[:-1], np.arange(n), -1)
         total = np.bincount(ev_node, weights=ev_count, minlength=n)
-        trie = numbering.trie(bucket, _ints(ev_off), array("d", total.tobytes()),
-                              _ints(values[ev_rank]), _ints(ev_count))
+        parents, tok = np.divmod(np.concatenate([np.zeros(0, np.int64)] + keys), width)
+        trie = cls.of(starts, parents, values[tok], bucket, _ints(ev_off),
+                      array("d", total.tobytes()), _ints(values[ev_rank]), _ints(ev_count))
         return trie, len(lengths)
 
     def walk(self, ctx) -> list[int]:
