@@ -284,13 +284,17 @@ class _Records:
         rec_bucket = np.frombuffer(self.bucket, np.int64)
         values, ranks = np.unique(np.frombuffer(self.last, np.int64), return_inverse=True)
         node = np.zeros(len(depth), np.int64)  # record -> its node
+        # node -> its suffix one id shorter (-1 while no record holds it),
+        # first id and bucket; there is at most one node per record and
+        # the root
+        up_of = np.zeros(len(depth) + 1, np.int64)
+        first_of = np.zeros(len(depth) + 1, np.int64)
+        bucket_of = np.full(len(depth) + 1, -1, np.int64)
         root = np.flatnonzero((depth == 0) & (rec_bucket >= 0))
+        bucket_of[0] = rec_bucket[root[-1]] if len(root) else -1
         starts = [0, 1]
-        # per depth, per node: its key, suffix (-1 when not yet held),
-        # first id, bucket and a record of it (none for the root)
-        keys, ups, firsts = [np.zeros(1, np.int64)], [None], [None]
-        buckets = [rec_bucket[root[-1:]] if len(root) else np.full(1, -1, np.int64)]
-        reps = [np.full(1, -1, np.int64)]
+        # per depth, per node: its key and a record of it (none for the root)
+        keys, reps = [np.zeros(1, np.int64)], [np.full(1, -1, np.int64)]
         missing = []
         for d in range(1, int(depth.max(initial=0)) + 1):
             recs = np.flatnonzero(depth == d)
@@ -301,14 +305,15 @@ class _Records:
             is_new = np.concatenate([[True], key[1:] != key[:-1]])
             node[recs] = starts[d] - 1 + np.cumsum(is_new)
             new = np.flatnonzero(is_new)  # the first record of each node
+            span = slice(starts[d], starts[d] + len(new))
             # records are numbered in the order read
             latest = np.maximum.reduceat(np.where(rec_bucket[recs] >= 0, recs, -1), new)
-            buckets.append(np.where(latest >= 0, rec_bucket[latest], -1))
-            rank, prefix = ranks[recs[new]], prefix[new] - starts[d - 1]
+            bucket_of[span] = np.where(latest >= 0, rec_bucket[latest], -1)
+            rank, prefix = ranks[recs[new]], prefix[new]
             if d == 1:
-                up, first = np.zeros(len(new), np.int64), values[rank]
+                first_of[span] = values[rank]
             else:
-                up, first = ups[d - 1][prefix], firsts[d - 1][prefix]
+                up, first_of[span] = up_of[prefix], first_of[prefix]
                 query = rank * (starts[d - 1] - starts[d - 2]) + up - starts[d - 2]
                 at = np.minimum(np.searchsorted(keys[d - 1], query), len(keys[d - 1]) - 1)
                 held = keys[d - 1][at] == query
@@ -316,18 +321,16 @@ class _Records:
                 lost = lost[np.unique(query[lost], return_index=True)[1]]
                 missing += zip(reps[d - 2][up[lost] - starts[d - 2]].tolist(),
                                values[rank[lost]].tolist(), [d - 1] * len(lost))
-                up = np.where((up >= 0) & held, starts[d - 1] + at, -1)
+                up_of[span] = np.where((up >= 0) & held, starts[d - 1] + at, -1)
+                keys[d - 1] = reps[d - 2] = None  # no longer read
             keys.append(key[new])
-            ups.append(up)
-            firsts.append(first)
             reps.append(recs[new])
             starts.append(starts[d] + len(new))
         if missing:
             return None, missing
-        return _Trie.of(starts, np.concatenate([np.zeros(0, np.int64)] + ups[1:]),
-                        np.concatenate([np.zeros(0, np.int64)] + firsts[1:]),
-                        np.concatenate(buckets), self.ev_off, self.total, self.ev_id,
-                        self.ev_count), []
+        n = starts[-1]
+        return _Trie.of(starts, up_of[1:n], first_of[1:n], bucket_of[:n], self.ev_off,
+                        self.total, self.ev_id, self.ev_count), []
 
 
 class Counts(Mapping):
