@@ -175,3 +175,53 @@ def test_generation_unchanged_under_a_one_table_cache(fixture_texts, monkeypatch
     assert len(model._tables) == 1
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == GOLDEN_SHA256[("unicode", temperature)]
+
+
+# (kind, decoder, seed, max_tokens) -> raw text, at temperature 1.0: a
+# forced strophe with verse retries and a basic one that end by EOS, then
+# strophes cut by the token budget
+ENDINGS = [
+    (("unicode", generate_forced, 0, 400),
+     "# ABAB # 1900\nJ # 7 # ůže # A duše křídla třese,\nJ # 9 # ůže # a vlny bledá hyne může."
+     "\nJ # 7 # ůže # i oheň mraky vína kůže.\nJ # 9 # ůže # i oheň mraky vína kůže"),
+    (("unicode", generate_basic, 4, 400),
+     "# ABAB # 1900\nJ # 9 # oře # i jaro bílá vlahá hoře."),
+    (("unicode", generate_forced, 5, 25), "# ABAB # 1900\nJ # 9 # ody # Trny kámen zla"),
+    (("unicode", generate_basic, 5, 25), "# ABAB # 1900\nJ # 9 # ody # Trny kámen zla"),
+    (("our", generate_forced, 6, 25), "# ABAB # 1900\nJ # 9 # esy # plesy\nJ # 9 # íle # A stí reje,"),
+    (("syllable", generate_basic, 7, 25),
+     "# ABAB # 1900\nJ # 9 # íle # ne # sedá vítr řeka hody,\nT # 8 # eje # A hy"),
+]
+ENDINGS_SAMPLED = 251
+ENDINGS_RETRIED = 2
+
+
+def test_generation_endings_golden(models, monkeypatch):
+    """Raw texts of strophes ended by EOS, after retries and by the token
+    budget, and the numbers of tokens sampled and verses retried for them."""
+    calls, retries = [], []
+    sample, parse_verse_line = ngram.sample_with_rng, formats._parse_verse_line
+
+    def counted(*args):
+        calls.append(None)
+        return sample(*args)
+
+    def parse_counting_errors(*args):
+        try:
+            return parse_verse_line(*args)
+        except formats.FormatError:
+            retries.append(None)
+            raise
+
+    monkeypatch.setattr(ngram, "sample_with_rng", counted)
+    monkeypatch.setattr(formats, "_parse_verse_line", parse_counting_errors)
+    for (kind, decode, seed, max_tokens), expected in ENDINGS:
+        model, vocab = models[kind]
+        req = GenerationRequest("ABAB", YearBucket(1900), DataFormat.METER_VERSE,
+                                per_verse_meters=(MeterLabel.IAMB,) * 4, seed=seed,
+                                max_tokens=max_tokens)
+        gen = decode(model, vocab, req)
+        assert gen.raw_text == expected
+        assert gen.truncated == (max_tokens == 25)
+    assert len(calls) == ENDINGS_SAMPLED
+    assert len(retries) == ENDINGS_RETRIED
