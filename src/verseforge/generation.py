@@ -101,33 +101,32 @@ class _Decoder:
         self.sampled = n_sampled
         self.eos = False
 
-    def sample_token(self) -> int | None:
-        """One sampled id, or None on budget exhaustion / end-of-sequence."""
-        if self.eos:
-            return None
-        if self.sampled >= self.request.max_tokens:
-            self.truncated = True
-            return None
-        t = ngram.sample_with_rng(self.model, self.ids, self.request.temperature, self.rng)
-        self.sampled += 1
-        if t == self.vocab.eos_id:
-            self.eos = True
-            return None
-        self.ids.append(t)
-        return t
-
     def sample_line(self) -> tuple[str, bool]:
-        """Sample until a newline token; returns (text, line_completed)."""
-        out = []
+        """Sample until a newline token, end-of-sequence or the token
+        budget; returns (text, line_completed).  Only the separator's
+        token holds a newline, so the line is decoded once, at its end."""
+        if self.eos:
+            return "", False
+        model, ids, rng, vocab = self.model, self.ids, self.rng, self.vocab
+        temperature, budget = self.request.temperature, self.request.max_tokens
+        tokens, eos_id = vocab.tokens, vocab.eos_id
+        start, sampled, completed = len(ids), self.sampled, False
         while True:
-            t = self.sample_token()
-            if t is None:
-                return "".join(out), False
-            piece = tokenizers.decode(self.vocab, [t])
-            if "\n" in piece:
-                out.append(piece.split("\n", 1)[0])
-                return "".join(out), True
-            out.append(piece)
+            if sampled >= budget:
+                self.truncated = True
+                break
+            t = ngram.sample_with_rng(model, ids, temperature, rng)
+            sampled += 1
+            if t == eos_id:
+                self.eos = True
+                break
+            ids.append(t)
+            if "\n" in tokens[t]:
+                completed = True
+                break
+        self.sampled = sampled
+        text = tokenizers.decode(vocab, ids[start:])
+        return (text.split("\n", 1)[0] if completed else text), completed
 
 
 def _meter_seed(request: GenerationRequest, verse_index: int) -> str:

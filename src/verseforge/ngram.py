@@ -16,17 +16,19 @@ context has no counts; a bucket holds an offset into the event arrays
 set holds every substring of every context with counts, so contexts
 missing from a hand-built model get event-free nodes.  ``train``
 numbers the nodes straight from the token arrays, ``load`` from one
-record per file line with the buckets of equal event strings shared,
-and hand-built models come from a dict through ``NGramModel.from_counts``.
+record per file line, and hand-built models come from a dict through
+``NGramModel.from_counts``; ``train`` and ``load`` share one bucket
+between the nodes of equal events.
 ``NGramModel.counts`` is a ``Mapping`` view of the counts in tuple
 order; each lookup returns a new dict, and a change to that dict is
 written back to the model by rebuilding its store.
 
 Sampling draws from a table built once per row: the cumulative
-distribution of the normalised (tempered) row, searched with one
-``rng.random()``.  That is the algorithm of ``Generator.choice(len(q),
-p=q)``, so every draw, and the generator state after it, equals what
-``choice`` gives.  When tempering underflows the table is the argmax id
+distribution of the normalised (tempered) row as an ``array('d')``,
+searched with one ``rng.random()`` and one ``bisect_right``, which finds
+the index of ``searchsorted(side="right")``.  That is the algorithm of
+``Generator.choice(len(q), p=q)``, so every draw, and the generator state
+after it, equals what ``choice`` gives.  When tempering underflows the table is the argmax id
 and the draw uses no randomness.  ``NGramModel`` keeps its tables, keyed
 by trailing context and temperature, in a least-recently-used cache of
 at most ``TABLE_CACHE_BYTES`` of table data (8 bytes per vocabulary
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from collections.abc import ItemsView, Mapping
 from typing import Sequence
@@ -146,12 +148,38 @@ class _Trie:
         ev_count = np.concatenate([e[1] for e in events])
         n = starts[-1]
         ev_off = np.searchsorted(ev_node, np.arange(n + 1))
-        bucket = np.where(ev_off[1:] > ev_off[:-1], np.arange(n), -1)
-        total = np.bincount(ev_node, weights=ev_count, minlength=n)
+        bucket, reps = cls._share(ev_off, ev_rank, ev_count, len(ids) + 1)
+        size = np.diff(ev_off)[reps]
+        b_off = np.concatenate([np.zeros(1, np.int64), np.cumsum(size)])
+        at = np.repeat(ev_off[reps] - b_off[:-1], size) + np.arange(b_off[-1])
+        total = np.bincount(ev_node, weights=ev_count, minlength=n)[reps]
         parents, tok = np.divmod(np.concatenate([np.zeros(0, np.int64)] + keys), width)
-        trie = cls.of(starts, parents, values[tok], bucket, _ints(ev_off),
-                      array("d", total.tobytes()), _ints(values[ev_rank]), _ints(ev_count))
+        trie = cls.of(starts, parents, values[tok], bucket, _ints(b_off),
+                      array("d", total.tobytes()), _ints(values[ev_rank[at]]),
+                      _ints(ev_count[at]))
         return trie, len(lengths)
+
+    @staticmethod
+    def _share(ev_off, ev_rank, ev_count, bound: int):
+        """One bucket per distinct event list, as ``load`` shares them: each
+        node's bucket id (-1 when it has no events) and the first node of
+        each bucket.  A one-event node is keyed by (rank, count), where
+        both are below ``bound``; any other by the bytes of its events."""
+        size = np.diff(ev_off)
+        one, many = np.flatnonzero(size == 1), np.flatnonzero(size > 1)
+        key = ev_rank[ev_off[one]] * bound + ev_count[ev_off[one]]
+        _, first, bucket_one = np.unique(key, return_index=True, return_inverse=True)
+        in_many = np.repeat(size > 1, size)
+        raw = np.stack([ev_rank[in_many], ev_count[in_many]], 1).tobytes()
+        m_off = (16 * np.cumsum(size[many])).tolist()
+        shared = {}  # event bytes -> bucket id among the many-event buckets
+        bucket_many = np.array([shared.setdefault(raw[o:e], len(shared))
+                                for o, e in zip([0] + m_off, m_off)], np.int64)
+        bucket = np.full(len(size), -1, np.int64)
+        bucket[one] = bucket_one
+        bucket[many] = len(first) + bucket_many
+        first_many = np.unique(bucket_many, return_index=True)[1]
+        return bucket, np.concatenate([one[first], many[first_many]])
 
     def walk(self, ctx) -> list[int]:
         """Nodes of ``ctx[len(ctx) - k:]`` for k = 0, 1, ... while they exist."""
@@ -536,7 +564,8 @@ class NGramModel:
 
     def table(self, context: Sequence[int], temperature: float):
         """``sampling_table`` of the row for the trailing context, cached."""
-        key = (self._context(context), temperature)
+        n = self.order - 1
+        key = (tuple(context[-n:]) if n else (), temperature)
         tables = self._tables
         table = tables.get(key)
         if table is not None:
@@ -572,10 +601,11 @@ def train(sequences, order: int, vocab: Vocab,
     return model
 
 
-def sampling_table(p: np.ndarray, temperature: float) -> np.ndarray | int:
+def sampling_table(p: np.ndarray, temperature: float) -> array | int:
     """What a draw from row ``p`` at ``temperature`` needs: the cumulative
     distribution that ``Generator.choice`` builds for the normalised
-    (tempered) row, or the argmax id when tempering underflows."""
+    (tempered) row, as an ``array('d')``, or the argmax id when tempering
+    underflows."""
     if temperature != 1.0:
         with np.errstate(divide="ignore"):
             logits = np.log(p) / temperature
@@ -589,9 +619,12 @@ def sampling_table(p: np.ndarray, temperature: float) -> np.ndarray | int:
         q = p / p.sum()
     if not (q >= 0).all():
         raise NGramError("next-token probabilities contain NaN or negative entries")
-    cdf = q.cumsum()
+    # filled in place, with no second copy of the row
+    table = array("d", [0.0]) * len(q)
+    cdf = np.frombuffer(table, np.float64)
+    q.cumsum(out=cdf)
     cdf /= cdf[-1]
-    return cdf
+    return table
 
 
 def sample_with_rng(model, context, temperature: float, rng) -> int:
@@ -603,7 +636,7 @@ def sample_with_rng(model, context, temperature: float, rng) -> int:
         table = sampling_table(model.next_dist(context), temperature)
     if type(table) is int:
         return table
-    return int(table.searchsorted(rng.random(), side="right"))
+    return bisect_right(table, rng.random())
 
 
 def save(model: NGramModel, path) -> None:

@@ -1,4 +1,6 @@
 import tracemalloc
+from array import array
+from bisect import bisect_right
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -167,7 +169,7 @@ def test_trained_loaded_and_hand_built_models_share_one_layout(tmp_path, fixture
     loaded = ngram.load(path)
     built = NGramModel.from_counts(m.counts, m.order, m.vocab_size)
     assert trie_layout(loaded) == trie_layout(built) == trie_layout(m)
-    assert len(loaded._trie.total) < len(m._trie.total)  # equal buckets are shared
+    assert len(loaded._trie.total) == len(m._trie.total)  # both share equal buckets
 
 
 def test_counts_is_a_view_in_tuple_order(fixture_strophes):
@@ -416,6 +418,34 @@ def test_tables_match_choice_and_reject_bad_rows():
         assert ngram.sample_with_rng(zeros, [], 0.5, rng) == 0
         assert rng.random() == np.random.default_rng(1).random()
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(row=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1, max_size=40)
+       .filter(lambda r: sum(r) > 0),
+       temperature=st.sampled_from([1.0, 0.3, 0.7, 2.5]),
+       us=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=10))
+@example(row=[0.5, 0.0, 0.0, 0.25, 0.25], temperature=1.0, us=[0.5])
+@example(row=[1.0, 0.0, 3.0, 0.0, 0.0], temperature=0.3, us=[0.25])
+@example(row=[0.0, 2.0, 0.0, 1.0, 0.0], temperature=2.5, us=[])
+def test_bisect_on_a_table_finds_the_index_of_searchsorted(row, temperature, us):
+    """The draw's ``bisect_right`` picks the index that ``searchsorted``
+    on the same table picks, for random draws, 0.0, each table entry and
+    the greatest draw below 1.0."""
+    table = ngram.sampling_table(np.array(row), temperature)
+    cdf = np.asarray(table)
+    for u in us + [0.0, float(np.nextafter(1.0, 0.0))] + list(table):
+        assert bisect_right(table, u) == int(np.searchsorted(cdf, u, side="right"))
+
+
+def test_a_table_is_an_array_of_8_bytes_per_vocabulary_entry():
+    """The size that the table cache's byte budget counts per table."""
+    m = NGramModel(order=2, vocab_size=73)
+    m.add_sequence([0, 5, 72, 5])
+    for table in (m.table([5], 1.0), m.table([5], 0.3),
+                  ngram.sampling_table(m.next_dist([72]), 1.0)):
+        assert type(table) is array and table.typecode == "d"
+        assert memoryview(table).nbytes == 8 * m.vocab_size
 
 def reference_next_dist(model, context):
     """``next_dist`` as a fresh per-level loop: one ``np.zeros(V)`` row
