@@ -28,11 +28,12 @@ distribution of the normalised (tempered) row as an ``array('d')``,
 searched with one ``rng.random()`` and one ``bisect_right``, which finds
 the index of ``searchsorted(side="right")``.  That is the algorithm of
 ``Generator.choice(len(q), p=q)``, so every draw, and the generator state
-after it, equals what ``choice`` gives.  When tempering underflows the table is the argmax id
-and the draw uses no randomness.  ``NGramModel`` keeps its tables, keyed
-by trailing context and temperature, in a least-recently-used cache of
-at most ``TABLE_CACHE_BYTES`` of table data (8 bytes per vocabulary
-entry per table); other models get a table built per draw.
+after it, equals what ``choice`` gives.  When tempering underflows the
+table is the argmax id and the draw uses no randomness.  ``NGramModel``
+keeps its tables, keyed by trailing context and temperature, in a
+least-recently-used cache of at most ``TABLE_CACHE_BYTES`` of table data
+(8 bytes per vocabulary entry per table); other models get a table built
+per draw.
 
 A row is built level by level, from the root down to the deepest node on
 the context's path: each level with counts scales the row by its backoff
@@ -619,10 +620,11 @@ def sampling_table(p: np.ndarray, temperature: float) -> array | int:
         q = p / p.sum()
     if not (q >= 0).all():
         raise NGramError("next-token probabilities contain NaN or negative entries")
-    # filled in place, with no second copy of the row
+    # filled in place, with no second copy of the row; ``add.accumulate``
+    # is ``cumsum``, without the cost that ``cumsum(out=...)`` adds
     table = array("d", [0.0]) * len(q)
     cdf = np.frombuffer(table, np.float64)
-    q.cumsum(out=cdf)
+    np.add.accumulate(q, out=cdf)
     cdf /= cdf[-1]
     return table
 

@@ -431,9 +431,16 @@ def test_tables_match_choice_and_reject_bad_rows():
 def test_bisect_on_a_table_finds_the_index_of_searchsorted(row, temperature, us):
     """The draw's ``bisect_right`` picks the index that ``searchsorted``
     on the same table picks, for random draws, 0.0, each table entry and
-    the greatest draw below 1.0."""
-    table = ngram.sampling_table(np.array(row), temperature)
+    the greatest draw below 1.0.  At temperature 1 the table holds the
+    bytes of ``Generator.choice``'s cumulative distribution."""
+    p = np.array(row)
+    table = ngram.sampling_table(p, temperature)
     cdf = np.asarray(table)
+    if temperature == 1.0:
+        q = p / p.sum()
+        expected = q.cumsum()
+        expected /= expected[-1]
+        assert bytes(table) == expected.tobytes()
     for u in us + [0.0, float(np.nextafter(1.0, 0.0))] + list(table):
         assert bisect_right(table, u) == int(np.searchsorted(cdf, u, side="right"))
 
