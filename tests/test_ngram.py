@@ -419,7 +419,6 @@ def test_tables_match_choice_and_reject_bad_rows():
         assert rng.random() == np.random.default_rng(1).random()
 
 
-
 @settings(max_examples=150, deadline=None)
 @given(row=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1, max_size=40)
        .filter(lambda r: sum(r) > 0),
@@ -453,6 +452,7 @@ def test_a_table_is_an_array_of_8_bytes_per_vocabulary_entry():
                   ngram.sampling_table(m.next_dist([72]), 1.0)):
         assert type(table) is array and table.typecode == "d"
         assert memoryview(table).nbytes == 8 * m.vocab_size
+
 
 def reference_next_dist(model, context):
     """``next_dist`` as a fresh per-level loop: one ``np.zeros(V)`` row
