@@ -20,8 +20,8 @@ record per file line, and hand-built models come from a dict through
 ``NGramModel.from_counts``; ``train`` and ``load`` share one bucket
 between the nodes of equal events.
 ``NGramModel.counts`` is a ``Mapping`` view of the counts in tuple
-order; each lookup returns a new dict, and a change to that dict is
-written back to the model by rebuilding its store.
+order; each lookup returns a new mapping, and a change to that mapping
+is written back to the model by rebuilding its store.
 
 Sampling draws from a table built once per row: the cumulative
 distribution of the normalised (tempered) row as an ``array('d')``,
@@ -42,7 +42,7 @@ weight and adds its discounted counts in place.  The levels of the last
 those tokens, so every context that ends in them shares one read-only
 partial row.  These rows live in the same cache and byte budget as the
 tables, under ``(node, None)``; the row of the empty context, which every
-context shares, is kept apart and never evicted.  ``add_sequence`` drops
+context shares, is kept apart and never evicted.  A write-back drops
 both.  The arithmetic is that of a fresh row per level, operation for
 operation, so rows are bit-identical to it, and ``next_dist`` always
 returns a row the caller owns.
@@ -54,7 +54,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from collections.abc import ItemsView, Mapping
+from collections.abc import ItemsView, Mapping, MutableMapping
 from typing import Sequence
 
 import numpy as np
@@ -394,47 +394,40 @@ class _CountItems(ItemsView):
         return ((ctx, Bucket(model, ctx, trie.events(b))) for ctx, b in trie.contexts())
 
 
-class Bucket(dict):
+class Bucket(MutableMapping):
     """The counts of one context of a model, token id -> count, as a new
-    dict.  A change to it is written back to the model, which rebuilds
-    its store as ``NGramModel.from_counts`` builds one."""
+    mapping.  Each ``__setitem__`` and ``__delitem__``, which every other
+    mutator goes through, writes the change back to the model, which
+    rebuilds its store as ``NGramModel.from_counts`` builds one."""
 
     def __init__(self, model: NGramModel, ctx: tuple[int, ...], events: dict[int, int]):
-        super().__init__(events)
-        self._model, self._ctx = model, ctx
+        self._model, self._ctx, self._events = model, ctx, events
 
-    def _write_back(self, result=None):
-        self._model._set_counts({**self._model._count_dict(), self._ctx: dict(self)})
-        return result
+    def __getitem__(self, token) -> int:
+        return self._events[token]
+
+    def __iter__(self):
+        return iter(self._events)
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def __repr__(self) -> str:
+        return repr(self._events)
 
     def __setitem__(self, token, count):
-        super().__setitem__(token, count)
+        self._events[token] = count
         self._write_back()
 
     def __delitem__(self, token):
-        super().__delitem__(token)
+        del self._events[token]
         self._write_back()
 
-    def __ior__(self, other):
-        self.update(other)
-        return self
-
-    def clear(self):
-        super().clear()
-        self._write_back()
-
-    def pop(self, *args):
-        return self._write_back(super().pop(*args))
-
-    def popitem(self):
-        return self._write_back(super().popitem())
-
-    def setdefault(self, token, count=None):
-        return self._write_back(super().setdefault(token, count))
-
-    def update(self, *args, **kwargs):
-        super().update(*args, **kwargs)
-        self._write_back()
+    def _write_back(self) -> None:
+        trie = self._model._trie
+        counts = {ctx: trie.events(b) for ctx, b in trie.contexts()}
+        counts[self._ctx] = self._events
+        self._model._set_counts(counts)
 
 
 class NGramModel:
@@ -473,10 +466,6 @@ class NGramModel:
         self._tables.clear()
         self._base = None
 
-    def _count_dict(self) -> dict[tuple[int, ...], dict[int, int]]:
-        trie = self._trie
-        return {ctx: trie.events(b) for ctx, b in trie.contexts()}
-
     @property
     def counts(self) -> Counts:
         return Counts(self)
@@ -484,19 +473,6 @@ class NGramModel:
     def contexts_per_length(self) -> list[int]:
         """Number of contexts with counts, by context length."""
         return self._trie.contexts_per_length()
-
-    def add_sequence(self, ids: Sequence[int]) -> None:
-        """Count ``ids`` in.  The store is rebuilt, at the cost of
-        ``from_counts``: about 0.25 s on a model of 24,000 contexts, so
-        adding sequences one by one takes time quadratic in their number;
-        ``train`` counts many at once."""
-        counts = self._count_dict()
-        ids = tuple(ids)
-        for i, token in enumerate(ids):
-            for k in range(min(self.order, i + 1)):
-                bucket = counts.setdefault(ids[i - k:i], {})
-                bucket[token] = bucket.get(token, 0) + 1
-        self._set_counts(counts)
 
     def _context(self, context: Sequence[int]) -> tuple[int, ...]:
         return tuple(context[-(self.order - 1):]) if self.order > 1 else ()
@@ -646,16 +622,14 @@ def save(model: NGramModel, path) -> None:
 
     In that order a context's prefix one id shorter is the last context of
     its length before it, so its text is that prefix's text and one more
-    id.  Each bucket's event text is formatted once, and the text of a
-    one-event bucket is shared by equal events.  Lines are written one by
-    one, so the file is never held whole in memory.
+    id.  Each bucket's event text is formatted once.  Lines are written
+    one by one, so the file is never held whole in memory.
     """
     trie = model._trie
     order, depth, last = trie.tuple_order()
     bucket, ev_off, ev_id, ev_count = trie.bucket, trie.ev_off, trie.ev_id, trie.ev_count
     texts = [""] * len(trie.starts)
     ev_texts = [None] * len(trie.total)
-    single = {}  # (token, count) -> event text
     with open(path, "w", encoding="utf-8") as f:
         f.write(MODEL_MAGIC + "\n")
         f.write(f"order\t{model.order}\n")
@@ -673,14 +647,8 @@ def save(model: NGramModel, path) -> None:
             ev = ev_texts[b]
             if ev is None:
                 o, e = ev_off[b], ev_off[b + 1]
-                if e - o == 1:
-                    item = ev_id[o], ev_count[o]
-                    ev = single.get(item)
-                    if ev is None:
-                        ev = single[item] = f"{item[0]}:{item[1]}"
-                else:
-                    ev = " ".join([f"{ev_id[i]}:{ev_count[i]}" for i in range(o, e)])
-                ev_texts[b] = ev
+                ev = ev_texts[b] = " ".join([f"{ev_id[i]}:{ev_count[i]}"
+                                             for i in range(o, e)])
             f.write(f"C\t{ctx_s}\t{ev}\n")
 
 

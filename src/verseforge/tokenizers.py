@@ -230,24 +230,25 @@ def line_tokens(vocab: Vocab, line: str, syllabifier=None) -> list[str]:
 def encode(vocab: Vocab, text: str, syllabifier=None) -> list[int]:
     """Token ids; lines are joined by the separator id.  Tokens missing
     from the vocabulary become the unknown id (never an exception)."""
+    id_of, sep_id, unk_id = vocab.id_of, vocab.sep_id, vocab.unk_id
     ids = []
     for i, line in enumerate(text.split("\n")):
         if i:
-            ids.append(vocab.sep_id)
-        for tok in line_tokens(vocab, line, syllabifier):
-            ids.append(vocab.id_of.get(tok, vocab.unk_id))
+            ids.append(sep_id)
+        ids.extend([id_of.get(tok, unk_id) for tok in line_tokens(vocab, line, syllabifier)])
     return ids
 
 
 def decode(vocab: Vocab, ids) -> str:
+    tokens, eos_id, unk_id = vocab.tokens, vocab.eos_id, vocab.unk_id
     out = []
     for i in ids:
-        if i == vocab.eos_id:
+        if i == eos_id:
             continue
-        if i == vocab.unk_id:
+        if i == unk_id:
             out.append(UNK_GLYPH)
         else:
-            out.append(vocab.tokens[i])
+            out.append(tokens[i])
     return "".join(out)
 
 

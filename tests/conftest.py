@@ -1,44 +1,8 @@
-from pathlib import Path
-
 import pytest
 
 from verseforge import corpus
 from verseforge.corpus import MeterLabel, Strophe, Verse
-
-DATA = Path(__file__).parent / "data"
-
-# The running example: an ABAB iambic strophe with one rhyme pair whose
-# clausulae differ only in vowel length (oři / oří).
-EXAMPLE_VERSES = [
-    "Tvá loď jde po vysokém moři,",
-    "v ně brázdu jako stříbro reje,",
-    "svou přídu v modré vlny noří",
-    "a bok svůj pěnné do peřeje.",
-]
-
-EXAMPLE_BASIC = (
-    "# ABAB # 1900 # J\n"
-    "Tvá loď jde po vysokém moři,\n"
-    "v ně brázdu jako stříbro reje,\n"
-    "svou přídu v modré vlny noří\n"
-    "a bok svůj pěnné do peřeje."
-)
-
-EXAMPLE_VERSE_PAR = (
-    "# ABAB # 1900 # J\n"
-    "9 # oři # Tvá loď jde po vysokém moři,\n"
-    "9 # eje # v ně brázdu jako stříbro reje,\n"
-    "9 # oří # svou přídu v modré vlny noří\n"
-    "9 # eje # a bok svůj pěnné do peřeje."
-)
-
-EXAMPLE_METER_VERSE = (
-    "# ABAB # 1900\n"
-    "J # 9 # oři # Tvá loď jde po vysokém moři,\n"
-    "J # 9 # eje # v ně brázdu jako stříbro reje,\n"
-    "J # 9 # oří # svou přídu v modré vlny noří\n"
-    "J # 9 # eje # a bok svůj pěnné do peřeje."
-)
+from helpers import DATA, EXAMPLE_VERSES
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,47 @@
-"""Shared test utilities: a scripted language model and small factories."""
+"""Shared test utilities: test data paths, the running example, a
+scripted language model and small factories."""
+
+from pathlib import Path
 
 from verseforge import tokenizers
 from verseforge.formats import DataFormat
 from verseforge.generation import GeneratedStrophe
+
+DATA = Path(__file__).parent / "data"
+
+# The running example: an ABAB iambic strophe with one rhyme pair whose
+# clausulae differ only in vowel length (oři / oří).
+EXAMPLE_VERSES = [
+    "Tvá loď jde po vysokém moři,",
+    "v ně brázdu jako stříbro reje,",
+    "svou přídu v modré vlny noří",
+    "a bok svůj pěnné do peřeje.",
+]
+
+EXAMPLE_BASIC = (
+    "# ABAB # 1900 # J\n"
+    "Tvá loď jde po vysokém moři,\n"
+    "v ně brázdu jako stříbro reje,\n"
+    "svou přídu v modré vlny noří\n"
+    "a bok svůj pěnné do peřeje."
+)
+
+EXAMPLE_VERSE_PAR = (
+    "# ABAB # 1900 # J\n"
+    "9 # oři # Tvá loď jde po vysokém moři,\n"
+    "9 # eje # v ně brázdu jako stříbro reje,\n"
+    "9 # oří # svou přídu v modré vlny noří\n"
+    "9 # eje # a bok svůj pěnné do peřeje."
+)
+
+EXAMPLE_METER_VERSE = (
+    "# ABAB # 1900\n"
+    "J # 9 # oři # Tvá loď jde po vysokém moři,\n"
+    "J # 9 # eje # v ně brázdu jako stříbro reje,\n"
+    "J # 9 # oří # svou přídu v modré vlny noří\n"
+    "J # 9 # eje # a bok svůj pěnné do peřeje."
+)
+
 
 HINTS = ["na", "ve", "lo", "ky", "su", "mi"]
 METERS = ["J", "T", "D", "A", "J", "T"]

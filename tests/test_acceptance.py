@@ -26,13 +26,14 @@ from verseforge import (
 from verseforge.corpus import MeterLabel
 from verseforge.formats import DataFormat, consistency_check
 from verseforge.generation import GenerationRequest, generate_forced
-from conftest import (
+from helpers import (
     EXAMPLE_BASIC,
     EXAMPLE_METER_VERSE,
     EXAMPLE_VERSE_PAR,
     EXAMPLE_VERSES,
+    gen_from_text,
+    scripted_model,
 )
-from helpers import gen_from_text, scripted_model
 
 
 def test_criterion_1_running_example_phonology():

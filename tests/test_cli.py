@@ -7,7 +7,7 @@ import pytest
 from verseforge import corpus, formats, ngram, tokenizers
 from verseforge.cli import main
 from verseforge.formats import DataFormat
-from conftest import DATA
+from helpers import DATA
 from test_goldens import OUR_DEFAULT_BUDGET_SHA256
 
 

@@ -9,7 +9,7 @@ from verseforge.formats import (
     StropheHeader,
     consistency_check,
 )
-from conftest import EXAMPLE_BASIC, EXAMPLE_METER_VERSE, EXAMPLE_VERSE_PAR
+from helpers import EXAMPLE_BASIC, EXAMPLE_METER_VERSE, EXAMPLE_VERSE_PAR
 
 
 def test_encode_basic(example_strophe):

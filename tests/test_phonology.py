@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from verseforge import phonology as ph
-from conftest import EXAMPLE_VERSES
+from helpers import EXAMPLE_VERSES
 
 
 HYPHENATIONS = {

@@ -18,8 +18,7 @@ from verseforge.validation import (
     predict_scheme,
     strophe_meters,
 )
-from conftest import EXAMPLE_VERSES
-from helpers import gen_from_text
+from helpers import EXAMPLE_VERSES, gen_from_text
 
 FIG1_PATTERNS = ["xXxXxxxXx", "xXxXxXxXx", "xXxXxXxXx", "xXxXxXxxx"]
 
