@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from verseforge import phonology as ph
 from helpers import EXAMPLE_VERSES
+from test_analysis_goldens import verses
 
 
 HYPHENATIONS = {
@@ -185,3 +186,79 @@ def test_exceptions_are_read_only(tmp_path):
         syl.exceptions = {}
     assert ph.verse_syllables("reje moři", syl) == ["re", "je", "moř", "i"]
 
+
+
+# Reference: analyze, _stress and _clausula as they were before the
+# per-word marks were built from syllable counts, splitting each token
+# without a memo.
+
+def reference_split_token(token, syllabifier=None):
+    core = ph.strip_punct(token)
+    return ph.syllabify(core, syllabifier) if core else None
+
+
+def reference_analyze(text, syllabifier=None):
+    splits = [sp for sp in (reference_split_token(t, syllabifier) for t in text.split())
+              if sp is not None]
+    sylls = tuple(s for sp in splits for s in sp.syllables)
+    return ph.VerseAnalysis(text, sylls, reference_stress(splits), reference_clausula(sylls))
+
+
+def reference_stress(splits):
+    marks = []
+    i = 0
+    while i < len(splits):
+        sp = splits[i]
+        count = len(sp)
+        if count == 0:
+            i += 1
+            continue
+        low = sp.word.lower()
+        if count == 1 and low in ph.STRESSED_PREPOSITIONS:
+            # Find the next non-clitic word to absorb.
+            j = i + 1
+            while j < len(splits) and len(splits[j]) == 0:
+                j += 1
+            if j < len(splits):
+                marks.append("X")
+                marks.extend("x" * len(splits[j]))
+                i = j + 1
+                continue
+            marks.append("X")
+        elif count == 1:
+            marks.append("x" if low in ph.UNSTRESSED_MONOSYLLABLES else "X")
+        else:
+            marks.append("X")
+            marks.extend("x" * (count - 1))
+        i += 1
+    return "".join(marks)
+
+
+def reference_strip_onset(syllable):
+    low = syllable.lower()
+    has_vowel = any(ch in ph.VOWELS for ch in low)
+    for i, ch in enumerate(low):
+        if ch in ph.VOWELS or (not has_vowel and ch in ph.LIQUIDS):
+            return syllable[i:]
+    return syllable
+
+
+def reference_clausula(sylls):
+    if not sylls:
+        return ""
+    if len(sylls) == 1:
+        return reference_strip_onset(sylls[-1]).lower()
+    return (reference_strip_onset(sylls[-2]) + sylls[-1]).lower()
+
+
+# One syllabifier kept across examples, so that its memo is warm.
+WARM = ph.Syllabifier()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=verses)
+def test_analyze_matches_reference(text):
+    expected = reference_analyze(text)
+    assert ph.analyze(text) == expected
+    assert ph.analyze(text, WARM) == expected
+    assert ph.analyze(text, ph.Syllabifier()) == expected

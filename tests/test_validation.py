@@ -87,14 +87,22 @@ def test_strophe_meters_verse_without_syllables_is_not_recognized():
 
 
 # Reference: classify_meter and strophe_meters as they were before a
-# rhyme group and an X verse went through one pooled-score path.
+# rhyme group and an X verse went through one pooled-score path, with the
+# per-label score dict and the keyed max of that time.
+
+def reference_pooled_scores(patterns: list[str]) -> dict[MeterLabel, float]:
+    labels = [MeterLabel(letter) for letter in METER_ORDER[:-1]]
+    rows = [tuple(meter_score(p, label) for label in labels) for p in patterns]
+    return {label: sum(row[k] for row in rows) / len(rows)
+            for k, label in enumerate(labels)}
+
 
 def reference_classify_meter(pattern: str, context: list[str] | None = None,
                              threshold: float = validation.DEFAULT_THRESHOLD) -> MeterLabel:
     if not pattern:
         raise ValueError("empty stress pattern")
     patterns = context if context else [pattern]
-    scores = validation._pooled_scores(patterns)
+    scores = reference_pooled_scores(patterns)
     best = max(scores.items(),
                key=lambda kv: (kv[1], -METER_ORDER.index(kv[0].value)))
     if best[1] < threshold:
