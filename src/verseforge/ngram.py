@@ -396,9 +396,11 @@ class _CountItems(ItemsView):
 
 class Bucket(MutableMapping):
     """The counts of one context of a model, token id -> count, as a new
-    mapping.  Each ``__setitem__`` and ``__delitem__``, which every other
-    mutator goes through, writes the change back to the model, which
-    rebuilds its store as ``NGramModel.from_counts`` builds one."""
+    mapping.  Each mutator writes the change back to the model once, which
+    rebuilds its store as ``NGramModel.from_counts`` builds one:
+    ``__setitem__``, ``__delitem__``, ``update`` and ``clear`` each write
+    back, and ``pop``, ``popitem`` and ``setdefault`` go through the
+    first two."""
 
     def __init__(self, model: NGramModel, ctx: tuple[int, ...], events: dict[int, int]):
         self._model, self._ctx, self._events = model, ctx, events
@@ -421,6 +423,14 @@ class Bucket(MutableMapping):
 
     def __delitem__(self, token):
         del self._events[token]
+        self._write_back()
+
+    def update(self, other=(), /, **kwargs):
+        self._events.update(other, **kwargs)
+        self._write_back()
+
+    def clear(self):
+        self._events.clear()
         self._write_back()
 
     def _write_back(self) -> None:

@@ -220,6 +220,47 @@ def test_a_changed_bucket_is_written_back_to_its_context_alone(tmp_path):
     np.testing.assert_array_equal(model.next_dist((1,)), model.next_dist(()))
 
 
+def test_each_bucket_mutator_writes_back_once(monkeypatch):
+    model = counted(2, 13, list(range(12)))
+    writes = []
+    set_counts = NGramModel._set_counts
+
+    def spy(self, counts):
+        writes.append(dict(counts[()]))
+        set_counts(self, counts)
+
+    monkeypatch.setattr(NGramModel, "_set_counts", spy)
+    bucket = model.counts[()]
+    expected = dict(bucket)
+
+    def check(change, n_writes=1):
+        writes.clear()
+        result = change()
+        assert len(writes) == n_writes and dict(bucket) == expected
+        assert model.counts[()] == expected
+        return result
+
+    expected.update({t: 5 for t in range(11)})
+    check(lambda: bucket.update({t: 5 for t in range(11)}))
+    expected.update({11: 2})
+    check(lambda: bucket.update([(11, 2)]))
+    del expected[3]
+    assert check(lambda: bucket.pop(3)) == 5
+    first = next(iter(bucket))  # popitem takes the first key
+    popped = (first, expected.pop(first))
+    assert check(bucket.popitem) == popped
+    expected[12] = 1
+    assert check(lambda: bucket.setdefault(12, 1)) == 1
+    assert check(lambda: bucket.setdefault(12, 9), n_writes=0) == 1
+    assert len(bucket) == 11
+    expected.clear()
+    check(bucket.clear)
+    fresh = NGramModel.from_counts(
+        {ctx: dict(b) for ctx, b in model.counts.items()}, 2, 13)
+    for ctx in ([], [0], [5]):
+        np.testing.assert_array_equal(model.next_dist(ctx), fresh.next_dist(ctx))
+
+
 def test_load_rejects_wrong_vocab(tmp_path, fixture_strophes):
     m, vocab, _ = corpus_model(fixture_strophes)
     path = tmp_path / "m.ngram"
