@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import sys
 from contextlib import nullcontext
 
@@ -327,6 +328,9 @@ def significance(path_a, path_b, repetitions, seed):
                 if len(values) > 1:
                     raise FormatError(
                         f"{path}:{lineno}: {len(values)} values; expected one score per line")
+                if values and not math.isfinite(values[0]):
+                    raise FormatError(
+                        f"{path}:{lineno}: {values[0]} is not a finite score")
                 scores += values
         return scores
     p = validation.permutation_test(read(path_a), read(path_b), repetitions, seed)

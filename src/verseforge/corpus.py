@@ -91,11 +91,10 @@ def derive_rhyme_scheme(groups: list[int | None]) -> str:
     if len(groups) not in SCHEME_LENGTHS:
         raise CorpusFormatError(
             f"unsupported strophe length {len(groups)}: expected 4 or 6")
-    counts = Counter(g for g in groups if g is not None)
     letters = []
     assigned: dict[int, str] = {}
     for g in groups:
-        if g is None or counts[g] < 2:
+        if g is None or groups.count(g) < 2:
             letters.append("X")
             continue
         if g not in assigned:

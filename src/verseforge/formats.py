@@ -185,15 +185,23 @@ def verse_check(ann: LineAnnotation | None,
     text?  This is the raw signal behind Num syl / End acc."""
     if ann is None:
         raise FormatError("consistency_check needs annotated lines")
-    actual_syl = len(analysis.syllables)
+    syl_ok, end_ok = annotation_matches(ann, analysis)
     return VerseCheck(
-        syl_ok=actual_syl == ann.syllable_count,
-        end_ok=analysis.clausula == ann.ending_hint.lower(),
+        syl_ok=syl_ok,
+        end_ok=end_ok,
         annotated_syl=ann.syllable_count,
-        actual_syl=actual_syl,
+        actual_syl=len(analysis.syllables),
         annotated_hint=ann.ending_hint,
         actual_hint=analysis.clausula,
     )
+
+
+def annotation_matches(ann: LineAnnotation,
+                       analysis: phonology.VerseAnalysis) -> tuple[bool, bool]:
+    """``syl_ok`` and ``end_ok`` of ``verse_check``: the annotated
+    syllable count and ending hint (in any case) against the analysis."""
+    return (len(analysis.syllables) == ann.syllable_count,
+            analysis.clausula == ann.ending_hint.lower())
 
 
 def consistency_check(parsed: ParsedStrophe, syllabifier=None) -> list[VerseCheck]:

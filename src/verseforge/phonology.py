@@ -8,14 +8,16 @@ words can be overridden through an exceptions file (one
 ``analyze`` is the one path from a verse to its syllables, stress
 pattern and clausula; ``verse_syllables``, ``stress_pattern`` and
 ``ending_hint`` read their fact off it.  Each ``Syllabifier`` memoizes
-the split of every raw whitespace token it has seen, up to
-``TOKEN_MEMO_ENTRIES`` tokens, after which the memo starts afresh.
+the syllables and stress marks of every raw whitespace token it has
+seen, up to ``TOKEN_MEMO_ENTRIES`` tokens, after which the memo starts
+afresh.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 
 VOWELS = set("aáeéěiíoóuúůyý")
@@ -135,7 +137,7 @@ class Syllabifier:
 
     def __init__(self, exceptions: dict[str, tuple[str, ...]] | None = None):
         self._exceptions = MappingProxyType(dict(exceptions or {}))
-        self._tokens: dict[str, SyllableSplit | None] = {}
+        self._tokens = _TokenMemo(self)
 
     @property
     def exceptions(self):
@@ -184,20 +186,41 @@ class Syllabifier:
             return SyllableSplit(word, ())
         return SyllableSplit(word, _split_at(word, nuclei))
 
-    def split_token(self, token: str) -> SyllableSplit | None:
-        """Split of a whitespace token with its punctuation removed, or
-        None when nothing is left; memoized per token."""
-        split = self._tokens.get(token, _MISSING)
-        if split is _MISSING:
-            core = strip_punct(token)
-            split = syllabify(core, self) if core else None
-            if len(self._tokens) >= TOKEN_MEMO_ENTRIES:
-                self._tokens.clear()
-            self._tokens[token] = split
-        return split
+
+# A word of at least one syllable: its syllables, its stress marks as a
+# word of its own and whether it is a vocalic preposition, which takes
+# the stress of the next word.
+_Word = tuple[tuple[str, ...], str, bool]
 
 
-_MISSING = object()
+class _TokenMemo(dict):
+    """Whitespace token -> the ``_Word`` of the token with its punctuation
+    removed, None when that has no syllable.  Holds at most
+    ``TOKEN_MEMO_ENTRIES`` tokens; a full memo is cleared."""
+
+    def __init__(self, syllabifier: Syllabifier):
+        super().__init__()
+        self._syllabifier = syllabifier
+
+    def __missing__(self, token: str) -> _Word | None:
+        core = strip_punct(token)
+        word = _word(syllabify(core, self._syllabifier)) if core else None
+        if len(self) >= TOKEN_MEMO_ENTRIES:
+            self.clear()
+        self[token] = word
+        return word
+
+
+def _word(split: SyllableSplit) -> _Word | None:
+    sylls = split.syllables
+    if len(sylls) != 1:
+        return (sylls, "X" + "x" * (len(sylls) - 1), False) if sylls else None
+    low = split.word.lower()
+    if low in STRESSED_PREPOSITIONS:
+        return sylls, "X", True
+    return sylls, "x" if low in UNSTRESSED_MONOSYLLABLES else "X", False
+
+
 _DEFAULT = Syllabifier()
 
 
@@ -229,10 +252,10 @@ class VerseAnalysis:
 def analyze(text: str, syllabifier: Syllabifier | None = None) -> VerseAnalysis:
     """Syllables, stress pattern and clausula of a verse, from one split
     of each of its words."""
-    split_token = (syllabifier or _DEFAULT).split_token
-    splits = [sp for sp in map(split_token, text.split()) if sp is not None]
-    sylls = tuple(s for sp in splits for s in sp.syllables)
-    return VerseAnalysis(text, sylls, _stress(splits), _clausula(sylls))
+    memo = (syllabifier or _DEFAULT)._tokens
+    words = list(filter(None, map(memo.__getitem__, text.split())))
+    sylls = tuple(chain.from_iterable([w[0] for w in words]))
+    return VerseAnalysis(text, sylls, _stress(words), _clausula(sylls))
 
 
 def verse_syllables(text: str, syllabifier: Syllabifier | None = None) -> list[str]:
@@ -256,42 +279,28 @@ def ending_hint(text: str, syllabifier: Syllabifier | None = None) -> str:
     return analyze(text, syllabifier).ending_hint()
 
 
-def _stress(splits: list[SyllableSplit]) -> str:
+def _stress(words: list[_Word]) -> str:
+    """Each word's own marks, but a vocalic preposition takes the stress
+    of the word after it, which is then unstressed."""
     marks = []
-    i = 0
-    while i < len(splits):
-        sp = splits[i]
-        count = len(sp)
-        if count == 0:
-            i += 1
-            continue
-        low = sp.word.lower()
-        if count == 1 and low in STRESSED_PREPOSITIONS:
-            # Find the next non-clitic word to absorb.
-            j = i + 1
-            while j < len(splits) and len(splits[j]) == 0:
-                j += 1
-            if j < len(splits):
-                marks.append("X")
-                marks.extend("x" * len(splits[j]))
-                i = j + 1
-                continue
-            marks.append("X")
-        elif count == 1:
-            marks.append("x" if low in UNSTRESSED_MONOSYLLABLES else "X")
+    absorb = False
+    for sylls, own, leans in words:
+        if absorb:
+            marks.append("x" * len(sylls))
+            absorb = False
         else:
-            marks.append("X")
-            marks.extend("x" * (count - 1))
-        i += 1
+            marks.append(own)
+            absorb = leans
     return "".join(marks)
 
 
 def _strip_onset(syllable: str) -> str:
+    """The syllable from its first vowel on, else from its first liquid."""
     low = syllable.lower()
-    has_vowel = any(ch in VOWELS for ch in low)
-    for i, ch in enumerate(low):
-        if ch in VOWELS or (not has_vowel and ch in LIQUIDS):
-            return syllable[i:]
+    for nuclei in (VOWELS, LIQUIDS):
+        for i, ch in enumerate(low):
+            if ch in nuclei:
+                return syllable[i:]
     return syllable
 
 

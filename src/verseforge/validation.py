@@ -12,7 +12,7 @@ import numpy as np
 
 from . import phonology
 from .corpus import METER_ORDER, SCHEME_LENGTHS, MeterLabel, derive_rhyme_scheme
-from .formats import DataFormat, verse_check
+from .formats import DataFormat, annotation_matches
 # Neither is called here; perfbench's tracer wraps both by these names.
 from .phonology import ending_hint, verse_syllables  # noqa: F401
 
@@ -119,24 +119,22 @@ def _pattern_scores(pattern: str) -> tuple[float, ...]:
     return tuple(meter_score(pattern, label) for label in _SCORED_LABELS)
 
 
-def _pooled_scores(patterns: list[str]) -> dict[MeterLabel, float]:
-    rows = [_pattern_scores(p) for p in patterns]
-    return {label: sum(row[k] for row in rows) / len(rows)
-            for k, label in enumerate(_SCORED_LABELS)}
-
-
 def classify_meter(patterns: list[str],
                    threshold: float = DEFAULT_THRESHOLD) -> MeterLabel:
     """Best-scoring meter template for the pooled scores of ``patterns``
-    (one verse, or the verses of a rhyme group), N below the threshold."""
+    (one verse, or the verses of a rhyme group), N below the threshold;
+    among equal scores the label earlier in ``METER_ORDER`` wins."""
     if not patterns or not all(patterns):
         raise ValueError("empty stress pattern")
-    scores = _pooled_scores(patterns)
-    best = max(scores.items(),
-               key=lambda kv: (kv[1], -METER_ORDER.index(kv[0].value)))
-    if best[1] < threshold:
+    if len(patterns) == 1:
+        scores = _pattern_scores(patterns[0])
+    else:
+        rows = [_pattern_scores(p) for p in patterns]
+        scores = [sum(col) / len(rows) for col in zip(*rows)]
+    best = max(scores)
+    if best < threshold:
         return MeterLabel.NOT_RECOGNIZED
-    return best[0]
+    return _SCORED_LABELS[scores.index(best)]
 
 
 def strophe_meters(patterns: list[str], scheme: str,
@@ -258,10 +256,10 @@ def evaluate(pairs, syllabifier=None,
         for (ann, _), a, forced in zip(parsed.lines, analyses, flags):
             if ann is None:
                 continue
-            check = verse_check(ann, a)
-            syl_hits += check.syl_ok
+            syl_ok, end_ok = annotation_matches(ann, a)
+            syl_hits += syl_ok
             side = end_forced if forced else end_free
-            side[0] += check.end_ok
+            side[0] += end_ok
             side[1] += 1
 
         sylls = [s.casefold() for a in analyses for s in a.syllables]
@@ -316,6 +314,8 @@ def permutation_test(scores_a, scores_b, repetitions: int = 100,
         raise ValueError("paired score vectors must have equal length")
     if not len(a):
         raise ValueError("no paired scores")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("scores must be finite numbers")
     diff = a - b
     observed = abs(diff.mean())
     rng = np.random.default_rng(seed)

@@ -316,6 +316,17 @@ def test_significance_of_a_non_number_names_its_line(tmp_path, capsys, scores):
     assert "a.txt:2:" in err and "'x'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+def test_significance_of_a_non_finite_score_names_its_line(tmp_path, capsys, value):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("0.9\n0.8\n0.7\n", encoding="utf-8")
+    b.write_text(f"0.9\n{value}\n0.7\n", encoding="utf-8")
+    assert main(["significance", "--a", str(a), "--b", str(b)]) == 4
+    err = capsys.readouterr().err
+    assert "b.txt:2:" in err and "finite" in err and "Traceback" not in err
+
+
 def test_significance_refuses_two_values_on_one_line(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -419,3 +419,51 @@ def test_permutation_rejects_mismatched_lengths():
 def test_permutation_of_empty_scores_raises():
     with pytest.raises(ValueError, match="no paired scores"):
         permutation_test([], [])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_permutation_rejects_non_finite_scores(bad):
+    with pytest.raises(ValueError, match="finite"):
+        permutation_test([0.5, bad, 0.7], [0.5, 0.6, 0.7])
+    with pytest.raises(ValueError, match="finite"):
+        permutation_test([0.5, 0.6, 0.7], [0.5, 0.6, bad])
+
+
+def test_evaluate_calls_the_traced_boundaries(fixture_strophes, monkeypatch):
+    """perfbench times ``strophe_meters`` and ``syllabify`` by wrapping
+    these module names; ``evaluate`` must reach each through them, once
+    per strophe whose verse count matches its scheme and once per
+    distinct token with characters left after ``strip_punct``."""
+    pairs = gold_pairs(fixture_strophes[:120])
+    for i in range(0, len(pairs), 7):
+        req, gen = pairs[i]
+        header, *verses = gen.raw_text.split("\n")
+        if i % 2:  # a strophe that parses with another verse count
+            text = "\n".join(["# AAB" + header[len("# " + req.scheme):]] + verses[:3])
+        else:  # one that does not parse
+            text = "\n".join([header] + verses[1:])
+        pairs[i] = (req, gen_from_text(text, req))
+    meters_calls = []
+    words = []
+    strophe_meters = validation.strophe_meters
+    syllabify = phonology.syllabify
+
+    def count_meters(*args, **kwargs):
+        meters_calls.append(args)
+        return strophe_meters(*args, **kwargs)
+
+    def count_syllabify(word, *args, **kwargs):
+        words.append(word)
+        return syllabify(word, *args, **kwargs)
+
+    monkeypatch.setattr(validation, "strophe_meters", count_meters)
+    monkeypatch.setattr(phonology, "syllabify", count_syllabify)
+    report = evaluate(pairs, phonology.Syllabifier())
+    parsed = [(req, gen.parsed) for req, gen in pairs if gen.parsed is not None]
+    assert report.n_parse_failures == len(pairs) - len(parsed) > 0
+    matching = [p for req, p in parsed if len(p.verse_texts) == len(req.scheme)]
+    assert 0 < len(matching) < len(parsed)
+    assert len(meters_calls) == len(matching)
+    tokens = {t for _, p in parsed for text in p.verse_texts for t in text.split()}
+    cores = [phonology.strip_punct(t) for t in tokens]
+    assert sorted(words) == sorted(c for c in cores if c)
