@@ -397,10 +397,9 @@ class _CountItems(ItemsView):
 class Bucket(MutableMapping):
     """The counts of one context of a model, token id -> count, as a new
     mapping.  Each mutator writes the change back to the model once, which
-    rebuilds its store as ``NGramModel.from_counts`` builds one:
-    ``__setitem__``, ``__delitem__``, ``update`` and ``clear`` each write
-    back, and ``pop``, ``popitem`` and ``setdefault`` go through the
-    first two."""
+    rebuilds its store as ``NGramModel.from_counts`` builds one; ``pop``,
+    ``popitem`` and ``setdefault`` do so through ``__setitem__`` and
+    ``__delitem__``."""
 
     def __init__(self, model: NGramModel, ctx: tuple[int, ...], events: dict[int, int]):
         self._model, self._ctx, self._events = model, ctx, events

@@ -57,7 +57,7 @@ UNSTRESSED_MONOSYLLABLES = {
 
 
 # Bound of a Syllabifier's token memo, in entries; a full memo is
-# cleared.  About 0.5 KB per entry, so at most about 32 MB.
+# cleared.  About 0.43 KB per entry, so at most about 28 MB.
 TOKEN_MEMO_ENTRIES = 65536
 
 
