@@ -213,8 +213,10 @@ class _TokenMemo(dict):
 
 def _word(split: SyllableSplit) -> _Word | None:
     sylls = split.syllables
-    if len(sylls) != 1:
-        return (sylls, "X" + "x" * (len(sylls) - 1), False) if sylls else None
+    if not sylls:
+        return None
+    if len(sylls) > 1:
+        return sylls, "X" + "x" * (len(sylls) - 1), False
     low = split.word.lower()
     if low in STRESSED_PREPOSITIONS:
         return sylls, "X", True
@@ -253,6 +255,7 @@ def analyze(text: str, syllabifier: Syllabifier | None = None) -> VerseAnalysis:
     """Syllables, stress pattern and clausula of a verse, from one split
     of each of its words."""
     memo = (syllabifier or _DEFAULT)._tokens
+    # a token without a syllable maps to None
     words = list(filter(None, map(memo.__getitem__, text.split())))
     sylls = tuple(chain.from_iterable([w[0] for w in words]))
     return VerseAnalysis(text, sylls, _stress(words), _clausula(sylls))
