@@ -1,6 +1,6 @@
 import pytest
 
-from verseforge import formats
+from verseforge import formats, phonology
 from verseforge.corpus import MeterLabel, Strophe, Verse, YearBucket
 from verseforge.formats import (
     DataFormat,
@@ -132,3 +132,34 @@ def test_consistency_check_requires_annotations():
     parsed = formats.parse(EXAMPLE_BASIC, DataFormat.BASIC)
     with pytest.raises(FormatError):
         consistency_check(parsed)
+
+
+def _checks_as_pinned(parsed):
+    """consistency_check as it was written over the per-verse check."""
+    checks = []
+    for ann, text in parsed.lines:
+        analysis = phonology.analyze(text)
+        if ann is None:
+            raise FormatError("consistency_check needs annotated lines")
+        checks.append(formats.VerseCheck(
+            syl_ok=len(analysis.syllables) == ann.syllable_count,
+            end_ok=analysis.clausula == ann.ending_hint.lower(),
+            annotated_syl=ann.syllable_count,
+            actual_syl=len(analysis.syllables),
+            annotated_hint=ann.ending_hint,
+            actual_hint=analysis.clausula,
+        ))
+    return checks
+
+
+def test_consistency_check_matches_the_pinned_loop(fixture_strophes):
+    for s in fixture_strophes:
+        parsed = formats.parse(formats.encode(s, DataFormat.METER_VERSE),
+                               DataFormat.METER_VERSE)
+        assert consistency_check(parsed) == _checks_as_pinned(parsed)
+        basic = formats.parse(formats.encode(s, DataFormat.BASIC), DataFormat.BASIC)
+        with pytest.raises(FormatError) as got:
+            consistency_check(basic)
+        with pytest.raises(FormatError) as pinned:
+            _checks_as_pinned(basic)
+        assert str(got.value) == str(pinned.value)

@@ -242,3 +242,27 @@ def test_kind_parse():
     for bad in ("wordpiece", "base"):
         with pytest.raises(TokenizerError, match="expected one of our, syllable, unicode"):
             TokenizerKind.parse(bad)
+
+
+def _escape_as_pinned(token: str) -> str:
+    return token.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+
+
+def _unescape_as_pinned(s: str) -> str:
+    out, i = [], 0
+    while i < len(s):
+        if s[i] == "\\" and i + 1 < len(s):
+            out.append({"t": "\t", "n": "\n", "\\": "\\"}.get(s[i + 1], s[i + 1]))
+            i += 2
+        else:
+            out.append(s[i])
+            i += 1
+    return "".join(out)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="\\tn\t\nab", max_size=30))
+def test_vocab_escapes_match_the_pinned_functions(s):
+    assert tok._escape(s) == _escape_as_pinned(s)
+    assert tok._unescape(s) == _unescape_as_pinned(s)
+    assert tok._unescape(tok._escape(s)) == s
