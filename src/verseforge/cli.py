@@ -45,10 +45,6 @@ def _numbered_lines(f, path) -> list[tuple[str, str]]:
     return [(f"{path}:{n}", line) for n, line in enumerate(f, 1) if line.strip()]
 
 
-def _format_lines(strophes, fmt, syllabifier):
-    return [formats.encode(s, fmt, syllabifier) for s in strophes]
-
-
 @click.group()
 def cli():
     """Strophe generation and formal evaluation for Czech poetry.
@@ -115,7 +111,8 @@ def train_tokenizer(ctx, corpus_path, kind, vocab_size, out, fmt, exceptions):
     """Build a tokenizer vocabulary from format-encoded strophes."""
     kind = TokenizerKind.parse(kind)
     syllabifier = _syllabifier(exceptions)
-    texts = _format_lines(corpus.ingest(corpus_path), DataFormat.parse(fmt), syllabifier)
+    fmt = DataFormat.parse(fmt)
+    texts = [formats.encode(s, fmt, syllabifier) for s in corpus.ingest(corpus_path)]
     vocab = tokenizers.build_vocab(kind, texts, vocab_size, syllabifier)
     tokenizers.save_vocab(vocab, out)
     with open(out, "a", encoding="utf-8") as f:
@@ -146,8 +143,8 @@ def train_lm(ctx, corpus_path, vocab_path, order, discount, test_fraction, seed,
     train_set, held_out = corpus.split(strophes, test_fraction, seed)
 
     def sequences(split):
-        return (tokenizers.encode(vocab, text, syllabifier) + [vocab.eos_id]
-                for text in _format_lines(split, fmt, syllabifier))
+        return (tokenizers.encode(vocab, formats.encode(s, fmt, syllabifier), syllabifier)
+                + [vocab.eos_id] for s in split)
 
     model = ngram.train(sequences(train_set), order, vocab, discount)
     ngram.save(model, out)
@@ -180,11 +177,13 @@ _OPTIONAL_FIELD_TYPES = (
 
 
 def _request_from_dict(d, fmt, where="request") -> GenerationRequest:
+    """The request of a JSON record; a null optional field is absent."""
     if not isinstance(d.get("scheme"), str):
         raise FormatError(f"{where}: a request needs a string 'scheme'")
     for key, types in _OPTIONAL_FIELD_TYPES:
         if d.get(key) is not None and not isinstance(d[key], types):
             raise FormatError(f"{where}: bad {key!r} {d[key]!r}")
+    d = {key: value for key, value in d.items() if value is not None}
     meters = d.get("meters")
     return GenerationRequest(
         scheme=d["scheme"],
@@ -239,9 +238,10 @@ def generate(ctx, model_path, vocab_path, scheme, year, meters, strophe_meter,
                     continue
                 where = f"{requests_path}:{i + 1}"
                 d = _record(line, where)
-                d.setdefault("temperature", temperature)
-                d.setdefault("seed", seed + i)
-                d.setdefault("max_tokens", max_tokens)
+                for key, value in (("temperature", temperature), ("seed", seed + i),
+                                   ("max_tokens", max_tokens)):
+                    if d.get(key) is None:
+                        d[key] = value
                 req = _request_from_dict(d, fmt, where)
                 gen = decode_fn(model, vocab, req, syllabifier)
                 sink.write(json.dumps({
@@ -348,6 +348,9 @@ def main(argv=None):
         return 2
     except FileNotFoundError as e:
         click.echo(f"missing file: {e}", err=True)
+        return EXIT_MISSING_FILE
+    except OSError as e:
+        click.echo(f"cannot open file: {e}", err=True)
         return EXIT_MISSING_FILE
     except (CorpusFormatError, FormatError, TokenizerError) as e:
         click.echo(f"schema error: {e}", err=True)

@@ -159,6 +159,8 @@ def _parse_verse(obj, where: str) -> Verse:
     for key in ("text", "rhyme", "meter"):
         if key not in obj:
             raise CorpusFormatError(f"{where}: missing field {key!r}")
+    if not isinstance(obj["text"], str):
+        raise CorpusFormatError(f"{where}: field 'text' must be a string")
     rhyme = obj["rhyme"]
     if rhyme is not None and not isinstance(rhyme, int):
         raise CorpusFormatError(f"{where}: field 'rhyme' must be integer or null")
@@ -187,7 +189,11 @@ def ingest(path) -> list[Strophe]:
             year = poem.get("year")
             if year is not None and not isinstance(year, int):
                 raise CorpusFormatError(f"{where}: field 'year' must be integer or null")
+            if not isinstance(poem["strophes"], list):
+                raise CorpusFormatError(f"{where}: field 'strophes' must be a list")
             for si, raw in enumerate(poem["strophes"]):
+                if not isinstance(raw, list):
+                    raise CorpusFormatError(f"{where} strophe {si}: a strophe must be a list")
                 verses = [_parse_verse(v, f"{where} strophe {si}") for v in raw]
                 try:
                     strophes.append(Strophe.from_verses(verses, year, poem_index=lineno - 1))

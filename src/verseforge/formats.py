@@ -179,32 +179,25 @@ class VerseCheck:
     actual_hint: str
 
 
-def verse_check(ann: LineAnnotation | None,
-                analysis: phonology.VerseAnalysis) -> VerseCheck:
-    """Does a verse's annotation match what phonology derives from its
-    text?  This is the raw signal behind Num syl / End acc."""
-    if ann is None:
-        raise FormatError("consistency_check needs annotated lines")
-    syl_ok, end_ok = annotation_matches(ann, analysis)
-    return VerseCheck(
-        syl_ok=syl_ok,
-        end_ok=end_ok,
-        annotated_syl=ann.syllable_count,
-        actual_syl=len(analysis.syllables),
-        annotated_hint=ann.ending_hint,
-        actual_hint=analysis.clausula,
-    )
-
-
 def annotation_matches(ann: LineAnnotation,
                        analysis: phonology.VerseAnalysis) -> tuple[bool, bool]:
-    """``syl_ok`` and ``end_ok`` of ``verse_check``: the annotated
+    """``syl_ok`` and ``end_ok`` of a ``VerseCheck``: the annotated
     syllable count and ending hint (in any case) against the analysis."""
     return (len(analysis.syllables) == ann.syllable_count,
             analysis.clausula == ann.ending_hint.lower())
 
 
 def consistency_check(parsed: ParsedStrophe, syllabifier=None) -> list[VerseCheck]:
-    """``verse_check`` of every verse of a parsed strophe."""
-    return [verse_check(ann, phonology.analyze(text, syllabifier))
-            for ann, text in parsed.lines]
+    """Does each verse's annotation match what phonology derives from its
+    text?  This is the raw signal behind Num syl / End acc."""
+    checks = []
+    for ann, text in parsed.lines:
+        analysis = phonology.analyze(text, syllabifier)
+        if ann is None:
+            raise FormatError("consistency_check needs annotated lines")
+        checks.append(VerseCheck(*annotation_matches(ann, analysis),
+                                 annotated_syl=ann.syllable_count,
+                                 actual_syl=len(analysis.syllables),
+                                 annotated_hint=ann.ending_hint,
+                                 actual_hint=analysis.clausula))
+    return checks

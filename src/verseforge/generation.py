@@ -40,7 +40,7 @@ class GenerationRequest:
             raise GenerationError(f"bad scheme {self.scheme!r}")
         if self.per_verse_meters is not None and len(self.per_verse_meters) != len(self.scheme):
             raise GenerationError("per_verse_meters length must match scheme length")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise GenerationError("temperature must be positive")
 
     def header(self) -> StropheHeader:
@@ -141,11 +141,11 @@ def generate_basic(model, vocab, request: GenerationRequest,
     """Prompt with the header line, then decode until end-of-sequence,
     the token budget, or the scheme's verse count."""
     dec = _Decoder(model, vocab, request, syllabifier)
-    prompt = request.header().render(request.fmt) + "\n" + _meter_seed(request, 0)
-    dec.feed(prompt)
+    header_line = request.header().render(request.fmt)
+    partial = _meter_seed(request, 0)
+    dec.feed(header_line + "\n" + partial)
     n_verses = len(request.scheme)
     lines = []
-    partial = prompt.split("\n", 1)[1]
     while len(lines) < n_verses:
         text, completed = dec.sample_line()
         line = partial + text
@@ -154,7 +154,7 @@ def generate_basic(model, vocab, request: GenerationRequest,
             lines.append(line)
         if not completed:
             break
-    raw = "\n".join([prompt.split("\n", 1)[0]] + lines)
+    raw = "\n".join([header_line] + lines)
     return GeneratedStrophe.from_text(raw, request, dec.truncated, [False] * len(lines))
 
 

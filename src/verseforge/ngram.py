@@ -40,12 +40,11 @@ the context's path: each level with counts scales the row by its backoff
 weight and adds its discounted counts in place.  The levels of the last
 ``SHARED_SUFFIX_LEN`` tokens, short of the whole context, depend only on
 those tokens, so every context that ends in them shares one read-only
-partial row.  These rows live in the same cache and byte budget as the
-tables, under ``(node, None)``; the row of the empty context, which every
-context shares, is kept apart and never evicted.  A write-back drops
-both.  The arithmetic is that of a fresh row per level, operation for
-operation, so rows are bit-identical to it, and ``next_dist`` always
-returns a row the caller owns.
+partial row.  These rows, the empty context's among them, live in the
+same cache and byte budget as the tables, under ``(node, None)``, and a
+write-back drops them with the tables.  The arithmetic is that of a
+fresh row per level, operation for operation, so rows are bit-identical
+to it, and ``next_dist`` always returns a row the caller owns.
 """
 
 from __future__ import annotations
@@ -104,7 +103,6 @@ class _Trie:
         self.total = total  # bucket -> sum of its counts, as a float
         self.ev_id = ev_id
         self.ev_count = ev_count
-        self.size = int(np.count_nonzero(np.frombuffer(bucket, np.int64) >= 0))
 
     @classmethod
     def of(cls, starts, parents, tok, bucket, ev_off, total, ev_id, ev_count) -> _Trie:
@@ -370,7 +368,7 @@ class Counts(Mapping):
         self._model = model
 
     def __len__(self) -> int:
-        return self._model._trie.size
+        return sum(self._model._trie.contexts_per_length())
 
     def __getitem__(self, ctx) -> Bucket:
         trie = self._model._trie
@@ -456,8 +454,6 @@ class NGramModel:
         # (trailing context, temperature) -> sampling table, and
         # (node, None) -> shared row; least recently used first
         self._tables: OrderedDict = OrderedDict()
-        # the shared row of the empty context, held outside the cache
-        self._base: np.ndarray | None = None
 
     @classmethod
     def from_counts(cls, counts: Mapping, order: int, vocab_size: int,
@@ -473,7 +469,6 @@ class NGramModel:
             records.add_context(ctx, records.add_bucket(bucket))
         self._trie = records.trie()
         self._tables.clear()
-        self._base = None
 
     @property
     def counts(self) -> Counts:
@@ -513,21 +508,17 @@ class NGramModel:
         return p
 
     def _shared_row(self, ctx: tuple[int, ...], path: list[int], j: int) -> np.ndarray:
-        """Read-only row after the levels of ``path[:j + 1]``, memoized
-        beside the tables."""
-        if not j:
-            if self._base is None:
-                uniform = np.full(self.vocab_size, 1.0 / self.vocab_size)
-                self._base = self._level(uniform, 0, ctx, 0)
-                self._base.flags.writeable = False
-            return self._base
+        """Read-only row after the levels of ``path[:j + 1]``, from the
+        uniform row, memoized beside the tables."""
         key = (path[j], None)
         tables = self._tables
         row = tables.get(key)
         if row is not None:
             tables.move_to_end(key)
             return row
-        row = self._level(self._shared_row(ctx, path, j - 1), path[j], ctx, j)
+        above = (self._shared_row(ctx, path, j - 1) if j
+                 else np.full(self.vocab_size, 1.0 / self.vocab_size))
+        row = self._level(above, path[j], ctx, j)
         row.flags.writeable = False
         self._remember(key, row)
         return row
@@ -615,7 +606,7 @@ def sampling_table(p: np.ndarray, temperature: float) -> array | int:
 
 
 def sample_with_rng(model, context, temperature: float, rng) -> int:
-    if temperature <= 0:
+    if not temperature > 0:
         raise NGramError(f"temperature must be > 0, got {temperature}")
     if isinstance(model, NGramModel):
         table = model.table(context, temperature)
@@ -627,7 +618,9 @@ def sample_with_rng(model, context, temperature: float, rng) -> int:
 
 
 def save(model: NGramModel, path) -> None:
-    """Write the counts, one ``C`` line per context in tuple order.
+    """Write the counts, one ``C`` line per context in tuple order.  A
+    context whose bucket holds no events adds nothing to any row and is
+    not written: ``load`` refuses a line without events.
 
     In that order a context's prefix one id shorter is the last context of
     its length before it, so its text is that prefix's text and one more
@@ -641,17 +634,15 @@ def save(model: NGramModel, path) -> None:
     ev_texts = [None] * len(trie.total)
     with open(path, "w", encoding="utf-8") as f:
         f.write(MODEL_MAGIC + "\n")
-        f.write(f"order\t{model.order}\n")
-        f.write(f"discount\t{model.discount!r}\n")
-        f.write(f"vocab_size\t{model.vocab_size}\n")
-        f.write(f"vocab_hash\t{model.vocab_hash}\n")
+        for key in MODEL_HEADER:
+            f.write(f"{key}\t{getattr(model, key)}\n")
         for node, d, t in zip(order.tolist(), depth.tolist(), last.tolist()):
             if d:
                 ctx_s = texts[d] = f"{texts[d - 1]},{t}" if d > 1 else str(t)
             else:
                 ctx_s = ""
             b = bucket[node]
-            if b < 0:
+            if b < 0 or ev_off[b] == ev_off[b + 1]:
                 continue
             ev = ev_texts[b]
             if ev is None:
@@ -701,13 +692,12 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
                         for ev in ev_s.split(" "):
                             t, c = ev.split(":")
                             bucket[int(t)] = int(c)
+                        b = buckets[ev_s] = add_bucket(bucket)
                     cut = ctx_s.rfind(",")
                     parent_s, parent, depth = last.get(cut, no_parent)
                     # the empty context is nobody's parent: ",5" is refused
                     if cut > 0 and ctx_s.startswith(parent_s):
                         token = int(ctx_s[cut + 1:])
-                        if b is None:
-                            b = buckets[ev_s] = add_bucket(bucket)
                         depth += 1
                         parents(parent)
                         lasts(token)
@@ -716,8 +706,6 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
                         rec += 1
                     else:
                         ctx = [int(x) for x in ctx_s.split(",")] if ctx_s else []
-                        if b is None:
-                            b = buckets[ev_s] = add_bucket(bucket)
                         rec = add_context(ctx, b)
                         depth = len(ctx)
                     last[len(ctx_s)] = ctx_s, rec, depth
@@ -735,12 +723,7 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
     missing = [key for key in MODEL_HEADER if key not in header]
     if missing:
         raise NGramError(f"{path}: header lacks {', '.join(missing)}")
-    model = NGramModel(
-        order=header["order"],
-        vocab_size=header["vocab_size"],
-        vocab_hash=header["vocab_hash"],
-        discount=header["discount"],
-    )
+    model = NGramModel(**{key: header[key] for key in MODEL_HEADER})
     if vocab is not None and vocab.content_hash() != model.vocab_hash:
         raise NGramError(
             f"{path}: model was trained against a different vocabulary "

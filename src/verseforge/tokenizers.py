@@ -101,20 +101,18 @@ class Vocab:
         return h.hexdigest()[:16]
 
 
+# vocab-file escapes: the letter after a backslash -> the character it
+# stands for; any other escaped character stands for itself
+_UNESCAPED = {"\\": "\\", "t": "\t", "n": "\n"}
+_ESCAPED = str.maketrans({c: "\\" + e for e, c in _UNESCAPED.items()})
+
+
 def _escape(token: str) -> str:
-    return token.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+    return token.translate(_ESCAPED)
 
 
 def _unescape(s: str) -> str:
-    out, i = [], 0
-    while i < len(s):
-        if s[i] == "\\" and i + 1 < len(s):
-            out.append({"t": "\t", "n": "\n", "\\": "\\"}.get(s[i + 1], s[i + 1]))
-            i += 2
-        else:
-            out.append(s[i])
-            i += 1
-    return "".join(out)
+    return re.sub(r"\\(.)", lambda m: _UNESCAPED.get(m[1], m[1]), s, flags=re.S)
 
 
 def save_vocab(vocab: Vocab, path) -> None:

@@ -464,3 +464,91 @@ def test_generate_rejects_a_malformed_model_line_after_valid_ones(small_model, t
     err = capsys.readouterr().err
     assert rc == 5
     assert f"bad.ngram:{len(lines)}:" in err and "Traceback" not in err
+
+
+POEM_VERSE = {"text": "Tvá loď jde po vysokém moři,", "rhyme": 1, "meter": "J"}
+
+
+@pytest.mark.parametrize("poem,what", [
+    ({"year": 1900, "strophes": 5}, "field 'strophes' must be a list"),
+    ({"year": 1900, "strophes": [5]}, "strophe 0: a strophe must be a list"),
+    ({"year": 1900, "strophes": [[dict(POEM_VERSE, text=5)] * 4]},
+     "strophe 0: field 'text' must be a string"),
+    ({"year": 1900, "strophes": [[dict(POEM_VERSE, text=True)] * 4]},
+     "strophe 0: field 'text' must be a string"),
+])
+def test_a_malformed_corpus_shape_names_its_line(mini_corpus, tmp_path, capsys, poem, what):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(mini_corpus.read_text(encoding="utf-8").splitlines()[0] + "\n"
+                   + json.dumps(poem) + "\n", encoding="utf-8")
+    for argv in (["ingest", "--corpus", str(bad), "--stats-out", str(tmp_path / "s.json")],
+                 ["stats", "--corpus", str(bad)]):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert f"bad.jsonl:2" in err and what in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--corpus", "{dir}", "--stats-out", "{dir}/s.json"],
+    ["stats", "--corpus", "{dir}"],
+    ["significance", "--a", "{dir}", "--b", "{dir}"],
+])
+def test_a_directory_as_input_file_exits_3(tmp_path, capsys, argv):
+    rc = main([a.format(dir=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("cannot open file: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-nan", "0", "-1"])
+def test_generate_refuses_a_temperature_that_is_not_positive(small_model, capsys, value):
+    vocab, model = small_model
+    rc = main(["generate", "--model", str(model), "--vocab", str(vocab),
+               "--scheme", "ABAB", "--year", "1900", f"--temperature={value}"])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert "temperature must be positive" in err and "Traceback" not in err
+
+
+def test_a_request_line_with_a_nan_temperature_exits_5(small_model, tmp_path, capsys):
+    vocab, model = small_model
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text(f'{GOOD_REQUEST}\n{{"scheme": "ABAB", "temperature": NaN}}\n',
+                        encoding="utf-8")
+    rc = main(["generate", "--model", str(model), "--vocab", str(vocab),
+               "--requests", str(requests), "--out", str(tmp_path / "gen.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert "temperature must be positive" in err and "Traceback" not in err
+
+
+def test_an_infinite_temperature_still_samples(small_model, capsys):
+    vocab, model = small_model
+    outs = []
+    for seed in ("1", "2"):
+        assert main(["generate", "--model", str(model), "--vocab", str(vocab),
+                     "--scheme", "ABAB", "--year", "1900", "--temperature", "inf",
+                     "--seed", seed, "--max-tokens", "60"]) == 0
+        outs.append(capsys.readouterr().out.splitlines()[2:])
+    assert outs[0] != outs[1]
+
+
+@pytest.mark.parametrize("key", ["temperature", "seed", "max_tokens"])
+def test_a_null_request_field_means_its_default(small_model, tmp_path, capsys, key):
+    vocab, model = small_model
+    outs = []
+    for request in ({"scheme": "ABAB", "year": "1900"},
+                    {"scheme": "ABAB", "year": "1900", key: None}):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(json.dumps(request) + "\n", encoding="utf-8")
+        out = tmp_path / "gen.jsonl"
+        assert main(["generate", "--model", str(model), "--vocab", str(vocab),
+                     "--requests", str(requests), "--out", str(out), "--seed", "4"]) == 0
+        outs.append(json.loads(out.read_text(encoding="utf-8")))
+        generations = tmp_path / "generations.jsonl"
+        generations.write_text(out.read_text(encoding="utf-8"), encoding="utf-8")
+        requests.write_text(json.dumps(request) + "\n", encoding="utf-8")
+        assert main(["evaluate", "--requests", str(requests), "--generations",
+                     str(generations), "--report", str(tmp_path / "r.json")]) == 0
+    assert outs[0] == outs[1]

@@ -1,0 +1,124 @@
+"""The CLI's error contract under fuzzing: whatever a mutated input file
+holds, ``main`` returns a documented exit code and raises nothing."""
+
+import copy
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from verseforge.cli import main
+from helpers import DATA
+
+EXIT_CODES = {0, 2, 3, 4, 5}
+
+# stand-ins for a JSON value of another type
+OTHER_VALUES = [None, 0, -1, 7, 10**6, 0.5, -2.5, math.nan, math.inf, "", "x", "ABAB",
+                [], [5], {}, True, [[5]]]
+
+# what a character mutation inserts: the separators of every file format
+MUTANT_CHARS = "\t\n ,:#\\-059xJé"
+
+REQUESTS = [
+    {"scheme": "ABAB", "year": 1900, "meters": ["J", "J", "J", "J"],
+     "temperature": 1.0, "seed": 1, "max_tokens": 300},
+    {"scheme": "AABBCC", "year": "NaN", "strophe_meter": "T", "seed": 2, "max_tokens": 300},
+]
+
+
+@pytest.fixture(scope="module")
+def setup(tmp_path_factory):
+    """Input files of every kind, from 40 fixture poems and an order-3
+    ``unicode`` model trained on them."""
+    tmp = tmp_path_factory.mktemp("contract")
+    src = (DATA / "fixture_corpus.jsonl").read_text(encoding="utf-8")
+    paths = {name: tmp / name for name in
+             ("corpus.jsonl", "uni.vocab", "uni.ngram", "requests.jsonl",
+              "generations.jsonl", "a.txt", "b.txt")}
+    paths["corpus.jsonl"].write_text("".join(src.splitlines(keepends=True)[:40]),
+                                     encoding="utf-8")
+    assert main(["train-tokenizer", "--corpus", str(paths["corpus.jsonl"]),
+                 "--kind", "unicode", "--out", str(paths["uni.vocab"])]) == 0
+    assert main(["train-lm", "--corpus", str(paths["corpus.jsonl"]),
+                 "--vocab", str(paths["uni.vocab"]), "--order", "3",
+                 "--test-fraction", "0.1", "--out", str(paths["uni.ngram"])]) == 0
+    paths["requests.jsonl"].write_text("".join(json.dumps(r) + "\n" for r in REQUESTS),
+                                       encoding="utf-8")
+    assert main(["generate", "--model", str(paths["uni.ngram"]),
+                 "--vocab", str(paths["uni.vocab"]),
+                 "--requests", str(paths["requests.jsonl"]),
+                 "--out", str(paths["generations.jsonl"])]) == 0
+    paths["a.txt"].write_text("0.9\n0.5\n0.7\n", encoding="utf-8")
+    paths["b.txt"].write_text("0.8\n0.6\n0.1\n", encoding="utf-8")
+    return tmp, paths
+
+
+def commands(name, paths, out):
+    """The commands that read the file ``name``."""
+    p = {k: str(v) for k, v in paths.items()}
+    generate = ["generate", "--model", p["uni.ngram"], "--vocab", p["uni.vocab"]]
+    evaluate = ["evaluate", "--requests", p["requests.jsonl"],
+                "--generations", p["generations.jsonl"], "--report", f"{out}/r.json"]
+    return {
+        "corpus.jsonl": [["ingest", "--corpus", p["corpus.jsonl"],
+                          "--stats-out", f"{out}/s.json"],
+                         ["train-tokenizer", "--corpus", p["corpus.jsonl"],
+                          "--kind", "unicode", "--out", f"{out}/v.vocab"]],
+        "uni.vocab": [generate + ["--scheme", "ABAB", "--max-tokens", "200"],
+                      ["train-lm", "--corpus", p["corpus.jsonl"], "--vocab", p["uni.vocab"],
+                       "--order", "2", "--out", f"{out}/m.ngram"]],
+        "uni.ngram": [generate + ["--scheme", "ABAB", "--max-tokens", "200"]],
+        "requests.jsonl": [generate + ["--requests", p["requests.jsonl"],
+                                       "--out", f"{out}/g.jsonl"], evaluate],
+        "generations.jsonl": [evaluate],
+        "a.txt": [["significance", "--a", p["a.txt"], "--b", p["b.txt"]]],
+    }[name]
+
+
+def value_spots(obj):
+    """(container, key) of every value inside a JSON object."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield obj, key
+        if isinstance(value, (dict, list)):
+            yield from value_spots(value)
+
+
+def retyped(data, text):
+    """``text``, JSON lines, with one value of one record replaced by a
+    value of another type."""
+    records = [json.loads(line) for line in text.splitlines()]
+    i = data.draw(st.integers(0, len(records) - 1))
+    record = copy.deepcopy(records[i])
+    container, key = data.draw(st.sampled_from(list(value_spots(record))))
+    old = container[key]
+    container[key] = data.draw(st.sampled_from(
+        [v for v in OTHER_VALUES if type(v) is not type(old)]))
+    records[i] = record
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+def char_mutated(data, text):
+    """``text`` with one character inserted, deleted or replaced, or cut
+    short."""
+    at = data.draw(st.integers(0, len(text)))
+    how = data.draw(st.sampled_from(["insert", "delete", "replace", "truncate"]))
+    if how == "truncate":
+        return text[:at]
+    ch = "" if how == "delete" else data.draw(st.sampled_from(MUTANT_CHARS))
+    return text[:at] + ch + text[at + (how != "insert"):]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_inputs_exit_with_a_documented_code(setup, data):
+    tmp, paths = setup
+    name = data.draw(st.sampled_from(["corpus.jsonl", "requests.jsonl", "generations.jsonl",
+                                      "uni.vocab", "uni.ngram", "a.txt"]))
+    text = paths[name].read_text(encoding="utf-8")
+    mutate = retyped if name.endswith(".jsonl") else char_mutated
+    mutated = dict(paths, **{name: tmp / f"mutated-{name}"})
+    mutated[name].write_text(mutate(data, text), encoding="utf-8")
+    for argv in commands(name, mutated, tmp):
+        assert main(argv) in EXIT_CODES, argv

@@ -419,15 +419,36 @@ def test_load_memory_stays_within_a_per_context_bound(tmp_path):
 
 def test_table_cache_is_bounded_and_evicts_least_recently_used(monkeypatch):
     m = tiny_model()
-    monkeypatch.setattr(ngram, "TABLE_CACHE_BYTES", 2 * 8 * m.vocab_size)
+    monkeypatch.setattr(ngram, "TABLE_CACHE_BYTES", 3 * 8 * m.vocab_size)
     rng = np.random.default_rng(0)
     for ctx in ([0], [1], [0], [2]):
         ngram.sample_with_rng(m, ctx, 1.0, rng)
-        assert len(m._tables) <= 2
-    # [1] was used least recently when [2] arrived
-    assert list(m._tables) == [((0,), 1.0), ((2,), 1.0)]
+        assert len(m._tables) <= 3
+    # [1] was used least recently when [2] arrived; every miss uses the
+    # empty context's row, (root node, None)
+    assert list(m._tables) == [((0,), 1.0), (0, None), ((2,), 1.0)]
     ngram.sample_with_rng(m, [0], 0.5, rng)
-    assert list(m._tables) == [((2,), 1.0), ((0,), 0.5)]
+    assert list(m._tables) == [((2,), 1.0), (0, None), ((0,), 0.5)]
+
+
+def test_save_skips_a_context_with_an_empty_bucket(tmp_path):
+    built = NGramModel.from_counts({(): {0: 2, 1: 1}, (0,): {}}, 2, 3)
+    cleared = tiny_model()
+    cleared.counts[(0,)].clear()
+    for i, model in enumerate((built, cleared)):
+        path = tmp_path / f"{i}.ngram"
+        ngram.save(model, path)
+        assert "C\t0\t\n" not in path.read_text(encoding="utf-8")
+        loaded = ngram.load(path)
+        for ctx in ([], [0], [1], [2]):
+            assert np.array_equal(loaded.next_dist(ctx), model.next_dist(ctx))
+
+
+def test_sampling_refuses_a_temperature_that_is_not_positive():
+    m = tiny_model()
+    for temperature in (float("nan"), 0.0, -1.0):
+        with pytest.raises(NGramError, match="temperature must be > 0"):
+            ngram.sample_with_rng(m, [0], temperature, np.random.default_rng(0))
 
 
 def test_a_write_back_drops_stale_tables():
