@@ -376,6 +376,26 @@ def test_generate_rejects_a_bad_request_line(small_model, tmp_path, capsys, bad,
     assert f"requests.jsonl:{lineno}:" in err and "Traceback" not in err
 
 
+def test_a_blank_request_line_still_advances_the_default_seed(small_model, tmp_path, capsys):
+    """A batch line without a seed draws with ``--seed`` plus its 0-based
+    physical line index, blank lines included."""
+    vocab, model = small_model
+    singles = []
+    for seed in ("0", "2"):
+        assert main(["generate", "--model", str(model), "--vocab", str(vocab),
+                     "--scheme", "ABAB", "--year", "1900", "--seed", seed]) == 0
+        singles.append(capsys.readouterr().out.split("\n", 2)[2])
+    assert singles[0] != singles[1]
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text(f"{GOOD_REQUEST}\n\n{GOOD_REQUEST}\n", encoding="utf-8")
+    out = tmp_path / "gen.jsonl"
+    assert main(["generate", "--model", str(model), "--vocab", str(vocab),
+                 "--requests", str(requests), "--out", str(out)]) == 0
+    batch = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert [g["request"]["seed"] for g in batch] == [0, 2]
+    assert [g["raw_text"] + "\n" for g in batch] == singles
+
+
 def test_generate_streams_results_before_a_late_failure(small_model, tmp_path, capsys):
     vocab, model = small_model
     requests = tmp_path / "requests.jsonl"

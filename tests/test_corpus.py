@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -148,3 +150,17 @@ def test_stats(fixture_strophes):
 def test_fixture_is_large_enough(fixture_strophes):
     assert len(fixture_strophes) >= 2000
     assert sum(len(s.verses) for s in fixture_strophes) >= 9000
+
+
+def test_fixture_script_regenerates_the_fixture_byte_for_byte(tmp_path, monkeypatch,
+                                                              fixture_path):
+    """``scripts/make_fixture_corpus.py`` checks its lexicon with the
+    package's syllabifier, so a change there that alters a split or a
+    syllable count alters the bundled fixture."""
+    script_path = Path(__file__).parent.parent / "scripts" / "make_fixture_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_fixture_corpus", script_path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path / "fixture_corpus.jsonl")
+    script.main()
+    assert script.OUT.read_bytes() == fixture_path.read_bytes()
