@@ -16,7 +16,7 @@ from contextlib import nullcontext
 import click
 
 from . import corpus, formats, generation, ngram, tokenizers, validation
-from .corpus import CorpusFormatError, MeterLabel, YearBucket
+from .corpus import CorpusFormatError, MeterLabel, YearBucket, json_isinstance
 from .formats import DataFormat, FormatError
 from .generation import GenerationError, GenerationRequest
 from .ngram import NGramError
@@ -181,7 +181,7 @@ def _request_from_dict(d, fmt, where="request") -> GenerationRequest:
     if not isinstance(d.get("scheme"), str):
         raise FormatError(f"{where}: a request needs a string 'scheme'")
     for key, types in _OPTIONAL_FIELD_TYPES:
-        if d.get(key) is not None and not isinstance(d[key], types):
+        if d.get(key) is not None and not json_isinstance(d[key], types):
             raise FormatError(f"{where}: bad {key!r} {d[key]!r}")
     d = {key: value for key, value in d.items() if value is not None}
     meters = d.get("meters")

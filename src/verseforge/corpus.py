@@ -153,6 +153,12 @@ class CorpusStats:
         }
 
 
+def json_isinstance(value, types) -> bool:
+    """``isinstance`` for a decoded JSON value: ``true`` and ``false`` are
+    no numbers, although ``bool`` is a subclass of ``int``."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _parse_verse(obj, where: str) -> Verse:
     if not isinstance(obj, dict):
         raise CorpusFormatError(f"{where}: verse is not an object")
@@ -162,7 +168,7 @@ def _parse_verse(obj, where: str) -> Verse:
     if not isinstance(obj["text"], str):
         raise CorpusFormatError(f"{where}: field 'text' must be a string")
     rhyme = obj["rhyme"]
-    if rhyme is not None and not isinstance(rhyme, int):
+    if rhyme is not None and not json_isinstance(rhyme, int):
         raise CorpusFormatError(f"{where}: field 'rhyme' must be integer or null")
     try:
         return Verse(text=obj["text"], rhyme_group=rhyme,
@@ -187,7 +193,7 @@ def ingest(path) -> list[Strophe]:
             if not isinstance(poem, dict) or "strophes" not in poem:
                 raise CorpusFormatError(f"{where}: poem object must have 'strophes'")
             year = poem.get("year")
-            if year is not None and not isinstance(year, int):
+            if year is not None and not json_isinstance(year, int):
                 raise CorpusFormatError(f"{where}: field 'year' must be integer or null")
             if not isinstance(poem["strophes"], list):
                 raise CorpusFormatError(f"{where}: field 'strophes' must be a list")

@@ -363,6 +363,10 @@ GOOD_REQUEST = '{"scheme": "ABAB", "year": "1900"}'
     ('{"scheme": "ABAB", "seed": "x"}', 2),
     ('{"scheme": "ABAB", "meters": 3}', 2),
     ("{not json", 2),
+    # bool is a subclass of int, but a JSON true is no number
+    ('{"scheme": "ABAB", "seed": true}', 2),
+    ('{"scheme": "ABAB", "max_tokens": true}', 2),
+    ('{"scheme": "ABAB", "temperature": true}', 2),
 ])
 def test_generate_rejects_a_bad_request_line(small_model, tmp_path, capsys, bad, lineno):
     vocab, model = small_model
@@ -422,6 +426,8 @@ def test_generate_streams_results_before_a_late_failure(small_model, tmp_path, c
      "requests.jsonl:2:"),
     ('{"scheme": "ABAB"}\n' * 2, '{"raw_text": "# ABAB # 1900"}\n{"raw_text": 5}\n',
      "generations.jsonl:2:"),
+    ('{"scheme": "ABAB"}\n{"scheme": "ABAB", "seed": true}\n',
+     '{"raw_text": "# ABAB # 1900"}\n' * 2, "requests.jsonl:2:"),
 ])
 def test_evaluate_rejects_a_bad_line(tmp_path, capsys, requests, generations, where):
     (tmp_path / "requests.jsonl").write_text(requests, encoding="utf-8")
@@ -496,6 +502,9 @@ POEM_VERSE = {"text": "Tvá loď jde po vysokém moři,", "rhyme": 1, "meter": "
      "strophe 0: field 'text' must be a string"),
     ({"year": 1900, "strophes": [[dict(POEM_VERSE, text=True)] * 4]},
      "strophe 0: field 'text' must be a string"),
+    ({"year": True, "strophes": [[POEM_VERSE] * 4]}, "field 'year' must be integer or null"),
+    ({"year": 1900, "strophes": [[dict(POEM_VERSE, rhyme=True)] * 4]},
+     "strophe 0: field 'rhyme' must be integer or null"),
 ])
 def test_a_malformed_corpus_shape_names_its_line(mini_corpus, tmp_path, capsys, poem, what):
     bad = tmp_path / "bad.jsonl"
@@ -572,3 +581,4 @@ def test_a_null_request_field_means_its_default(small_model, tmp_path, capsys, k
         assert main(["evaluate", "--requests", str(requests), "--generations",
                      str(generations), "--report", str(tmp_path / "r.json")]) == 0
     assert outs[0] == outs[1]
+

@@ -106,6 +106,9 @@ def test_ingest_ok(tmp_path):
     (lambda p: p.replace('"meter": "J"', '"meter": "Q"'), "meter"),
     (lambda p: p.replace('"rhyme": 1', '"rhyme": "one"'), "rhyme"),
     (lambda p: p.replace('"year": 1900', '"year": "1900"'), "year"),
+    # bool is a subclass of int, but a JSON true is no year or rhyme group
+    (lambda p: p.replace('"year": 1900', '"year": true'), "'year' must be integer"),
+    (lambda p: p.replace('"rhyme": 1', '"rhyme": true'), "'rhyme' must be integer"),
 ])
 def test_ingest_line_addressed_errors(tmp_path, mutate, message):
     path = tmp_path / "c.jsonl"
