@@ -40,9 +40,12 @@ def _syllabifier(path) -> Syllabifier | None:
     return Syllabifier.from_exceptions_file(path) if path else None
 
 
-def _numbered_lines(f, path) -> list[tuple[str, str]]:
-    """The non-blank lines of a file, each with its ``path:lineno``."""
-    return [(f"{path}:{n}", line) for n, line in enumerate(f, 1) if line.strip()]
+def _numbered_lines(f, path):
+    """Yield each non-blank line of a file as ``(index, path:lineno, line)``,
+    ``index`` counting every line from 0."""
+    for i, line in enumerate(f):
+        if line.strip():
+            yield i, f"{path}:{i + 1}", line
 
 
 @click.group()
@@ -191,9 +194,7 @@ def _request_from_dict(d, fmt, where="request") -> GenerationRequest:
         fmt=fmt,
         strophe_meter=MeterLabel.parse(d["strophe_meter"]) if d.get("strophe_meter") else None,
         per_verse_meters=tuple(MeterLabel.parse(m) for m in meters) if meters else None,
-        temperature=d.get("temperature", 1.0),
-        seed=d.get("seed", 0),
-        max_tokens=d.get("max_tokens", 2000),
+        **{key: d[key] for key in ("temperature", "seed", "max_tokens") if key in d},
     )
 
 
@@ -232,12 +233,8 @@ def generate(ctx, model_path, vocab_path, scheme, year, meters, strophe_meter,
         n_done = 0
         with open(requests_path, encoding="utf-8") as f, \
                 (open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout)) as sink:
-            for i, line in enumerate(f):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{requests_path}:{i + 1}"
-                d = _record(line, where)
+            for i, where, line in _numbered_lines(f, requests_path):
+                d = _record(line.strip(), where)
                 for key, value in (("temperature", temperature), ("seed", seed + i),
                                    ("max_tokens", max_tokens)):
                     if d.get(key) is None:
@@ -289,12 +286,12 @@ def evaluate(ctx, requests_path, generations_path, report_path, threshold, fmt,
     pairs = []
     with open(requests_path, encoding="utf-8") as rf, \
             open(generations_path, encoding="utf-8") as gf:
-        req_lines = _numbered_lines(rf, requests_path)
-        gen_lines = _numbered_lines(gf, generations_path)
+        req_lines = list(_numbered_lines(rf, requests_path))
+        gen_lines = list(_numbered_lines(gf, generations_path))
     if len(req_lines) != len(gen_lines):
         raise FormatError(
             f"{len(req_lines)} requests but {len(gen_lines)} generations")
-    for (r_where, rl), (g_where, gl) in zip(req_lines, gen_lines):
+    for (_, r_where, rl), (_, g_where, gl) in zip(req_lines, gen_lines):
         req = _request_from_dict(_record(rl, r_where), fmt, r_where)
         g = _record(gl, g_where)
         raw_text, forced = g.get("raw_text"), g.get("forced", [])

@@ -65,22 +65,6 @@ class PhonologyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SyllableSplit:
-    """Lossless split of a single word into syllables."""
-
-    word: str
-    syllables: tuple[str, ...]
-
-    def __len__(self):
-        return len(self.syllables)
-
-    @property
-    def clitic(self) -> bool:
-        """A word with no nucleus, such as the preposition "z"."""
-        return not self.syllables
-
-
 def _find_nuclei(word: str) -> list[tuple[int, int]]:
     """Return (start, end) spans of syllable nuclei in ``word``."""
     low = word.lower()
@@ -133,7 +117,7 @@ def _split_at(word: str, nuclei: list[tuple[int, int]]) -> tuple[str, ...]:
 
 
 class Syllabifier:
-    """Splits words into syllables, with optional per-word overrides."""
+    """Per-word syllable overrides and the token memo that uses them."""
 
     def __init__(self, exceptions: dict[str, tuple[str, ...]] | None = None):
         self._exceptions = MappingProxyType(dict(exceptions or {}))
@@ -165,27 +149,6 @@ class Syllabifier:
                 exceptions[word.lower()] = parts
         return cls(exceptions)
 
-    def syllabify(self, word: str) -> SyllableSplit:
-        """Split a single word (letters only) into syllables.
-
-        Words without any nucleus (e.g. the preposition "z") yield zero
-        syllables and are flagged as clitics.
-        """
-        if not word:
-            return SyllableSplit(word, ())
-        override = self.exceptions.get(word.lower())
-        if override is not None:
-            # Re-case the override to the actual input.
-            pieces, pos = [], 0
-            for p in override:
-                pieces.append(word[pos:pos + len(p)])
-                pos += len(p)
-            return SyllableSplit(word, tuple(pieces))
-        nuclei = _find_nuclei(word)
-        if not nuclei:
-            return SyllableSplit(word, ())
-        return SyllableSplit(word, _split_at(word, nuclei))
-
 
 # A word of at least one syllable: its syllables, its stress marks as a
 # word of its own and whether it is a vocalic preposition, which takes
@@ -204,20 +167,19 @@ class _TokenMemo(dict):
 
     def __missing__(self, token: str) -> _Word | None:
         core = strip_punct(token)
-        word = _word(syllabify(core, self._syllabifier)) if core else None
+        word = _word(core, syllabify(core, self._syllabifier)) if core else None
         if len(self) >= TOKEN_MEMO_ENTRIES:
             self.clear()
         self[token] = word
         return word
 
 
-def _word(split: SyllableSplit) -> _Word | None:
-    sylls = split.syllables
+def _word(word: str, sylls: tuple[str, ...]) -> _Word | None:
     if not sylls:
         return None
     if len(sylls) > 1:
         return sylls, "X" + "x" * (len(sylls) - 1), False
-    low = split.word.lower()
+    low = word.lower()
     if low in STRESSED_PREPOSITIONS:
         return sylls, "X", True
     return sylls, "x" if low in UNSTRESSED_MONOSYLLABLES else "X", False
@@ -226,8 +188,26 @@ def _word(split: SyllableSplit) -> _Word | None:
 _DEFAULT = Syllabifier()
 
 
-def syllabify(word: str, syllabifier: Syllabifier | None = None) -> SyllableSplit:
-    return (syllabifier or _DEFAULT).syllabify(word)
+def syllabify(word: str, syllabifier: Syllabifier | None = None) -> tuple[str, ...]:
+    """Lossless split of a single word (letters only) into syllables.
+
+    A word without any nucleus (e.g. the preposition "z") is a clitic
+    and yields no syllable.
+    """
+    if not word:
+        return ()
+    override = (syllabifier or _DEFAULT).exceptions.get(word.lower())
+    if override is not None:
+        # Re-case the override to the actual input.
+        pieces, pos = [], 0
+        for p in override:
+            pieces.append(word[pos:pos + len(p)])
+            pos += len(p)
+        return tuple(pieces)
+    nuclei = _find_nuclei(word)
+    if not nuclei:
+        return ()
+    return _split_at(word, nuclei)
 
 
 def strip_punct(token: str) -> str:

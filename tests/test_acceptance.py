@@ -53,7 +53,7 @@ def test_criterion_1_running_example_phonology():
         "peřeje": ("pe", "ře", "je"),
     }
     for word, expected in hyphenations.items():
-        assert ph.syllabify(word).syllables == expected, word
+        assert ph.syllabify(word) == expected, word
 
     stress_rows = ["xXxXxxxXx", "xXxXxXxXx", "xXxXxXxXx", "xXxXxXxxx"]
     for verse, row in zip(EXAMPLE_VERSES, stress_rows):

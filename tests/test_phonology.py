@@ -27,19 +27,17 @@ HYPHENATIONS = {
 
 def test_hyphenations():
     for word, expected in HYPHENATIONS.items():
-        assert ph.syllabify(word).syllables == expected, word
+        assert ph.syllabify(word) == expected, word
 
 
 def test_syllables_are_lossless():
     for word in HYPHENATIONS:
-        assert "".join(ph.syllabify(word).syllables) == word
+        assert "".join(ph.syllabify(word)) == word
 
 
 def test_zero_nucleus_prepositions_are_clitics():
     for prep in ("v", "z", "k", "s"):
-        split = ph.syllabify(prep)
-        assert split.clitic
-        assert len(split) == 0
+        assert ph.syllabify(prep) == ()
 
 
 def test_example_stress_rows():
@@ -95,13 +93,13 @@ def test_ending_hint_empty_verse_raises():
 
 
 def test_syllabic_liquids():
-    assert ph.syllabify("vítr").syllables == ("ví", "tr")
-    assert ph.syllabify("srdce").syllables == ("srd", "ce")
-    assert ph.syllabify("mlha").syllables == ("ml", "ha")
+    assert ph.syllabify("vítr") == ("ví", "tr")
+    assert ph.syllabify("srdce") == ("srd", "ce")
+    assert ph.syllabify("mlha") == ("ml", "ha")
 
 
 def test_diphthongs_are_single_nuclei():
-    assert ph.syllabify("louka").syllables == ("lou", "ka")
+    assert ph.syllabify("louka") == ("lou", "ka")
     assert len(ph.syllabify("touha")) == 2
 
 
@@ -113,10 +111,10 @@ def test_exceptions_file(tmp_path):
     path = tmp_path / "exc.tsv"
     path.write_text("# comment line\nmoři\tmoř-i\n", encoding="utf-8")
     syl = ph.Syllabifier.from_exceptions_file(path)
-    assert syl.syllabify("moři").syllables == ("moř", "i")
-    assert syl.syllabify("Moři").syllables == ("Moř", "i")  # case restored
+    assert ph.syllabify("moři", syl) == ("moř", "i")
+    assert ph.syllabify("Moři", syl) == ("Moř", "i")  # case restored
     # unlisted words still use the rules
-    assert syl.syllabify("reje").syllables == ("re", "je")
+    assert ph.syllabify("reje", syl) == ("re", "je")
 
 
 def test_exceptions_file_errors(tmp_path):
@@ -136,17 +134,11 @@ czech_words = st.text(alphabet="aáeéěiíoóuúůyýbcčdhjklmnprřsštvzž",
 
 @given(czech_words)
 def test_syllabify_is_lossless(word):
-    split = ph.syllabify(word)
-    if split.clitic:
-        assert split.syllables == ()
+    sylls = ph.syllabify(word)
+    if not sylls:
+        assert sylls == ()
     else:
-        assert "".join(split.syllables) == word
-
-
-@given(czech_words)
-def test_nonclitic_words_have_syllables(word):
-    split = ph.syllabify(word)
-    assert split.clitic == (len(split) == 0)
+        assert "".join(sylls) == word
 
 
 @given(st.lists(czech_words, min_size=1, max_size=8))
@@ -194,13 +186,13 @@ def test_exceptions_are_read_only(tmp_path):
 
 def reference_split_token(token, syllabifier=None):
     core = ph.strip_punct(token)
-    return ph.syllabify(core, syllabifier) if core else None
+    return (core, ph.syllabify(core, syllabifier)) if core else None
 
 
 def reference_analyze(text, syllabifier=None):
     splits = [sp for sp in (reference_split_token(t, syllabifier) for t in text.split())
               if sp is not None]
-    sylls = tuple(s for sp in splits for s in sp.syllables)
+    sylls = tuple(s for _, sp in splits for s in sp)
     return ph.VerseAnalysis(text, sylls, reference_stress(splits), reference_clausula(sylls))
 
 
@@ -208,20 +200,20 @@ def reference_stress(splits):
     marks = []
     i = 0
     while i < len(splits):
-        sp = splits[i]
+        word, sp = splits[i]
         count = len(sp)
         if count == 0:
             i += 1
             continue
-        low = sp.word.lower()
+        low = word.lower()
         if count == 1 and low in ph.STRESSED_PREPOSITIONS:
             # Find the next non-clitic word to absorb.
             j = i + 1
-            while j < len(splits) and len(splits[j]) == 0:
+            while j < len(splits) and len(splits[j][1]) == 0:
                 j += 1
             if j < len(splits):
                 marks.append("X")
-                marks.extend("x" * len(splits[j]))
+                marks.extend("x" * len(splits[j][1]))
                 i = j + 1
                 continue
             marks.append("X")
