@@ -42,3 +42,19 @@ def test_checks_pass_on_a_trained_fixture_model(checks, fixture_strophes, order)
     assert checks.check_context_counts(model, seqs) == []
     assert checks.check_next_dist_rows(model, seqs, 50, "fixture") == []
     assert len(model.counts) == sum(1 for _ in model.counts) > 0
+
+
+@pytest.mark.parametrize("order", [3, 10])
+def test_checks_catch_a_count_written_through_a_bucket(checks, fixture_strophes, order):
+    """The benchmark's planted fault: one count raised through
+    ``model.counts[ctx][tok]`` breaks the count sums but leaves every
+    row a distribution."""
+    lines = [v.text for s in fixture_strophes[:60] for v in s.verses]
+    vocab = tok.build_unicode_vocab(lines)
+    seqs = [tok.encode(vocab, line) + [vocab.eos_id] for line in lines]
+    model = ngram.train(seqs, order=order, vocab=vocab)
+    ctx = next(c for c in model.counts if len(c) == 2)
+    token = next(iter(model.counts[ctx]))
+    model.counts[ctx][token] += 1
+    assert checks.check_context_counts(model, seqs)
+    assert checks.check_next_dist_rows(model, seqs, 50, "fixture") == []
