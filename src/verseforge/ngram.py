@@ -20,8 +20,8 @@ record per file line, and hand-built models come from a dict through
 ``NGramModel.from_counts``; ``train`` and ``load`` share one bucket
 between the nodes of equal events.
 ``NGramModel.counts`` is a ``Mapping`` view of the counts in tuple
-order; each lookup returns a new mapping, and a change to that mapping
-is written back to the model by rebuilding its store.
+order; each lookup returns a new mapping, whose one write,
+``bucket[token] = count``, rebuilds the model's store.
 
 Sampling draws from a table built once per row: the cumulative
 distribution of the normalised (tempered) row as an ``array('d')``,
@@ -53,7 +53,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from collections.abc import ItemsView, Mapping, MutableMapping
+from collections.abc import ItemsView, Mapping
 from typing import Sequence
 
 import numpy as np
@@ -392,12 +392,11 @@ class _CountItems(ItemsView):
         return ((ctx, Bucket(model, ctx, trie.events(b))) for ctx, b in trie.contexts())
 
 
-class Bucket(MutableMapping):
+class Bucket(Mapping):
     """The counts of one context of a model, token id -> count, as a new
-    mapping.  Each mutator writes the change back to the model once, which
-    rebuilds its store as ``NGramModel.from_counts`` builds one; ``pop``,
-    ``popitem`` and ``setdefault`` do so through ``__setitem__`` and
-    ``__delitem__``."""
+    mapping.  Its one write, ``bucket[token] = count``, is written back to
+    the model, which rebuilds its store as ``NGramModel.from_counts``
+    builds one."""
 
     def __init__(self, model: NGramModel, ctx: tuple[int, ...], events: dict[int, int]):
         self._model, self._ctx, self._events = model, ctx, events
@@ -416,21 +415,6 @@ class Bucket(MutableMapping):
 
     def __setitem__(self, token, count):
         self._events[token] = count
-        self._write_back()
-
-    def __delitem__(self, token):
-        del self._events[token]
-        self._write_back()
-
-    def update(self, other=(), /, **kwargs):
-        self._events.update(other, **kwargs)
-        self._write_back()
-
-    def clear(self):
-        self._events.clear()
-        self._write_back()
-
-    def _write_back(self) -> None:
         trie = self._model._trie
         counts = {ctx: trie.events(b) for ctx, b in trie.contexts()}
         counts[self._ctx] = self._events
@@ -458,7 +442,9 @@ class NGramModel:
     @classmethod
     def from_counts(cls, counts: Mapping, order: int, vocab_size: int,
                     vocab_hash: str = "", discount: float = DEFAULT_DISCOUNT) -> NGramModel:
-        """A model holding ``counts``, context tuple -> {token id: count}."""
+        """A model holding ``counts``, context tuple -> {token id: count}.
+        A context with no events adds nothing to any row and is left out,
+        so every bucket of a store holds events."""
         model = cls(order, vocab_size, vocab_hash, discount)
         model._set_counts(counts)
         return model
@@ -466,7 +452,8 @@ class NGramModel:
     def _set_counts(self, counts: Mapping) -> None:
         records = _Records()
         for ctx, bucket in counts.items():
-            records.add_context(ctx, records.add_bucket(bucket))
+            if bucket:
+                records.add_context(ctx, records.add_bucket(bucket))
         self._trie = records.trie()
         self._tables.clear()
 
@@ -490,8 +477,6 @@ class NGramModel:
         if b < 0:
             return p
         o, e = trie.ev_off[b], trie.ev_off[b + 1]
-        if o == e:
-            return p
         ids, counts = trie.ev_id, trie.ev_count
         if ids[o] < 0 or ids[e - 1] >= self.vocab_size:
             raise NGramError(
@@ -618,9 +603,7 @@ def sample_with_rng(model, context, temperature: float, rng) -> int:
 
 
 def save(model: NGramModel, path) -> None:
-    """Write the counts, one ``C`` line per context in tuple order.  A
-    context whose bucket holds no events adds nothing to any row and is
-    not written: ``load`` refuses a line without events.
+    """Write the counts, one ``C`` line per context in tuple order.
 
     In that order a context's prefix one id shorter is the last context of
     its length before it, so its text is that prefix's text and one more
@@ -642,7 +625,7 @@ def save(model: NGramModel, path) -> None:
             else:
                 ctx_s = ""
             b = bucket[node]
-            if b < 0 or ev_off[b] == ev_off[b + 1]:
+            if b < 0:
                 continue
             ev = ev_texts[b]
             if ev is None:
