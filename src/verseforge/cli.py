@@ -179,23 +179,28 @@ _OPTIONAL_FIELD_TYPES = (
 )
 
 
-def _request_from_dict(d, fmt, where="request") -> GenerationRequest:
-    """The request of a JSON record; a null optional field is absent."""
+def _request_from_dict(d, fmt, where=None) -> GenerationRequest:
+    """The request of a JSON record; a null optional field is absent.  An
+    error names ``where``, the record's ``path:line``, when given."""
+    at = f"{where}: " if where else ""
     if not isinstance(d.get("scheme"), str):
-        raise FormatError(f"{where}: a request needs a string 'scheme'")
+        raise FormatError(f"{at}a request needs a string 'scheme'")
     for key, types in _OPTIONAL_FIELD_TYPES:
         if d.get(key) is not None and not json_isinstance(d[key], types):
-            raise FormatError(f"{where}: bad {key!r} {d[key]!r}")
+            raise FormatError(f"{at}bad {key!r} {d[key]!r}")
     d = {key: value for key, value in d.items() if value is not None}
     meters = d.get("meters")
-    return GenerationRequest(
-        scheme=d["scheme"],
-        year_bucket=YearBucket.parse(str(d.get("year", "NaN"))),
-        fmt=fmt,
-        strophe_meter=MeterLabel.parse(d["strophe_meter"]) if d.get("strophe_meter") else None,
-        per_verse_meters=tuple(MeterLabel.parse(m) for m in meters) if meters else None,
-        **{key: d[key] for key in ("temperature", "seed", "max_tokens") if key in d},
-    )
+    try:
+        return GenerationRequest(
+            scheme=d["scheme"],
+            year_bucket=YearBucket.parse(str(d.get("year", "NaN"))),
+            fmt=fmt,
+            strophe_meter=MeterLabel.parse(d["strophe_meter"]) if d.get("strophe_meter") else None,
+            per_verse_meters=tuple(MeterLabel.parse(m) for m in meters) if meters else None,
+            **{key: d[key] for key in ("temperature", "seed", "max_tokens") if key in d},
+        )
+    except (CorpusFormatError, GenerationError) as e:
+        raise type(e)(f"{at}{e}") from None
 
 
 @cli.command()

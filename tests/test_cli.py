@@ -582,3 +582,38 @@ def test_a_null_request_field_means_its_default(small_model, tmp_path, capsys, k
                      str(generations), "--report", str(tmp_path / "r.json")]) == 0
     assert outs[0] == outs[1]
 
+
+
+@pytest.mark.parametrize("bad,rc,message", [
+    ('{"scheme": "ABAB", "meters": ["Q", "J", "J", "J"]}', 4,
+     "schema error: {where} unknown meter label 'Q'"),
+    ('{"scheme": "ABAB", "strophe_meter": "Q"}', 4,
+     "schema error: {where} unknown meter label 'Q'"),
+    ('{"scheme": "ABAB", "year": "abc"}', 4, "schema error: {where} bad year bucket 'abc'"),
+    ('{"scheme": "ABAB", "year": 1901}', 4, "schema error: {where} bad year bucket '1901'"),
+    ('{"scheme": "ABC"}', 5, "error: {where} scheme length must be 4 or 6, got 'ABC'"),
+    ('{"scheme": "ABAB", "temperature": -1}', 5, "error: {where} temperature must be positive"),
+    ('{"scheme": "ABAB", "meters": ["J"]}', 5,
+     "error: {where} per_verse_meters length must match scheme length"),
+], ids=["meter", "strophe-meter", "year-text", "year-off-bucket", "scheme", "temperature",
+        "meter-count"])
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_a_request_value_refused_by_its_type_names_its_line(small_model, tmp_path, capsys,
+                                                            command, bad, rc, message):
+    """A value that the request's own types refuse, not the field type
+    checks, is named by ``path:line`` too, with the exit code of its
+    error."""
+    vocab, model = small_model
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text(f"{GOOD_REQUEST}\n{bad}\n", encoding="utf-8")
+    if command == "generate":
+        argv = ["generate", "--model", str(model), "--vocab", str(vocab),
+                "--requests", str(requests), "--out", str(tmp_path / "gen.jsonl")]
+    else:
+        generations = tmp_path / "generations.jsonl"
+        generations.write_text('{"raw_text": "# ABAB # 1900"}\n' * 2, encoding="utf-8")
+        argv = ["evaluate", "--requests", str(requests), "--generations", str(generations),
+                "--report", str(tmp_path / "r.json")]
+    capsys.readouterr()
+    assert main(argv) == rc
+    assert capsys.readouterr().err == message.format(where=f"{requests}:2:") + "\n"
