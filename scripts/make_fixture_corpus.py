@@ -113,7 +113,7 @@ def check_word(word, n_syl, stressed_first):
     split = ph.syllabify(word)
     if len(split) != n_syl:
         return f"{word}: {len(split)} syllables, wanted {n_syl}"
-    pat = ph.stress_pattern(word)
+    pat = ph.analyze(word).stress
     want = ("X" + "x" * (n_syl - 1)) if stressed_first else "x" * n_syl
     if pat != want:
         return f"{word}: stress {pat}, wanted {want}"
@@ -136,7 +136,7 @@ def validate_pools():
 def build_families():
     fams = defaultdict(list)
     for w in ENDERS:
-        fams[ph.ending_hint(w)].append(w)
+        fams[ph.analyze(w).ending_hint()].append(w)
     fams = {k: v for k, v in fams.items() if len(v) >= 3}
     # hints must stay distinguishable by their last two characters, or
     # family identity is lost right after the annotation separator
@@ -251,8 +251,8 @@ def main():
             # prefer the candidate reusing the fewest syllables
             rng.shuffle(pool)
             line = min(pool, key=lambda l: len(
-                {s.casefold() for s in ph.verse_syllables(l)} & used_sylls))
-            used_sylls.update(s.casefold() for s in ph.verse_syllables(line))
+                {s.casefold() for s in ph.analyze(l).syllables} & used_sylls))
+            used_sylls.update(s.casefold() for s in ph.analyze(line).syllables)
             taken[(fam, kind)].append(line)
             verses.append((line, rid, KINDS[kind][0]))
 
@@ -292,7 +292,7 @@ def main():
     n_verses = sum(len(s.verses) for s in strophes)
     ratios = []
     for s in strophes:
-        sylls = [x.casefold() for v in s.verses for x in ph.verse_syllables(v.text)]
+        sylls = [x.casefold() for v in s.verses for x in ph.analyze(v.text).syllables]
         ratios.append(len(set(sylls)) / len(sylls))
     verse_lines = [v.text for s in strophes for v in s.verses]
     sv = tok.build_vocab(tok.TokenizerKind.SYLLABLE, verse_lines)
