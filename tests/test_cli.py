@@ -316,6 +316,16 @@ def test_significance_of_a_non_number_names_its_line(tmp_path, capsys, scores):
     assert "a.txt:2:" in err and "'x'" in err and "Traceback" not in err
 
 
+def test_significance_counts_a_blank_line_in_the_line_it_names(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("0.5\n\nx\n", encoding="utf-8")
+    b.write_text("0.5\n0.5\n", encoding="utf-8")
+    assert main(["significance", "--a", str(a), "--b", str(b)]) == 4
+    err = capsys.readouterr().err
+    assert "a.txt:3:" in err and "'x'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
 def test_significance_of_a_non_finite_score_names_its_line(tmp_path, capsys, value):
     a = tmp_path / "a.txt"

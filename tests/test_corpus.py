@@ -100,6 +100,14 @@ def test_ingest_ok(tmp_path):
     assert strophes[0].poem_index != strophes[1].poem_index
 
 
+def test_a_blank_line_between_poems_still_counts_in_poem_index(tmp_path):
+    """``poem_index`` is the 0-based physical line of the poem, so a blank
+    line between two poems skips an index."""
+    path = tmp_path / "c.jsonl"
+    path.write_text(f"{json.dumps(_poem())}\n\n{json.dumps(_poem())}\n", encoding="utf-8")
+    assert [s.poem_index for s in corpus.ingest(path)] == [0, 2]
+
+
 @pytest.mark.parametrize("mutate,message", [
     (lambda p: "{broken", "invalid JSON"),
     (lambda p: json.dumps({"year": 1900}), "strophes"),
