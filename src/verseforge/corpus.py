@@ -70,9 +70,10 @@ class YearBucket:
         if s == "NaN":
             return cls(None)
         try:
-            return cls(int(s))
+            start = int(s)
         except ValueError:
             raise CorpusFormatError(f"bad year bucket {s!r}") from None
+        return cls(start)
 
 
 def bucketize_year(year: int | None) -> YearBucket:

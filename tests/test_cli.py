@@ -600,7 +600,7 @@ def test_a_null_request_field_means_its_default(small_model, tmp_path, capsys, k
     ('{"scheme": "ABAB", "strophe_meter": "Q"}', 4,
      "schema error: {where} unknown meter label 'Q'"),
     ('{"scheme": "ABAB", "year": "abc"}', 4, "schema error: {where} bad year bucket 'abc'"),
-    ('{"scheme": "ABAB", "year": 1901}', 4, "schema error: {where} bad year bucket '1901'"),
+    ('{"scheme": "ABAB", "year": 1901}', 4, "schema error: {where} bucket start 1901 not a multiple of 20"),
     ('{"scheme": "ABC"}', 5, "error: {where} scheme length must be 4 or 6, got 'ABC'"),
     ('{"scheme": "ABAB", "temperature": -1}', 5, "error: {where} temperature must be positive"),
     ('{"scheme": "ABAB", "meters": ["J"]}', 5,

@@ -38,6 +38,16 @@ def test_year_bucket_parse_round_trip():
         YearBucket(1893)  # not a multiple of the bucket width
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1901", "bucket start 1901 not a multiple of 20"),
+    ("abc", "bad year bucket 'abc'"),
+])
+def test_year_bucket_parse_names_why_it_refuses(text, message):
+    with pytest.raises(CorpusFormatError) as err:
+        YearBucket.parse(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("groups,scheme", [
     ([1, 2, 1, 2], "ABAB"),
     ([1, 1, 2, 2], "AABB"),
