@@ -19,8 +19,7 @@ from . import corpus, formats, generation, ngram, tokenizers, validation
 from .corpus import CorpusFormatError, MeterLabel, YearBucket, json_isinstance
 from .formats import DataFormat, FormatError
 from .generation import GenerationError, GenerationRequest
-from .ngram import NGramError
-from .phonology import PhonologyError, Syllabifier
+from .phonology import Syllabifier
 from .tokenizers import TokenizerError, TokenizerKind
 
 EXIT_MISSING_FILE = 3
@@ -38,14 +37,6 @@ def _config(ctx) -> dict:
 
 def _syllabifier(path) -> Syllabifier | None:
     return Syllabifier.from_exceptions_file(path) if path else None
-
-
-def _numbered_lines(f, path):
-    """Yield each non-blank line of a file as ``(index, path:lineno, line)``,
-    ``index`` counting every line from 0."""
-    for i, line in enumerate(f):
-        if line.strip():
-            yield i, f"{path}:{i + 1}", line
 
 
 @click.group()
@@ -238,8 +229,8 @@ def generate(ctx, model_path, vocab_path, scheme, year, meters, strophe_meter,
         n_done = 0
         with open(requests_path, encoding="utf-8") as f, \
                 (open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout)) as sink:
-            for i, where, line in _numbered_lines(f, requests_path):
-                d = _record(line.strip(), where)
+            for i, where, line in corpus.numbered_lines(f, requests_path):
+                d = _record(line, where)
                 for key, value in (("temperature", temperature), ("seed", seed + i),
                                    ("max_tokens", max_tokens)):
                     if d.get(key) is None:
@@ -291,8 +282,8 @@ def evaluate(ctx, requests_path, generations_path, report_path, threshold, fmt,
     pairs = []
     with open(requests_path, encoding="utf-8") as rf, \
             open(generations_path, encoding="utf-8") as gf:
-        req_lines = list(_numbered_lines(rf, requests_path))
-        gen_lines = list(_numbered_lines(gf, generations_path))
+        req_lines = list(corpus.numbered_lines(rf, requests_path))
+        gen_lines = list(corpus.numbered_lines(gf, generations_path))
     if len(req_lines) != len(gen_lines):
         raise FormatError(
             f"{len(req_lines)} requests but {len(gen_lines)} generations")
@@ -322,17 +313,16 @@ def significance(path_a, path_b, repetitions, seed):
     def read(path):
         scores = []
         with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
+            for _, where, line in corpus.numbered_lines(f, path):
                 try:
                     values = [float(v) for v in line.split()]
                 except ValueError as e:
-                    raise FormatError(f"{path}:{lineno}: {e}") from None
+                    raise FormatError(f"{where}: {e}") from None
                 if len(values) > 1:
                     raise FormatError(
-                        f"{path}:{lineno}: {len(values)} values; expected one score per line")
-                if values and not math.isfinite(values[0]):
-                    raise FormatError(
-                        f"{path}:{lineno}: {values[0]} is not a finite score")
+                        f"{where}: {len(values)} values; expected one score per line")
+                if not math.isfinite(values[0]):
+                    raise FormatError(f"{where}: {values[0]} is not a finite score")
                 scores += values
         return scores
     p = validation.permutation_test(read(path_a), read(path_b), repetitions, seed)
@@ -357,7 +347,7 @@ def main(argv=None):
     except (CorpusFormatError, FormatError, TokenizerError) as e:
         click.echo(f"schema error: {e}", err=True)
         return EXIT_SCHEMA
-    except (NGramError, PhonologyError, GenerationError, ValueError) as e:
+    except ValueError as e:
         click.echo(f"error: {e}", err=True)
         return EXIT_OTHER
     return 0

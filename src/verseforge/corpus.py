@@ -99,8 +99,6 @@ def derive_rhyme_scheme(groups: list[int | None]) -> str:
             letters.append("X")
             continue
         if g not in assigned:
-            if SCHEME_LETTERS[len(assigned)] == "X":
-                raise CorpusFormatError("too many rhyme groups in strophe")
             assigned[g] = SCHEME_LETTERS[len(assigned)]
         letters.append(assigned[g])
     return "".join(letters)
@@ -178,15 +176,20 @@ def _parse_verse(obj, where: str) -> Verse:
         raise CorpusFormatError(f"{where}: {e}") from None
 
 
+def numbered_lines(f, path):
+    """Yield each non-blank line of a record file, stripped, as ``(index,
+    path:lineno, line)``, ``index`` counting every line from 0."""
+    for index, line in enumerate(f):
+        line = line.strip()
+        if line:
+            yield index, f"{path}:{index + 1}", line
+
+
 def ingest(path) -> list[Strophe]:
     """Load a corpus file; malformed records fail with a line-addressed error."""
     strophes = []
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
+        for index, where, line in numbered_lines(f, path):
             try:
                 poem = json.loads(line)
             except json.JSONDecodeError as e:
@@ -203,7 +206,7 @@ def ingest(path) -> list[Strophe]:
                     raise CorpusFormatError(f"{where} strophe {si}: a strophe must be a list")
                 verses = [_parse_verse(v, f"{where} strophe {si}") for v in raw]
                 try:
-                    strophes.append(Strophe.from_verses(verses, year, poem_index=lineno - 1))
+                    strophes.append(Strophe.from_verses(verses, year, poem_index=index))
                 except CorpusFormatError as e:
                     raise CorpusFormatError(f"{where} strophe {si}: {e}") from None
     return strophes

@@ -278,20 +278,6 @@ def _collect_protected(texts) -> tuple[set[str], Counter]:
     return protected, piece_freq
 
 
-def build_unicode_vocab(texts) -> Vocab:
-    chars = sorted({ch for text in texts for ch in text} - {"\n"})
-    return Vocab(TokenizerKind.UNICODE, [SEP_TOKEN, EOS_TOKEN, UNK_TOKEN] + chars)
-
-
-def build_syllable_vocab(texts, syllabifier=None) -> Vocab:
-    protected, piece_freq = _collect_protected(texts)
-    seen = set()
-    for piece in piece_freq:
-        seen.update(syllable_piece_tokens(piece, syllabifier))
-    tokens = [SEP_TOKEN, EOS_TOKEN, UNK_TOKEN] + sorted(protected) + sorted(seen - protected)
-    return Vocab(TokenizerKind.SYLLABLE, tokens, protected)
-
-
 def train_bpe(texts, vocab_size: int) -> Vocab:
     """Standard BPE merge training over space-attached word pieces.
 
@@ -362,7 +348,13 @@ def build_vocab(kind: TokenizerKind, texts, vocab_size: int = 40000,
                 syllabifier=None) -> Vocab:
     """A ``kind`` vocabulary over ``texts``, single lines or whole strophes."""
     if kind is TokenizerKind.UNICODE:
-        return build_unicode_vocab(texts)
+        chars = sorted({ch for text in texts for ch in text} - {"\n"})
+        return Vocab(kind, [SEP_TOKEN, EOS_TOKEN, UNK_TOKEN] + chars)
     if kind is TokenizerKind.SYLLABLE:
-        return build_syllable_vocab(texts, syllabifier)
+        protected, piece_freq = _collect_protected(texts)
+        seen = set()
+        for piece in piece_freq:
+            seen.update(syllable_piece_tokens(piece, syllabifier))
+        tokens = [SEP_TOKEN, EOS_TOKEN, UNK_TOKEN] + sorted(protected) + sorted(seen - protected)
+        return Vocab(kind, tokens, protected)
     return train_bpe(texts, vocab_size)

@@ -36,7 +36,7 @@ def checks():
 @pytest.mark.parametrize("order", [1, 3, 10])
 def test_checks_pass_on_a_trained_fixture_model(checks, fixture_strophes, order):
     lines = [v.text for s in fixture_strophes[:60] for v in s.verses]
-    vocab = tok.build_unicode_vocab(lines)
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, lines)
     seqs = [tok.encode(vocab, line) + [vocab.eos_id] for line in lines]
     model = ngram.train(seqs, order=order, vocab=vocab)
     assert checks.check_context_counts(model, seqs) == []
@@ -50,7 +50,7 @@ def test_checks_catch_a_count_written_through_a_bucket(checks, fixture_strophes,
     ``model.counts[ctx][tok]`` breaks the count sums but leaves every
     row a distribution."""
     lines = [v.text for s in fixture_strophes[:60] for v in s.verses]
-    vocab = tok.build_unicode_vocab(lines)
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, lines)
     seqs = [tok.encode(vocab, line) + [vocab.eos_id] for line in lines]
     model = ngram.train(seqs, order=order, vocab=vocab)
     ctx = next(c for c in model.counts if len(c) == 2)

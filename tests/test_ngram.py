@@ -51,7 +51,7 @@ def test_only_trailing_order_minus_one_tokens_matter():
 
 
 def test_argmax_continuation():
-    vocab = tok.build_unicode_vocab(["abababab"])
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["abababab"])
     m = ngram.train([tok.encode(vocab, "abababab")], order=3, vocab=vocab)
     dist = m.next_dist(tok.encode(vocab, "ab"))
     assert int(np.argmax(dist)) == vocab.id_of["a"]
@@ -65,7 +65,7 @@ def test_constructor_validation():
     with pytest.raises(NGramError, match="discount"):
         NGramModel(order=2, vocab_size=3, discount=1.5)
     with pytest.raises(NGramError, match="empty"):
-        ngram.train([], order=2, vocab=tok.build_unicode_vocab(["ab"]))
+        ngram.train([], order=2, vocab=tok.build_vocab(tok.TokenizerKind.UNICODE, ["ab"]))
 
 
 def reference_counts(sequences, order):
@@ -88,7 +88,7 @@ id_sequences = st.lists(st.lists(st.integers(0, 4), max_size=14), min_size=1, ma
 @given(order=st.integers(1, 6), sequences=id_sequences)
 @example(order=3, sequences=[[]])
 def test_counts_match_the_per_position_loop(order, sequences):
-    vocab = tok.build_unicode_vocab(["ab"])
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["ab"])
     model = ngram.train(iter(sequences), order, vocab)
     assert model.counts == reference_counts(sequences, order)
 
@@ -118,7 +118,7 @@ def test_high_temperature_flattens():
 
 
 def test_perplexity():
-    vocab = tok.build_unicode_vocab(["abababab"])
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["abababab"])
     m = ngram.train([tok.encode(vocab, "abababab")], order=3, vocab=vocab)
     seen = m.perplexity([tok.encode(vocab, "abab")])
     assert 1.0 < seen < len(vocab)
@@ -135,7 +135,7 @@ def test_logprob_is_finite_negative():
 
 def corpus_model(fixture_strophes):
     lines = [v.text for s in fixture_strophes[:40] for v in s.verses]
-    vocab = tok.build_unicode_vocab(lines)
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, lines)
     seqs = [tok.encode(vocab, line) + [vocab.eos_id] for line in lines]
     return ngram.train(seqs, order=5, vocab=vocab), vocab, seqs
 
@@ -226,7 +226,7 @@ def test_load_rejects_wrong_vocab(tmp_path, fixture_strophes):
     m, vocab, _ = corpus_model(fixture_strophes)
     path = tmp_path / "m.ngram"
     ngram.save(m, path)
-    other = tok.build_unicode_vocab(["zcela jiný text"])
+    other = tok.build_vocab(tok.TokenizerKind.UNICODE, ["zcela jiný text"])
     with pytest.raises(NGramError, match="different vocabulary"):
         ngram.load(path, other)
     ngram.load(path)  # without a vocab the check is skipped
@@ -319,12 +319,14 @@ def test_load_keeps_ids_and_counts_at_the_64_bit_bounds(tmp_path):
     model = ngram.load(path)
     assert model.counts[(0,)] == {1: BIG - 1}
     assert model.counts[(-BIG,)] == {-BIG: 1} and model.counts[(BIG - 1,)] == {BIG - 1: 1}
-    trained = ngram.train([[-BIG, BIG - 1]], 2, tok.build_unicode_vocab(["ab"]))
+    trained = ngram.train([[-BIG, BIG - 1]], 2,
+                          tok.build_vocab(tok.TokenizerKind.UNICODE, ["ab"]))
     assert trained.counts[(-BIG,)] == {BIG - 1: 1} and trained.counts[()] == {-BIG: 1, BIG - 1: 1}
     # the greatest id alone
     write_model(path, HEADER, [f"C\t{BIG - 1}\t0:1"])
     assert dict(ngram.load(path).counts.items()) == {(BIG - 1,): {0: 1}}
-    trained = ngram.train([[BIG - 1]], 2, tok.build_unicode_vocab(["ab"]))
+    trained = ngram.train([[BIG - 1]], 2,
+                          tok.build_vocab(tok.TokenizerKind.UNICODE, ["ab"]))
     assert dict(trained.counts.items()) == {(): {BIG - 1: 1}}
     row = model.next_dist([0])
     assert row.sum() == pytest.approx(1.0) and row[1] > 0.99
@@ -335,7 +337,7 @@ def test_load_keeps_ids_and_counts_at_the_64_bit_bounds(tmp_path):
 def generated_model():
     """An order-6 model of tens of thousands of contexts: 400 random
     sequences of 60 ids over a 15-token vocabulary."""
-    vocab = tok.build_unicode_vocab(["abcdefghijkl"])
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["abcdefghijkl"])
     rng = np.random.default_rng(5)
     seqs = [rng.integers(0, len(vocab), 60).tolist() for _ in range(400)]
     return seqs, vocab
@@ -709,8 +711,8 @@ def test_save_and_load_match_the_per_line_reference(tmp_path_factory, case, rnd)
         assert_same_model(ngram.load(path), reference_load(path), tmp)
 
     if sequences and not edited:
-        assert loaded.counts == ngram.train(sequences, model.order,
-                                            tok.build_unicode_vocab(["ab"])).counts
+        vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["ab"])
+        assert loaded.counts == ngram.train(sequences, model.order, vocab).counts
 
 
 @st.composite

@@ -37,12 +37,12 @@ def test_annotation_piece_detection():
 
 
 def test_unicode_tokenizes_per_character():
-    vocab = tok.build_unicode_vocab([HEADER])
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, [HEADER])
     assert tok.line_tokens(vocab, HEADER) == list(HEADER)
 
 
 def test_syllable_keeps_annotations_atomic():
-    vocab = tok.build_syllable_vocab([HEADER, "a v duchu"])
+    vocab = tok.build_vocab(tok.TokenizerKind.SYLLABLE, [HEADER, "a v duchu"])
     assert tok.line_tokens(vocab, HEADER) == ["#", " ABAB", " #", " 1900"]
 
 
@@ -62,7 +62,7 @@ def test_base_bpe_splits_annotations():
 
 
 def test_syllable_tokens_for_duchu():
-    vocab = tok.build_syllable_vocab(["a v duchu"])
+    vocab = tok.build_vocab(tok.TokenizerKind.SYLLABLE, ["a v duchu"])
     assert tok.line_tokens(vocab, "a v duchu") == ["a", " v", " duch", "u"]
 
 
@@ -89,25 +89,25 @@ def test_build_vocab_splits_strophe_texts(fixture_strophes, kind):
 
 
 def test_encode_joins_lines_with_sep():
-    vocab = tok.build_unicode_vocab(["ab"])
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["ab"])
     ids = tok.encode(vocab, "a\nb")
     assert ids == [vocab.id_of["a"], vocab.sep_id, vocab.id_of["b"]]
 
 
 def test_unknown_tokens_map_to_unk():
-    vocab = tok.build_unicode_vocab(["ab"])
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["ab"])
     ids = tok.encode(vocab, "aQb")
     assert ids.count(vocab.unk_id) == 1
     assert tok.decode(vocab, ids) == "a" + UNK_GLYPH + "b"
 
 
 def test_decode_skips_eos():
-    vocab = tok.build_unicode_vocab(["ab"])
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["ab"])
     assert tok.decode(vocab, [vocab.id_of["a"], vocab.eos_id, vocab.id_of["b"]]) == "ab"
 
 
 def test_chars_per_token_unicode_is_exactly_one():
-    vocab = tok.build_unicode_vocab(["cokoliv zde"])
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["cokoliv zde"])
     assert tok.chars_per_token(vocab, ["cokoliv zde", "a", "##"]) == 1.0
     with pytest.raises(TokenizerError):
         tok.chars_per_token(vocab, [])
