@@ -21,9 +21,10 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+from verseforge import corpus
 from verseforge import phonology as ph
 from verseforge import tokenizers as tok
-from verseforge.corpus import MeterLabel, Strophe, Verse
+from verseforge.corpus import MeterLabel, Verse
 from verseforge.validation import normalize_clausula
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "fixture_corpus.jsonl"
@@ -283,12 +284,8 @@ def main():
         for poem in poems:
             f.write(json.dumps(poem, ensure_ascii=False) + "\n")
 
-    # diagnostics
-    strophes = []
-    for pi, poem in enumerate(poems):
-        for raw in poem["strophes"]:
-            vs = [Verse(v["text"], v["rhyme"], MeterLabel(v["meter"])) for v in raw]
-            strophes.append(Strophe.from_verses(vs, poem["year"], pi))
+    # diagnostics, over the corpus as written
+    strophes = corpus.ingest(OUT)
     n_verses = sum(len(s.verses) for s in strophes)
     ratios = []
     for s in strophes:
