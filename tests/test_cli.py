@@ -28,6 +28,11 @@ def test_unknown_command_is_usage_error(capsys):
     assert main(["no-such-command"]) == 2
 
 
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "Usage:" in capsys.readouterr().out
+
+
 def test_missing_file(tmp_path, capsys):
     rc = main(["ingest", "--corpus", str(tmp_path / "nope.jsonl"),
                "--stats-out", str(tmp_path / "s.json")])
@@ -55,6 +60,22 @@ def test_ingest_and_stats(mini_corpus, tmp_path, capsys):
     assert main(["stats", "--corpus", str(mini_corpus)]) == 0
     out = capsys.readouterr().out
     assert "scheme\t" in out and "meter\t" in out
+
+
+def test_ingest_min_scheme_count_keeps_the_schemes_that_occur_that_often(mini_corpus,
+                                                                         tmp_path, capsys):
+    counts = corpus.stats(corpus.ingest(mini_corpus)).scheme_counts
+    n = sorted(set(counts.values()))[1]
+    kept = {scheme: c for scheme, c in counts.items() if c >= n}
+    assert 0 < len(kept) < len(counts)
+    stats_out = tmp_path / "stats.json"
+    assert main(["ingest", "--corpus", str(mini_corpus), "--stats-out", str(stats_out),
+                 "--min-scheme-count", str(n)]) == 0
+    payload = json.loads(stats_out.read_text(encoding="utf-8"))
+    assert payload["config"]["min_scheme_count"] == n
+    assert payload["stats"]["schemes"] == kept
+    assert payload["stats"]["strophes"] == sum(kept.values())
+    assert capsys.readouterr().out.startswith(f"{sum(kept.values())} strophes, ")
 
 
 def test_train_lm_logs_held_out_perplexity(mini_corpus, tmp_path, capsys, caplog):
@@ -448,6 +469,18 @@ def test_evaluate_rejects_a_bad_line(tmp_path, capsys, requests, generations, wh
     err = capsys.readouterr().err
     assert rc == 4
     assert where in err and "Traceback" not in err
+
+
+def test_evaluate_refuses_an_unknown_format(tmp_path, capsys):
+    (tmp_path / "requests.jsonl").write_text('{"scheme": "ABAB"}\n', encoding="utf-8")
+    (tmp_path / "generations.jsonl").write_text('{"raw_text": "# ABAB # 1900"}\n',
+                                                encoding="utf-8")
+    rc = main(["evaluate", "--requests", str(tmp_path / "requests.jsonl"),
+               "--generations", str(tmp_path / "generations.jsonl"),
+               "--report", str(tmp_path / "r.json"), "--format", "xyz"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "unknown data format 'xyz'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad", ["#! kind", "#! protected", "#! kind\t", "#! kind\tbase"])

@@ -127,6 +127,9 @@ def test_a_blank_line_between_poems_still_counts_in_poem_index(tmp_path):
     # bool is a subclass of int, but a JSON true is no year or rhyme group
     (lambda p: p.replace('"year": 1900', '"year": true'), "'year' must be integer"),
     (lambda p: p.replace('"rhyme": 1', '"rhyme": true'), "'rhyme' must be integer"),
+    (lambda p: p.replace(', "meter": "J"', ""), "missing field 'meter'"),
+    (lambda p: json.dumps({"year": 1900, "strophes": [json.loads(p)["strophes"][0][:3]]}),
+     ":1 strophe 0: unsupported strophe length 3"),
 ])
 def test_ingest_line_addressed_errors(tmp_path, mutate, message):
     path = tmp_path / "c.jsonl"

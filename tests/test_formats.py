@@ -90,6 +90,7 @@ def test_header_tolerates_trailing_separator():
     (lambda t: t.replace("J # 9 # oři # ", "J # 9 #  # "), "hint"),
     (lambda t: t + "\nJ # 9 # oři # navíc jeden verš", "expects 4"),
     (lambda t: "\n".join(t.split("\n")[:-1]), "expects 4"),
+    (lambda t: "\n\n", "empty strophe text"),
 ])
 def test_parse_errors(breakage, message):
     with pytest.raises(FormatError, match=message):
@@ -100,6 +101,12 @@ def test_parse_error_carries_line_number():
     text = EXAMPLE_METER_VERSE.replace("J # 9 # oří", "J # x # oří")
     with pytest.raises(FormatError, match="line 4"):
         formats.parse(text, DataFormat.METER_VERSE)
+
+
+def test_verse_par_header_refuses_an_unknown_meter_letter():
+    text = EXAMPLE_VERSE_PAR.replace("# ABAB # 1900 # J", "# ABAB # 1900 # Q", 1)
+    with pytest.raises(FormatError, match="line 1: unknown meter letter 'Q'"):
+        formats.parse(text, DataFormat.VERSE_PAR)
 
 
 def test_basic_verse_count_checked():

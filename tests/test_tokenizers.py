@@ -224,6 +224,18 @@ def test_save_load_round_trip_with_escaping(tmp_path):
     assert loaded.protected == vocab.protected
 
 
+def test_load_vocab_skips_a_blank_line(tmp_path):
+    vocab = tok.build_vocab(TokenizerKind.UNICODE, ["ab"])
+    path = tmp_path / "v.vocab"
+    tok.save_vocab(vocab, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:2] + [""] + lines[2:-1] + ["", lines[-1]]) + "\n",
+                    encoding="utf-8")
+    loaded = tok.load_vocab(path)
+    assert (loaded.kind, loaded.tokens, loaded.protected) == (vocab.kind, vocab.tokens,
+                                                              vocab.protected)
+
+
 def test_load_vocab_errors(tmp_path):
     p = tmp_path / "bad.vocab"
     p.write_text("#! verseforge-vocab v1\n#! kind\tunicode\na\tnope\n")

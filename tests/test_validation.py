@@ -353,6 +353,15 @@ def test_evaluate_basic_format_skips_verse_checks(fixture_strophes):
     assert basic == dict(verse_par, num_syl=None, end_acc=None, end_acc_free=None)
 
 
+@pytest.mark.parametrize("fmt", [DataFormat.BASIC, DataFormat.VERSE_PAR])
+def test_evaluate_counts_a_verse_with_no_requested_meter_as_a_miss(fixture_strophes, fmt):
+    strophe = next(s for s in fixture_strophes if s.scheme == "ABAB")
+    req = GenerationRequest(scheme=strophe.scheme, year_bucket=strophe.year_bucket, fmt=fmt)
+    report = evaluate([(req, gen_from_text(formats.encode(strophe, fmt), req))])
+    assert report.n_parse_failures == 0 and report.rhyme_acc == 1.0
+    assert report.meter_acc == report.meter_acc_verse == 0.0
+
+
 def test_evaluate_counts_parse_failures(fixture_strophes):
     pairs = gold_pairs(fixture_strophes[:3])
     req = pairs[0][0]
