@@ -333,8 +333,6 @@ def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as e:
-        return e.exit_code
     except click.UsageError as e:
         click.echo(f"usage error: {e.format_message()}", err=True)
         return 2
