@@ -25,6 +25,7 @@ from .tokenizers import TokenizerError, TokenizerKind
 EXIT_MISSING_FILE = 3
 EXIT_SCHEMA = 4
 EXIT_OTHER = 5
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 log = logging.getLogger(__name__)
 
@@ -141,9 +142,7 @@ def train_lm(ctx, corpus_path, vocab_path, order, discount, test_fraction, seed,
                 + [vocab.eos_id] for s in split)
 
     model = ngram.train(sequences(train_set), order, vocab, discount)
-    ngram.save(model, out)
-    with open(out, "a", encoding="utf-8") as f:
-        f.write(f"config\t{json.dumps(_config(ctx))}\n")
+    ngram.save(model, out, _config(ctx))
     click.echo(f"order-{order} model over {model.vocab_size} tokens -> {out}")
     log.info("contexts per order: %s",
              " ".join(f"{k}:{n}" for k, n in enumerate(model.contexts_per_length(), 1) if n))
@@ -333,6 +332,9 @@ def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
         cli.main(args=argv, standalone_mode=False)
+    except click.Abort:
+        click.echo("aborted", err=True)
+        return EXIT_INTERRUPTED
     except click.UsageError as e:
         click.echo(f"usage error: {e.format_message()}", err=True)
         return 2

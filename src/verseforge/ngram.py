@@ -19,6 +19,9 @@ numbers the nodes straight from the token arrays, ``load`` from one
 record per file line, and hand-built models come from a dict through
 ``NGramModel.from_counts``; ``train`` and ``load`` share one bucket
 between the nodes of equal events.
+``save`` also writes the arrays beside the text file, as an image that
+``load`` reads in place of the text when it belongs to it (see
+``save``).
 ``NGramModel.counts`` is a ``Mapping`` view of the counts in tuple
 order; each lookup returns a new mapping, whose one write,
 ``bucket[token] = count``, rebuilds the model's store.
@@ -49,7 +52,12 @@ to it, and ``next_dist`` always returns a row the caller owns.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import logging
 import math
+import os
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
@@ -73,12 +81,21 @@ DEFAULT_ORDER = {
 MODEL_MAGIC = "verseforge-ngram v1"
 MODEL_HEADER = {"order": int, "discount": float, "vocab_size": int, "vocab_hash": str}
 
+IMAGE_MAGIC = b"verseforge-ngram-image v1\n"
+# The trie arrays that an image holds, in its order, as little-endian
+# 64-bit values: integers, and floats for ``total``.
+IMAGE_ARRAYS = ("kids", "tok", "bucket", "ev_off", "total", "ev_id", "ev_count")
+_IMAGE_KEYS = {*MODEL_HEADER, "starts", "lengths", "sha256"}
+
 # Byte budget of an NGramModel's sampling tables and shared rows.
 TABLE_CACHE_BYTES = 64 << 20
 
 # Longest context suffix whose partial row next_dist shares between
 # contexts.
 SHARED_SUFFIX_LEN = 3
+
+
+log = logging.getLogger(__name__)
 
 
 class NGramError(ValueError):
@@ -602,13 +619,23 @@ def sample_with_rng(model, context, temperature: float, rng) -> int:
     return bisect_right(table, rng.random())
 
 
-def save(model: NGramModel, path) -> None:
-    """Write the counts, one ``C`` line per context in tuple order.
+def save(model: NGramModel, path, config: dict | None = None) -> None:
+    """Write the counts, one ``C`` line per context in tuple order, and
+    then ``config``, when given, as a ``config`` line of JSON; then the
+    image of the model to ``<path>.img``.
 
     In that order a context's prefix one id shorter is the last context of
     its length before it, so its text is that prefix's text and one more
     id.  Each bucket's event text is formatted once.  Lines are written
     one by one, so the file is never held whole in memory.
+
+    The image is ``IMAGE_MAGIC``, the length of a JSON header as 8
+    little-endian bytes, the header, and the ``IMAGE_ARRAYS`` of the trie.
+    The header holds the model's ``MODEL_HEADER`` fields, the trie's
+    ``starts``, the length of each array and a ``sha256`` over the text
+    file's bytes, the header without it and the arrays, so ``load`` can
+    tell an image of another text, or one changed since, from the image
+    of its text.
     """
     trie = model._trie
     order, depth, last = trie.tuple_order()
@@ -633,10 +660,127 @@ def save(model: NGramModel, path) -> None:
                 ev = ev_texts[b] = " ".join([f"{ev_id[i]}:{ev_count[i]}"
                                              for i in range(o, e)])
             f.write(f"C\t{ctx_s}\t{ev}\n")
+        if config is not None:
+            f.write(f"config\t{json.dumps(config)}\n")
+    arrays = [getattr(trie, name) for name in IMAGE_ARRAYS]
+    if sys.byteorder == "big":
+        arrays = [_swapped(a) for a in arrays]
+    head = {key: getattr(model, key) for key in MODEL_HEADER}
+    head.update(starts=list(trie.starts), lengths=[len(a) for a in arrays])
+    head["sha256"] = _image_digest(path, head, arrays)
+    data = json.dumps(head).encode()
+    with open(_image_path(path), "wb") as f:
+        f.write(IMAGE_MAGIC + len(data).to_bytes(8, "little") + data)
+        for a in arrays:
+            f.write(a)
+
+
+def _image_path(path) -> str:
+    return os.fspath(path) + ".img"
+
+
+def _swapped(a: array) -> array:
+    a = array(a.typecode, a)
+    a.byteswap()
+    return a
+
+
+def _image_digest(path, head: dict, arrays) -> str:
+    """The sha256 of the text file ``path``, then of the JSON of ``head``
+    and of the arrays."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 16):
+            h.update(chunk)
+    h.update(json.dumps(head).encode())
+    for a in arrays:
+        h.update(a)
+    return h.hexdigest()
+
+
+def _read_image(path) -> NGramModel | None:
+    """The model of ``path``'s image, or None when it has none.  Raises
+    ``ValueError``, ``OSError`` or ``EOFError`` when the image cannot be
+    read, does not belong to the text, or does not hold a trie."""
+    try:
+        f = open(_image_path(path), "rb")
+    except FileNotFoundError:
+        return None
+    with f:
+        size = os.fstat(f.fileno()).st_size
+        if f.read(len(IMAGE_MAGIC)) != IMAGE_MAGIC:
+            raise ValueError("not a model image")
+        n = int.from_bytes(f.read(8), "little")
+        at = len(IMAGE_MAGIC) + 8 + n
+        if at > size:
+            raise ValueError("header runs past the end of the file")
+        head = json.loads(f.read(n))
+        lengths = head.get("lengths") if isinstance(head, dict) else None
+        if (not isinstance(lengths, list) or len(lengths) != len(IMAGE_ARRAYS)
+                or not all(type(k) is int and k >= 0 for k in lengths)
+                or set(head) != _IMAGE_KEYS):
+            raise ValueError("malformed header")
+        if size != at + 8 * sum(lengths):
+            raise ValueError(f"{size} bytes where the header gives {at + 8 * sum(lengths)}")
+        arrays = []
+        for name, k in zip(IMAGE_ARRAYS, lengths):
+            a = array("d" if name == "total" else "q")
+            a.fromfile(f, k)
+            arrays.append(a)
+    if head.pop("sha256") != _image_digest(path, head, arrays):
+        raise ValueError("sha256 differs: the text or the image changed since save")
+    if sys.byteorder == "big":
+        for a in arrays:
+            a.byteswap()
+    kids, tok, bucket, ev_off, total, ev_id, ev_count = arrays
+    nodes = len(tok)
+    k, b, o = (np.frombuffer(a, np.int64) for a in (kids, bucket, ev_off))
+    starts = np.array(head["starts"], np.int64)
+    for ok, what in [
+        (len(k) == nodes + 1 and k[0] == 1 and k[-1] == nodes and (np.diff(k) >= 0).all(),
+         "kids"),
+        (len(b) == nodes and ((b >= -1) & (b < len(total))).all(), "bucket"),
+        (len(o) == len(total) + 1 and o[0] == 0 and o[-1] == len(ev_id)
+         and (np.diff(o) > 0).all() and len(ev_count) == len(ev_id), "ev_off"),
+        (len(starts) and starts[0] == 0 and starts[-1] == nodes
+         and (np.diff(starts) >= 0).all(), "starts"),
+    ]:
+        if not ok:
+            raise ValueError(f"{what} does not hold a trie")
+    model = NGramModel(**{key: head[key] for key in MODEL_HEADER})
+    model._trie = _Trie(kids, tok, bucket, head["starts"], ev_off, total, ev_id, ev_count)
+    return model
 
 
 def load(path, vocab: Vocab | None = None) -> NGramModel:
     """Load a count dump; refuses to pair with a mismatched vocabulary.
+
+    The model comes from the image that ``save`` wrote beside the file
+    when there is one that passes every check: its sha256 over the text
+    and itself, its exact length, and each array's ranges and order, as a
+    trie needs them.  The id ranges and counts of a bucket are checked
+    when a row uses it, as for a parsed model.  An image that fails a
+    check is logged and the text parsed."""
+    try:
+        model = _read_image(path)
+    except (OSError, ValueError, EOFError) as e:
+        log.warning("%s: model image not used: %s", _image_path(path), e)
+        model = None
+    if model is None:
+        model = _parse(path)
+    if vocab is not None and vocab.content_hash() != model.vocab_hash:
+        raise NGramError(
+            f"{path}: model was trained against a different vocabulary "
+            f"({model.vocab_hash} != {vocab.content_hash()})")
+    if vocab is not None and len(vocab) != model.vocab_size:
+        raise NGramError(
+            f"{path}: vocab_size {model.vocab_size} does not match the "
+            f"vocabulary's {len(vocab)} tokens")
+    return model
+
+
+def _parse(path) -> NGramModel:
+    """The model of a count dump's text.
 
     Each ``C`` line becomes a record.  A context whose text up to its last
     comma is the text of the last context read with a text that long
@@ -707,13 +851,5 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
     if missing:
         raise NGramError(f"{path}: header lacks {', '.join(missing)}")
     model = NGramModel(**{key: header[key] for key in MODEL_HEADER})
-    if vocab is not None and vocab.content_hash() != model.vocab_hash:
-        raise NGramError(
-            f"{path}: model was trained against a different vocabulary "
-            f"({model.vocab_hash} != {vocab.content_hash()})")
-    if vocab is not None and len(vocab) != model.vocab_size:
-        raise NGramError(
-            f"{path}: vocab_size {model.vocab_size} does not match the "
-            f"vocabulary's {len(vocab)} tokens")
     model._trie = records.trie()
     return model

@@ -146,6 +146,10 @@ class Syllabifier:
                 if "".join(parts) != word:
                     raise PhonologyError(
                         f"{path}:{lineno}: split does not spell {word!r}")
+                for part in parts:
+                    if not _find_nuclei(part):
+                        raise PhonologyError(
+                            f"{path}:{lineno}: syllable {part!r} has no nucleus")
                 exceptions[word.lower()] = parts
         return cls(exceptions)
 

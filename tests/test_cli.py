@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+from unittest.mock import patch
 
 import pytest
 
@@ -31,6 +32,15 @@ def test_unknown_command_is_usage_error(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "Usage:" in capsys.readouterr().out
+
+
+def test_an_interrupt_prints_aborted_and_exits_130(tmp_path, capsys, monkeypatch):
+    def interrupted(path):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(corpus, "ingest", interrupted)
+    assert main(["stats", "--corpus", str(tmp_path / "c.jsonl")]) == 130
+    # click ends the interrupted line before it raises
+    assert capsys.readouterr().err == "\naborted\n"
 
 
 def test_missing_file(tmp_path, capsys):
@@ -125,6 +135,26 @@ def test_train_lm_logs_contexts_per_order(mini_corpus, tmp_path, caplog):
                  "--out", str(tmp_path / "uni.ngram")]) == 0
     messages = [r.getMessage() for r in caplog.records if r.name == "verseforge.cli"]
     assert messages[0] == CONTEXTS_PER_ORDER
+
+
+def test_train_lm_ends_its_model_with_config_and_generate_reads_the_image(
+        mini_corpus, tmp_path, capsys):
+    vocab, model = tmp_path / "uni.vocab", tmp_path / "uni.ngram"
+    assert main(["train-tokenizer", "--corpus", str(mini_corpus),
+                 "--kind", "unicode", "--out", str(vocab)]) == 0
+    train_lm = ["train-lm", "--corpus", str(mini_corpus), "--vocab", str(vocab),
+                "--order", "4", "--out", str(model)]
+    assert main(train_lm) == 0
+    key, config = model.read_text(encoding="utf-8").splitlines()[-1].split("\t")
+    assert key == "config" and json.loads(config)["subcommand"] == "train-lm"
+    capsys.readouterr()
+    generate = ["generate", "--model", str(model), "--vocab", str(vocab), "--scheme", "ABAB"]
+    with patch.object(ngram, "_parse", side_effect=AssertionError("the text was parsed")):
+        assert main(generate) == 0
+    out = capsys.readouterr()
+    (tmp_path / "uni.ngram.img").unlink()
+    assert main(generate) == 0
+    assert capsys.readouterr() == out
 
 
 def test_full_pipeline(mini_corpus, tmp_path, capsys):

@@ -1,13 +1,18 @@
 """The CLI's error contract under fuzzing: whatever a mutated input file
 holds, ``main`` returns a documented exit code and raises nothing."""
 
+import contextlib
 import copy
+import io
 import json
 import math
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from verseforge import ngram, tokenizers
 from verseforge.cli import main
 from helpers import DATA
 
@@ -108,6 +113,66 @@ def char_mutated(data, text):
         return text[:at]
     ch = "" if how == "delete" else data.draw(st.sampled_from(MUTANT_CHARS))
     return text[:at] + ch + text[at + (how != "insert"):]
+
+
+def byte_mutated(data, raw):
+    """``raw`` with one byte inserted, deleted or replaced, or cut short."""
+    at = data.draw(st.integers(0, len(raw)))
+    how = data.draw(st.sampled_from(["insert", "delete", "replace", "truncate"]))
+    if how == "truncate":
+        return raw[:at]
+    byte = b"" if how == "delete" else bytes([data.draw(st.integers(0, 255))])
+    return raw[:at] + byte + raw[at + (how != "insert"):]
+
+
+def generated(argv):
+    """The exit code and standard output of ``main(argv)``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def imaged(setup):
+    """A copy of the model with its image, the command that samples from
+    it, and what that command prints."""
+    tmp, paths = setup
+    model = tmp / "imaged.ngram"
+    shutil.copy(paths["uni.ngram"], model)
+    argv = commands("uni.ngram", dict(paths, **{"uni.ngram": model}), tmp)[0]
+    shutil.copy(f"{paths['uni.ngram']}.img", f"{model}.img")
+    expected = generated(argv)
+    assert expected[0] == 0
+    return model, argv, expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mutated_image_changes_no_output(setup, imaged, data):
+    tmp, paths = setup
+    model, argv, expected = imaged
+    raw = Path(f"{paths['uni.ngram']}.img").read_bytes()
+    Path(f"{model}.img").write_bytes(byte_mutated(data, raw))
+    assert generated(argv) == expected
+
+
+def test_an_image_of_another_model_or_text_changes_no_output(setup, imaged):
+    tmp, paths = setup
+    model, argv, expected = imaged
+    other = ngram.train([[4, 5, 6, 4]], 2, tokenizers.load_vocab(paths["uni.vocab"]))
+    ngram.save(other, tmp / "other.ngram")
+    shutil.copy(f"{tmp / 'other.ngram'}.img", f"{model}.img")
+    assert generated(argv) == expected
+    # an edited text, with the image of the text before: as if alone
+    shutil.copy(f"{paths['uni.ngram']}.img", f"{model}.img")
+    lines = paths["uni.ngram"].read_text(encoding="utf-8").splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("C\t\t"))
+    lines[at] = lines[at].replace(":", ":10", 1)
+    model.write_text("".join(lines), encoding="utf-8")
+    edited = generated(argv)
+    Path(f"{model}.img").unlink()
+    assert generated(argv) == edited != expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,7 +1,11 @@
+import json
+import logging
 import operator
+import re
 import tracemalloc
 from array import array
 from bisect import bisect_right
+from pathlib import Path
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -140,19 +144,36 @@ def corpus_model(fixture_strophes):
     return ngram.train(seqs, order=5, vocab=vocab), vocab, seqs
 
 
+def load_by(path, vocab=None, *, image: bool):
+    """``ngram.load`` through the image that ``save`` wrote beside
+    ``path``, failing if the text is parsed; or, with the image removed,
+    through the text."""
+    if not image:
+        Path(f"{path}.img").unlink(missing_ok=True)
+        return ngram.load(path, vocab)
+    with patch.object(ngram, "_parse", side_effect=AssertionError("the text was parsed")):
+        return ngram.load(path, vocab)
+
+
+# Each test that takes these loads a saved model first through its image,
+# then, with the image removed, through the text.
+IMAGE_THEN_TEXT = (True, False)
+
+
 def test_save_load_reproduces_distributions(tmp_path, fixture_strophes):
     m, vocab, seqs = corpus_model(fixture_strophes)
     path = tmp_path / "m.ngram"
     ngram.save(m, path)
-    loaded = ngram.load(path, vocab)
-    assert loaded.order == m.order and loaded.discount == m.discount
-    assert loaded.counts == m.counts
-    rng = np.random.default_rng(3)
-    flat = [i for s in seqs for i in s]
-    for _ in range(50):
-        at = rng.integers(4, len(flat))
-        ctx = flat[at - 4:at]
-        assert np.array_equal(loaded.next_dist(ctx), m.next_dist(ctx))
+    for image in IMAGE_THEN_TEXT:
+        loaded = load_by(path, vocab, image=image)
+        assert loaded.order == m.order and loaded.discount == m.discount
+        assert loaded.counts == m.counts
+        rng = np.random.default_rng(3)
+        flat = [i for s in seqs for i in s]
+        for _ in range(50):
+            at = rng.integers(4, len(flat))
+            ctx = flat[at - 4:at]
+            assert np.array_equal(loaded.next_dist(ctx), m.next_dist(ctx))
 
 
 def trie_layout(model):
@@ -167,10 +188,95 @@ def test_trained_loaded_and_hand_built_models_share_one_layout(tmp_path, fixture
     m, _, _ = corpus_model(fixture_strophes)
     path = tmp_path / "m.ngram"
     ngram.save(m, path)
-    loaded = ngram.load(path)
     built = NGramModel.from_counts(m.counts, m.order, m.vocab_size)
-    assert trie_layout(loaded) == trie_layout(built) == trie_layout(m)
-    assert len(loaded._trie.total) == len(m._trie.total)  # both share equal buckets
+    for image in IMAGE_THEN_TEXT:
+        loaded = load_by(path, image=image)
+        assert trie_layout(loaded) == trie_layout(built) == trie_layout(m)
+        assert len(loaded._trie.total) == len(m._trie.total)  # both share equal buckets
+
+
+def resigned(edit):
+    """An image mutation: ``edit(head, arrays)`` applied to the decoded
+    image, whose sha256 is then computed afresh, as ``save`` computes
+    it, so that only the checks after it can refuse the image."""
+    def mutate(raw, path):
+        at = len(ngram.IMAGE_MAGIC) + 8
+        offset = at + int.from_bytes(raw[at - 8:at], "little")
+        head, arrays = json.loads(raw[at:offset]), {}
+        for name, n in zip(ngram.IMAGE_ARRAYS, head["lengths"]):
+            dtype = np.float64 if name == "total" else np.int64
+            arrays[name] = np.frombuffer(raw, dtype, n, offset).copy()
+            offset += 8 * n
+        del head["sha256"]
+        edit(head, arrays)
+        head["sha256"] = ngram._image_digest(path, head, arrays.values())
+        data = json.dumps(head).encode()
+        return b"".join([ngram.IMAGE_MAGIC, len(data).to_bytes(8, "little"), data,
+                         *(a.tobytes() for a in arrays.values())])
+    return mutate
+
+
+def set_item(name, at, value):
+    return resigned(lambda head, arrays: arrays[name].__setitem__(at, value))
+
+
+HEAD = len(ngram.IMAGE_MAGIC) + 8  # where an image's JSON header starts
+
+
+@pytest.mark.parametrize("mutate, reason", [
+    (lambda raw, path: b"X" + raw[1:], "not a model image"),
+    (lambda raw, path: raw[:HEAD + 5], "header runs past the end"),
+    (lambda raw, path: raw[:HEAD] + b"[" + raw[HEAD + 1:], "Expecting"),
+    (lambda raw, path: raw.replace(b'"order"', b'"ordex"', 1), "malformed header"),
+    (lambda raw, path: re.sub(rb'"lengths": \[\d', b'"lengths": [-', raw, count=1),
+     "malformed header"),
+    (lambda raw, path: raw + b"\0", "bytes where the header gives"),
+    (lambda raw, path: raw[:-8], "bytes where the header gives"),
+    (lambda raw, path: raw[:-1] + bytes([raw[-1] ^ 1]), "sha256 differs"),
+    (set_item("kids", 0, 2), "kids does not hold a trie"),
+    (set_item("kids", 5, 0), "kids does not hold a trie"),
+    (set_item("bucket", 0, -2), "bucket does not hold a trie"),
+    (resigned(lambda head, arrays: arrays["bucket"].__setitem__(-1, len(arrays["total"]))),
+     "bucket does not hold a trie"),
+    (set_item("ev_off", 1, 0), "ev_off does not hold a trie"),
+    (resigned(lambda head, arrays: head["starts"].__setitem__(-1, head["starts"][-1] + 1)),
+     "starts does not hold a trie"),
+], ids=["magic", "header-cut", "header-json", "header-key", "header-length", "longer",
+        "shorter", "array-byte", "kids-first", "kids-order", "bucket-below", "bucket-above",
+        "ev_off-order", "starts-end"])
+def test_a_refused_image_is_logged_and_the_text_parsed(tmp_path, caplog, fixture_strophes,
+                                                       mutate, reason):
+    m, vocab, _ = corpus_model(fixture_strophes)
+    path = tmp_path / "m.ngram"
+    ngram.save(m, path)
+    img = Path(f"{path}.img")
+    img.write_bytes(mutate(img.read_bytes(), path))
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    caplog.set_level(logging.WARNING, logger="verseforge.ngram")
+    loaded = ngram.load(path, vocab)
+    [message] = [r.getMessage() for r in caplog.records if r.name == "verseforge.ngram"]
+    assert message.startswith(f"{img}: model image not used: ") and reason in message
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files  # load writes nothing
+    assert_same_model(loaded, reference_load(path), tmp_path)
+    assert_same_rows(loaded, m, list(m.counts)[::50])
+
+
+def test_an_image_holds_little_endian_arrays_on_any_host(tmp_path, fixture_strophes):
+    """On a big-endian host ``save`` swaps each array's bytes and ``load``
+    swaps them back: here, a little-endian host that calls itself
+    big-endian writes byte-swapped arrays, which only it reads back."""
+    m, vocab, _ = corpus_model(fixture_strophes)
+    path = tmp_path / "m.ngram"
+    ngram.save(m, path)
+    native = Path(f"{path}.img").read_bytes()
+    with patch.object(ngram.sys, "byteorder", "big"):
+        ngram.save(m, path)
+        assert trie_layout(load_by(path, vocab, image=True)) == trie_layout(m)
+    swapped = Path(f"{path}.img").read_bytes()
+    assert len(swapped) == len(native) and swapped[-8:] == native[-8:][::-1]
+    with patch.object(ngram, "_parse", wraps=ngram._parse) as parse:
+        ngram.load(path, vocab)  # the kids start at 1 << 56, so the image is refused
+    parse.assert_called_once()
 
 
 def test_counts_is_a_view_in_tuple_order(fixture_strophes):
@@ -227,20 +333,21 @@ def test_load_rejects_wrong_vocab(tmp_path, fixture_strophes):
     path = tmp_path / "m.ngram"
     ngram.save(m, path)
     other = tok.build_vocab(tok.TokenizerKind.UNICODE, ["zcela jiný text"])
-    with pytest.raises(NGramError, match="different vocabulary"):
-        ngram.load(path, other)
-    ngram.load(path)  # without a vocab the check is skipped
+    for image in IMAGE_THEN_TEXT:
+        with pytest.raises(NGramError, match="different vocabulary"):
+            load_by(path, other, image=image)
+        load_by(path, image=image)  # without a vocab the check is skipped
 
 
 def test_load_rejects_vocab_size_mismatch(tmp_path, fixture_strophes):
     m, vocab, _ = corpus_model(fixture_strophes)
     path = tmp_path / "m.ngram"
+    m.vocab_size = len(vocab) + 5  # saved with the vocab's own hash
     ngram.save(m, path)
-    text = path.read_text(encoding="utf-8")
-    path.write_text(text.replace(f"vocab_size\t{len(vocab)}\n",
-                                 f"vocab_size\t{len(vocab) + 5}\n"), encoding="utf-8")
-    with pytest.raises(NGramError, match="vocab_size"):
-        ngram.load(path, vocab)
+    assert f"vocab_size\t{len(vocab) + 5}\n" in path.read_text(encoding="utf-8")
+    for image in IMAGE_THEN_TEXT:
+        with pytest.raises(NGramError, match="vocab_size"):
+            load_by(path, vocab, image=image)
 
 
 def test_load_rejects_foreign_file(tmp_path):
@@ -375,9 +482,11 @@ def test_load_memory_stays_within_a_per_context_bound(tmp_path):
     ngram.save(model, path)
     n = len(model.counts)
     model = None
-    loaded, peak = traced_peak(lambda: ngram.load(path, vocab))
-    assert len(loaded.counts) == n > 30_000
-    assert peak < LOAD_BYTES_PER_CONTEXT * n
+    for image in IMAGE_THEN_TEXT:
+        loaded, peak = traced_peak(lambda: load_by(path, vocab, image=image))
+        assert len(loaded.counts) == n > 30_000
+        assert peak < LOAD_BYTES_PER_CONTEXT * n
+        loaded = None
 
 
 def test_table_cache_is_bounded_and_evicts_least_recently_used(monkeypatch):
@@ -667,6 +776,12 @@ def hand_built_models(draw):
     return NGramModel.from_counts(counts, order, 1501, vocab_hash="h"), sequences, edited
 
 
+def assert_same_rows(got, expected, contexts):
+    """Bit-identical ``next_dist`` rows after every context."""
+    for ctx in contexts:
+        assert got.next_dist(ctx).tobytes() == expected.next_dist(ctx).tobytes()
+
+
 def assert_same_model(got, expected, tmp_path):
     """Equal header and counts, the same saved bytes, and, in a model
     loaded from them, buckets that change their own context alone."""
@@ -695,9 +810,13 @@ def test_save_and_load_match_the_per_line_reference(tmp_path_factory, case, rnd)
     data = path.read_bytes()
     assert data == expected_path.read_bytes()
 
-    loaded = ngram.load(path)
+    loaded = load_by(path, image=True)
     assert_same_model(loaded, reference_load(path), tmp)
     assert loaded.counts == model.counts
+    parsed = ngram._parse(path)  # the text alone, as when there is no image
+    assert_same_model(loaded, parsed, tmp)
+    contexts = list(model.counts)
+    assert_same_rows(loaded, parsed, contexts + [ctx[1:] + ctx[:1] for ctx in contexts])
 
     lines = data.decode("utf-8").split("\n")[:-1]
     head, body = lines[:5], lines[5:]

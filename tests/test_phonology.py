@@ -128,6 +128,14 @@ def test_exceptions_file_errors(tmp_path):
         ph.Syllabifier.from_exceptions_file(bad_format)
 
 
+@pytest.mark.parametrize("entry", ["pst\tp-st", "moři\tm-oři", "mrak\tmrak-", "v\tv"])
+def test_exceptions_file_refuses_a_syllable_with_no_nucleus(tmp_path, entry):
+    path = tmp_path / "exc.tsv"
+    path.write_text(f"moři\tmoř-i\n{entry}\n", encoding="utf-8")
+    with pytest.raises(ph.PhonologyError, match=rf"^{path}:2: .*no nucleus"):
+        ph.Syllabifier.from_exceptions_file(path)
+
+
 czech_words = st.text(alphabet="aáeéěiíoóuúůyýbcčdhjklmnprřsštvzž",
                       min_size=1, max_size=12)
 
