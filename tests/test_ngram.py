@@ -4,7 +4,7 @@ import operator
 import re
 import tracemalloc
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -774,6 +774,38 @@ def hand_built_models(draw):
         counts[ctx] = bucket
         edited = True
     return NGramModel.from_counts(counts, order, 1501, vocab_hash="h"), sequences, edited
+
+
+def reference_layout(counts):
+    """``trie_layout`` of a store of ``counts``, from its definition: the
+    nodes are the empty context and every substring of each context with
+    counts, sorted by length and then by the reversed context; the
+    parent of a node is its context without the first id."""
+    nodes = {()} | {ctx[i:j] for ctx, bucket in counts.items() if bucket
+                    for i in range(len(ctx)) for j in range(i + 1, len(ctx) + 1)}
+    nodes = sorted(nodes, key=lambda ctx: (len(ctx), ctx[::-1]))
+    index = {ctx: i for i, ctx in enumerate(nodes)}
+    parents = [index[ctx[1:]] for ctx in nodes[1:]]
+    starts = [0] + [sum(len(ctx) <= d for ctx in nodes) for d in range(len(nodes[-1]) + 1)]
+    return ([1 + bisect_left(parents, i) for i in range(len(nodes) + 1)],
+            [ctx[0] if ctx else 0 for ctx in nodes], starts,
+            [dict(counts[ctx]) if counts.get(ctx) else None for ctx in nodes])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=hand_built_models())
+def test_every_store_numbers_its_nodes_as_the_reference(tmp_path_factory, case):
+    """A hand-built model, the same counts built again from a dict read
+    backwards, and the model's text parsed alone all hold the reference
+    layout, although the contexts need not be prefix-closed."""
+    model = case[0]
+    counts = {ctx: dict(bucket) for ctx, bucket in reversed(list(model.counts.items()))}
+    expected = reference_layout(counts)
+    path = tmp_path_factory.mktemp("layout") / "m.ngram"
+    ngram.save(model, path)
+    rebuilt = NGramModel.from_counts(counts, model.order, model.vocab_size)
+    for got in (model, rebuilt, ngram._parse(path)):
+        assert trie_layout(got) == expected
 
 
 def assert_same_rows(got, expected, contexts):
