@@ -108,6 +108,33 @@ def _ints(a) -> array:
     return out
 
 
+def _number(node: np.ndarray, width: int, step):
+    """Number the contexts of a set of items one depth at a time; return
+    the first node of each depth then the node count, and the parent and
+    token rank of each node but the root.
+
+    ``node`` holds each item's node, the root (0) on entry.  At depth k,
+    ``step(items, k)`` takes the items whose context reached depth k - 1
+    and gives those whose context reaches k, with the rank (below
+    ``width``) of the id k places from the end of each one's context.  An
+    item's node at depth k is keyed by (its node at depth k - 1, that
+    rank), and one ``np.unique`` of the keys numbers the depth: breadth
+    first, each node's children contiguous and sorted by token.  On
+    return ``node`` holds each item's node of its whole context."""
+    items = np.arange(len(node))
+    keys, starts = [], [0, 1]  # per depth: parent * width + token rank
+    while True:
+        items, rank = step(items, len(starts) - 1)
+        if not len(items):
+            break
+        key, inverse = np.unique(node[items] * width + rank, return_inverse=True)
+        node[items] = starts[-1] + inverse
+        keys.append(key)
+        starts.append(starts[-1] + len(key))
+    parents, tok = np.divmod(np.concatenate([np.zeros(0, np.int64)] + keys), width)
+    return starts, parents, tok
+
+
 class _Trie:
     """The counts as arrays; see the module docstring."""
 
@@ -133,10 +160,8 @@ class _Trie:
     def from_sequences(cls, sequences, order: int) -> tuple[_Trie, int]:
         """The counts of every position of ``sequences`` after each of its
         contexts up to ``order - 1`` ids; also the number of sequences.
-        The context ``k`` ids long of a position is its parent context's
-        node stepped by the id ``k`` places back.  The nodes of a depth
-        are numbered in order of (parent, token): breadth first, with each
-        node's children contiguous and sorted by token."""
+        The items numbered are the positions, each counted after its node
+        at every depth."""
         ids, lengths = array("q"), []
         for seq in sequences:
             ids.extend(seq)
@@ -147,19 +172,14 @@ class _Trie:
         values, ranks = np.unique(ids, return_inverse=True)
         width = max(len(values), 1)
         node = np.zeros(len(ids), np.int64)  # position -> node of its context
-        keys, starts = [], [0, 1]  # per depth: parent * width + token rank
-        events = [np.unique(ranks, return_counts=True)]
-        items = np.arange(len(ids))
-        for k in range(1, order):
-            items = items[pos[items] >= k]
-            if not len(items):
-                break
-            key, inverse = np.unique(node[items] * width + ranks[items - k],
-                                     return_inverse=True)
-            node[items] = starts[-1] + inverse
-            keys.append(key)
-            starts.append(starts[-1] + len(key))
+        events = []  # per depth: node * width + token rank, and its count
+
+        def step(items, k):
             events.append(np.unique(node[items] * width + ranks[items], return_counts=True))
+            items = items[pos[items] >= k] if k < order else items[:0]
+            return items, ranks[items - k]
+
+        starts, parents, tok = _number(node, width, step)
         ev_node, ev_rank = np.divmod(np.concatenate([e[0] for e in events]), width)
         ev_count = np.concatenate([e[1] for e in events])
         n = starts[-1]
@@ -169,7 +189,6 @@ class _Trie:
         b_off = np.concatenate([np.zeros(1, np.int64), np.cumsum(size)])
         at = np.repeat(ev_off[reps] - b_off[:-1], size) + np.arange(b_off[-1])
         total = np.bincount(ev_node, weights=ev_count, minlength=n)[reps]
-        parents, tok = np.divmod(np.concatenate([np.zeros(0, np.int64)] + keys), width)
         trie = cls.of(starts, parents, values[tok], bucket, _ints(b_off),
                       array("d", total.tobytes()), _ints(values[ev_rank[at]]),
                       _ints(ev_count[at]))
@@ -258,15 +277,17 @@ class _Trie:
 
 
 class _Records:
-    """Contexts and buckets in the order they are read: each context a
-    record that extends an earlier record (its context without the last
-    id) by one id; each bucket its events sorted by id."""
+    """Contexts and buckets in the order they are read: each context but
+    the empty one a record that extends an earlier record (its context
+    without the last id, or none) by one id; each bucket its events
+    sorted by id.  The empty context is the root's, which takes the
+    bucket given it last."""
 
     def __init__(self):
         self.parent = array("q")
         self.last = array("q")
-        self.depth = array("q")
         self.bucket = array("q")
+        self.root = -1
         self.ev_off = array("q", [0])
         self.total = array("d")
         self.ev_id = array("q")
@@ -282,99 +303,50 @@ class _Records:
         self.total.append(float(sum(bucket.values())))
         return len(self.total) - 1
 
-    def add(self, parent: int, token: int, depth: int, bucket: int) -> int:
-        self.parent.append(parent)
-        self.last.append(token)
-        self.depth.append(depth)
-        self.bucket.append(bucket)
-        return len(self.last) - 1
-
     def add_context(self, ctx: Sequence[int], bucket: int) -> int:
-        """Record ``ctx`` with its prefixes, which get no bucket."""
+        """Record ``ctx`` with its prefixes, which get no bucket; the last
+        record."""
         if not ctx:
-            return self.add(-1, 0, 0, bucket)
+            self.root = bucket
+            return len(self.last) - 1
         n, d = len(self.last), len(ctx)
         self.parent.append(-1)
         self.parent.extend(range(n, n + d - 1))
         self.last.extend(ctx)
-        self.depth.extend(range(1, d + 1))
         self.bucket.extend([-1] * (d - 1))
         self.bucket.append(bucket)
         return n + d - 1
 
     def trie(self) -> _Trie:
-        """The trie of the records' contexts.  Records that share a
+        """The trie of every substring of the records' contexts.  Each
+        record is an item whose cursor walks up its prefixes, so the
+        id k places from the end of its context is the last id of the
+        record its cursor is at.  As the prefixes of a record are records,
+        the nodes hold every suffix of every prefix.  Records that share a
         context share its node; of those with a bucket, the last one read
-        gives the node its bucket.  A suffix of a context that no record
-        holds is added as a record without a bucket, and the build starts
-        over; a file written by ``save``, which holds every suffix, takes
-        one round."""
-        while True:
-            trie, missing = self._build()
-            if not missing:
-                return trie
-            for parent, token, depth in missing:
-                self.add(parent, token, depth, -1)
-
-    def _build(self) -> tuple[_Trie | None, list]:
-        """The trie, one depth at a time, or else the suffixes that no
-        record holds, as (parent record, last id, depth).  The nodes of a
-        depth sort by reversed context, that is by (last id, the prefix's
-        node).  The suffix of a context one id shorter, its trie parent, is
-        the node of the depth above keyed (last id, the prefix's suffix),
-        and its first id is the prefix's."""
+        gives the node its bucket."""
         parent = np.frombuffer(self.parent, np.int64)
-        depth = np.frombuffer(self.depth, np.int64)
-        rec_bucket = np.frombuffer(self.bucket, np.int64)
         values, ranks = np.unique(np.frombuffer(self.last, np.int64), return_inverse=True)
-        node = np.zeros(len(depth), np.int64)  # record -> its node
-        # node -> its suffix one id shorter (-1 while no record holds it),
-        # first id and bucket; there is at most one node per record and
-        # the root
-        up_of = np.zeros(len(depth) + 1, np.int64)
-        first_of = np.zeros(len(depth) + 1, np.int64)
-        bucket_of = np.full(len(depth) + 1, -1, np.int64)
-        root = np.flatnonzero((depth == 0) & (rec_bucket >= 0))
-        bucket_of[0] = rec_bucket[root[-1]] if len(root) else -1
-        starts = [0, 1]
-        # per depth, per node: its key and a record of it (none for the root)
-        keys, reps = [np.zeros(1, np.int64)], [np.full(1, -1, np.int64)]
-        missing = []
-        for d in range(1, int(depth.max(initial=0)) + 1):
-            recs = np.flatnonzero(depth == d)
-            prefix = node[parent[recs]] if d > 1 else np.zeros(len(recs), np.int64)
-            key = ranks[recs] * (starts[d] - starts[d - 1]) + prefix - starts[d - 1]
-            order = np.argsort(key)
-            recs, key, prefix = recs[order], key[order], prefix[order]
-            is_new = np.concatenate([[True], key[1:] != key[:-1]])
-            node[recs] = starts[d] - 1 + np.cumsum(is_new)
-            new = np.flatnonzero(is_new)  # the first record of each node
-            span = slice(starts[d], starts[d] + len(new))
-            # records are numbered in the order read
-            latest = np.maximum.reduceat(np.where(rec_bucket[recs] >= 0, recs, -1), new)
-            bucket_of[span] = np.where(latest >= 0, rec_bucket[latest], -1)
-            rank, prefix = ranks[recs[new]], prefix[new]
-            if d == 1:
-                first_of[span] = values[rank]
-            else:
-                up, first_of[span] = up_of[prefix], first_of[prefix]
-                query = rank * (starts[d - 1] - starts[d - 2]) + up - starts[d - 2]
-                at = np.minimum(np.searchsorted(keys[d - 1], query), len(keys[d - 1]) - 1)
-                held = keys[d - 1][at] == query
-                lost = np.flatnonzero((up >= 0) & ~held)
-                lost = lost[np.unique(query[lost], return_index=True)[1]]
-                missing += zip(reps[d - 2][up[lost] - starts[d - 2]].tolist(),
-                               values[rank[lost]].tolist(), [d - 1] * len(lost))
-                up_of[span] = np.where((up >= 0) & held, starts[d - 1] + at, -1)
-                keys[d - 1] = reps[d - 2] = None  # no longer read
-            keys.append(key[new])
-            reps.append(recs[new])
-            starts.append(starts[d] + len(new))
-        if missing:
-            return None, missing
-        n = starts[-1]
-        return _Trie.of(starts, up_of[1:n], first_of[1:n], bucket_of[:n], self.ev_off,
-                        self.total, self.ev_id, self.ev_count), []
+        node = np.zeros(len(parent), np.int64)  # record -> its node
+        cursor = np.arange(len(parent))
+
+        def step(items, k):
+            items = items[cursor[items] >= 0]
+            at = cursor[items]
+            cursor[items] = parent[at]
+            return items, ranks[at]
+
+        starts, parents, tok = _number(node, max(len(values), 1), step)
+        rec_bucket = np.frombuffer(self.bucket, np.int64)
+        has = np.flatnonzero(rec_bucket >= 0)
+        # records are numbered in the order read; a node of no such record
+        # reads the -1 appended after the last
+        latest = np.full(starts[-1], -1, np.int64)
+        np.maximum.at(latest, node[has], has)
+        bucket = np.append(rec_bucket, -1)[latest]
+        bucket[0] = self.root
+        return _Trie.of(starts, parents, values[tok], bucket, self.ev_off, self.total,
+                        self.ev_id, self.ev_count)
 
 
 class Counts(Mapping):
@@ -793,17 +765,17 @@ def _parse(path) -> NGramModel:
     """
     records = _Records()
     add_bucket, add_context = records.add_bucket, records.add_context
-    parents, lasts, depths, rec_buckets = (records.parent.append, records.last.append,
-                                           records.depth.append, records.bucket.append)
+    parents, lasts, rec_buckets = (records.parent.append, records.last.append,
+                                   records.bucket.append)
     with open(path, encoding="utf-8") as f:
         if f.readline().rstrip("\n") != MODEL_MAGIC:
             raise NGramError(f"{path}: not a verseforge n-gram model")
         header = {}
-        # text length -> (text, record, depth) last read.  In tuple order
+        # text length -> (text, record) last read.  In tuple order
         # the contexts between a parent and its child extend the parent, so
         # their texts are longer and the parent's entry is still there.
         last = {}
-        no_parent = "\n", -1, 0  # no context text holds a newline
+        no_parent = "\n", -1  # no context text holds a newline
         buckets = {}  # event text -> bucket id
         rec = -1  # the last record
         for lineno, line in enumerate(f, 2):
@@ -821,21 +793,18 @@ def _parse(path) -> NGramModel:
                             bucket[int(t)] = int(c)
                         b = buckets[ev_s] = add_bucket(bucket)
                     cut = ctx_s.rfind(",")
-                    parent_s, parent, depth = last.get(cut, no_parent)
+                    parent_s, parent = last.get(cut, no_parent)
                     # the empty context is nobody's parent: ",5" is refused
                     if cut > 0 and ctx_s.startswith(parent_s):
                         token = int(ctx_s[cut + 1:])
-                        depth += 1
                         parents(parent)
                         lasts(token)
-                        depths(depth)
                         rec_buckets(b)
                         rec += 1
                     else:
                         ctx = [int(x) for x in ctx_s.split(",")] if ctx_s else []
                         rec = add_context(ctx, b)
-                        depth = len(ctx)
-                    last[len(ctx_s)] = ctx_s, rec, depth
+                    last[len(ctx_s)] = ctx_s, rec
                 else:
                     line = line.rstrip("\n")
                     if not line:
