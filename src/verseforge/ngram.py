@@ -732,7 +732,9 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
     and itself, its exact length, and each array's ranges and order, as a
     trie needs them.  The id ranges and counts of a bucket are checked
     when a row uses it, as for a parsed model.  An image that fails a
-    check is logged and the text parsed."""
+    check is logged and the text parsed.  A text that cannot be opened
+    raises its own ``OSError`` before any image is read."""
+    open(path, "rb").close()
     try:
         model = _read_image(path)
     except (OSError, ValueError, EOFError) as e:

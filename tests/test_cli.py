@@ -157,6 +157,23 @@ def test_train_lm_ends_its_model_with_config_and_generate_reads_the_image(
     assert capsys.readouterr() == out
 
 
+def test_a_missing_model_text_beside_its_image_is_one_missing_file_line(
+        mini_corpus, tmp_path, capsys, caplog):
+    vocab, model = tmp_path / "uni.vocab", tmp_path / "uni.ngram"
+    assert main(["train-tokenizer", "--corpus", str(mini_corpus),
+                 "--kind", "unicode", "--out", str(vocab)]) == 0
+    assert main(["train-lm", "--corpus", str(mini_corpus), "--vocab", str(vocab),
+                 "--order", "3", "--out", str(model)]) == 0
+    model.unlink()
+    capsys.readouterr()
+    caplog.clear()
+    assert main(["generate", "--model", str(model), "--vocab", str(vocab),
+                 "--scheme", "ABAB"]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("missing file: ") and line.endswith(f"'{model}'")
+    assert [r.getMessage() for r in caplog.records if r.name == "verseforge.ngram"] == []
+
+
 def test_full_pipeline(mini_corpus, tmp_path, capsys):
     vocab = tmp_path / "uni.vocab"
     model = tmp_path / "uni.ngram"
