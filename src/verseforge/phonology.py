@@ -68,6 +68,8 @@ class PhonologyError(ValueError):
 def _find_nuclei(word: str) -> list[tuple[int, int]]:
     """Return (start, end) spans of syllable nuclei in ``word``."""
     low = word.lower()
+    if len(low) != len(word):  # "İ" lowercases to "i" and a combining dot
+        low = "".join([ch.lower()[0] for ch in word])
     spans = []
     i = 0
     n = len(low)
@@ -198,11 +200,11 @@ def syllabify(word: str, syllabifier: Syllabifier | None = None) -> tuple[str, .
     A word without any nucleus (e.g. the preposition "z") is a clitic
     and yields no syllable.
     """
-    if not word:
-        return ()
-    override = (syllabifier or _DEFAULT).exceptions.get(word.lower())
-    if override is not None:
-        # Re-case the override to the actual input.
+    low = word.lower()
+    override = (syllabifier or _DEFAULT).exceptions.get(low)
+    # Re-case the override to the actual input, unless a character whose
+    # lowercase is longer ("İ") keeps its parts from lining up with it.
+    if override is not None and len(word) == len(low) == sum(map(len, override)):
         pieces, pos = [], 0
         for p in override:
             pieces.append(word[pos:pos + len(p)])

@@ -36,7 +36,7 @@ def test_syllables_are_lossless():
 
 
 def test_zero_nucleus_prepositions_are_clitics():
-    for prep in ("v", "z", "k", "s"):
+    for prep in ("v", "z", "k", "s", ""):
         assert ph.syllabify(prep) == ()
 
 
@@ -134,6 +134,28 @@ def test_exceptions_file_refuses_a_syllable_with_no_nucleus(tmp_path, entry):
     path.write_text(f"moři\tmoř-i\n{entry}\n", encoding="utf-8")
     with pytest.raises(ph.PhonologyError, match=rf"^{path}:2: .*no nucleus"):
         ph.Syllabifier.from_exceptions_file(path)
+
+
+# "İ" lowercases to two characters, "i" and a combining dot above.
+@pytest.mark.parametrize("entry, word, expected", [
+    ("i\u0307a\ti\u0307-a", "\u0130A", ("\u0130", "A")),
+    ("\u0130a\t\u0130-a", "i\u0307a", ("i", "\u0307a")),
+    ("i\u0307\u0130\ti\u0307-\u0130", "\u0130i\u0307", ("\u0130", "i\u0307")),
+])
+def test_an_override_that_does_not_line_up_with_the_word_gives_way_to_the_rules(
+        tmp_path, entry, word, expected):
+    path = tmp_path / "exc.tsv"
+    path.write_text(entry + "\n", encoding="utf-8")
+    syl = ph.Syllabifier.from_exceptions_file(path)
+    assert syl.exceptions.get(word.lower()) is not None
+    assert ph.syllabify(word, syl) == ph.syllabify(word) == expected
+
+
+@given(st.text(alphabet="a\u0130i\u0307Ist", min_size=1, max_size=8))
+def test_a_dotted_capital_i_leaves_no_syllable_empty(word):
+    sylls = ph.syllabify(word)
+    assert "".join(sylls) == (word if ph._find_nuclei(word) else "")
+    assert all(ph._find_nuclei(s) for s in sylls)  # so none is empty
 
 
 czech_words = st.text(alphabet="aáeéěiíoóuúůyýbcčdhjklmnprřsštvzž",
