@@ -14,11 +14,13 @@ by ``t``, so one backoff level of a lookup is one ``bisect`` over an
 context has no counts; a bucket holds an offset into the event arrays
 (token ids sorted ascending, with their counts) and its total.  The node
 set holds every substring of every context with counts, so contexts
-missing from a hand-built model get event-free nodes.  ``train``
-numbers the nodes straight from the token arrays, ``load`` from one
-record per file line, and hand-built models come from a dict through
-``NGramModel.from_counts``; ``train`` and ``load`` share one bucket
-between the nodes of equal events.
+missing from a hand-built model get event-free nodes.  One loop numbers
+the nodes of every store, a depth at a time: ``train`` hands it each
+position of the token arrays, and ``load`` and ``NGramModel.from_counts``
+each record of a context, one per file line or dict key, whose prefixes
+are records too.  An item's node one depth down is keyed by its node and
+the next id back in its context.  ``train`` and ``load`` share one
+bucket between the nodes of equal events.
 ``save`` also writes the arrays beside the text file, as an image that
 ``load`` reads in place of the text when it belongs to it (see
 ``save``).
@@ -160,8 +162,9 @@ class _Trie:
     def from_sequences(cls, sequences, order: int) -> tuple[_Trie, int]:
         """The counts of every position of ``sequences`` after each of its
         contexts up to ``order - 1`` ids; also the number of sequences.
-        The items numbered are the positions, each counted after its node
-        at every depth."""
+        Each position is an item of ``_number``: the id k places from the
+        end of its context is the id k places before it, and its own id is
+        counted after its node at each depth."""
         ids, lengths = array("q"), []
         for seq in sequences:
             ids.extend(seq)
@@ -319,12 +322,12 @@ class _Records:
 
     def trie(self) -> _Trie:
         """The trie of every substring of the records' contexts.  Each
-        record is an item whose cursor walks up its prefixes, so the
-        id k places from the end of its context is the last id of the
-        record its cursor is at.  As the prefixes of a record are records,
-        the nodes hold every suffix of every prefix.  Records that share a
-        context share its node; of those with a bucket, the last one read
-        gives the node its bucket."""
+        record is an item of ``_number`` whose cursor walks up its
+        prefixes, so the id k places from the end of its context is the
+        last id of the record k - 1 steps up.  As the prefixes of a record
+        are records, the nodes hold every suffix of every prefix.  Records
+        that share a context share its node; of those with a bucket, the
+        last one read gives the node its bucket."""
         parent = np.frombuffer(self.parent, np.int64)
         values, ranks = np.unique(np.frombuffer(self.last, np.int64), return_inverse=True)
         node = np.zeros(len(parent), np.int64)  # record -> its node
@@ -756,7 +759,8 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
 def _parse(path) -> NGramModel:
     """The model of a count dump's text.
 
-    Each ``C`` line becomes a record.  A context whose text up to its last
+    Each ``C`` line but the empty context's, which gives the root its
+    bucket, becomes a record.  A context whose text up to its last
     comma is the text of the last context read with a text that long
     extends that context's record by one id; in a file written by ``save``
     this holds for every context of two or more ids.  Any other context
