@@ -110,19 +110,20 @@ def _ints(a) -> array:
     return out
 
 
-def _number(node: np.ndarray, width: int, step):
+def _number(node: np.ndarray, values: np.ndarray, step):
     """Number the contexts of a set of items one depth at a time; return
-    the first node of each depth then the node count, and the parent and
-    token rank of each node but the root.
+    the ``starts``, ``kids`` and ``tok`` of their trie.
 
     ``node`` holds each item's node, the root (0) on entry.  At depth k,
     ``step(items, k)`` takes the items whose context reached depth k - 1
-    and gives those whose context reaches k, with the rank (below
-    ``width``) of the id k places from the end of each one's context.  An
-    item's node at depth k is keyed by (its node at depth k - 1, that
-    rank), and one ``np.unique`` of the keys numbers the depth: breadth
-    first, each node's children contiguous and sorted by token.  On
-    return ``node`` holds each item's node of its whole context."""
+    and gives those whose context reaches k, with the rank among the
+    sorted ``values`` of the id k places from the end of each one's
+    context.  An item's node at depth k is keyed by (its node at depth
+    k - 1, that rank), and one ``np.unique`` of the keys numbers the
+    depth: breadth first, each node's children contiguous and sorted by
+    token.  On return ``node`` holds each item's node of its whole
+    context."""
+    width = max(len(values), 1)
     items = np.arange(len(node))
     keys, starts = [], [0, 1]  # per depth: parent * width + token rank
     while True:
@@ -134,7 +135,8 @@ def _number(node: np.ndarray, width: int, step):
         keys.append(key)
         starts.append(starts[-1] + len(key))
     parents, tok = np.divmod(np.concatenate([np.zeros(0, np.int64)] + keys), width)
-    return starts, parents, tok
+    kids = 1 + np.searchsorted(parents, np.arange(starts[-1] + 1))
+    return starts, _ints(kids), _ints(np.concatenate([np.zeros(1, np.int64), values[tok]]))
 
 
 class _Trie:
@@ -149,14 +151,6 @@ class _Trie:
         self.total = total  # bucket -> sum of its counts, as a float
         self.ev_id = ev_id
         self.ev_count = ev_count
-
-    @classmethod
-    def of(cls, starts, parents, tok, bucket, ev_off, total, ev_id, ev_count) -> _Trie:
-        """The trie of nodes numbered breadth first, given the parent and
-        token of each node but the root."""
-        kids = 1 + np.searchsorted(parents, np.arange(starts[-1] + 1))
-        return cls(_ints(kids), _ints(np.concatenate([np.zeros(1, np.int64), tok])),
-                   _ints(bucket), starts, ev_off, total, ev_id, ev_count)
 
     @classmethod
     def from_sequences(cls, sequences, order: int) -> tuple[_Trie, int]:
@@ -182,7 +176,7 @@ class _Trie:
             items = items[pos[items] >= k] if k < order else items[:0]
             return items, ranks[items - k]
 
-        starts, parents, tok = _number(node, width, step)
+        starts, kids, tok = _number(node, values, step)
         ev_node, ev_rank = np.divmod(np.concatenate([e[0] for e in events]), width)
         ev_count = np.concatenate([e[1] for e in events])
         n = starts[-1]
@@ -192,9 +186,9 @@ class _Trie:
         b_off = np.concatenate([np.zeros(1, np.int64), np.cumsum(size)])
         at = np.repeat(ev_off[reps] - b_off[:-1], size) + np.arange(b_off[-1])
         total = np.bincount(ev_node, weights=ev_count, minlength=n)[reps]
-        trie = cls.of(starts, parents, values[tok], bucket, _ints(b_off),
-                      array("d", total.tobytes()), _ints(values[ev_rank[at]]),
-                      _ints(ev_count[at]))
+        trie = cls(kids, tok, _ints(bucket), starts, _ints(b_off),
+                   array("d", total.tobytes()), _ints(values[ev_rank[at]]),
+                   _ints(ev_count[at]))
         return trie, len(lengths)
 
     @staticmethod
@@ -339,7 +333,7 @@ class _Records:
             cursor[items] = parent[at]
             return items, ranks[at]
 
-        starts, parents, tok = _number(node, max(len(values), 1), step)
+        starts, kids, tok = _number(node, values, step)
         rec_bucket = np.frombuffer(self.bucket, np.int64)
         has = np.flatnonzero(rec_bucket >= 0)
         # records are numbered in the order read; a node of no such record
@@ -348,8 +342,8 @@ class _Records:
         np.maximum.at(latest, node[has], has)
         bucket = np.append(rec_bucket, -1)[latest]
         bucket[0] = self.root
-        return _Trie.of(starts, parents, values[tok], bucket, self.ev_off, self.total,
-                        self.ev_id, self.ev_count)
+        return _Trie(kids, tok, _ints(bucket), starts, self.ev_off, self.total,
+                     self.ev_id, self.ev_count)
 
 
 class Counts(Mapping):
