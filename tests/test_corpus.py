@@ -48,6 +48,19 @@ def test_year_bucket_parse_names_why_it_refuses(text, message):
     assert str(err.value) == message
 
 
+def test_meter_label_parse_reads_each_letter_and_member():
+    for label in MeterLabel:
+        assert MeterLabel.parse(label.value) is label
+        assert MeterLabel.parse(label) is label  # a member hashes by its name
+
+
+@pytest.mark.parametrize("value", ["Q", "j", "", "JT", "IAMB", 1, 1.0, None, ["J"], {"J": 1}])
+def test_meter_label_parse_refuses_anything_but_a_letter(value):
+    with pytest.raises(CorpusFormatError) as err:
+        MeterLabel.parse(value)
+    assert str(err.value) == f"unknown meter label {value!r}"
+
+
 @pytest.mark.parametrize("groups,scheme", [
     ([1, 2, 1, 2], "ABAB"),
     ([1, 1, 2, 2], "AABB"),

@@ -109,6 +109,12 @@ def test_verse_par_header_refuses_an_unknown_meter_letter():
         formats.parse(text, DataFormat.VERSE_PAR)
 
 
+def test_meter_verse_line_refuses_an_unknown_meter_letter():
+    text = EXAMPLE_METER_VERSE.replace("J # 9 # oři", "Q # 9 # oři", 1)
+    with pytest.raises(FormatError, match=r"^line 2: unknown meter letter 'Q'$"):
+        formats.parse(text, DataFormat.METER_VERSE)
+
+
 def test_basic_verse_count_checked():
     with pytest.raises(FormatError, match="expects 4"):
         formats.parse("# ABAB # 1900 # J\njen jeden verš", DataFormat.BASIC)

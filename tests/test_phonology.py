@@ -1,3 +1,5 @@
+import unicodedata
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,7 +141,7 @@ def test_exceptions_file_refuses_a_syllable_with_no_nucleus(tmp_path, entry):
 # "İ" lowercases to two characters, "i" and a combining dot above.
 @pytest.mark.parametrize("entry, word, expected", [
     ("i\u0307a\ti\u0307-a", "\u0130A", ("\u0130", "A")),
-    ("\u0130a\t\u0130-a", "i\u0307a", ("i", "\u0307a")),
+    ("\u0130a\t\u0130-a", "i\u0307a", ("i\u0307", "a")),
     ("i\u0307\u0130\ti\u0307-\u0130", "\u0130i\u0307", ("\u0130", "i\u0307")),
 ])
 def test_an_override_that_does_not_line_up_with_the_word_gives_way_to_the_rules(
@@ -149,6 +151,23 @@ def test_an_override_that_does_not_line_up_with_the_word_gives_way_to_the_rules(
     syl = ph.Syllabifier.from_exceptions_file(path)
     assert syl.exceptions.get(word.lower()) is not None
     assert ph.syllabify(word, syl) == ph.syllabify(word) == expected
+
+
+@pytest.mark.parametrize("word, expected", [
+    ("i\u0307a", ("i\u0307", "a")),
+    ("\u0130i\u0307a", ("\u0130", "i\u0307", "a")),
+    ("pe\u0301ro", ("pe\u0301", "ro")),
+    ("ne\u0301a", ("ne\u0301", "a")),
+])
+def test_a_combining_mark_stays_with_the_letter_before_it(word, expected):
+    assert ph.syllabify(word) == expected
+
+
+@given(st.text(alphabet="ai\u0130stx\u0307\u0301", min_size=1, max_size=8))
+def test_no_later_syllable_starts_with_a_combining_mark(word):
+    sylls = ph.syllabify(word)
+    assert "".join(sylls) == (word if ph._find_nuclei(word) else "")
+    assert not any(unicodedata.combining(s[0]) for s in sylls[1:])
 
 
 @given(st.text(alphabet="a\u0130i\u0307Ist", min_size=1, max_size=8))
