@@ -4,13 +4,16 @@ never executes.
 
 A ``sys.settrace`` hook, limited to the files under ``src/verseforge``,
 records each line that runs during an in-process ``pytest.main``; a line
-counts as a statement when it holds bytecode.  The tracing makes the run
+counts as a statement when it holds bytecode and lies outside the body of
+an ``if __name__ == "__main__":`` block, which an in-process run never
+enters.  The tracing makes the run
 several times slower than a plain one, so it is not part of the tests.
 
 Run from the repo root:  python3 scripts/line_coverage.py [pytest args]
 (the default pytest args are ``-q tests``).  Exits with pytest's status.
 """
 
+import ast
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -30,6 +33,16 @@ def statement_lines(code) -> set[int]:
     for const in code.co_consts:
         if hasattr(const, "co_lines"):
             lines |= statement_lines(const)
+    return lines
+
+
+def main_block_lines(tree: ast.Module) -> set[int]:
+    """Lines of the body of each module-level ``if __name__ == "__main__":``."""
+    lines = set()
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            for stmt in node.body:
+                lines.update(range(stmt.lineno, stmt.end_lineno + 1))
     return lines
 
 
@@ -53,9 +66,9 @@ def main(args) -> int:
         sys.settrace(None)
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        missed = sorted(statement_lines(compile(source, str(path), "exec"))
-                        - ran[str(path)])
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        missed = sorted(statement_lines(compile(tree, str(path), "exec"))
+                        - main_block_lines(tree) - ran[str(path)])
         total += len(missed)
         if missed:
             print(f"{path.name}: {', '.join(map(str, missed))}")

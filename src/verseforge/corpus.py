@@ -37,9 +37,16 @@ class MeterLabel(str, Enum):
     @classmethod
     def parse(cls, s: str) -> "MeterLabel":
         try:
+            return _METER_OF_LETTER[s]
+        except (KeyError, TypeError):
+            pass  # not a letter; the Enum call still takes a member
+        try:
             return cls(s)
         except ValueError:
             raise CorpusFormatError(f"unknown meter label {s!r}") from None
+
+
+_METER_OF_LETTER = {m.value: m for m in MeterLabel}
 
 
 class CorpusFormatError(ValueError):
@@ -52,7 +59,7 @@ SCHEME_LENGTHS = (4, 6)
 SCHEME_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWX"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class YearBucket:
     """First year of a 20-year period, or None for the NaN category."""
 
@@ -104,7 +111,7 @@ def derive_rhyme_scheme(groups: list[int | None]) -> str:
     return "".join(letters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verse:
     text: str
     rhyme_group: int | None
@@ -115,7 +122,7 @@ class Verse:
             raise CorpusFormatError("verse text is empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Strophe:
     verses: tuple[Verse, ...]
     scheme: str = field(init=False)  # derived from the verses' rhyme groups
@@ -132,7 +139,7 @@ class Strophe:
         return cls(tuple(verses), bucketize_year(year), poem_index)
 
 
-@dataclass
+@dataclass(slots=True)
 class CorpusStats:
     scheme_counts: Counter = field(default_factory=Counter)
     meter_counts: Counter = field(default_factory=Counter)

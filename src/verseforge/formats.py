@@ -36,7 +36,7 @@ class FormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineAnnotation:
     meter: MeterLabel | None  # present iff METER_VERSE
     syllable_count: int
@@ -51,7 +51,7 @@ class LineAnnotation:
         raise FormatError(f"format {fmt.value} carries no line annotations")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StropheHeader:
     scheme: str
     year_bucket: YearBucket
@@ -66,7 +66,7 @@ class StropheHeader:
         return head + SEP + self.strophe_meter.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedStrophe:
     header: StropheHeader
     lines: tuple[tuple[LineAnnotation | None, str], ...]
@@ -119,7 +119,7 @@ def _parse_header(line: str, fmt: DataFormat, lineno: int) -> StropheHeader:
     meter = None
     if fmt is not DataFormat.METER_VERSE:
         try:
-            meter = MeterLabel(fields[2])
+            meter = MeterLabel.parse(fields[2])
         except ValueError:
             raise FormatError(f"line {lineno}: unknown meter letter {fields[2]!r}") from None
     return StropheHeader(scheme, bucket, meter)
@@ -136,7 +136,7 @@ def _parse_verse_line(line: str, fmt: DataFormat, lineno: int):
     if fmt is DataFormat.METER_VERSE:
         meter_s, syl_s, hint, text = parts
         try:
-            meter = MeterLabel(meter_s)
+            meter = MeterLabel.parse(meter_s)
         except ValueError:
             raise FormatError(f"line {lineno}: unknown meter letter {meter_s!r}") from None
     else:
@@ -169,7 +169,7 @@ def parse(text: str, fmt: DataFormat) -> ParsedStrophe:
     return ParsedStrophe(header, tuple(parsed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerseCheck:
     syl_ok: bool
     end_ok: bool

@@ -22,7 +22,7 @@ class GenerationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenerationRequest:
     scheme: str
     year_bucket: YearBucket
@@ -54,7 +54,7 @@ class GenerationRequest:
         return StropheHeader(self.scheme, self.year_bucket, meter)
 
 
-@dataclass
+@dataclass(slots=True)
 class GeneratedStrophe:
     raw_text: str
     request: GenerationRequest

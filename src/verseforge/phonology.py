@@ -112,6 +112,8 @@ def _split_at(word: str, nuclei: list[tuple[int, int]]) -> tuple[str, ...]:
     pieces = []
     start = 0
     for b in bounds:
+        while unicodedata.combining(word[b]):  # a mark stays with its letter
+            b += 1
         pieces.append(word[start:b])
         start = b
     pieces.append(word[start:])
@@ -221,7 +223,7 @@ def strip_punct(token: str) -> str:
         ch for ch in token if not unicodedata.category(ch).startswith("P"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerseAnalysis:
     """What phonology derives from one verse."""
 
@@ -290,7 +292,6 @@ def _strip_onset(syllable: str) -> str:
         for i, ch in enumerate(low):
             if ch in nuclei:
                 return syllable[i:]
-    return syllable
 
 
 def _clausula(sylls: tuple[str, ...]) -> str:

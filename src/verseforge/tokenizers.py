@@ -62,7 +62,7 @@ def is_annotation_piece(piece: str) -> bool:
             or (core.isascii() and core.isupper() and core.isalpha()))
 
 
-@dataclass
+@dataclass(slots=True)
 class Vocab:
     kind: TokenizerKind
     tokens: list[str]

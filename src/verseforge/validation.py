@@ -188,7 +188,7 @@ def _scheme_of(analyses: list[phonology.VerseAnalysis]) -> str:
 # ---------------------------------------------------------------------------
 # metrics
 
-@dataclass
+@dataclass(slots=True)
 class MetricsReport:
     num_syl: float | None
     end_acc: float | None

@@ -290,6 +290,11 @@ def test_counts_is_a_view_in_tuple_order(fixture_strophes):
         m.counts[ctx] = {0: 1}
 
 
+def test_a_bucket_reprs_as_its_events():
+    m = tiny_model()
+    assert repr(m.counts[(0,)]) == repr({0: 1, 1: 1})
+
+
 def test_a_changed_bucket_is_written_back_to_its_context_alone(tmp_path):
     """Loaded contexts with equal events share one bucket in the store;
     a write through one of them reaches that context and no other.  Any
