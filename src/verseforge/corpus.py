@@ -37,16 +37,14 @@ class MeterLabel(str, Enum):
     @classmethod
     def parse(cls, s: str) -> "MeterLabel":
         try:
-            return _METER_OF_LETTER[s]
-        except (KeyError, TypeError):
-            pass  # not a letter; the Enum call still takes a member
-        try:
-            return cls(s)
-        except ValueError:
+            return _METERS[s]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
             raise CorpusFormatError(f"unknown meter label {s!r}") from None
 
 
-_METER_OF_LETTER = {m.value: m for m in MeterLabel}
+# Each label under its letter and under itself, since a member hashes by
+# its name and its letter alone would not find it.
+_METERS = {key: m for m in MeterLabel for key in (m.value, m)}
 
 
 class CorpusFormatError(ValueError):
