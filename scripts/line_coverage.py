@@ -6,8 +6,8 @@ A ``sys.settrace`` hook, limited to the files under ``src/verseforge``,
 records each line that runs during an in-process ``pytest.main``; a line
 counts as a statement when it holds bytecode and lies outside the body of
 an ``if __name__ == "__main__":`` block, which an in-process run never
-enters.  The tracing makes the run
-several times slower than a plain one, so it is not part of the tests.
+enters.  The tracing makes the run several times slower than a plain
+one, so it is not part of the tests.
 
 Run from the repo root:  python3 scripts/line_coverage.py [pytest args]
 (the default pytest args are ``-q tests``).  Exits with pytest's status.
