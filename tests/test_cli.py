@@ -630,6 +630,20 @@ def test_generate_refuses_a_temperature_that_is_not_positive(small_model, capsys
     assert "temperature must be positive" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag,message", [
+    ("--seed=-1", "error: seed must be non-negative, got -1"),
+    ("--max-tokens=0", "error: max_tokens must be at least 1, got 0"),
+], ids=["seed", "max-tokens"])
+def test_generate_refuses_a_negative_seed_and_an_empty_token_budget(small_model, capsys,
+                                                                     flag, message):
+    vocab, model = small_model
+    capsys.readouterr()
+    rc = main(["generate", "--model", str(model), "--vocab", str(vocab),
+               "--scheme", "ABAB", "--year", "1900", flag])
+    assert rc == 5
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_a_request_line_with_a_nan_temperature_exits_5(small_model, tmp_path, capsys):
     vocab, model = small_model
     requests = tmp_path / "requests.jsonl"
@@ -685,8 +699,13 @@ def test_a_null_request_field_means_its_default(small_model, tmp_path, capsys, k
     ('{"scheme": "ABAB", "temperature": -1}', 5, "error: {where} temperature must be positive"),
     ('{"scheme": "ABAB", "meters": ["J"]}', 5,
      "error: {where} per_verse_meters length must match scheme length"),
+    ('{"scheme": "ABAB", "seed": -4}', 5, "error: {where} seed must be non-negative, got -4"),
+    ('{"scheme": "ABAB", "max_tokens": 0}', 5,
+     "error: {where} max_tokens must be at least 1, got 0"),
+    ('{"scheme": "ABAB", "max_tokens": -4}', 5,
+     "error: {where} max_tokens must be at least 1, got -4"),
 ], ids=["meter", "strophe-meter", "year-text", "year-off-bucket", "scheme", "temperature",
-        "meter-count"])
+        "meter-count", "seed", "max-tokens-zero", "max-tokens-negative"])
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
 def test_a_request_value_refused_by_its_type_names_its_line(small_model, tmp_path, capsys,
                                                             command, bad, rc, message):

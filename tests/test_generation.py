@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verseforge import formats, generation, ngram, tokenizers as tok
 from verseforge.corpus import MeterLabel, YearBucket
@@ -14,6 +15,7 @@ from verseforge.generation import (
     generate_forced,
 )
 from helpers import ScriptedLM, scripted_model
+from test_goldens import train_model
 
 
 def request(scheme="ABAB", fmt=DataFormat.VERSE_PAR, **kw):
@@ -212,3 +214,56 @@ def test_from_text_parses_or_keeps_the_error():
     with pytest.raises(formats.FormatError) as e:
         formats.parse("# nonsense", req.fmt)
     assert bad.parse_error == str(e.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), draws=st.integers(1, 300))
+def test_block_uniforms_are_the_generators_doubles(seed, draws):
+    """Runs of up to 300 cross block boundaries; the doubles handed out
+    are those of successive scalar ``random()`` calls."""
+    expected = np.random.default_rng(seed)
+    uniforms = generation._BlockUniforms(np.random.default_rng(seed))
+    assert [uniforms.random() for _ in range(draws)] == [expected.random() for _ in range(draws)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), draws=st.integers(1, 300),
+       temperature=st.sampled_from([1.0, 0.4, 2.5]))
+def test_a_draw_through_block_uniforms_is_the_generators_draw(seed, draws, temperature):
+    model = ngram.NGramModel.from_counts(
+        {(): {0: 3, 1: 1, 2: 2, 3: 1}, (0,): {1: 2, 2: 1}, (1,): {0: 1, 3: 4},
+         (2, 1): {3: 1}, (0, 1): {0: 2}}, 3, 4)
+
+    def run(rng):
+        ids = [0]
+        for _ in range(draws):
+            ids.append(ngram.sample_with_rng(model, ids, temperature, rng))
+        return ids
+
+    assert (run(generation._BlockUniforms(np.random.default_rng(seed)))
+            == run(np.random.default_rng(seed)))
+
+
+def test_a_forced_batch_leaves_the_shared_rows_intact(fixture_strophes):
+    """Every shared row stays read-only and bit-identical to the row of a
+    model that has built nothing yet, and every table is the one built
+    from a fresh row."""
+    texts = [formats.encode(s, DataFormat.METER_VERSE) for s in fixture_strophes[:150]]
+    model, vocab = train_model(texts, tok.TokenizerKind.UNICODE)
+    fresh, _ = train_model(texts, tok.TokenizerKind.UNICODE)
+    for seed in range(12):
+        req = GenerationRequest("ABAB", YearBucket(1900), DataFormat.METER_VERSE,
+                                per_verse_meters=(MeterLabel.IAMB,) * 4, seed=seed,
+                                temperature=(1.0, 0.6)[seed % 2], max_tokens=400)
+        generate_forced(model, vocab, req)
+    keys = list(model._tables)
+    tables = [k for k in keys if k[1] is not None]
+    shared = [k for k in keys if k[1] is None]
+    assert len(tables) > 500 and len(shared) > 50
+    for ctx, temperature in reversed(tables):
+        assert np.array_equal(model._tables[ctx, temperature],
+                              ngram.sampling_table(fresh.next_dist(ctx), temperature))
+    for key in shared:
+        row = model._tables[key]
+        assert not row.flags.writeable
+        assert row.tobytes() == fresh._tables[key].tobytes()
