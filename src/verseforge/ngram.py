@@ -456,8 +456,9 @@ class NGramModel:
 
     def _level(self, p: np.ndarray, node: int, ctx: tuple[int, ...], k: int) -> np.ndarray:
         """``p`` blended with the discounted counts of ``node``, the node of
-        ``ctx[len(ctx) - k:]`` (``p`` itself when it has no counts), as a
-        new row."""
+        ``ctx[len(ctx) - k:]`` (``p`` itself when it has no counts).  A
+        writable ``p`` is updated in place; a read-only one, a shared row,
+        is scaled into a new row."""
         trie = self._trie
         b = trie.bucket[node]
         if b < 0:
@@ -472,7 +473,11 @@ class NGramModel:
             raise NGramError(f"count below 1 after context {list(ctx[len(ctx) - k:])}")
         d = self.discount
         total = trie.total[b]
-        p = (d * (e - o) / total) * p
+        g = d * (e - o) / total
+        if p.flags.writeable:
+            p *= g
+        else:
+            p = g * p
         for i in range(o, e):
             t = ids[i]
             p[t] = (counts[i] - d) / total + p[t]
@@ -580,7 +585,15 @@ def sample_with_rng(model, context, temperature: float, rng) -> int:
     if not temperature > 0:
         raise NGramError(f"temperature must be > 0, got {temperature}")
     if isinstance(model, NGramModel):
-        table = model.table(context, temperature)
+        # NGramModel.table's cache hit, inlined: this runs once per token
+        n = model.order - 1
+        key = (tuple(context[-n:]) if n else (), temperature)
+        tables = model._tables
+        table = tables.get(key)
+        if table is None:
+            table = model.table(context, temperature)
+        else:
+            tables.move_to_end(key)
     else:
         table = sampling_table(model.next_dist(context), temperature)
     if type(table) is int:
