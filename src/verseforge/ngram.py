@@ -32,24 +32,30 @@ Sampling draws from a table built once per row: the cumulative
 distribution of the normalised (tempered) row as an ``array('d')``,
 searched with one ``rng.random()`` and one ``bisect_right``, which finds
 the index of ``searchsorted(side="right")``.  That is the algorithm of
-``Generator.choice(len(q), p=q)``, so every draw, and the generator state
-after it, equals what ``choice`` gives.  When tempering underflows the
-table is the argmax id and the draw uses no randomness.  ``NGramModel``
-keeps its tables, keyed by trailing context and temperature, in a
-least-recently-used cache of at most ``TABLE_CACHE_BYTES`` of table data
-(8 bytes per vocabulary entry per table); other models get a table built
-per draw.
+``Generator.choice(len(q), p=q)``, so every draw, and the state of a
+``Generator`` after it, equals what ``choice`` gives.  ``sample_with_rng``
+takes any object with ``random()``; the decoders pass one that hands out
+a ``Generator``'s doubles drawn 64 at a time, the same sequence of
+doubles, with the generator itself up to 63 ahead.  When tempering
+underflows the table is the argmax id and the draw uses no randomness.
+``NGramModel`` keeps its tables, keyed by trailing context and
+temperature, in a least-recently-used cache of at most
+``TABLE_CACHE_BYTES`` of table data (8 bytes per vocabulary entry per
+table), which ``sample_with_rng`` reads with one lookup per draw; other
+models get a table built per draw.
 
 A row is built level by level, from the root down to the deepest node on
 the context's path: each level with counts scales the row by its backoff
-weight and adds its discounted counts in place.  The levels of the last
+weight and adds its discounted counts.  The levels of the last
 ``SHARED_SUFFIX_LEN`` tokens, short of the whole context, depend only on
 those tokens, so every context that ends in them shares one read-only
 partial row.  These rows, the empty context's among them, live in the
 same cache and byte budget as the tables, under ``(node, None)``, and a
-write-back drops them with the tables.  The arithmetic is that of a
-fresh row per level, operation for operation, so rows are bit-identical
-to it, and ``next_dist`` always returns a row the caller owns.
+write-back drops them with the tables.  The first level past a shared
+row scales it into a new row, and each later level updates that row in
+place.  The arithmetic is that of a fresh row per level, operation for
+operation, so rows are bit-identical to it, and ``next_dist`` always
+returns a row the caller owns.
 """
 
 from __future__ import annotations

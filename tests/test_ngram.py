@@ -898,6 +898,7 @@ def mutated_model_files(draw):
 @example(lines=["C\t\t0:1", "C\t5\t0:1", "C\t,5\t0:1"])
 @example(lines=["C\t\t0:1", "C\t1\t0:1", "C\t1,\t0:1"])
 @example(lines=["C\t\t0:1", "C\t1\t0:1 0:3", "C\t1,2\t0:1  2:1"])
+@example(lines=["C\t\t0:1", "", "C\t1\t0:1"])  # a blank line is skipped
 def test_load_refuses_the_lines_the_per_line_reference_refuses(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("bad") / "m.ngram"
     write_model(path, HEADER, lines)
