@@ -4,7 +4,8 @@ Each generation case trains a small model from the fixture corpus,
 decodes a few seeded requests with both decoders and compares the
 sha256 of the output with a pinned value.  A change to the model, the
 sampler or the decoders that moves a single draw changes the hash.  The
-saved vocabulary and model files are pinned the same way.
+saved vocabulary and model files, and the model images, are pinned the
+same way.
 """
 
 import hashlib
@@ -82,10 +83,24 @@ KIND_MODEL_SHA256 = {
     "our": "b9c8aabfc39b897e5b90f9ce6da32d800cb020c29e8ffbd658e86fe76bea1f28",
 }
 
+# the images that `save` writes beside those texts, which hold the trie's
+# node and bucket numbering
+MODEL_IMAGE_SHA256 = "e98b43cb491d0a145a5304c21a9ddd3945a9d08312ff3e467296558fe3a6d7cf"
+KIND_MODEL_IMAGE_SHA256 = {
+    "syllable": "76dc4c0f5c8599f4a56dd6da41b4e7e722909ec36eb6956de6b6993915cd4cd5",
+    "our": "b524d6f6e0a4f2e129ea733521286d18155a9f7f3778439ff54eeb1bb194625c",
+}
+
 
 def file_sha256(save, obj, path):
     save(obj, path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def image_sha256(path):
+    """The sha256 of the image that ``ngram.save`` wrote beside ``path``."""
+    with open(ngram._image_path(path), "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 @pytest.mark.parametrize("kind,size", list(VOCAB_SHA256))
@@ -114,7 +129,9 @@ def test_model_file_golden(fixture_texts, tmp_path):
     vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, lines)
     seqs = [tok.encode(vocab, text) + [vocab.eos_id] for text in fixture_texts]
     model = ngram.train(seqs, 10, vocab)
-    assert file_sha256(ngram.save, model, tmp_path / "m.ngram") == MODEL_SHA256
+    path = tmp_path / "m.ngram"
+    assert file_sha256(ngram.save, model, path) == MODEL_SHA256
+    assert image_sha256(path) == MODEL_IMAGE_SHA256
 
 
 @pytest.fixture(scope="module")
@@ -125,8 +142,9 @@ def models(fixture_texts):
 @pytest.mark.parametrize("kind", list(KIND_MODEL_SHA256))
 def test_model_file_golden_per_kind(models, tmp_path, kind):
     model, _ = models[kind]
-    digest = file_sha256(ngram.save, model, tmp_path / "m.ngram")
-    assert digest == KIND_MODEL_SHA256[kind]
+    path = tmp_path / "m.ngram"
+    assert file_sha256(ngram.save, model, path) == KIND_MODEL_SHA256[kind]
+    assert image_sha256(path) == KIND_MODEL_IMAGE_SHA256[kind]
 
 
 def generations(model, vocab, temperature):
