@@ -813,6 +813,27 @@ def test_every_store_numbers_its_nodes_as_the_reference(tmp_path_factory, case):
         assert trie_layout(got) == expected
 
 
+wide_sequences = st.lists(st.lists(st.integers(0, 200), max_size=60), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(order=st.integers(7, 12), sequences=wide_sequences)
+@example(order=10, sequences=[list(range(0, 200, 2)), list(range(199, 0, -3)),
+                              [7] * 12 + list(range(100, 120))])
+def test_long_contexts_over_many_ids_count_and_number_as_the_references(order, sequences):
+    """Contexts of up to 11 ids over up to 201 distinct ids, whose
+    reversed contexts take more than 63 bits to write one digit per id:
+    ``train`` counts as the per-position loop, and both the trained
+    model and one built from its counts hold the reference layout."""
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["ab"])
+    counts = reference_counts(sequences, order)
+    trained = ngram.train(iter(sequences), order, vocab)
+    assert trained.counts == counts
+    expected = reference_layout(counts)
+    assert trie_layout(trained) == expected
+    assert trie_layout(NGramModel.from_counts(counts, order, 201)) == expected
+
+
 def assert_same_rows(got, expected, contexts):
     """Bit-identical ``next_dist`` rows after every context."""
     for ctx in contexts:
