@@ -14,13 +14,17 @@ by ``t``, so one backoff level of a lookup is one ``bisect`` over an
 context has no counts; a bucket holds an offset into the event arrays
 (token ids sorted ascending, with their counts) and its total.  The node
 set holds every substring of every context with counts, so contexts
-missing from a hand-built model get event-free nodes.  One loop numbers
-the nodes of every store, a depth at a time: ``train`` hands it each
-position of the token arrays, and ``load`` and ``NGramModel.from_counts``
-each record of a context, one per file line or dict key, whose prefixes
-are records too.  An item's node one depth down is keyed by its node and
-the next id back in its context.  ``train`` and ``load`` share one
-bucket between the nodes of equal events.
+missing from a hand-built model get event-free nodes.  One numbering
+serves every store (``_Keys``): each item is keyed by its reversed
+context, one digit per id packed into int64 words, and one sort of the
+keys gives the nodes of every depth as the runs of items that share a
+prefix, the prefix sort behind suffix arrays (Manber & Myers 1993,
+"Suffix arrays: a new method for on-line string searches").  ``train``
+keys each position of the token arrays by its id and the ids before it,
+and reads the events off the same runs; ``load`` and
+``NGramModel.from_counts`` key each record of a context, one per file
+line or dict key, whose prefixes are records too.  ``train`` and
+``load`` share one bucket between the nodes of equal events.
 ``save`` also writes the arrays beside the text file, as an image that
 ``load`` reads in place of the text when it belongs to it (see
 ``save``).
@@ -116,33 +120,90 @@ def _ints(a) -> array:
     return out
 
 
-def _number(node: np.ndarray, values: np.ndarray, step):
-    """Number the contexts of a set of items one depth at a time; return
-    the ``starts``, ``kids`` and ``tok`` of their trie.
+class _Keys:
+    """Items keyed by their reversed contexts, one base-``width + 1`` digit
+    per id: the id's rank among ``width`` sorted values + 1, or 0 past the
+    start of the item's context.  ``push`` appends the next digit of every
+    item; the digits are packed, most significant first, into as many
+    int64 words as they need."""
 
-    ``node`` holds each item's node, the root (0) on entry.  At depth k,
-    ``step(items, k)`` takes the items whose context reached depth k - 1
-    and gives those whose context reaches k, with the rank among the
-    sorted ``values`` of the id k places from the end of each one's
-    context.  An item's node at depth k is keyed by (its node at depth
-    k - 1, that rank), and one ``np.unique`` of the keys numbers the
-    depth: breadth first, each node's children contiguous and sorted by
-    token.  On return ``node`` holds each item's node of its whole
-    context."""
-    width = max(len(values), 1)
-    items = np.arange(len(node))
-    keys, starts = [], [0, 1]  # per depth: parent * width + token rank
-    while True:
-        items, rank = step(items, len(starts) - 1)
-        if not len(items):
-            break
-        key, inverse = np.unique(node[items] * width + rank, return_inverse=True)
-        node[items] = starts[-1] + inverse
-        keys.append(key)
-        starts.append(starts[-1] + len(key))
-    parents, tok = np.divmod(np.concatenate([np.zeros(0, np.int64)] + keys), width)
-    kids = 1 + np.searchsorted(parents, np.arange(starts[-1] + 1))
-    return starts, _ints(kids), _ints(np.concatenate([np.zeros(1, np.int64), values[tok]]))
+    def __init__(self, n: int, width: int):
+        self.n = n
+        self.base = max(width, 1) + 1
+        self.per_word = 1  # digits of a full word: its keys stay below 2**63
+        while self.base ** (self.per_word + 1) <= 1 << 63:
+            self.per_word += 1
+        self.words, self.digits = [], 0
+
+    def push(self, digit: np.ndarray) -> None:
+        if self.digits % self.per_word == 0:
+            self.words.append(np.zeros(self.n, np.int64))
+        word = self.words[-1]
+        word *= self.base
+        word += digit
+        self.digits += 1
+
+    def sort(self) -> np.ndarray:
+        """The items in key order, as ``perm``: sorted by each word from the
+        least significant, as ``lexsort`` sorts, each pass after the first
+        stable."""
+        words = self.words[::-1]
+        perm = np.argsort(words[0]) if words else np.arange(self.n)
+        for word in words[1:]:
+            perm = perm[np.argsort(word[perm], kind="stable")]
+        self.perm = perm.astype(np.int32)
+        return self.perm
+
+    def number(self, reach: np.ndarray, values: np.ndarray, visit):
+        """Number the trie of the items' reversed contexts; return its
+        ``starts``, ``kids`` and ``tok``.  Call after ``sort``.
+
+        In key order, the items that share a prefix of L digits form a run,
+        and the runs of each length L are in the order of their prefixes:
+        breadth first, each run of L digits a child of the run of its first
+        L - 1, the children of a run sorted by token.  A run of L nonzero
+        digits is a node of depth L when one of its items has ``reach`` of
+        at least L.  For L = 1 .. ``digits``, calls ``visit(L, heads, digit,
+        above, node)``: ``heads`` are the places in key order where a run of
+        L digits begins, ``digit`` is the L-th digit of each of those runs
+        (0 past the start), and ``above`` and ``node`` hold each place's
+        node of depth L - 1 and L, where its run is one.  Sets ``reach`` to
+        the items' reach in key order; ``words`` are consumed."""
+        base, n, perm = self.base, self.n, self.perm
+        self.reach = reach = reach[perm]
+        new = np.zeros(n, bool)  # a run of the current length begins here
+        new[:1] = True
+        # buffers reused at every depth
+        prefix, same = np.empty(n, np.int64), np.empty(max(n - 1, 0), bool)
+        deep, head = np.empty(n, bool), np.empty(n, bool)
+        above, node = np.empty(n, np.int32), np.zeros(n, np.int32)  # depth 0: the root
+        starts, parents, toks = [0, 1], [], []
+        for k in range(len(self.words)):
+            word, self.words[k] = self.words[k][perm], None
+            size = min(self.per_word, self.digits - k * self.per_word)
+            for e in range(size - 1, -1, -1):
+                depth = k * self.per_word + size - e
+                np.floor_divide(word, base ** e, out=prefix)
+                new[1:] |= np.not_equal(prefix[1:], prefix[:-1], out=same)
+                heads = np.flatnonzero(new)
+                digit = prefix[heads] % base
+                np.greater_equal(reach, depth, out=deep)
+                is_node = np.logical_or.reduceat(deep, heads) & (digit > 0)
+                head.fill(False)
+                head[heads[is_node]] = True
+                above, node = node, above
+                np.cumsum(head, dtype=np.int32, out=node)
+                node += np.int32(starts[-1] - 1)
+                parents.append(above[heads[is_node]])
+                toks.append((digit[is_node] - 1).astype(np.int32))
+                if is_node.any():
+                    starts.append(starts[-1] + int(np.count_nonzero(is_node)))
+                visit(depth, heads, digit, above, node)
+        word = prefix = new = same = deep = head = above = node = None
+        parents = np.concatenate([np.zeros(0, np.int32)] + parents)
+        kids = 1 + np.searchsorted(parents, np.arange(starts[-1] + 1))
+        tok = values[np.concatenate([np.zeros(0, np.int32)] + toks)]
+        return starts, _ints(kids), _ints(np.concatenate([np.zeros(1, np.int64), tok]))
 
 
 class _Trie:
@@ -162,40 +223,70 @@ class _Trie:
     def from_sequences(cls, sequences, order: int) -> tuple[_Trie, int]:
         """The counts of every position of ``sequences`` after each of its
         contexts up to ``order - 1`` ids; also the number of sequences.
-        Each position is an item of ``_number``: the id k places from the
-        end of its context is the id k places before it, and its own id is
-        counted after its node at each depth."""
+        Each position is an item of ``_Keys`` whose digits are its own id
+        and then the ``order - 1`` ids before it.  Its prefix of L digits is
+        the reversed context of L ids of the position after it, so the
+        position is a node's item up to depth ``order - 1`` unless it ends
+        its sequence.  The runs of L digits are the events of the contexts
+        of L - 1 ids: the count is the run's length and the owner the node
+        of depth L - 1 of the position before the run's."""
         ids, lengths = array("q"), []
         for seq in sequences:
             ids.extend(seq)
             lengths.append(len(seq))
         ids = np.frombuffer(ids, np.int64)
-        lengths = np.array(lengths, np.int64)
-        pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        n = len(ids)
+        sequence_count = len(lengths)
+        lengths = np.array([k for k in lengths if k], np.int64)  # of the sequences with ids
+        ends = np.cumsum(lengths)  # one past each sequence's last position
+        firsts = ends - lengths
         values, ranks = np.unique(ids, return_inverse=True)
-        width = max(len(values), 1)
-        node = np.zeros(len(ids), np.int64)  # position -> node of its context
-        events = []  # per depth: node * width + token rank, and its count
+        ids = None
+        ranks = ranks.astype(np.int32)
+        keys = _Keys(n, len(values))
+        digit = ranks + 1
+        for k in range(order):
+            if k:
+                digit[1:] = digit[:-1]
+                digit[firsts] = 0
+            keys.push(digit)
+        digit = None
+        # position -> its ids so far, up to order - 1, or 0 at a sequence's
+        # end: the depths of the nodes it is an item of
+        reach = np.arange(1, n + 1, dtype=np.int32)
+        reach -= np.repeat(firsts.astype(np.int32), lengths)
+        np.minimum(reach, order - 1, out=reach)
+        reach[ends - 1] = 0
+        perm = keys.sort()
+        inv = np.empty(n, np.int32)  # position -> its place in key order
+        inv[perm] = np.arange(n, dtype=np.int32)
+        ev_node, ev_rank, ev_count = [], [], []
 
-        def step(items, k):
-            events.append(np.unique(node[items] * width + ranks[items], return_counts=True))
-            items = items[pos[items] >= k] if k < order else items[:0]
-            return items, ranks[items - k]
+        def count(depth, heads, digit, above, node):
+            full = digit > 0
+            item = perm[heads[full]]
+            # at depth 1 every node above is the root, whatever item - 1 is
+            ev_node.append(above[inv[item - 1]])
+            ev_rank.append(ranks[item])
+            ev_count.append(np.diff(heads, append=n)[full])
 
-        starts, kids, tok = _number(node, values, step)
-        ev_node, ev_rank = np.divmod(np.concatenate([e[0] for e in events]), width)
-        ev_count = np.concatenate([e[1] for e in events])
-        n = starts[-1]
-        ev_off = np.searchsorted(ev_node, np.arange(n + 1))
-        bucket, reps = cls._share(ev_off, ev_rank, ev_count, len(ids) + 1)
+        starts, kids, tok = keys.number(reach, values, count)
+        keys = reach = perm = inv = ranks = None
+        ev_node, ev_rank, ev_count = (np.concatenate(a) for a in (ev_node, ev_rank, ev_count))
+        by_node = np.argsort(ev_node * np.int64(len(values)) + ev_rank)  # then by token
+        ev_node, ev_count = ev_node[by_node], ev_count[by_node]
+        ev_rank = ev_rank[by_node].astype(np.int64)
+        nodes = starts[-1]
+        ev_off = np.searchsorted(ev_node, np.arange(nodes + 1))
+        bucket, reps = cls._share(ev_off, ev_rank, ev_count, n + 1)
         size = np.diff(ev_off)[reps]
         b_off = np.concatenate([np.zeros(1, np.int64), np.cumsum(size)])
         at = np.repeat(ev_off[reps] - b_off[:-1], size) + np.arange(b_off[-1])
-        total = np.bincount(ev_node, weights=ev_count, minlength=n)[reps]
+        total = np.bincount(ev_node, weights=ev_count, minlength=nodes)[reps]
         trie = cls(kids, tok, _ints(bucket), starts, _ints(b_off),
                    array("d", total.tobytes()), _ints(values[ev_rank[at]]),
                    _ints(ev_count[at]))
-        return trie, len(lengths)
+        return trie, sequence_count
 
     @staticmethod
     def _share(ev_off, ev_rank, ev_count, bound: int):
@@ -322,24 +413,37 @@ class _Records:
 
     def trie(self) -> _Trie:
         """The trie of every substring of the records' contexts.  Each
-        record is an item of ``_number`` whose cursor walks up its
-        prefixes, so the id k places from the end of its context is the
-        last id of the record k - 1 steps up.  As the prefixes of a record
-        are records, the nodes hold every suffix of every prefix.  Records
-        that share a context share its node; of those with a bucket, the
-        last one read gives the node its bucket."""
-        parent = np.frombuffer(self.parent, np.int64)
+        record is an item of ``_Keys`` whose cursor walks up its prefixes,
+        so its k-th digit is the last id of the record k - 1 steps up.  As
+        the prefixes of a record are records, the nodes hold every suffix
+        of every prefix.  Records that share a context share its node; of
+        those with a bucket, the last one read gives the node its bucket."""
+        n = len(self.last)
         values, ranks = np.unique(np.frombuffer(self.last, np.int64), return_inverse=True)
-        node = np.zeros(len(parent), np.int64)  # record -> its node
-        cursor = np.arange(len(parent))
+        # record -> its digit and its parent; the entry after the last is
+        # the cursor's past the root
+        digits = np.zeros(n + 1, np.int32)
+        digits[:n] = ranks + 1
+        parent = np.full(n + 1, -1, np.int32)
+        parent[:n] = np.frombuffer(self.parent, np.int64)
+        ranks = None
+        keys = _Keys(n, len(values))
+        depth = np.zeros(n, np.int32)  # record -> its context's length
+        cursor = np.arange(n, dtype=np.int32)
+        while (walking := cursor >= 0).any():
+            keys.push(digits[cursor])
+            depth += walking
+            cursor = parent[cursor]
+        digits = parent = cursor = walking = None
+        perm = keys.sort()
+        placed = np.zeros(n, np.int32)  # record in key order -> its node
 
-        def step(items, k):
-            items = items[cursor[items] >= 0]
-            at = cursor[items]
-            cursor[items] = parent[at]
-            return items, ranks[at]
+        def place(d, heads, digit, above, node):
+            np.copyto(placed, node, where=keys.reach >= d)
 
-        starts, kids, tok = _number(node, values, step)
+        starts, kids, tok = keys.number(depth, values, place)
+        node = np.empty(n, np.int32)  # record -> its node
+        node[perm] = placed
         rec_bucket = np.frombuffer(self.bucket, np.int64)
         has = np.flatnonzero(rec_bucket >= 0)
         # records are numbered in the order read; a node of no such record
