@@ -822,9 +822,10 @@ wide_sequences = st.lists(st.lists(st.integers(0, 200), max_size=60), min_size=1
                               [7] * 12 + list(range(100, 120))])
 def test_long_contexts_over_many_ids_count_and_number_as_the_references(order, sequences):
     """Contexts of up to 11 ids over up to 201 distinct ids, whose
-    reversed contexts take more than 63 bits to write one digit per id:
-    ``train`` counts as the per-position loop, and both the trained
-    model and one built from its counts hold the reference layout."""
+    reversed contexts can take more than 63 bits to write one digit per
+    id (the example needs 72): ``train`` counts as the per-position loop,
+    and both the trained model and one built from its counts hold the
+    reference layout."""
     vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["ab"])
     counts = reference_counts(sequences, order)
     trained = ngram.train(iter(sequences), order, vocab)
