@@ -820,19 +820,26 @@ wide_sequences = st.lists(st.lists(st.integers(0, 200), max_size=60), min_size=1
 @given(order=st.integers(7, 12), sequences=wide_sequences)
 @example(order=10, sequences=[list(range(0, 200, 2)), list(range(199, 0, -3)),
                               [7] * 12 + list(range(100, 120))])
-def test_long_contexts_over_many_ids_count_and_number_as_the_references(order, sequences):
+def test_long_contexts_over_many_ids_count_and_number_as_the_references(
+        tmp_path_factory, order, sequences):
     """Contexts of up to 11 ids over up to 201 distinct ids, whose
     reversed contexts can take more than 63 bits to write one digit per
     id (the example needs 72): ``train`` counts as the per-position loop,
-    and both the trained model and one built from its counts hold the
-    reference layout."""
+    both the trained model and one built from its counts hold the
+    reference layout, and the trained model lists and saves its contexts
+    in tuple order."""
     vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["ab"])
     counts = reference_counts(sequences, order)
     trained = ngram.train(iter(sequences), order, vocab)
     assert trained.counts == counts
+    assert list(trained.counts) == sorted(counts)
     expected = reference_layout(counts)
     assert trie_layout(trained) == expected
     assert trie_layout(NGramModel.from_counts(counts, order, 201)) == expected
+    tmp = tmp_path_factory.mktemp("long")
+    ngram.save(trained, tmp / "m.ngram")
+    reference_save(trained, tmp / "ref.ngram")
+    assert (tmp / "m.ngram").read_bytes() == (tmp / "ref.ngram").read_bytes()
 
 
 def assert_same_rows(got, expected, contexts):
