@@ -807,11 +807,14 @@ def _read_image(path) -> NGramModel | None:
         if at > size:
             raise ValueError("header runs past the end of the file")
         head = json.loads(f.read(n))
-        lengths = head.get("lengths") if isinstance(head, dict) else None
-        if (not isinstance(lengths, list) or len(lengths) != len(IMAGE_ARRAYS)
-                or not all(type(k) is int and k >= 0 for k in lengths)
-                or set(head) != _IMAGE_KEYS):
+        # each field of exactly its type: a JSON true is no order
+        if (not isinstance(head, dict) or set(head) != _IMAGE_KEYS
+                or any(type(head[key]) is not kind for key, kind in MODEL_HEADER.items())
+                or not all(type(v) is list and all(type(k) is int for k in v)
+                           for v in (head["starts"], head["lengths"]))
+                or len(head["lengths"]) != len(IMAGE_ARRAYS) or min(head["lengths"]) < 0):
             raise ValueError("malformed header")
+        lengths = head["lengths"]
         if size != at + 8 * sum(lengths):
             raise ValueError(f"{size} bytes where the header gives {at + 8 * sum(lengths)}")
         arrays = []
@@ -827,20 +830,20 @@ def _read_image(path) -> NGramModel | None:
     kids, tok, bucket, ev_off, total, ev_id, ev_count = arrays
     nodes = len(tok)
     k, b, o = (np.frombuffer(a, np.int64) for a in (kids, bucket, ev_off))
-    starts = np.array(head["starts"], np.int64)
+    starts = head["starts"]  # Python ints, compared without overflow
     for ok, what in [
         (len(k) == nodes + 1 and k[0] == 1 and k[-1] == nodes and (np.diff(k) >= 0).all(),
          "kids"),
         (len(b) == nodes and ((b >= -1) & (b < len(total))).all(), "bucket"),
         (len(o) == len(total) + 1 and o[0] == 0 and o[-1] == len(ev_id)
          and (np.diff(o) > 0).all() and len(ev_count) == len(ev_id), "ev_off"),
-        (len(starts) and starts[0] == 0 and starts[-1] == nodes
-         and (np.diff(starts) >= 0).all(), "starts"),
+        (starts and starts[0] == 0 and starts[-1] == nodes
+         and all(a <= b for a, b in zip(starts, starts[1:])), "starts"),
     ]:
         if not ok:
             raise ValueError(f"{what} does not hold a trie")
     model = NGramModel(**{key: head[key] for key in MODEL_HEADER})
-    model._trie = _Trie(kids, tok, bucket, head["starts"], ev_off, total, ev_id, ev_count)
+    model._trie = _Trie(kids, tok, bucket, starts, ev_off, total, ev_id, ev_count)
     return model
 
 

@@ -10,6 +10,7 @@ from verseforge.cli import main
 from verseforge.formats import DataFormat
 from helpers import DATA
 from test_goldens import OUR_DEFAULT_BUDGET_SHA256
+from test_ngram import set_field
 
 
 @pytest.fixture()
@@ -155,6 +156,26 @@ def test_train_lm_ends_its_model_with_config_and_generate_reads_the_image(
     (tmp_path / "uni.ngram.img").unlink()
     assert main(generate) == 0
     assert capsys.readouterr() == out
+
+
+def test_generate_parses_the_text_beside_an_image_whose_header_has_a_wrong_type(
+        mini_corpus, tmp_path, capsys, caplog):
+    vocab, model = tmp_path / "uni.vocab", tmp_path / "uni.ngram"
+    assert main(["train-tokenizer", "--corpus", str(mini_corpus),
+                 "--kind", "unicode", "--out", str(vocab)]) == 0
+    assert main(["train-lm", "--corpus", str(mini_corpus), "--vocab", str(vocab),
+                 "--order", "4", "--out", str(model)]) == 0
+    generate = ["generate", "--model", str(model), "--vocab", str(vocab), "--scheme", "ABAB"]
+    capsys.readouterr()
+    assert main(generate) == 0
+    out = capsys.readouterr().out
+    img = tmp_path / "uni.ngram.img"
+    img.write_bytes(set_field("order", "4")(img.read_bytes(), model))
+    caplog.clear()
+    assert main(generate) == 0
+    assert capsys.readouterr().out == out
+    [message] = [r.getMessage() for r in caplog.records if r.name == "verseforge.ngram"]
+    assert message == f"{img}: model image not used: malformed header"
 
 
 def test_a_missing_model_text_beside_its_image_is_one_missing_file_line(

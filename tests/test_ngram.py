@@ -220,6 +220,10 @@ def set_item(name, at, value):
     return resigned(lambda head, arrays: arrays[name].__setitem__(at, value))
 
 
+def set_field(key, value):
+    return resigned(lambda head, arrays: head.__setitem__(key, value))
+
+
 HEAD = len(ngram.IMAGE_MAGIC) + 8  # where an image's JSON header starts
 
 
@@ -241,9 +245,21 @@ HEAD = len(ngram.IMAGE_MAGIC) + 8  # where an image's JSON header starts
     (set_item("ev_off", 1, 0), "ev_off does not hold a trie"),
     (resigned(lambda head, arrays: head["starts"].__setitem__(-1, head["starts"][-1] + 1)),
      "starts does not hold a trie"),
+    (set_field("order", "3"), "malformed header"),
+    (set_field("order", 2.5), "malformed header"),
+    (set_field("order", True), "malformed header"),
+    (set_field("discount", "0.75"), "malformed header"),
+    (set_field("vocab_size", 6.0), "malformed header"),
+    (set_field("vocab_hash", None), "malformed header"),
+    (set_field("starts", None), "malformed header"),
+    (resigned(lambda head, arrays: head["starts"].__setitem__(1, 1.0)), "malformed header"),
+    (resigned(lambda head, arrays: head["starts"].__setitem__(1, 1 << 64)),
+     "starts does not hold a trie"),
 ], ids=["magic", "header-cut", "header-json", "header-key", "header-length", "longer",
         "shorter", "array-byte", "kids-first", "kids-order", "bucket-below", "bucket-above",
-        "ev_off-order", "starts-end"])
+        "ev_off-order", "starts-end", "order-str", "order-float", "order-bool", "discount-str",
+        "vocab_size-float", "vocab_hash-null", "starts-null", "starts-float",
+        "starts-beyond-64-bits"])
 def test_a_refused_image_is_logged_and_the_text_parsed(tmp_path, caplog, fixture_strophes,
                                                        mutate, reason):
     m, vocab, _ = corpus_model(fixture_strophes)
