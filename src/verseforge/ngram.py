@@ -24,7 +24,10 @@ keys each position of the token arrays by its id and the ids before it,
 and reads the events off the same runs; ``load`` and
 ``NGramModel.from_counts`` key each record of a context, one per file
 line or dict key, whose prefixes are records too.  ``train`` and
-``load`` share one bucket between the nodes of equal events.
+``load`` share one bucket between the nodes of equal events.  The same
+keys give tuple order, in which ``save`` writes and ``counts`` iterates:
+each node is keyed by its context, read up its trie parents, and the
+keys sort as the tuples do.
 ``save`` also writes the arrays beside the text file, as an image that
 ``load`` reads in place of the text when it belongs to it (see
 ``save``).
@@ -97,7 +100,8 @@ IMAGE_MAGIC = b"verseforge-ngram-image v1\n"
 # The trie arrays that an image holds, in its order, as little-endian
 # 64-bit values: integers, and floats for ``total``.
 IMAGE_ARRAYS = ("kids", "tok", "bucket", "ev_off", "total", "ev_id", "ev_count")
-_IMAGE_KEYS = {*MODEL_HEADER, "starts", "lengths", "sha256"}
+# The fields of an image's JSON header, each with its exact type.
+_IMAGE_HEADER = {**MODEL_HEADER, "starts": list, "lengths": list, "sha256": str}
 
 # Byte budget of an NGramModel's sampling tables and shared rows.
 TABLE_CACHE_BYTES = 64 << 20
@@ -121,21 +125,25 @@ def _ints(a) -> array:
 
 
 class _Keys:
-    """Items keyed by their reversed contexts, one base-``width + 1`` digit
-    per id: the id's rank among ``width`` sorted values + 1, or 0 past the
-    start of the item's context.  ``push`` appends the next digit of every
-    item; the digits are packed, most significant first, into as many
-    int64 words as they need."""
+    """Items keyed by their reversed contexts, one digit per id in base
+    (distinct ``ids`` + 1): the id's rank among the distinct ``ids`` + 1,
+    or 0 past the start of the item's context.  ``shift`` and ``walk`` write
+    every item's digits, packed, most significant first, into as many int64
+    words as they need.  The one place that ranks ids and writes keys:
+    ``train`` shifts its positions, ``_Records.trie`` walks its records
+    and ``_Trie.tuple_order`` its nodes, whose key order is tuple order."""
 
-    def __init__(self, n: int, width: int):
-        self.n = n
-        self.base = max(width, 1) + 1
+    def __init__(self, ids: np.ndarray):
+        self.n = len(ids)
+        self.values, ranks = np.unique(ids, return_inverse=True)
+        self.ranks = ranks.astype(np.int32)  # item -> the rank of its id
+        self.base = max(len(self.values), 1) + 1
         self.per_word = 1  # digits of a full word: its keys stay below 2**63
         while self.base ** (self.per_word + 1) <= 1 << 63:
             self.per_word += 1
         self.words, self.digits = [], 0
 
-    def push(self, digit: np.ndarray) -> None:
+    def _push(self, digit: np.ndarray) -> None:
         if self.digits % self.per_word == 0:
             self.words.append(np.zeros(self.n, np.int64))
         word = self.words[-1]
@@ -143,10 +151,38 @@ class _Keys:
         word += digit
         self.digits += 1
 
+    def shift(self, firsts: np.ndarray, steps: int) -> None:
+        """Write ``steps`` digits of items that are positions of sequences
+        laid end to end, starting at ``firsts``: each position's own id,
+        then the ids before it in its sequence."""
+        digit = self.ranks + 1
+        for k in range(steps):
+            if k:
+                digit[1:] = digit[:-1]
+                digit[firsts] = 0
+            self._push(digit)
+
+    def walk(self, parent: np.ndarray) -> np.ndarray:
+        """Write the digits of items whose contexts are chains: each item's
+        own id, then its ``parent`` item's, and so on up to an item whose
+        parent is -1.  Return each chain's length."""
+        # item -> its digit and its parent; the entry after the last is
+        # the cursor's past the chain's end
+        digits = np.append(self.ranks + 1, 0)
+        up = np.append(parent, -1).astype(np.int32)
+        length = np.zeros(self.n, np.int32)
+        cursor = np.arange(self.n, dtype=np.int32)
+        while (walking := cursor >= 0).any():
+            self._push(digits[cursor])
+            length += walking
+            cursor = up[cursor]
+        return length
+
     def sort(self) -> np.ndarray:
         """The items in key order, as ``perm``: sorted by each word from the
         least significant, as ``lexsort`` sorts, each pass after the first
-        stable."""
+        stable.  In key order a context comes before its extensions, as 0
+        is below every id's digit."""
         words = self.words[::-1]
         perm = np.argsort(words[0]) if words else np.arange(self.n)
         for word in words[1:]:
@@ -154,7 +190,7 @@ class _Keys:
         self.perm = perm.astype(np.int32)
         return self.perm
 
-    def number(self, reach: np.ndarray, values: np.ndarray, visit):
+    def number(self, reach: np.ndarray, visit):
         """Number the trie of the items' reversed contexts; return its
         ``starts``, ``kids`` and ``tok``.  Call after ``sort``.
 
@@ -162,15 +198,14 @@ class _Keys:
         and the runs of each length L are in the order of their prefixes:
         breadth first, each run of L digits a child of the run of its first
         L - 1, the children of a run sorted by token.  A run of L nonzero
-        digits is a node of depth L when one of its items has ``reach`` of
-        at least L.  For L = 1 .. ``digits``, calls ``visit(L, heads, digit,
-        above, node)``: ``heads`` are the places in key order where a run of
-        L digits begins, ``digit`` is the L-th digit of each of those runs
-        (0 past the start), and ``above`` and ``node`` hold each place's
-        node of depth L - 1 and L, where its run is one.  Sets ``reach`` to
-        the items' reach in key order; ``words`` are consumed."""
+        digits is a node of depth L when one of its items has ``reach``, in
+        key order, of at least L.  For L = 1 .. ``digits``, calls
+        ``visit(L, heads, digit, above, node)``: ``heads`` are the places in
+        key order where a run of L digits begins, ``digit`` is the L-th
+        digit of each of those runs (0 past the start), and ``above`` and
+        ``node`` hold each place's node of depth L - 1 and L, where its run
+        is one.  ``words`` are consumed."""
         base, n, perm = self.base, self.n, self.perm
-        self.reach = reach = reach[perm]
         new = np.zeros(n, bool)  # a run of the current length begins here
         new[:1] = True
         # buffers reused at every depth
@@ -202,7 +237,7 @@ class _Keys:
         word = prefix = new = same = deep = head = above = node = None
         parents = np.concatenate([np.zeros(0, np.int32)] + parents)
         kids = 1 + np.searchsorted(parents, np.arange(starts[-1] + 1))
-        tok = values[np.concatenate([np.zeros(0, np.int32)] + toks)]
+        tok = self.values[np.concatenate([np.zeros(0, np.int32)] + toks)]
         return starts, _ints(kids), _ints(np.concatenate([np.zeros(1, np.int64), tok]))
 
 
@@ -240,17 +275,10 @@ class _Trie:
         lengths = np.array([k for k in lengths if k], np.int64)  # of the sequences with ids
         ends = np.cumsum(lengths)  # one past each sequence's last position
         firsts = ends - lengths
-        values, ranks = np.unique(ids, return_inverse=True)
+        keys = _Keys(ids)
         ids = None
-        ranks = ranks.astype(np.int32)
-        keys = _Keys(n, len(values))
-        digit = ranks + 1
-        for k in range(order):
-            if k:
-                digit[1:] = digit[:-1]
-                digit[firsts] = 0
-            keys.push(digit)
-        digit = None
+        keys.shift(firsts, order)
+        values, ranks = keys.values, keys.ranks
         # position -> its ids so far, up to order - 1, or 0 at a sequence's
         # end: the depths of the nodes it is an item of
         reach = np.arange(1, n + 1, dtype=np.int32)
@@ -270,7 +298,7 @@ class _Trie:
             ev_rank.append(ranks[item])
             ev_count.append(np.diff(heads, append=n)[full])
 
-        starts, kids, tok = keys.number(reach, values, count)
+        starts, kids, tok = keys.number(reach[perm], count)
         keys = reach = perm = inv = ranks = None
         ev_node, ev_rank, ev_count = (np.concatenate(a) for a in (ev_node, ev_rank, ev_count))
         by_node = np.argsort(ev_node * np.int64(len(values)) + ev_rank)  # then by token
@@ -334,28 +362,24 @@ class _Trie:
 
     def tuple_order(self):
         """Every node in tuple order of its context, with the context's
-        length and last id.  A context sorts by its first id, then by the
-        rest, which is its trie parent; so ranking the nodes up to each
-        depth by (token, parent's rank among the shallower nodes) ranks
-        them all.  As the node set holds every prefix of a context, each
-        context's prefix one id shorter comes right before its subtree."""
+        length and last id.  Nodes 1 .. n - 1 are the items of ``_Keys``: a
+        node's token is its context's first id and its trie parent holds
+        the rest, so walking up the parents writes the context one digit
+        per id, and the keys' order is tuple order, each context before
+        its extensions.  As the node set holds every prefix of a context,
+        each context's prefix one id shorter comes right before its
+        subtree."""
         kids = np.frombuffer(self.kids, np.int64)
         tok = np.frombuffer(self.tok, np.int64)
         starts = self.starts
         n = len(tok)
         parent = np.repeat(np.arange(n), np.diff(kids))  # of nodes 1 .. n - 1
-        depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
         last = tok.copy()
         for d in range(2, len(starts) - 1):
             last[starts[d]:starts[d + 1]] = last[parent[starts[d] - 1:starts[d + 1] - 1]]
-        ranks = np.unique(tok[1:], return_inverse=True)[1]
-        rank = np.zeros(n, np.int64)
-        for d in range(1, len(starts) - 1):
-            end = starts[d + 1]
-            key = ranks[:end - 1] * end + rank[parent[:end - 1]]
-            rank[1 + np.argsort(key)] = np.arange(1, end)
-        order = np.empty(n, np.int64)
-        order[rank] = np.arange(n)
+        keys = _Keys(tok[1:])
+        depth = np.concatenate([[0], keys.walk(parent - 1)])  # the root is no item
+        order = np.concatenate([[0], keys.sort() + 1])
         return order, depth[order], last[order]
 
     def contexts(self):
@@ -413,35 +437,24 @@ class _Records:
 
     def trie(self) -> _Trie:
         """The trie of every substring of the records' contexts.  Each
-        record is an item of ``_Keys`` whose cursor walks up its prefixes,
-        so its k-th digit is the last id of the record k - 1 steps up.  As
-        the prefixes of a record are records, the nodes hold every suffix
-        of every prefix.  Records that share a context share its node; of
-        those with a bucket, the last one read gives the node its bucket."""
+        record is an item of ``_Keys`` that walks up its prefixes, so its
+        k-th digit is the last id of the record k - 1 steps up.  As the
+        prefixes of a record are records, the nodes hold every suffix of
+        every prefix.  Records that share a context share its node; of
+        those with a bucket, the last one read gives the node its bucket.
+        ``_Trie.tuple_order`` keys the nodes by the same walk, from each
+        node up its parents, for the order that ``save`` writes."""
         n = len(self.last)
-        values, ranks = np.unique(np.frombuffer(self.last, np.int64), return_inverse=True)
-        # record -> its digit and its parent; the entry after the last is
-        # the cursor's past the root
-        digits = np.zeros(n + 1, np.int32)
-        digits[:n] = ranks + 1
-        parent = np.full(n + 1, -1, np.int32)
-        parent[:n] = np.frombuffer(self.parent, np.int64)
-        ranks = None
-        keys = _Keys(n, len(values))
-        depth = np.zeros(n, np.int32)  # record -> its context's length
-        cursor = np.arange(n, dtype=np.int32)
-        while (walking := cursor >= 0).any():
-            keys.push(digits[cursor])
-            depth += walking
-            cursor = parent[cursor]
-        digits = parent = cursor = walking = None
+        keys = _Keys(np.frombuffer(self.last, np.int64))
+        depth = keys.walk(np.frombuffer(self.parent, np.int64))  # record -> its length
         perm = keys.sort()
+        depth = depth[perm]  # in key order
         placed = np.zeros(n, np.int32)  # record in key order -> its node
 
         def place(d, heads, digit, above, node):
-            np.copyto(placed, node, where=keys.reach >= d)
+            np.copyto(placed, node, where=depth >= d)
 
-        starts, kids, tok = keys.number(depth, values, place)
+        starts, kids, tok = keys.number(depth, place)
         node = np.empty(n, np.int32)  # record -> its node
         node[perm] = placed
         rec_bucket = np.frombuffer(self.bucket, np.int64)
@@ -807,11 +820,10 @@ def _read_image(path) -> NGramModel | None:
         if at > size:
             raise ValueError("header runs past the end of the file")
         head = json.loads(f.read(n))
-        # each field of exactly its type: a JSON true is no order
-        if (not isinstance(head, dict) or set(head) != _IMAGE_KEYS
-                or any(type(head[key]) is not kind for key, kind in MODEL_HEADER.items())
-                or not all(type(v) is list and all(type(k) is int for k in v)
-                           for v in (head["starts"], head["lengths"]))
+        # each field of exactly its type: a JSON true is no int
+        if (not isinstance(head, dict) or head.keys() != _IMAGE_HEADER.keys()
+                or any(type(head[key]) is not kind for key, kind in _IMAGE_HEADER.items())
+                or any(type(k) is not int for k in head["starts"] + head["lengths"])
                 or len(head["lengths"]) != len(IMAGE_ARRAYS) or min(head["lengths"]) < 0):
             raise ValueError("malformed header")
         lengths = head["lengths"]
