@@ -109,9 +109,7 @@ def train_tokenizer(ctx, corpus_path, kind, vocab_size, out, fmt, exceptions):
     fmt = DataFormat.parse(fmt)
     texts = [formats.encode(s, fmt, syllabifier) for s in corpus.ingest(corpus_path)]
     vocab = tokenizers.build_vocab(kind, texts, vocab_size, syllabifier)
-    tokenizers.save_vocab(vocab, out)
-    with open(out, "a", encoding="utf-8") as f:
-        f.write(f"#! config\t{json.dumps(_config(ctx))}\n")
+    tokenizers.save_vocab(vocab, out, _config(ctx))
     click.echo(f"{len(vocab)} tokens ({kind.value}) -> {out}")
 
 

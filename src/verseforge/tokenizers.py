@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import json
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -115,8 +116,9 @@ def _unescape(s: str) -> str:
     return re.sub(r"\\(.)", lambda m: _UNESCAPED.get(m[1], m[1]), s, flags=re.S)
 
 
-def save_vocab(vocab: Vocab, path) -> None:
-    """One ``token<TAB>id`` per line, headed by kind/special/protected lines."""
+def save_vocab(vocab: Vocab, path, config: dict | None = None) -> None:
+    """One ``token<TAB>id`` per line, headed by kind/special/protected
+    lines; then ``config``, when given, as a ``#! config`` line of JSON."""
     with open(path, "w", encoding="utf-8") as f:
         f.write("#! verseforge-vocab v1\n")
         f.write(f"#! kind\t{vocab.kind.value}\n")
@@ -126,6 +128,8 @@ def save_vocab(vocab: Vocab, path) -> None:
             f.write(f"#! protected\t{_escape(tok)}\n")
         for i, tok in enumerate(vocab.tokens):
             f.write(f"{_escape(tok)}\t{i}\n")
+        if config is not None:
+            f.write(f"#! config\t{json.dumps(config)}\n")
 
 
 def load_vocab(path) -> Vocab:
