@@ -168,7 +168,7 @@ class _Keys:
         parent is -1.  Return each chain's length."""
         # item -> its digit and its parent; the entry after the last is
         # the cursor's past the chain's end
-        digits = np.append(self.ranks + 1, 0)
+        digits = np.append(self.ranks + 1, np.int32(0))
         up = np.append(parent, -1).astype(np.int32)
         length = np.zeros(self.n, np.int32)
         cursor = np.arange(self.n, dtype=np.int32)
