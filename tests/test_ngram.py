@@ -193,6 +193,12 @@ def test_trained_loaded_and_hand_built_models_share_one_layout(tmp_path, fixture
         loaded = load_by(path, image=image)
         assert trie_layout(loaded) == trie_layout(built) == trie_layout(m)
         assert len(loaded._trie.total) == len(m._trie.total)  # both share equal buckets
+    # in reversed order every context comes before its prefixes
+    items = list(m.counts.items())
+    shuffled = [items[i] for i in np.random.default_rng(7).permutation(len(items))]
+    for ordered in (items[::-1], shuffled):
+        rebuilt = NGramModel.from_counts(dict(ordered), m.order, m.vocab_size)
+        assert trie_layout(rebuilt) == trie_layout(m)
 
 
 def resigned(edit):
