@@ -747,10 +747,9 @@ def save(model: NGramModel, path, config: dict | None = None) -> None:
     bucket, ev_off, ev_id, ev_count = trie.bucket, trie.ev_off, trie.ev_id, trie.ev_count
     texts = [""] * len(trie.starts)
     ev_texts = [None] * len(trie.total)
+    head = {key: getattr(model, key) for key in MODEL_HEADER}
     with open(path, "w", encoding="utf-8") as f:
-        f.write(MODEL_MAGIC + "\n")
-        for key in MODEL_HEADER:
-            f.write(f"{key}\t{getattr(model, key)}\n")
+        f.write(_header_lines(head))
         for node, d, t in zip(order.tolist(), depth.tolist(), last.tolist()):
             if d:
                 ctx_s = texts[d] = f"{texts[d - 1]},{t}" if d > 1 else str(t)
@@ -770,7 +769,6 @@ def save(model: NGramModel, path, config: dict | None = None) -> None:
     arrays = [getattr(trie, name) for name in IMAGE_ARRAYS]
     if sys.byteorder == "big":
         arrays = [_swapped(a) for a in arrays]
-    head = {key: getattr(model, key) for key in MODEL_HEADER}
     head.update(starts=list(trie.starts), lengths=[len(a) for a in arrays])
     head["sha256"] = _image_digest(path, head, arrays)
     data = json.dumps(head).encode()
@@ -778,6 +776,12 @@ def save(model: NGramModel, path, config: dict | None = None) -> None:
         f.write(IMAGE_MAGIC + len(data).to_bytes(8, "little") + data)
         for a in arrays:
             f.write(a)
+
+
+def _header_lines(head: dict) -> str:
+    """The first lines of a model text: the magic line, then one line per
+    ``MODEL_HEADER`` field of ``head``."""
+    return MODEL_MAGIC + "\n" + "".join(f"{key}\t{head[key]}\n" for key in MODEL_HEADER)
 
 
 def _image_path(path) -> str:
@@ -836,6 +840,12 @@ def _read_image(path) -> NGramModel | None:
             arrays.append(a)
     if head.pop("sha256") != _image_digest(path, head, arrays):
         raise ValueError("sha256 differs: the text or the image changed since save")
+    # the sha256 covers the text only as bytes: the fields are the text's
+    # when the text begins with the lines ``save`` writes from them
+    lines = _header_lines(head).encode("utf-8")
+    with open(path, "rb") as f:
+        if f.read(len(lines)) != lines:
+            raise ValueError("header differs from the text's")
     if sys.byteorder == "big":
         for a in arrays:
             a.byteswap()
@@ -864,8 +874,9 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
 
     The model comes from the image that ``save`` wrote beside the file
     when there is one that passes every check: its sha256 over the text
-    and itself, its exact length, and each array's ranges and order, as a
-    trie needs them.  The id ranges and counts of a bucket are checked
+    and itself, its exact length, its header fields, which must give the
+    text's header lines, and each array's ranges and order, as a trie
+    needs them.  The id ranges and counts of a bucket are checked
     when a row uses it, as for a parsed model.  An image that fails a
     check is logged and the text parsed.  A text that cannot be opened
     raises its own ``OSError`` before any image is read."""

@@ -261,11 +261,16 @@ HEAD = len(ngram.IMAGE_MAGIC) + 8  # where an image's JSON header starts
     (resigned(lambda head, arrays: head["starts"].__setitem__(1, 1.0)), "malformed header"),
     (resigned(lambda head, arrays: head["starts"].__setitem__(1, 1 << 64)),
      "starts does not hold a trie"),
+    (set_field("order", 1), "header differs from the text's"),
+    (set_field("order", 1 << 70), "header differs from the text's"),
+    (set_field("discount", 0.5), "header differs from the text's"),
+    (set_field("vocab_hash", "0" * 64), "header differs from the text's"),
 ], ids=["magic", "header-cut", "header-json", "header-key", "header-length", "longer",
         "shorter", "array-byte", "kids-first", "kids-order", "bucket-below", "bucket-above",
         "ev_off-order", "starts-end", "order-str", "order-float", "order-bool", "discount-str",
         "vocab_size-float", "vocab_hash-null", "starts-null", "starts-float",
-        "starts-beyond-64-bits"])
+        "starts-beyond-64-bits", "order-other", "order-beyond-64-bits", "discount-other",
+        "vocab_hash-other"])
 def test_a_refused_image_is_logged_and_the_text_parsed(tmp_path, caplog, fixture_strophes,
                                                        mutate, reason):
     m, vocab, _ = corpus_model(fixture_strophes)
@@ -364,6 +369,20 @@ def test_load_rejects_wrong_vocab(tmp_path, fixture_strophes):
         with pytest.raises(NGramError, match="different vocabulary"):
             load_by(path, other, image=image)
         load_by(path, image=image)  # without a vocab the check is skipped
+
+
+def test_an_image_cannot_pair_its_text_with_another_vocabulary(tmp_path):
+    """An image re-signed with another vocabulary's hash is refused, so the
+    text's hash is checked against the vocabulary."""
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["abcd"])
+    other = tok.build_vocab(tok.TokenizerKind.UNICODE, ["wxyz"])
+    assert len(other) == len(vocab) and other.content_hash() != vocab.content_hash()
+    path = tmp_path / "m.ngram"
+    ngram.save(ngram.train([tok.encode(vocab, "abcd")], 3, vocab), path)
+    img = Path(f"{path}.img")
+    img.write_bytes(set_field("vocab_hash", other.content_hash())(img.read_bytes(), path))
+    with pytest.raises(NGramError, match="different vocabulary"):
+        ngram.load(path, other)
 
 
 def test_load_rejects_vocab_size_mismatch(tmp_path, fixture_strophes):
