@@ -22,8 +22,9 @@ prefix, the prefix sort behind suffix arrays (Manber & Myers 1993,
 "Suffix arrays: a new method for on-line string searches").  ``train``
 keys each position of the token arrays by its id and the ids before it,
 and reads the events off the same runs; ``load`` and
-``NGramModel.from_counts`` key each record of a context, one per file
-line or dict key, whose prefixes are records too.  ``train`` and
+``NGramModel.from_counts`` key the records of ``_Records.add_context``,
+one per file line or dict key when the contexts come in tuple order,
+each extending the record of its prefix.  ``train`` and
 ``load`` share one bucket between the nodes of equal events.  The same
 keys give tuple order, in which ``save`` writes and ``counts`` iterates:
 each node is keyed by its context, read up its trie parents, and the
@@ -395,7 +396,7 @@ class _Trie:
 
 
 class _Records:
-    """Contexts and buckets in the order they are read: each context but
+    """Contexts and buckets in the order they are added: each context but
     the empty one a record that extends an earlier record (its context
     without the last id, or none) by one id; each bucket its events
     sorted by id.  The empty context is the root's, which takes the
@@ -410,6 +411,11 @@ class _Records:
         self.total = array("d")
         self.ev_id = array("q")
         self.ev_count = array("q")
+        # text length -> (text, record) of the last context added with a
+        # text that long.  In tuple order the contexts between a context
+        # and its extension by one id extend the context too, so their
+        # texts are longer and its entry is still there.
+        self.latest = {}
 
     def add_bucket(self, bucket: dict[int, int]) -> int:
         """The id of a new bucket; ``OverflowError`` when an id or count
@@ -421,19 +427,33 @@ class _Records:
         self.total.append(float(sum(bucket.values())))
         return len(self.total) - 1
 
-    def add_context(self, ctx: Sequence[int], bucket: int) -> int:
-        """Record ``ctx`` with its prefixes, which get no bucket; the last
-        record."""
-        if not ctx:
+    def add_context(self, text: str, bucket: int) -> None:
+        """Record the context whose ids joined by commas are ``text``, with
+        ``bucket``.  When its text up to the last comma is the text of the
+        last context added with a text that long, the record extends that
+        context's record by one id; in tuple order this holds for every
+        context whose prefix one id shorter was added.  Any other context
+        is parsed in full and recorded with its prefixes, which get no
+        bucket.  ``ValueError`` when an id is no integer, ``OverflowError``
+        when it does not fit in 64 bits."""
+        if not text:
             self.root = bucket
-            return len(self.last) - 1
-        n, d = len(self.last), len(ctx)
-        self.parent.append(-1)
-        self.parent.extend(range(n, n + d - 1))
-        self.last.extend(ctx)
-        self.bucket.extend([-1] * (d - 1))
+            return
+        cut = text.rfind(",")
+        # no text of length 0 is added, so ",5" is parsed in full, and refused
+        prefix, parent = self.latest.get(cut, ("\n", -1))
+        if text.startswith(prefix):
+            self.last.append(int(text[cut + 1:]))
+            self.parent.append(parent)
+        else:
+            ctx = [int(x) for x in text.split(",")]
+            n = len(self.last)
+            self.last.extend(ctx)
+            self.parent.append(-1)
+            self.parent.extend(range(n, n + len(ctx) - 1))
+            self.bucket.extend([-1] * (len(ctx) - 1))
         self.bucket.append(bucket)
-        return n + d - 1
+        self.latest[len(text)] = text, len(self.last) - 1
 
     def trie(self) -> _Trie:
         """The trie of every substring of the records' contexts.  Each
@@ -441,7 +461,7 @@ class _Records:
         k-th digit is the last id of the record k - 1 steps up.  As the
         prefixes of a record are records, the nodes hold every suffix of
         every prefix.  Records that share a context share its node; of
-        those with a bucket, the last one read gives the node its bucket.
+        those with a bucket, the last one added gives the node its bucket.
         ``_Trie.tuple_order`` keys the nodes by the same walk, from each
         node up its parents, for the order that ``save`` writes."""
         n = len(self.last)
@@ -562,7 +582,7 @@ class NGramModel:
         records = _Records()
         for ctx, bucket in counts.items():
             if bucket:
-                records.add_context(ctx, records.add_bucket(bucket))
+                records.add_context(",".join(map(str, ctx)), records.add_bucket(bucket))
         self._trie = records.trie()
         self._tables.clear()
 
@@ -902,31 +922,20 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
 def _parse(path) -> NGramModel:
     """The model of a count dump's text.
 
-    Each ``C`` line but the empty context's, which gives the root its
-    bucket, becomes a record.  A context whose text up to its last
-    comma is the text of the last context read with a text that long
-    extends that context's record by one id; in a file written by ``save``
-    this holds for every context of two or more ids.  Any other context
-    is parsed in full.  Each distinct event text is parsed into a bucket
+    Each ``C`` line's context text is added by ``_Records.add_context``;
+    in a file written by ``save`` every context of two or more ids
+    extends the record of the context one id shorter.  Each distinct event text is parsed into a bucket
     once, and every line with that text shares it.  The same lines are
     refused as when each line is parsed on its own, and also an id or
     count that does not fit in 64 bits.
     """
     records = _Records()
     add_bucket, add_context = records.add_bucket, records.add_context
-    parents, lasts, rec_buckets = (records.parent.append, records.last.append,
-                                   records.bucket.append)
     with open(path, encoding="utf-8") as f:
         if f.readline().rstrip("\n") != MODEL_MAGIC:
             raise NGramError(f"{path}: not a verseforge n-gram model")
         header = {}
-        # text length -> (text, record) last read.  In tuple order
-        # the contexts between a parent and its child extend the parent, so
-        # their texts are longer and the parent's entry is still there.
-        last = {}
-        no_parent = "\n", -1  # no context text holds a newline
         buckets = {}  # event text -> bucket id
-        rec = -1  # the last record
         for lineno, line in enumerate(f, 2):
             # a ``C`` line keeps its newline: it ends the last count, which
             # int() reads as it reads the count alone
@@ -941,19 +950,7 @@ def _parse(path) -> NGramModel:
                             t, c = ev.split(":")
                             bucket[int(t)] = int(c)
                         b = buckets[ev_s] = add_bucket(bucket)
-                    cut = ctx_s.rfind(",")
-                    parent_s, parent = last.get(cut, no_parent)
-                    # the empty context is nobody's parent: ",5" is refused
-                    if cut > 0 and ctx_s.startswith(parent_s):
-                        token = int(ctx_s[cut + 1:])
-                        parents(parent)
-                        lasts(token)
-                        rec_buckets(b)
-                        rec += 1
-                    else:
-                        ctx = [int(x) for x in ctx_s.split(",")] if ctx_s else []
-                        rec = add_context(ctx, b)
-                    last[len(ctx_s)] = ctx_s, rec
+                    add_context(ctx_s, b)
                 else:
                     line = line.rstrip("\n")
                     if not line:

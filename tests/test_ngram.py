@@ -535,6 +535,17 @@ def test_load_memory_stays_within_a_per_context_bound(tmp_path):
         loaded = None
 
 
+def test_from_counts_memory_stays_within_a_per_context_bound():
+    seqs, vocab = generated_model()
+    model = ngram.train(seqs, 6, vocab)
+    counts = {ctx: dict(bucket) for ctx, bucket in model.counts.items()}  # in tuple order
+    n = len(counts)
+    model = None
+    built, peak = traced_peak(lambda: NGramModel.from_counts(counts, 6, len(vocab)))
+    assert len(built.counts) == n > 30_000
+    assert peak < LOAD_BYTES_PER_CONTEXT * n
+
+
 def test_table_cache_is_bounded_and_evicts_least_recently_used(monkeypatch):
     m = tiny_model()
     monkeypatch.setattr(ngram, "TABLE_CACHE_BYTES", 3 * 8 * m.vocab_size)
