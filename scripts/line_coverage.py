@@ -10,7 +10,9 @@ enters.  The tracing makes the run several times slower than a plain
 one, so it is not part of the tests.
 
 Run from the repo root:  python3 scripts/line_coverage.py [pytest args]
-(the default pytest args are ``-q tests``).  Exits with pytest's status.
+(the default pytest args are ``-q tests``).  Exits with pytest's status
+when it is not 0, else with 1 when a statement line never ran, so that a
+CI step can gate on it.
 """
 
 import ast
@@ -73,7 +75,7 @@ def main(args) -> int:
         if missed:
             print(f"{path.name}: {', '.join(map(str, missed))}")
     print(f"{total} statement lines never ran")
-    return status
+    return status or int(total > 0)
 
 
 if __name__ == "__main__":
