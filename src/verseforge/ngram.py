@@ -440,7 +440,8 @@ class _Records:
             self.root = bucket
             return
         cut = text.rfind(",")
-        # no text of length 0 is added, so ",5" is parsed in full, and refused
+        # no text starts with a newline, and none of length 0 is added, so
+        # ",5" is parsed in full, and refused
         prefix, parent = self.latest.get(cut, ("\n", -1))
         if text.startswith(prefix):
             self.last.append(int(text[cut + 1:]))
@@ -924,10 +925,11 @@ def _parse(path) -> NGramModel:
 
     Each ``C`` line's context text is added by ``_Records.add_context``;
     in a file written by ``save`` every context of two or more ids
-    extends the record of the context one id shorter.  Each distinct event text is parsed into a bucket
-    once, and every line with that text shares it.  The same lines are
-    refused as when each line is parsed on its own, and also an id or
-    count that does not fit in 64 bits.
+    extends the record of the context one id shorter.  Each distinct
+    event text is parsed into a bucket once, and every line with that
+    text shares it.  The same lines are refused as when each line is
+    parsed on its own, and also an id or count that does not fit in 64
+    bits.
     """
     records = _Records()
     add_bucket, add_context = records.add_bucket, records.add_context
