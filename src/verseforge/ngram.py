@@ -29,9 +29,11 @@ each extending the record of its prefix.  ``train`` and
 keys give tuple order, in which ``save`` writes and ``counts`` iterates:
 each node is keyed by its context, read up its trie parents, and the
 keys sort as the tuples do.
-``save`` also writes the arrays beside the text file, as an image that
-``load`` reads in place of the text when it belongs to it (see
-``save``).
+``save`` renders the text from the arrays, a block of lines at a time:
+each node's context text is its token's digits, a comma and its trie
+parent's text, built as one row per node, depth by depth.  It also
+writes the arrays beside the text file, as an image that ``load`` reads
+in place of the text when it belongs to it (see ``save``).
 ``NGramModel.counts`` is a ``Mapping`` view of the counts in tuple
 order; each lookup returns a new mapping, whose one write,
 ``bucket[token] = count``, rebuilds the model's store.
@@ -106,6 +108,10 @@ _IMAGE_HEADER = {**MODEL_HEADER, "starts": list, "lengths": list, "sha256": str}
 
 # Byte budget of an NGramModel's sampling tables and shared rows.
 TABLE_CACHE_BYTES = 64 << 20
+
+# Bytes of the matrix of context rows from which ``save`` renders one
+# block of lines.
+SAVE_BLOCK_BYTES = 1 << 16
 
 # Longest context suffix whose partial row next_dist shares between
 # contexts.
@@ -750,10 +756,14 @@ def save(model: NGramModel, path, config: dict | None = None) -> None:
     then ``config``, when given, as a ``config`` line of JSON; then the
     image of the model to ``<path>.img``.
 
-    In that order a context's prefix one id shorter is the last context of
-    its length before it, so its text is that prefix's text and one more
-    id.  Each bucket's event text is formatted once.  Lines are written
-    one by one, so the file is never held whole in memory.
+    The text is rendered from the trie's arrays as uint8, with no Python
+    object per line.  Each node gets a row of fixed width, built depth by
+    depth: its token's digits, a comma and its trie parent's row
+    (``_context_rows``).  Each bucket's event text is rendered once
+    (``_event_texts``).  Then the lines are written in blocks of
+    ``SAVE_BLOCK_BYTES`` of rows: the rows of a block's nodes, in tuple
+    order, without their padding, each followed by its bucket's event
+    text (``_lines``).  The file is never held whole in memory.
 
     The image is ``IMAGE_MAGIC``, the length of a JSON header as 8
     little-endian bytes, the header, and the ``IMAGE_ARRAYS`` of the trie.
@@ -764,29 +774,21 @@ def save(model: NGramModel, path, config: dict | None = None) -> None:
     of its text.
     """
     trie = model._trie
-    order, depth, last = trie.tuple_order()
-    bucket, ev_off, ev_id, ev_count = trie.bucket, trie.ev_off, trie.ev_id, trie.ev_count
-    texts = [""] * len(trie.starts)
-    ev_texts = [None] * len(trie.total)
+    bucket = np.frombuffer(trie.bucket, np.int64)
+    nodes = trie.tuple_order()[0]
+    nodes = nodes[bucket[nodes] >= 0].astype(np.int32)
+    rows, sizes = _context_rows(trie)
+    ev_text, ev_at = _event_texts(trie)
+    step = max(SAVE_BLOCK_BYTES // rows.shape[1], 1)
     head = {key: getattr(model, key) for key in MODEL_HEADER}
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_header_lines(head))
-        for node, d, t in zip(order.tolist(), depth.tolist(), last.tolist()):
-            if d:
-                ctx_s = texts[d] = f"{texts[d - 1]},{t}" if d > 1 else str(t)
-            else:
-                ctx_s = ""
-            b = bucket[node]
-            if b < 0:
-                continue
-            ev = ev_texts[b]
-            if ev is None:
-                o, e = ev_off[b], ev_off[b + 1]
-                ev = ev_texts[b] = " ".join([f"{ev_id[i]}:{ev_count[i]}"
-                                             for i in range(o, e)])
-            f.write(f"C\t{ctx_s}\t{ev}\n")
+    with open(path, "wb") as f:
+        f.write(_header_lines(head).encode("utf-8"))
+        for lo in range(0, len(nodes), step):
+            block = nodes[lo:lo + step]
+            f.write(_lines(np.take(rows, block, axis=0), sizes[block], bucket[block],
+                           ev_text, ev_at))
         if config is not None:
-            f.write(f"config\t{json.dumps(config)}\n")
+            f.write(f"config\t{json.dumps(config)}\n".encode("utf-8"))
     arrays = [getattr(trie, name) for name in IMAGE_ARRAYS]
     if sys.byteorder == "big":
         arrays = [_swapped(a) for a in arrays]
@@ -797,6 +799,81 @@ def save(model: NGramModel, path, config: dict | None = None) -> None:
         f.write(IMAGE_MAGIC + len(data).to_bytes(8, "little") + data)
         for a in arrays:
             f.write(a)
+
+
+def _decimals(values: array) -> tuple[np.ndarray, np.ndarray]:
+    """The decimal text of int64 ``values``: a uint8 matrix with the text
+    of each distinct value as a row, left-aligned and padded with zero
+    bytes, and each value's row in it."""
+    distinct, row = np.unique(np.frombuffer(values, np.int64), return_inverse=True)
+    text = np.array([str(v) for v in distinct.tolist()], dtype=bytes)
+    return text.view(np.uint8).reshape(len(distinct), text.itemsize), row
+
+
+def _context_rows(trie: _Trie) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's ``C`` line up to its event text, as a row of a uint8
+    matrix, and the row's length without its padding.  A row is ``C``, a
+    tab, the ids of the node's context joined by commas, each in a field
+    as wide as the widest id's text, padded with zero bytes, and a tab.  A
+    node's context is its token and then its trie parent's context, so,
+    depth by depth, its row is its token's field, a comma and its parent's
+    fields."""
+    digits, row = _decimals(trie.tok)
+    n, f = len(row), digits.shape[1]
+    # node -> the length of its token's text, then of its row
+    sizes = np.count_nonzero(digits, axis=1).astype(np.int32)[row]
+    sizes[0] = 0  # the root's token is no id of its context
+    starts = trie.starts
+    deepest = len(starts) - 2
+    rows = np.zeros((n, max(deepest * (f + 1) - 1, 0) + 3), np.uint8)
+    rows[:, 0], rows[:, 1], rows[:, -1] = ord("C"), ord("\t"), ord("\t")
+    parent = np.repeat(np.arange(n, dtype=np.int32), np.diff(np.frombuffer(trie.kids, np.int64)))
+    for d in range(1, deepest + 1):
+        lo, hi = starts[d], starts[d + 1]
+        rows[lo:hi, 2:2 + f] = np.take(digits, row[lo:hi], axis=0)
+        if d > 1:
+            up = parent[lo - 1:hi - 1]
+            rows[lo:hi, 2 + f] = ord(",")
+            rows[lo:hi, 3 + f:-1] = np.take(rows, up, axis=0)[:, 2:-2 - f]
+            sizes[lo:hi] += sizes[up] + 1
+    sizes += 3
+    return rows, sizes
+
+
+def _event_texts(trie: _Trie) -> tuple[np.ndarray, np.ndarray]:
+    """The event text of every bucket, its ``id:count`` pairs joined by
+    spaces and ended by a newline, as uint8 laid end to end, and the
+    offset of each bucket's text, then the end of the last."""
+    ids, id_row = _decimals(trie.ev_id)
+    counts, count_row = _decimals(trie.ev_count)
+    w = ids.shape[1]
+    events = np.zeros((len(id_row), w + counts.shape[1] + 2), np.uint8)
+    events[:, :w] = np.take(ids, id_row, axis=0)
+    events[:, w] = ord(":")
+    events[:, w + 1:-1] = np.take(counts, count_row, axis=0)
+    events[:, -1] = ord(" ")
+    ev_off = np.frombuffer(trie.ev_off, np.int64)
+    events[ev_off[1:] - 1, -1] = ord("\n")
+    keep = events != 0
+    ends = np.concatenate([np.zeros(1, np.int64), np.cumsum(np.count_nonzero(keep, axis=1))])
+    return events[keep], ends[ev_off]
+
+
+def _lines(rows: np.ndarray, sizes: np.ndarray, buckets: np.ndarray, ev_text: np.ndarray,
+           ev_at: np.ndarray) -> np.ndarray:
+    """The ``C`` lines of a block, as uint8: each of ``rows`` without its
+    padding, ``sizes`` bytes, then the event text of its bucket."""
+    start = ev_at[buckets]
+    tails = ev_at[buckets + 1] - start
+    # each byte of the lines' event texts, laid end to end: its place,
+    # shifted to the start of its line's text
+    at = np.repeat(start - np.cumsum(tails) + tails, tails)
+    at += np.arange(len(at))
+    is_row = np.repeat(np.tile([True, False], len(rows)), np.stack([sizes, tails], 1).ravel())
+    out = np.empty(len(is_row), np.uint8)
+    out[is_row] = rows[rows != 0]
+    out[~is_row] = ev_text[at]
+    return out
 
 
 def _header_lines(head: dict) -> str:

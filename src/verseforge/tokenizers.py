@@ -28,6 +28,9 @@ UNK_TOKEN = "<unk>"
 UNK_GLYPH = "\ufffd"
 
 _PIECE_RE = re.compile(r" ?[^ ]+| ")
+# the pieces of every line of a text: a newline is in no piece, so it
+# ends one as the end of a line does
+_TEXT_PIECE_RE = re.compile(r" ?[^ \n]+| ")
 _WORD_RE = re.compile(r"^([\W\d_]*)([^\W\d_]+)([\W\d_]*)$", re.UNICODE)
 
 
@@ -268,17 +271,14 @@ def chars_per_token(vocab: Vocab, sample_lines, syllabifier=None) -> float:
 # ---------------------------------------------------------------------------
 # vocabulary construction
 
-def _collect_protected(texts) -> tuple[set[str], Counter]:
-    """Annotation pieces, and the count of every other piece, in ``texts``."""
-    protected = set()
-    piece_freq = Counter()
-    for text in texts:
-        for line in text.split("\n"):
-            for piece in pieces(line):
-                if is_annotation_piece(piece):
-                    protected.add(piece)
-                else:
-                    piece_freq[piece] += 1
+def _collect_protected(text: str) -> tuple[set[str], Counter]:
+    """Annotation pieces, and the count of every other piece, in ``text``,
+    texts joined by newlines: the pieces of all its lines are counted in
+    one pass, and each distinct piece is classified once."""
+    piece_freq = Counter(_TEXT_PIECE_RE.findall(text))
+    protected = set(filter(is_annotation_piece, piece_freq))
+    for piece in protected:
+        del piece_freq[piece]
     return protected, piece_freq
 
 
@@ -291,10 +291,14 @@ def train_bpe(texts, vocab_size: int) -> Vocab:
     kept across merges: a merge recounts only the pieces that held the
     merged pair, and the next pair comes from a heap of ``(-count,
     pair)`` whose stale entries are skipped.
+
+    The texts are joined by newlines once: one ``findall`` over the
+    joined text counts the pieces of all their lines, and one ``set`` of
+    it gives the alphabet.
     """
-    texts = list(texts)
-    protected, piece_freq = _collect_protected(texts)
-    alphabet = sorted({ch for text in texts for ch in text} - {"\n"} - protected)
+    text = "\n".join(texts)
+    protected, piece_freq = _collect_protected(text)
+    alphabet = sorted(set(text) - {"\n"} - protected)
     if not alphabet and not protected:
         raise TokenizerError("cannot train BPE on an empty corpus")
     base = [SEP_TOKEN, EOS_TOKEN, UNK_TOKEN] + sorted(protected) + alphabet
@@ -355,7 +359,7 @@ def build_vocab(kind: TokenizerKind, texts, vocab_size: int = 40000,
         chars = sorted({ch for text in texts for ch in text} - {"\n"})
         return Vocab(kind, [SEP_TOKEN, EOS_TOKEN, UNK_TOKEN] + chars)
     if kind is TokenizerKind.SYLLABLE:
-        protected, piece_freq = _collect_protected(texts)
+        protected, piece_freq = _collect_protected("\n".join(texts))
         seen = set()
         for piece in piece_freq:
             seen.update(syllable_piece_tokens(piece, syllabifier))

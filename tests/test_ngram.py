@@ -512,6 +512,9 @@ def traced_peak(fn):
 # 340 to load it.
 TRAIN_BYTES_PER_CONTEXT = 300
 LOAD_BYTES_PER_CONTEXT = 250
+# The per-line loop that ``save`` ran before it rendered its text in
+# blocks peaked at about 88 bytes per context on this model.
+SAVE_BYTES_PER_CONTEXT = 80
 
 
 def test_train_memory_stays_within_a_per_context_bound():
@@ -544,6 +547,15 @@ def test_from_counts_memory_stays_within_a_per_context_bound():
     built, peak = traced_peak(lambda: NGramModel.from_counts(counts, 6, len(vocab)))
     assert len(built.counts) == n > 30_000
     assert peak < LOAD_BYTES_PER_CONTEXT * n
+
+
+def test_save_memory_stays_within_a_per_context_bound(tmp_path):
+    seqs, vocab = generated_model()
+    model = ngram.train(seqs, 6, vocab)
+    n = len(model.counts)
+    _, peak = traced_peak(lambda: ngram.save(model, tmp_path / "m.ngram"))
+    assert n > 30_000
+    assert peak < SAVE_BYTES_PER_CONTEXT * n
 
 
 def test_table_cache_is_bounded_and_evicts_least_recently_used(monkeypatch):
@@ -758,7 +770,7 @@ def test_out_of_range_short_bucket_raises_on_every_call(tmp_path, bad_ctx):
             model.table([1, 2, 0, 1], 1.0)
 
 
-def reference_save(model, path):
+def reference_save(model, path, config=None):
     """``save`` as it was before contexts reused their parent's text: each
     context and bucket formatted on its own."""
     with open(path, "w", encoding="utf-8") as f:
@@ -772,6 +784,8 @@ def reference_save(model, path):
             ctx_s = ",".join(map(str, ctx))
             ev = " ".join(f"{t}:{c}" for t, c in sorted(bucket.items()))
             f.write(f"C\t{ctx_s}\t{ev}\n")
+        if config is not None:
+            f.write(f"config\t{json.dumps(config)}\n")
 
 
 def reference_load(path):
@@ -892,6 +906,46 @@ def test_long_contexts_over_many_ids_count_and_number_as_the_references(
     ngram.save(trained, tmp / "m.ngram")
     reference_save(trained, tmp / "ref.ngram")
     assert (tmp / "m.ngram").read_bytes() == (tmp / "ref.ngram").read_bytes()
+
+
+# ids and counts of every decimal length of int64, of either sign, and
+# the bounds
+int64s = st.one_of(
+    st.integers(1, 19).flatmap(lambda k: st.integers(10 ** (k - 1), min(10 ** k, BIG) - 1))
+    .flatmap(lambda v: st.sampled_from([v, -v])),
+    st.sampled_from([0, -BIG, BIG - 1]))
+
+
+@st.composite
+def wide_models(draw):
+    """A hand-built model over ``int64s``: contexts of up to ``order - 1``
+    ids, each drawn on its own, so that the root may have no bucket and
+    the nodes of most contexts' prefixes and suffixes have none."""
+    order = draw(st.integers(1, 5))
+    ids = st.sampled_from(draw(st.lists(int64s, min_size=1, max_size=6))) | int64s
+    contexts = st.lists(ids, max_size=order - 1).map(tuple)
+    buckets = st.dictionaries(ids, int64s, min_size=1, max_size=4)
+    counts = draw(st.dictionaries(contexts, buckets, max_size=8))
+    return NGramModel.from_counts(counts, order, 7, vocab_hash="h")
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=wide_models(), block=st.integers(1, 400) | st.just(ngram.SAVE_BLOCK_BYTES),
+       config=st.none() | st.dictionaries(st.text(max_size=3), st.integers() | st.text()))
+@example(model=NGramModel(3, 7), block=1, config=None)  # the empty model: its header alone
+@example(model=NGramModel.from_counts({(BIG - 1, -BIG): {-BIG: BIG - 1, BIG - 1: -BIG},
+                                       (7,): {10 ** 18: 1}}, 3, 7),
+         block=1, config={"seed": -1})
+def test_save_renders_the_per_line_reference_from_the_arrays(tmp_path_factory, model, block,
+                                                             config):
+    """In blocks of one line, of a few lines and of the default size, and
+    with or without a config line."""
+    tmp = tmp_path_factory.mktemp("render")
+    with patch.object(ngram, "SAVE_BLOCK_BYTES", block):
+        ngram.save(model, tmp / "m.ngram", config)
+    reference_save(model, tmp / "ref.ngram", config)
+    assert (tmp / "m.ngram").read_bytes() == (tmp / "ref.ngram").read_bytes()
+    assert load_by(tmp / "m.ngram", image=True).counts == model.counts
 
 
 def assert_same_rows(got, expected, contexts):

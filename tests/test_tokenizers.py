@@ -147,10 +147,25 @@ def test_bpe_stops_when_no_pairs_remain():
     assert len(vocab) < 100
 
 
+def reference_collect_protected(texts) -> tuple[set[str], Counter]:
+    """``tok._collect_protected`` as a loop over every piece of every line
+    of every text."""
+    protected = set()
+    piece_freq = Counter()
+    for text in texts:
+        for line in text.split("\n"):
+            for piece in tok.pieces(line):
+                if tok.is_annotation_piece(piece):
+                    protected.add(piece)
+                else:
+                    piece_freq[piece] += 1
+    return protected, piece_freq
+
+
 def reference_train_bpe(texts, vocab_size: int) -> Vocab:
     """``train_bpe`` as a full recount of every pair after each merge."""
     texts = list(texts)
-    protected, piece_freq = tok._collect_protected(texts)
+    protected, piece_freq = reference_collect_protected(texts)
     alphabet = sorted({ch for text in texts for ch in text} - {"\n"} - protected)
     if not alphabet and not protected:
         raise TokenizerError("cannot train BPE on an empty corpus")
@@ -183,12 +198,15 @@ def reference_train_bpe(texts, vocab_size: int) -> Vocab:
 # other merges also make ("a"+"aa" and "aa"+"a"); "AB" is protected
 # where it stands alone, while "aAB" and "AB1" make its letters alphabet
 # symbols whose merge is already a token; few distinct symbols give ties
-# at the top count.
+# at the top count.  Texts are several lines, some blank, and words are
+# led by runs of spaces, so that lines may start or end with spaces.
 bpe_words = st.one_of(
     st.text("ab", min_size=1, max_size=7),
     st.sampled_from(["", "#", "AB", "A", "12", "aAB", "AB1", "b#", "aaaa"]),
 )
-bpe_corpora = st.lists(st.lists(bpe_words, max_size=6).map(" ".join), min_size=1, max_size=6)
+bpe_lines = st.lists(st.tuples(st.text(" ", max_size=3), bpe_words), max_size=6).map(
+    lambda words: "".join(spaces + word for spaces, word in words))
+bpe_corpora = st.lists(st.lists(bpe_lines, max_size=4).map("\n".join), min_size=1, max_size=6)
 
 
 def bpe_outcome(train, texts, vocab_size):
@@ -204,6 +222,10 @@ def bpe_outcome(train, texts, vocab_size):
 def test_bpe_training_matches_the_full_recount(texts, vocab_size):
     assert (bpe_outcome(tok.train_bpe, texts, vocab_size)
             == bpe_outcome(reference_train_bpe, texts, vocab_size))
+    protected, piece_freq = tok._collect_protected("\n".join(texts))
+    expected_protected, expected_freq = reference_collect_protected(texts)
+    assert protected == expected_protected
+    assert list(piece_freq.items()) == list(expected_freq.items())  # in the same order
 
 
 def test_vocab_validation():
