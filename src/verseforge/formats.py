@@ -179,12 +179,12 @@ class VerseCheck:
     actual_hint: str
 
 
-def annotation_matches(ann: LineAnnotation,
-                       analysis: phonology.VerseAnalysis) -> tuple[bool, bool]:
+def annotation_matches(ann: LineAnnotation, n_syllables: int,
+                       clausula: str) -> tuple[bool, bool]:
     """``syl_ok`` and ``end_ok`` of a ``VerseCheck``: the annotated
-    syllable count and ending hint (in any case) against the analysis."""
-    return (len(analysis.syllables) == ann.syllable_count,
-            analysis.clausula == ann.ending_hint.lower())
+    syllable count and ending hint (in any case) against those of the
+    verse's analysis."""
+    return n_syllables == ann.syllable_count, clausula == ann.ending_hint.lower()
 
 
 def consistency_check(parsed: ParsedStrophe, syllabifier=None) -> list[VerseCheck]:
@@ -195,7 +195,8 @@ def consistency_check(parsed: ParsedStrophe, syllabifier=None) -> list[VerseChec
         analysis = phonology.analyze(text, syllabifier)
         if ann is None:
             raise FormatError("consistency_check needs annotated lines")
-        checks.append(VerseCheck(*annotation_matches(ann, analysis),
+        checks.append(VerseCheck(*annotation_matches(ann, len(analysis.syllables),
+                                                    analysis.clausula),
                                  annotated_syl=ann.syllable_count,
                                  actual_syl=len(analysis.syllables),
                                  annotated_hint=ann.ending_hint,

@@ -8,15 +8,20 @@ words can be overridden through an exceptions file (one
 ``analyze`` is the one path from a verse to its syllables, stress
 pattern and clausula; ``verse_syllables``, ``stress_pattern`` and
 ``ending_hint`` read their fact off it.  Each ``Syllabifier`` memoizes
-the syllables and stress marks of every raw whitespace token it has
-seen, up to ``TOKEN_MEMO_ENTRIES`` tokens, after which the memo starts
-afresh.
+every raw whitespace token it has seen, up to ``TOKEN_MEMO_ENTRIES``
+tokens, after which the memo starts afresh.  A token's entry holds what
+depends on the token alone: its syllables, its casefolded syllables,
+its stress marks as a word of its own, whether it leans on the next
+word, and, for a word of two or more syllables, its clausula.  A verse
+then costs one memo lookup per token; only a verse that ends in a
+monosyllable reads a clausula across two words.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from types import MappingProxyType
 
@@ -57,7 +62,8 @@ UNSTRESSED_MONOSYLLABLES = {
 
 
 # Bound of a Syllabifier's token memo, in entries; a full memo is
-# cleared.  About 0.43 KB per entry, so at most about 28 MB.
+# cleared.  About 0.5 KB per entry (498 bytes measured over 12,830
+# tokens), so at most about 33 MB.
 TOKEN_MEMO_ENTRIES = 65536
 
 
@@ -158,10 +164,14 @@ class Syllabifier:
         return cls(exceptions)
 
 
-# A word of at least one syllable: its syllables, its stress marks as a
-# word of its own and whether it is a vocalic preposition, which takes
-# the stress of the next word.
-_Word = tuple[tuple[str, ...], str, bool]
+# A word of at least one syllable, as the token memo holds it:
+# - its syllables;
+# - its casefolded syllables, the same tuple when folding changes none;
+# - its stress marks as a word of its own, one string per pattern;
+# - whether it is a vocalic preposition, which takes the stress of the
+#   next word;
+# - its clausula when it has two or more syllables, else None.
+_Word = tuple[tuple[str, ...], tuple[str, ...], str, bool, str | None]
 
 
 class _TokenMemo(dict):
@@ -185,12 +195,24 @@ class _TokenMemo(dict):
 def _word(word: str, sylls: tuple[str, ...]) -> _Word | None:
     if not sylls:
         return None
+    # Casefolding maps letter by letter, so the syllables of a word that
+    # folds to itself do too.
+    folded = sylls if word.casefold() == word else tuple([s.casefold() for s in sylls])
     if len(sylls) > 1:
-        return sylls, "X" + "x" * (len(sylls) - 1), False
+        return sylls, folded, _first_stressed(len(sylls)), False, _clausula(sylls)
     low = word.lower()
     if low in STRESSED_PREPOSITIONS:
-        return sylls, "X", True
-    return sylls, "x" if low in UNSTRESSED_MONOSYLLABLES else "X", False
+        return sylls, folded, "X", True, None
+    return sylls, folded, "x" if low in UNSTRESSED_MONOSYLLABLES else "X", False, None
+
+
+# Czech words have far fewer than 64 syllables; a longer one only builds
+# a string of its own.
+@lru_cache(maxsize=64)
+def _first_stressed(n: int) -> str:
+    """The marks of a word of ``n`` syllables stressed on the first, one
+    string for every memo entry of that length."""
+    return "X" + "x" * (n - 1)
 
 
 _DEFAULT = Syllabifier()
@@ -242,11 +264,26 @@ class VerseAnalysis:
 def analyze(text: str, syllabifier: Syllabifier | None = None) -> VerseAnalysis:
     """Syllables, stress pattern and clausula of a verse, from one split
     of each of its words."""
+    words, stress, clausula = _verse(text, syllabifier)
+    return VerseAnalysis(text, tuple(chain.from_iterable([w[0] for w in words])),
+                         stress, clausula)
+
+
+def _verse(text: str, syllabifier: Syllabifier | None = None
+           ) -> tuple[list[_Word], str, str]:
+    """The memo entries of a verse's words that have a syllable, its
+    stress pattern and its clausula; ``analyze`` records them, with the
+    words' syllables joined."""
     memo = (syllabifier or _DEFAULT)._tokens
     # a token without a syllable maps to None
     words = list(filter(None, map(memo.__getitem__, text.split())))
-    sylls = tuple(chain.from_iterable([w[0] for w in words]))
-    return VerseAnalysis(text, sylls, _stress(words), _clausula(sylls))
+    if not words:
+        return words, "", ""
+    clausula = words[-1][4]
+    if clausula is None:  # the verse ends in a monosyllable
+        last = words[-1][0]
+        clausula = _clausula(last if len(words) == 1 else (words[-2][0][-1],) + last)
+    return words, _stress(words), clausula
 
 
 def verse_syllables(text: str, syllabifier: Syllabifier | None = None) -> list[str]:
@@ -275,13 +312,13 @@ def _stress(words: list[_Word]) -> str:
     of the word after it, which is then unstressed."""
     marks = []
     absorb = False
-    for sylls, own, leans in words:
+    for w in words:
         if absorb:
-            marks.append("x" * len(sylls))
+            marks.append("x" * len(w[0]))
             absorb = False
         else:
-            marks.append(own)
-            absorb = leans
+            marks.append(w[2])
+            absorb = w[3]
     return "".join(marks)
 
 
@@ -295,8 +332,7 @@ def _strip_onset(syllable: str) -> str:
 
 
 def _clausula(sylls: tuple[str, ...]) -> str:
-    if not sylls:
-        return ""
+    """The clausula of a verse whose last syllables are ``sylls``."""
     if len(sylls) == 1:
         return _strip_onset(sylls[-1]).lower()
     return (_strip_onset(sylls[-2]) + sylls[-1]).lower()

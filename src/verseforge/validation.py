@@ -27,7 +27,7 @@ DEFAULT_THRESHOLD = 0.6
 MAX_COMPOSED_LENGTH = 24
 
 # Bound of the per-pattern score cache, in distinct stress patterns
-# (about 0.4 KB each).
+# (about 0.4 KB each), and of the rhyme-key cache, in distinct clausulae.
 PATTERN_CACHE_ENTRIES = 16384
 
 
@@ -167,20 +167,25 @@ _LENGTH_FOLD = str.maketrans({
 })
 
 
+@lru_cache(maxsize=PATTERN_CACHE_ENTRIES)
 def normalize_clausula(clausula: str) -> str:
+    """The rhyme key of a clausula: casefolded, vowel length and y/i
+    folded away."""
     folded = clausula.casefold().translate(_LENGTH_FOLD)
     return folded.replace("y", "i")
 
 
 def predict_scheme(verse_texts: list[str], syllabifier=None) -> str:
     """Rhyme scheme read off the verses' normalized clausulae."""
-    return _scheme_of([phonology.analyze(t, syllabifier) for t in verse_texts])
+    return _scheme_of([phonology.analyze(t, syllabifier).clausula for t in verse_texts])
 
 
-def _scheme_of(analyses: list[phonology.VerseAnalysis]) -> str:
-    if len(analyses) not in SCHEME_LENGTHS:
-        raise ValueError(f"unsupported verse count {len(analyses)}")
-    keys = [normalize_clausula(a.clausula) if a.syllables else None for a in analyses]
+def _scheme_of(clausulae: list[str]) -> str:
+    """The scheme of verses with these clausulae, "" for a verse without
+    syllables."""
+    if len(clausulae) not in SCHEME_LENGTHS:
+        raise ValueError(f"unsupported verse count {len(clausulae)}")
+    keys = [normalize_clausula(c) if c else None for c in clausulae]
     ids = [None if k is None else keys.index(k) for k in keys]
     return derive_rhyme_scheme(ids)
 
@@ -232,7 +237,7 @@ def evaluate(pairs, syllabifier=None,
     separately; verse-level metrics run over parseable strophes only.
     Num syl and End acc check annotated verses only, and are None when
     no verse carries an annotation (the basic format).  Each verse is
-    analysed once.
+    analysed once, from the token memo's entries of its words.
     """
     syl_hits = verse_total = 0
     end_forced = [0, 0]  # hits, total
@@ -250,35 +255,40 @@ def evaluate(pairs, syllabifier=None,
             meter_flags.append(0)
             continue
         parsed = gen.parsed
-        analyses = [phonology.analyze(t, syllabifier) for t in parsed.verse_texts]
-        flags = list(gen.forced_flags) + [False] * (len(analyses) - len(gen.forced_flags))
-        verse_total += len(analyses)
-        for (ann, _), a, forced in zip(parsed.lines, analyses, flags):
+        verses = [phonology._verse(text, syllabifier) for _, text in parsed.lines]
+        stresses = [stress for _, stress, _ in verses]
+        clausulae = [clausula for _, _, clausula in verses]
+        flags = list(gen.forced_flags) + [False] * (len(verses) - len(gen.forced_flags))
+        verse_total += len(verses)
+        for (ann, _), stress, clausula, forced in zip(parsed.lines, stresses, clausulae, flags):
             if ann is None:
                 continue
-            syl_ok, end_ok = annotation_matches(ann, a)
+            syl_ok, end_ok = annotation_matches(ann, len(stress), clausula)
             syl_hits += syl_ok
             side = end_forced if forced else end_free
             side[0] += end_ok
             side[1] += 1
 
-        sylls = [s.casefold() for a in analyses for s in a.syllables]
-        if sylls:
-            unique_ratios.append(len(set(sylls)) / len(sylls))
+        # one stress mark per syllable, so the marks count the syllables;
+        # w[1] is a memo entry's casefolded syllables (``phonology._Word``)
+        n_sylls = sum(map(len, stresses))
+        if n_sylls:
+            folded = set(chain.from_iterable([w[1] for words, _, _ in verses for w in words]))
+            unique_ratios.append(len(folded) / n_sylls)
 
-        if len(analyses) != len(request.scheme):
+        if len(verses) != len(request.scheme):
             # a verse count the request did not ask for fails rhyme and
             # meter, and each of its verses is a meter miss
             rhyme_flags.append(0)
             meter_flags.append(0)
-            meter_verse_total += len(analyses)
+            meter_verse_total += len(verses)
             continue
 
-        predicted = _scheme_of(analyses)
+        predicted = _scheme_of(clausulae)
         rhyme_flags.append(int(predicted == request.scheme))
 
         wanted = _requested_meters(request, parsed)
-        got = strophe_meters([a.stress for a in analyses], request.scheme, threshold)
+        got = strophe_meters(stresses, request.scheme, threshold)
         verse_ok = [w is not None and g == w for g, w in zip(got, wanted)]
         meter_verse_hits += sum(verse_ok)
         meter_verse_total += len(verse_ok)

@@ -1,3 +1,4 @@
+import tracemalloc
 import unicodedata
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from verseforge import phonology as ph
 from helpers import EXAMPLE_VERSES
-from test_analysis_goldens import verses
+from test_analysis_goldens import punct, verses
 
 
 HYPHENATIONS = {
@@ -295,11 +296,65 @@ def reference_clausula(sylls):
 # One syllabifier kept across examples, so that its memo is warm.
 WARM = ph.Syllabifier()
 
+# Overrides as an exceptions file gives them: "ao" becomes a monosyllable
+# and "kout" two syllables; "i\u0307ra" is the key of "\u0130ra", whose
+# parts do not line up with it.
+OVERRIDES = {"ao": ("ao",), "kout": ("ko", "ut"), "i\u0307ra": ("i\u0307", "ra")}
+WARM_OVERRIDES = ph.Syllabifier(OVERRIDES)
+
+# A verse's clausula comes from its last word's memo entry, or across
+# two words when it ends in a monosyllable.  "\u00df" casefolds to "ss",
+# "\u0130" lowercases to two characters and "\u03a3" lowercases by its
+# neighbours.  Under the overrides "kout" and "ao" trade syllable counts,
+# so each list holds both.
+polysyllables = st.sampled_from([
+    "moři", "peřeje", "VLNY", "\u00dfeje", "\u0130a", "\u0130ra", "a\u03a3a",
+    "ma\u03a3o", "oma\u03a3", "Ao", "ao", "kout", "Kout,"])
+monosyllables = st.sampled_from([
+    "loď", "jde", "na", "se", "Kost", "vlk", "\u00dfa", "\u0130", "\u03a3a",
+    "a\u03a3", "ma\u03a3", "kout", "ao", "AO", "Ao"])
+clitics = st.lists(st.sampled_from(["v", "z", "V", "Z,"]), max_size=2).map(" ".join)
+clausula_verses = st.one_of(
+    verses,
+    st.tuples(verses, polysyllables, clitics, monosyllables, punct).map(
+        lambda p: " ".join(filter(None, p[:4])) + p[4]),
+    st.tuples(clitics, monosyllables, punct).map(
+        lambda p: " ".join(filter(None, p[:2])) + p[2]),
+)
+
 
 @settings(max_examples=300, deadline=None)
-@given(text=verses)
+@given(text=clausula_verses)
 def test_analyze_matches_reference(text):
     expected = reference_analyze(text)
     assert ph.analyze(text) == expected
     assert ph.analyze(text, WARM) == expected
     assert ph.analyze(text, ph.Syllabifier()) == expected
+    expected = reference_analyze(text, WARM_OVERRIDES)
+    assert ph.analyze(text, WARM_OVERRIDES) == expected
+    assert ph.analyze(text, ph.Syllabifier(OVERRIDES)) == expected
+
+
+# Bytes per token of a memo's entries and of its dict.  On this test's
+# input, where two tokens in three casefold to other syllables, they
+# measured 489 (333 for the three-field entries before the casefolded
+# syllables and the clausula were added); on the 12,830 tokens of the
+# benchmark's evaluate input, 498 (428 before).
+MEMO_BYTES_PER_ENTRY = 540
+
+
+def test_token_memo_stays_within_a_per_entry_bound(fixture_strophes):
+    texts = [v.text for s in fixture_strophes for v in s.verses]
+    tokens = [t for text in texts for variant in (text, text.upper(), text.title())
+              for t in variant.split()]
+    syl = ph.Syllabifier()
+    memo = syl._tokens
+    tracemalloc.start()
+    try:
+        for token in tokens:
+            memo[token]
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(memo) > 600
+    assert current < MEMO_BYTES_PER_ENTRY * len(memo)

@@ -19,6 +19,7 @@ from verseforge.validation import (
     strophe_meters,
 )
 from helpers import EXAMPLE_VERSES, gen_from_text
+from test_analysis_goldens import tokens
 
 FIG1_PATTERNS = ["xXxXxxxXx", "xXxXxXxXx", "xXxXxXxXx", "xXxXxXxxx"]
 
@@ -403,6 +404,33 @@ def test_evaluate_scores_a_verse_count_the_request_did_not_ask_for(fixture_strop
              for s in phonology.analyze(text).syllables]
     assert alone.unique == len(set(sylls)) / len(sylls)
     assert alone.meter_acc_verse == 0.0
+
+
+# Verses whose syllables may be equal only once casefolded: "\u00dfe",
+# "sse", "SSE" and "\u1e9eE" all fold to "sse", "\u03a3a" and "\u03c3a" to
+# "\u03c3a".
+folding_verses = st.lists(
+    st.one_of(tokens, st.sampled_from(["\u00dfe", "sse", "SSE", "Sse", "\u1e9eE", "\u00dfeje",
+                                       "\u0130a", "i\u0307a", "\u03a3a", "\u03c3a"])),
+    min_size=1, max_size=6).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(folding_verses, min_size=4, max_size=4), min_size=1, max_size=3))
+def test_evaluate_unique_is_the_share_of_distinct_casefolded_syllables(strophes):
+    req = GenerationRequest(scheme="ABAB", year_bucket=YearBucket.parse("1900"),
+                            fmt=DataFormat.BASIC, strophe_meter=MeterLabel.IAMB)
+    pairs = [(req, gen_from_text("\n".join(["# ABAB # 1900 # J", *verses]), req))
+             for verses in strophes]
+    ratios = []
+    for verses in strophes:
+        sylls = [s.casefold() for verse in verses for token in verse.split()
+                 for s in phonology.syllabify(phonology.strip_punct(token))]
+        if sylls:
+            ratios.append(len(set(sylls)) / len(sylls))
+    expected = sum(ratios) / len(ratios) if ratios else 0.0
+    assert evaluate(pairs).unique == expected
+    assert evaluate(pairs, phonology.Syllabifier()).unique == expected
 
 
 def test_permutation_identical_inputs_give_one():
