@@ -295,7 +295,9 @@ def main():
     sv = tok.build_vocab(tok.TokenizerKind.SYLLABLE, verse_lines)
     print(f"poems={len(poems)} strophes={len(strophes)} verses={n_verses}")
     print(f"unique-syllable ratio mean={sum(ratios)/len(ratios):.3f}")
-    print(f"SYLLABLE chars/token={tok.chars_per_token(sv, verse_lines):.3f}")
+    # a line gives one id per token
+    n_tokens = sum(len(tok.encode(sv, line)) for line in verse_lines)
+    print(f"SYLLABLE chars/token={sum(map(len, verse_lines)) / n_tokens:.3f}")
     print(f"families={len(families)} inventory lines={len(used_lines)}")
 
 

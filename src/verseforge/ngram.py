@@ -36,7 +36,9 @@ writes the arrays beside the text file, as an image that ``load`` reads
 in place of the text when it belongs to it (see ``save``).
 ``NGramModel.counts`` is a ``Mapping`` view of the counts in tuple
 order; each lookup returns a new mapping, whose one write,
-``bucket[token] = count``, rebuilds the model's store.
+``bucket[token] = count``, appends one bucket to the model's store, as
+``load`` and ``from_counts`` add theirs, and points the context's node at
+it.  A store holds no context of ``order`` or more ids.
 
 Sampling draws from a table built once per row: the cumulative
 distribution of the normalised (tempered) row as an ``array('d')``,
@@ -51,8 +53,8 @@ underflows the table is the argmax id and the draw uses no randomness.
 ``NGramModel`` keeps its tables, keyed by trailing context and
 temperature, in a least-recently-used cache of at most
 ``TABLE_CACHE_BYTES`` of table data (8 bytes per vocabulary entry per
-table), which ``sample_with_rng`` reads with one lookup per draw; other
-models get a table built per draw.
+table), which ``sample_with_rng`` reads and fills with one lookup per
+draw; other models get a table built per draw.
 
 A row is built level by level, from the root down to the deepest node on
 the context's path: each level with counts scales the row by its backoff
@@ -248,7 +250,25 @@ class _Keys:
         return starts, _ints(kids), _ints(np.concatenate([np.zeros(1, np.int64), tok]))
 
 
-class _Trie:
+class _Buckets:
+    """Buckets laid end to end: ``ev_off``, ``total``, ``ev_id`` and
+    ``ev_count``, as ``_Trie`` describes them, of which ``add_bucket`` is
+    the one writer."""
+
+    def add_bucket(self, bucket: dict[int, int]) -> int:
+        """The id of a new bucket of ``bucket``'s events.  ``OverflowError``
+        when an id or count does not fit in 64 bits, with the arrays as
+        they were."""
+        ids = array("q", sorted(bucket))
+        counts = array("q", [bucket[t] for t in ids])
+        self.ev_id.extend(ids)
+        self.ev_count.extend(counts)
+        self.ev_off.append(len(self.ev_id))
+        self.total.append(float(sum(counts)))
+        return len(self.total) - 1
+
+
+class _Trie(_Buckets):
     """The counts as arrays; see the module docstring."""
 
     def __init__(self, kids, tok, bucket, starts, ev_off, total, ev_id, ev_count):
@@ -271,7 +291,9 @@ class _Trie:
         position is a node's item up to depth ``order - 1`` unless it ends
         its sequence.  The runs of L digits are the events of the contexts
         of L - 1 ids: the count is the run's length and the owner the node
-        of depth L - 1 of the position before the run's."""
+        of depth L - 1 of the position before the run's.  No position has
+        more ids than its sequence, so no more digits are written than the
+        longest sequence holds."""
         ids, lengths = array("q"), []
         for seq in sequences:
             ids.extend(seq)
@@ -284,7 +306,7 @@ class _Trie:
         firsts = ends - lengths
         keys = _Keys(ids)
         ids = None
-        keys.shift(firsts, order)
+        keys.shift(firsts, min(order, int(lengths.max(initial=1))))  # one digit when empty
         values, ranks = keys.values, keys.ranks
         # position -> its ids so far, up to order - 1, or 0 at a sequence's
         # end: the depths of the nodes it is an item of
@@ -367,41 +389,44 @@ class _Trie:
         return [int(np.count_nonzero(has[starts[d]:starts[d + 1]]))
                 for d in range(len(starts) - 1)]
 
-    def tuple_order(self):
-        """Every node in tuple order of its context, with the context's
-        length and last id.  Nodes 1 .. n - 1 are the items of ``_Keys``: a
-        node's token is its context's first id and its trie parent holds
-        the rest, so walking up the parents writes the context one digit
-        per id, and the keys' order is tuple order, each context before
-        its extensions.  As the node set holds every prefix of a context,
-        each context's prefix one id shorter comes right before its
-        subtree."""
+    def parents(self) -> np.ndarray:
+        """The trie parent of each of nodes 1 .. n - 1."""
         kids = np.frombuffer(self.kids, np.int64)
-        tok = np.frombuffer(self.tok, np.int64)
-        starts = self.starts
-        n = len(tok)
-        parent = np.repeat(np.arange(n), np.diff(kids))  # of nodes 1 .. n - 1
-        last = tok.copy()
-        for d in range(2, len(starts) - 1):
-            last[starts[d]:starts[d + 1]] = last[parent[starts[d] - 1:starts[d + 1] - 1]]
-        keys = _Keys(tok[1:])
-        depth = np.concatenate([[0], keys.walk(parent - 1)])  # the root is no item
-        order = np.concatenate([[0], keys.sort() + 1])
-        return order, depth[order], last[order]
+        return np.repeat(np.arange(len(self.tok), dtype=np.int32), np.diff(kids))
+
+    def tuple_order(self) -> np.ndarray:
+        """Every node, in tuple order of its context.  Nodes 1 .. n - 1 are
+        the items of ``_Keys``: a node's token is its context's first id and
+        its trie parent holds the rest, so walking up the parents writes
+        the context one digit per id, and the keys' order is tuple order,
+        each context before its extensions."""
+        keys = _Keys(np.frombuffer(self.tok, np.int64)[1:])
+        keys.walk(self.parents() - 1)  # the root is no item
+        return np.concatenate([[0], keys.sort() + 1])
 
     def contexts(self):
-        """``(context, bucket id)`` of every context with counts, in tuple
-        order."""
-        order, depth, last = self.tuple_order()
+        """``(context, node)`` of every context with counts, in tuple
+        order.  As the node set holds every prefix of a context, each
+        context's prefix one id shorter is the last context of its depth
+        before it, and its last id is the token of its ancestor of depth
+        1."""
+        order, starts = self.tuple_order(), self.starts
+        last, parent = np.array(self.tok), self.parents()
+        for d in range(2, len(starts) - 1):
+            last[starts[d]:starts[d + 1]] = last[parent[starts[d] - 1:starts[d + 1] - 1]]
+        last, parent = last[order], None
+        depth = np.searchsorted(starts, order, "right") - 1
+        nodes = zip(order.tolist(), depth.tolist(), last.tolist())
+        order = depth = last = None  # not held while the caller iterates
         bucket = self.bucket
-        ctxs = [()] * len(self.starts)
-        for node, d, t in zip(order.tolist(), depth.tolist(), last.tolist()):
+        ctxs = [()] * len(starts)
+        for node, d, t in nodes:
             ctx = ctxs[d] = ctxs[d - 1] + (t,) if d else ()
             if bucket[node] >= 0:
-                yield ctx, bucket[node]
+                yield ctx, node
 
 
-class _Records:
+class _Records(_Buckets):
     """Contexts and buckets in the order they are added: each context but
     the empty one a record that extends an earlier record (its context
     without the last id, or none) by one id; each bucket its events
@@ -422,16 +447,6 @@ class _Records:
         # and its extension by one id extend the context too, so their
         # texts are longer and its entry is still there.
         self.latest = {}
-
-    def add_bucket(self, bucket: dict[int, int]) -> int:
-        """The id of a new bucket; ``OverflowError`` when an id or count
-        does not fit in 64 bits."""
-        ids = sorted(bucket)
-        self.ev_id.extend(ids)
-        self.ev_count.extend([bucket[t] for t in ids])
-        self.ev_off.append(len(self.ev_id))
-        self.total.append(float(sum(bucket.values())))
-        return len(self.total) - 1
 
     def add_context(self, text: str, bucket: int) -> None:
         """Record the context whose ids joined by commas are ``text``, with
@@ -498,7 +513,9 @@ class _Records:
 
 class Counts(Mapping):
     """View of a model's counts, context tuple -> ``Bucket``, iterated in
-    tuple order.  Contexts cannot be added or removed through it."""
+    tuple order.  Contexts cannot be added or removed through it; a
+    count written to a bucket appends one bucket to the store, and no
+    other context's counts or arrays are rebuilt."""
 
     def __init__(self, model: NGramModel):
         self._model = model
@@ -511,7 +528,7 @@ class Counts(Mapping):
         if isinstance(ctx, tuple):
             path = trie.walk(ctx)
             if len(path) == len(ctx) + 1 and trie.bucket[path[-1]] >= 0:
-                return Bucket(self._model, ctx, trie.events(trie.bucket[path[-1]]))
+                return Bucket(self._model, path[-1])
         raise KeyError(ctx)
 
     def __iter__(self):
@@ -524,18 +541,19 @@ class Counts(Mapping):
 class _CountItems(ItemsView):
     def __iter__(self):
         model = self._mapping._model
-        trie = model._trie
-        return ((ctx, Bucket(model, ctx, trie.events(b))) for ctx, b in trie.contexts())
+        return ((ctx, Bucket(model, node)) for ctx, node in model._trie.contexts())
 
 
 class Bucket(Mapping):
-    """The counts of one context of a model, token id -> count, as a new
-    mapping.  Its one write, ``bucket[token] = count``, is written back to
-    the model, which rebuilds its store as ``NGramModel.from_counts``
-    builds one."""
+    """The counts of one context of a model, the one of trie ``node``,
+    token id -> count, as a new mapping.  Its one write,
+    ``bucket[token] = count``, is written back to the model: the new
+    events are appended as one bucket, the context's node alone points at
+    it, and the model's tables are dropped."""
 
-    def __init__(self, model: NGramModel, ctx: tuple[int, ...], events: dict[int, int]):
-        self._model, self._ctx, self._events = model, ctx, events
+    def __init__(self, model: NGramModel, node: int):
+        self._model, self._node = model, node
+        self._events = model._trie.events(model._trie.bucket[node])
 
     def __getitem__(self, token) -> int:
         return self._events[token]
@@ -550,11 +568,11 @@ class Bucket(Mapping):
         return repr(self._events)
 
     def __setitem__(self, token, count):
-        self._events[token] = count
+        events = {**self._events, token: count}
         trie = self._model._trie
-        counts = {ctx: trie.events(b) for ctx, b in trie.contexts()}
-        counts[self._ctx] = self._events
-        self._model._set_counts(counts)
+        trie.bucket[self._node] = trie.add_bucket(events)
+        self._model._tables.clear()
+        self._events = events
 
 
 class NGramModel:
@@ -580,18 +598,17 @@ class NGramModel:
                     vocab_hash: str = "", discount: float = DEFAULT_DISCOUNT) -> NGramModel:
         """A model holding ``counts``, context tuple -> {token id: count}.
         A context with no events adds nothing to any row and is left out,
-        so every bucket of a store holds events."""
+        so every bucket of a store holds events.  A context of ``order`` or
+        more ids raises ``NGramError``."""
         model = cls(order, vocab_size, vocab_hash, discount)
-        model._set_counts(counts)
-        return model
-
-    def _set_counts(self, counts: Mapping) -> None:
         records = _Records()
         for ctx, bucket in counts.items():
+            if len(ctx) >= order:
+                raise NGramError(_too_long(len(ctx), order))
             if bucket:
                 records.add_context(",".join(map(str, ctx)), records.add_bucket(bucket))
-        self._trie = records.trie()
-        self._tables.clear()
+        model._trie = records.trie()
+        return model
 
     @property
     def counts(self) -> Counts:
@@ -665,19 +682,6 @@ class NGramModel:
         while len(tables) * 8 * self.vocab_size > TABLE_CACHE_BYTES:
             tables.popitem(last=False)
 
-    def table(self, context: Sequence[int], temperature: float):
-        """``sampling_table`` of the row for the trailing context, cached."""
-        n = self.order - 1
-        key = (tuple(context[-n:]) if n else (), temperature)
-        tables = self._tables
-        table = tables.get(key)
-        if table is not None:
-            tables.move_to_end(key)
-            return table
-        table = sampling_table(self.next_dist(key[0]), temperature)
-        self._remember(key, table)
-        return table
-
     def logprob(self, ids: Sequence[int]) -> float:
         lp = 0.0
         for i, token in enumerate(ids):
@@ -692,6 +696,11 @@ class NGramModel:
         if n == 0:
             raise NGramError("no tokens to score")
         return math.exp(-lp / n)
+
+
+def _too_long(ids: int, order: int) -> str:
+    """Why a context of ``ids`` ids has no place in an ``order`` model."""
+    return f"a context of {ids} ids, where an order-{order} model reads at most {order - 1}"
 
 
 def train(sequences, order: int, vocab: Vocab,
@@ -735,13 +744,13 @@ def sample_with_rng(model, context, temperature: float, rng) -> int:
     if not temperature > 0:
         raise NGramError(f"temperature must be > 0, got {temperature}")
     if isinstance(model, NGramModel):
-        # NGramModel.table's cache hit, inlined: this runs once per token
         n = model.order - 1
         key = (tuple(context[-n:]) if n else (), temperature)
         tables = model._tables
         table = tables.get(key)
         if table is None:
-            table = model.table(context, temperature)
+            table = sampling_table(model.next_dist(key[0]), temperature)
+            model._remember(key, table)
         else:
             tables.move_to_end(key)
     else:
@@ -775,7 +784,7 @@ def save(model: NGramModel, path, config: dict | None = None) -> None:
     """
     trie = model._trie
     bucket = np.frombuffer(trie.bucket, np.int64)
-    nodes = trie.tuple_order()[0]
+    nodes = trie.tuple_order()
     nodes = nodes[bucket[nodes] >= 0].astype(np.int32)
     rows, sizes = _context_rows(trie)
     ev_text, ev_at = _event_texts(trie)
@@ -827,7 +836,7 @@ def _context_rows(trie: _Trie) -> tuple[np.ndarray, np.ndarray]:
     deepest = len(starts) - 2
     rows = np.zeros((n, max(deepest * (f + 1) - 1, 0) + 3), np.uint8)
     rows[:, 0], rows[:, 1], rows[:, -1] = ord("C"), ord("\t"), ord("\t")
-    parent = np.repeat(np.arange(n, dtype=np.int32), np.diff(np.frombuffer(trie.kids, np.int64)))
+    parent = trie.parents()
     for d in range(1, deepest + 1):
         lo, hi = starts[d], starts[d + 1]
         rows[lo:hi, 2:2 + f] = np.take(digits, row[lo:hi], axis=0)
@@ -957,7 +966,7 @@ def _read_image(path) -> NGramModel | None:
         (len(b) == nodes and ((b >= -1) & (b < len(total))).all(), "bucket"),
         (len(o) == len(total) + 1 and o[0] == 0 and o[-1] == len(ev_id)
          and (np.diff(o) > 0).all() and len(ev_count) == len(ev_id), "ev_off"),
-        (starts and starts[0] == 0 and starts[-1] == nodes
+        (starts and starts[0] == 0 and starts[-1] == nodes and len(starts) <= head["order"] + 1
          and all(a <= b for a, b in zip(starts, starts[1:])), "starts"),
     ]:
         if not ok:
@@ -1006,7 +1015,9 @@ def _parse(path) -> NGramModel:
     event text is parsed into a bucket once, and every line with that
     text shares it.  The same lines are refused as when each line is
     parsed on its own, and also an id or count that does not fit in 64
-    bits.
+    bits.  After the lines and the header, a context of ``order`` or more
+    ids is refused, before any node is numbered: the first line of the
+    longest context is named.
     """
     records = _Records()
     add_bucket, add_context = records.add_bucket, records.add_context
@@ -1015,6 +1026,7 @@ def _parse(path) -> NGramModel:
             raise NGramError(f"{path}: not a verseforge n-gram model")
         header = {}
         buckets = {}  # event text -> bucket id
+        widest = widest_at = 0  # the most ids of a context, and its first line
         for lineno, line in enumerate(f, 2):
             # a ``C`` line keeps its newline: it ends the last count, which
             # int() reads as it reads the count alone
@@ -1030,6 +1042,8 @@ def _parse(path) -> NGramModel:
                             bucket[int(t)] = int(c)
                         b = buckets[ev_s] = add_bucket(bucket)
                     add_context(ctx_s, b)
+                    if (ids := len(ctx_s) and ctx_s.count(",") + 1) > widest:
+                        widest, widest_at = ids, lineno
                 else:
                     line = line.rstrip("\n")
                     if not line:
@@ -1045,5 +1059,7 @@ def _parse(path) -> NGramModel:
     if missing:
         raise NGramError(f"{path}: header lacks {', '.join(missing)}")
     model = NGramModel(**{key: header[key] for key in MODEL_HEADER})
+    if widest >= model.order:
+        raise NGramError(f"{path}:{widest_at}: {_too_long(widest, model.order)}")
     model._trie = records.trie()
     return model

@@ -257,17 +257,6 @@ def decode(vocab: Vocab, ids) -> str:
     return "".join(out)
 
 
-def chars_per_token(vocab: Vocab, sample_lines, syllabifier=None) -> float:
-    """Average characters per token over a sample of lines."""
-    n_chars = n_tokens = 0
-    for line in sample_lines:
-        n_chars += len(line)
-        n_tokens += len(line_tokens(vocab, line, syllabifier))
-    if n_tokens == 0:
-        raise TokenizerError("empty sample")
-    return n_chars / n_tokens
-
-
 # ---------------------------------------------------------------------------
 # vocabulary construction
 

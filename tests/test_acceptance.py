@@ -113,18 +113,24 @@ def test_criterion_3_forced_generation_contract():
     assert time.perf_counter() - t0 < 5.0
 
 
+def chars_per_token(vocab, lines) -> float:
+    """Average characters per token over ``lines``: ``encode`` gives a
+    line one id per token."""
+    return sum(map(len, lines)) / sum(len(tok.encode(vocab, line)) for line in lines)
+
+
 def test_criterion_4_tokenizer_granularity(fixture_strophes):
     uni = tok.build_vocab(tok.TokenizerKind.UNICODE, ["libovolný vstup #7"])
     for text in ("libovolný vstup #7", "a", "# ABAB # 1900", "###"):
-        assert tok.chars_per_token(uni, [text]) == 1.0
+        assert chars_per_token(uni, [text]) == 1.0
 
     lines = [v.text for s in fixture_strophes for v in s.verses]
     uni = tok.build_vocab(tok.TokenizerKind.UNICODE, lines)
     syl = tok.build_vocab(tok.TokenizerKind.SYLLABLE, lines)
     bpe = tok.train_bpe(lines, vocab_size=600)
-    cpt_uni = tok.chars_per_token(uni, lines)
-    cpt_syl = tok.chars_per_token(syl, lines)
-    cpt_bpe = tok.chars_per_token(bpe, lines)
+    cpt_uni = chars_per_token(uni, lines)
+    cpt_syl = chars_per_token(syl, lines)
+    cpt_bpe = chars_per_token(bpe, lines)
     assert cpt_uni == 1.0
     assert cpt_uni < cpt_syl < cpt_bpe
     assert cpt_syl == pytest.approx(2.43, abs=0.4)

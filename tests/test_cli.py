@@ -582,6 +582,20 @@ def test_generate_rejects_a_truncated_model_line(small_model, tmp_path, capsys, 
     assert "bad.ngram:2:" in err and "Traceback" not in err
 
 
+def test_generate_refuses_a_model_context_of_order_or_more_ids(small_model, tmp_path, capsys):
+    vocab, model = small_model
+    lines = model.read_text(encoding="utf-8").splitlines()
+    lines.append(f"C\t{','.join(map(str, range(2000)))}\t0:1")
+    bad_model = tmp_path / "long.ngram"
+    bad_model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["generate", "--model", str(bad_model), "--vocab", str(vocab),
+               "--scheme", "ABAB", "--year", "1900"])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert f"long.ngram:{len(lines)}: a context of 2000 ids" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("bad", [
     "C\t{ctx},\t{ev}", "C\t{ctx},x\t{ev}",
     "C\t{ctx}\t0:1:2", "C\t{ctx}\t0:", "C\t{ctx}\t:1", "C\t{ctx}\t0:1  2:1",

@@ -13,9 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from verseforge import ngram, tokenizers as tok
+from verseforge import formats, ngram, tokenizers as tok
+from verseforge.formats import DataFormat
 from verseforge.ngram import DEFAULT_DISCOUNT, NGramError, NGramModel
 from verseforge.tokenizers import TokenizerKind
+
+
+BIG = 2**63
 
 
 def counted(order, vocab_size, *seqs):
@@ -95,6 +99,14 @@ def test_counts_match_the_per_position_loop(order, sequences):
     vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["ab"])
     model = ngram.train(iter(sequences), order, vocab)
     assert model.counts == reference_counts(sequences, order)
+
+
+def cached_table(model, context, temperature):
+    """The table that ``sample_with_rng`` draws from after ``context``,
+    read from the model's cache after one draw."""
+    ngram.sample_with_rng(model, context, temperature, np.random.default_rng(0))
+    n = model.order - 1
+    return model._tables[tuple(context[-n:]) if n else (), temperature]
 
 
 def test_sample_determinism_and_temperature():
@@ -184,6 +196,18 @@ def trie_layout(model):
             [trie.events(b) if b >= 0 else None for b in trie.bucket])
 
 
+def test_train_keys_no_more_digits_than_its_longest_sequence_holds(fixture_strophes):
+    """Past its longest sequence, ``order`` changes no node: the model
+    holds the layout of one trained at that length + 1."""
+    _, vocab, seqs = corpus_model(fixture_strophes)
+    longest = max(map(len, seqs))
+    shift = ngram._Keys.shift
+    with patch.object(ngram._Keys, "shift", autospec=True, side_effect=shift) as spy:
+        past = ngram.train(seqs, 4 * longest, vocab)
+    assert spy.call_args.args[2] == longest
+    assert trie_layout(past) == trie_layout(ngram.train(seqs, longest + 1, vocab))
+
+
 def test_trained_loaded_and_hand_built_models_share_one_layout(tmp_path, fixture_strophes):
     m, _, _ = corpus_model(fixture_strophes)
     path = tmp_path / "m.ngram"
@@ -265,12 +289,13 @@ HEAD = len(ngram.IMAGE_MAGIC) + 8  # where an image's JSON header starts
     (set_field("order", 1 << 70), "header differs from the text's"),
     (set_field("discount", 0.5), "header differs from the text's"),
     (set_field("vocab_hash", "0" * 64), "header differs from the text's"),
+    (resigned(lambda head, arrays: head["starts"].insert(1, 1)), "starts does not hold a trie"),
 ], ids=["magic", "header-cut", "header-json", "header-key", "header-length", "longer",
         "shorter", "array-byte", "kids-first", "kids-order", "bucket-below", "bucket-above",
         "ev_off-order", "starts-end", "order-str", "order-float", "order-bool", "discount-str",
         "vocab_size-float", "vocab_hash-null", "starts-null", "starts-float",
         "starts-beyond-64-bits", "order-other", "order-beyond-64-bits", "discount-other",
-        "vocab_hash-other"])
+        "vocab_hash-other", "starts-deeper-than-order"])
 def test_a_refused_image_is_logged_and_the_text_parsed(tmp_path, caplog, fixture_strophes,
                                                        mutate, reason):
     m, vocab, _ = corpus_model(fixture_strophes)
@@ -358,6 +383,63 @@ def test_a_changed_bucket_is_written_back_to_its_context_alone(tmp_path):
         assert {ctx: dict(b) for ctx, b in model.counts.items()} == expected
         for ctx, row in rows.items():
             np.testing.assert_array_equal(model.next_dist(ctx), row)
+
+
+def fixture_unicode_model(fixture_strophes):
+    """The order-8 ``unicode`` model of every fixture strophe in the
+    ``meter_verse`` format: 13,981 contexts, which share 4,205 buckets."""
+    texts = [formats.encode(s, DataFormat.METER_VERSE) for s in fixture_strophes]
+    vocab = tok.build_vocab(TokenizerKind.UNICODE,
+                            [line for text in texts for line in text.split("\n")])
+    seqs = [tok.encode(vocab, text) + [vocab.eos_id] for text in texts]
+    return ngram.train(seqs, ngram.DEFAULT_ORDER[TokenizerKind.UNICODE], vocab)
+
+
+# A write-back appends one bucket; rebuilding the store for it peaked at
+# 6.1-6.5 MiB on the fixture's order-8 model.
+WRITE_BACK_BYTES = 1 << 20
+
+
+def test_a_write_back_appends_one_bucket_within_a_small_memory_bound(fixture_strophes):
+    model = fixture_unicode_model(fixture_strophes)
+    trie = model._trie
+    nodes, buckets = len(trie.tok), len(trie.total)
+    assert (len(model.counts), buckets) == (13_981, 4_205)
+    counts = {ctx: dict(bucket) for ctx, bucket in model.counts.items()}
+    ctx = list(counts)[len(counts) // 2]
+    bucket = model.counts[ctx]
+    token = next(iter(bucket))
+    _, peak = traced_peak(lambda: bucket.__setitem__(token, bucket[token] + 1))
+    assert peak < WRITE_BACK_BYTES
+    assert model._trie is trie and (len(trie.tok), len(trie.total)) == (nodes, buckets + 1)
+    counts[ctx][token] += 1
+    assert model.counts == counts
+    fresh = NGramModel.from_counts(counts, model.order, model.vocab_size)
+    # the rows of the contexts that back off through ``ctx``
+    assert_same_rows(model, fresh, [c for c in counts if c[len(c) - len(ctx):] == ctx][:20])
+
+
+@pytest.mark.parametrize("token, count", [(1, BIG), (1, -BIG - 1), (BIG, 1), (-BIG - 1, 1)],
+                         ids=["count", "negative-count", "id", "negative-id"])
+def test_a_write_back_beyond_64_bits_leaves_the_model_as_it_was(token, count):
+    m = tiny_model()
+    contexts = ([], [0], [1], [2])
+    for ctx in contexts:
+        ngram.sample_with_rng(m, ctx, 1.0, np.random.default_rng(0))
+    rows = [m.next_dist(ctx) for ctx in contexts]
+    counts = {ctx: dict(b) for ctx, b in m.counts.items()}
+    tables = dict(m._tables)
+    arrays = [bytes(getattr(m._trie, name)) for name in ngram.IMAGE_ARRAYS]
+    bucket = m.counts[(0,)]
+    with pytest.raises(OverflowError):
+        bucket[token] = count
+    assert dict(bucket) == counts[(0,)]
+    assert {ctx: dict(b) for ctx, b in m.counts.items()} == counts
+    assert [bytes(getattr(m._trie, name)) for name in ngram.IMAGE_ARRAYS] == arrays
+    assert list(m._tables) == list(tables)
+    assert all(m._tables[key] is table for key, table in tables.items())
+    for ctx, row in zip(contexts, rows):
+        assert np.array_equal(m.next_dist(ctx), row)
 
 
 def test_load_rejects_wrong_vocab(tmp_path, fixture_strophes):
@@ -450,9 +532,6 @@ def test_count_below_one_is_an_ngram_error(tmp_path, events, ctx):
         ngram.sample_with_rng(model, [0], 1.0, np.random.default_rng(0))
 
 
-BIG = 2**63
-
-
 @pytest.mark.parametrize("line", [
     f"C\t\t0:{BIG}", f"C\t\t{BIG}:1", f"C\t\t0:1 1:{-BIG - 1}", f"C\t\t{-BIG - 1}:1",
     f"C\t{BIG}\t0:1", f"C\t0,{BIG}\t0:1", f"C\t1,{-BIG - 1},0\t0:1",
@@ -485,6 +564,59 @@ def test_load_keeps_ids_and_counts_at_the_64_bit_bounds(tmp_path):
     assert row.sum() == pytest.approx(1.0) and row[1] > 0.99
     with pytest.raises(NGramError, match="out of range"):
         model.next_dist([-BIG])
+
+
+@pytest.mark.parametrize("order, lines, lineno, ids", [
+    ("3", ["C\t\t0:1", "C\t0,1\t1:1", "C\t0,1,2\t1:1"], 8, 3),
+    ("3", ["C\t0,1,2\t1:1", "C\t0,1,2,0\t1:1", "C\t1,2,0,1\t1:1"], 7, 4),
+    ("1", ["C\t\t0:1", "C\t5\t0:1"], 7, 1),
+    ("2", ["C\t\t0:1", "C\t1,2\t0:1", "C\t1,2\t0:2"], 7, 2),
+], ids=["one-too-many", "longest-named", "order-1", "repeated"])
+def test_load_refuses_a_context_of_order_or_more_ids(tmp_path, order, lines, lineno, ids):
+    path = tmp_path / "m.ngram"
+    write_model(path, dict(HEADER, order=order), lines)
+    with pytest.raises(NGramError, match=rf"^{path}:{lineno}: a context of {ids} ids, where "
+                                         rf"an order-{order} model reads at most "):
+        ngram.load(path)
+
+
+def test_from_counts_refuses_a_context_of_order_or_more_ids():
+    for order, ctx in [(1, (0,)), (3, (0, 1, 2)), (3, (0, 1, 2, 0))]:
+        with pytest.raises(NGramError, match=f"a context of {len(ctx)} ids, where an "
+                                             f"order-{order} model reads at most {order - 1}"):
+            NGramModel.from_counts({(): {0: 1}, ctx: {1: 1}}, order, 3)
+
+
+# Numbering every substring of a context of 2,000 ids made 2,001,001
+# nodes and peaked at 94 MiB.
+LONG_CONTEXT_BYTES = 1 << 20
+
+
+def test_a_long_context_is_refused_before_its_substrings_are_numbered(tmp_path):
+    path = tmp_path / "m.ngram"
+    write_model(path, dict(HEADER, order="3"),
+                ["C\t\t0:1", f"C\t{','.join(map(str, range(2000)))}\t0:1"])
+    assert path.stat().st_size < 9 << 10
+
+    def load():
+        with pytest.raises(NGramError, match=rf"^{path}:7: a context of 2000 ids"):
+            ngram.load(path)
+
+    _, peak = traced_peak(load)
+    assert peak < LONG_CONTEXT_BYTES
+
+
+def test_an_image_deeper_than_its_order_is_refused_and_so_is_its_text(tmp_path, caplog):
+    vocab = tok.build_vocab(TokenizerKind.UNICODE, ["abcd"])
+    model = ngram.train([tok.encode(vocab, "abcabd")], 4, vocab)
+    model.order = 3  # its contexts of 3 ids are one too many
+    path = tmp_path / "m.ngram"
+    ngram.save(model, path)
+    caplog.set_level(logging.WARNING, logger="verseforge.ngram")
+    with pytest.raises(NGramError, match=rf"^{path}:\d+: a context of 3 ids"):
+        ngram.load(path, vocab)
+    [message] = [r.getMessage() for r in caplog.records if r.name == "verseforge.ngram"]
+    assert message.endswith("model image not used: starts does not hold a trie")
 
 
 def generated_model():
@@ -592,7 +724,7 @@ def test_sampling_refuses_a_temperature_that_is_not_positive():
 
 def test_a_write_back_drops_stale_tables():
     m = tiny_model()
-    before = m.table([0], 1.0)
+    before = cached_table(m, [0], 1.0)
     m.counts[()][2] = 3
     assert not m._tables
     counts = reference_counts([[0, 0, 1]], 2)
@@ -600,7 +732,7 @@ def test_a_write_back_drops_stale_tables():
     fresh = NGramModel.from_counts(counts, 2, 3)
     for ctx in ([], [0], [1], [2]):
         assert np.array_equal(m.next_dist(ctx), fresh.next_dist(ctx))
-    after = m.table([0], 1.0)
+    after = cached_table(m, [0], 1.0)
     assert np.array_equal(after, ngram.sampling_table(fresh.next_dist([0]), 1.0))
     assert not np.array_equal(before, after)
 
@@ -617,7 +749,7 @@ def test_tables_match_choice_and_reject_bad_rows():
             q = p / p.sum()
             cdf = q.cumsum()
             cdf /= cdf[-1]  # as Generator.choice builds it
-            assert np.array_equal(m.table(ctx, temperature), cdf)
+            assert np.array_equal(cached_table(m, ctx, temperature), cdf)
             draws = [int(expected.choice(len(q), p=q)) for _ in range(20)]
             assert [ngram.sample_with_rng(m, ctx, temperature, got)
                     for _ in range(20)] == draws
@@ -660,7 +792,7 @@ def test_bisect_on_a_table_finds_the_index_of_searchsorted(row, temperature, us)
 def test_a_table_is_an_array_of_8_bytes_per_vocabulary_entry():
     """The size that the table cache's byte budget counts per table."""
     m = counted(2, 73, [0, 5, 72, 5])
-    for table in (m.table([5], 1.0), m.table([5], 0.3),
+    for table in (cached_table(m, [5], 1.0), cached_table(m, [5], 0.3),
                   ngram.sampling_table(m.next_dist([72]), 1.0)):
         assert type(table) is array and table.typecode == "d"
         assert memoryview(table).nbytes == 8 * m.vocab_size
@@ -715,11 +847,12 @@ def test_next_dist_is_the_per_level_loop(case, budget_rows):
     model, contexts, more = case
     budget = (ngram.TABLE_CACHE_BYTES if budget_rows is None
               else budget_rows * 8 * model.vocab_size)
+    rng = np.random.default_rng(0)
     with patch.object(ngram, "TABLE_CACHE_BYTES", budget):
         for _ in range(2):  # cold, then warm (or evicted)
             for ctx in contexts + [[]]:
                 assert np.array_equal(model.next_dist(ctx), reference_next_dist(model, ctx))
-                model.table(ctx, 1.0)
+                ngram.sample_with_rng(model, ctx, 1.0, rng)
             assert len(model._tables) * 8 * model.vocab_size <= budget
         # a write-back to the root bucket must also drop the shared row of ()
         root = model.counts.get(())
@@ -767,7 +900,7 @@ def test_out_of_range_short_bucket_raises_on_every_call(tmp_path, bad_ctx):
         with pytest.raises(NGramError, match="out of range"):
             model.next_dist([0, 1, 2, 0, 1])
         with pytest.raises(NGramError, match="out of range"):
-            model.table([1, 2, 0, 1], 1.0)
+            ngram.sample_with_rng(model, [1, 2, 0, 1], 1.0, np.random.default_rng(0))
 
 
 def reference_save(model, path, config=None):
@@ -790,12 +923,15 @@ def reference_save(model, path, config=None):
 
 def reference_load(path):
     """``load`` (without a vocabulary) as it was before contexts reused
-    their parent's parse: each line parsed on its own."""
+    their parent's parse: each line parsed on its own.  After the lines
+    and the header, a context of ``order`` or more ids is refused, naming
+    the first line of the longest context."""
     with open(path, encoding="utf-8") as f:
         if f.readline().rstrip("\n") != ngram.MODEL_MAGIC:
             raise NGramError(f"{path}: not a verseforge n-gram model")
         header = {}
         counts = {}
+        widths = []  # (line, ids) of each context line
         for lineno, line in enumerate(f, 2):
             line = line.rstrip("\n")
             if not line:
@@ -809,6 +945,7 @@ def reference_load(path):
                         t, c = ev.split(":")
                         bucket[int(t)] = int(c)
                     counts[ctx] = bucket
+                    widths.append((lineno, len(ctx)))
                 else:
                     header[parts[0]] = ngram.MODEL_HEADER.get(parts[0], str)(parts[1])
             except (IndexError, ValueError):
@@ -816,6 +953,11 @@ def reference_load(path):
     missing = [key for key in ngram.MODEL_HEADER if key not in header]
     if missing:
         raise NGramError(f"{path}: header lacks {', '.join(missing)}")
+    order = NGramModel(header["order"], header["vocab_size"], discount=header["discount"]).order
+    lineno, n = max(widths, key=lambda width: width[1], default=(0, 0))
+    if n >= order:
+        raise NGramError(f"{path}:{lineno}: a context of {n} ids, where an order-{order} "
+                         f"model reads at most {order - 1}")
     return NGramModel.from_counts(counts, order=header["order"],
                                   vocab_size=header["vocab_size"],
                                   vocab_hash=header["vocab_hash"],
@@ -1008,10 +1150,11 @@ def test_save_and_load_match_the_per_line_reference(tmp_path_factory, case, rnd)
 
 @st.composite
 def mutated_model_files(draw):
-    """The ``C`` lines of a hand-built model with a few lines mutated: a
-    character inserted, deleted or replaced, or the line cut short."""
+    """An ``order`` line and the ``C`` lines of a hand-built model, with a
+    few lines mutated: a character inserted, deleted or replaced, or the
+    line cut short."""
     model, _, _ = draw(hand_built_models())
-    lines = ["C\t\t0:1"]
+    lines = [f"order\t{model.order}", "C\t\t0:1"]
     for ctx in sorted(model.counts):
         ev = " ".join(f"{t}:{c}" for t, c in sorted(model.counts[ctx].items()))
         lines.append(f"C\t{','.join(map(str, ctx))}\t{ev}")
@@ -1034,6 +1177,10 @@ def mutated_model_files(draw):
 @example(lines=["C\t\t0:1", "C\t1\t0:1", "C\t1,\t0:1"])
 @example(lines=["C\t\t0:1", "C\t1\t0:1 0:3", "C\t1,2\t0:1  2:1"])
 @example(lines=["C\t\t0:1", "", "C\t1\t0:1"])  # a blank line is skipped
+@example(lines=["C\t\t0:1", "C\t1,2\t0:1", "C\t1,2,3\t0:1"])  # two ids too many for order 2
+@example(lines=["C\t1,2\t0:1", "C\tx\t0:1"])  # a malformed line is named first
+@example(lines=["order\t1", "C\t\t0:1", "C\t1\t0:1"])
+@example(lines=["order\t0", "C\t1\t0:1"])  # the header is checked first
 def test_load_refuses_the_lines_the_per_line_reference_refuses(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("bad") / "m.ngram"
     write_model(path, HEADER, lines)

@@ -106,13 +106,6 @@ def test_decode_skips_eos():
     assert tok.decode(vocab, [vocab.id_of["a"], vocab.eos_id, vocab.id_of["b"]]) == "ab"
 
 
-def test_chars_per_token_unicode_is_exactly_one():
-    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["cokoliv zde"])
-    assert tok.chars_per_token(vocab, ["cokoliv zde", "a", "##"]) == 1.0
-    with pytest.raises(TokenizerError):
-        tok.chars_per_token(vocab, [])
-
-
 def test_bpe_training_is_deterministic():
     lines = ["vlny moře zpívá", "moře vlny voní", "zpívá moře"]
     a = tok.train_bpe(lines, vocab_size=40)
