@@ -130,7 +130,8 @@ def train_lm(ctx, corpus_path, vocab_path, order, discount, test_fraction, seed,
     its perplexity on the held-out split."""
     vocab = tokenizers.load_vocab(vocab_path)
     syllabifier = _syllabifier(exceptions)
-    order = order or ngram.DEFAULT_ORDER[vocab.kind]
+    if order is None:
+        order = ngram.DEFAULT_ORDER[vocab.kind]
     fmt = DataFormat.parse(fmt)
     strophes = corpus.ingest(corpus_path)
     train_set, held_out = corpus.split(strophes, test_fraction, seed)
@@ -169,7 +170,12 @@ _OPTIONAL_FIELD_TYPES = (
 
 def _request_from_dict(d, fmt, where=None) -> GenerationRequest:
     """The request of a JSON record; a null optional field is absent.  An
-    error names ``where``, the record's ``path:line``, when given."""
+    error names ``where``, the record's ``path:line``, when given.
+
+    The scheme must be in the canonical form that ``evaluate`` compares
+    predicted schemes in, the ``derive_rhyme_scheme`` of its own letters
+    (X as no group): ``BABA`` is refused as ``ABAB``, and ``ABAC`` as
+    ``AXAX``, since neither could ever score a rhyme hit."""
     at = f"{where}: " if where else ""
     if not isinstance(d.get("scheme"), str):
         raise FormatError(f"{at}a request needs a string 'scheme'")
@@ -179,7 +185,7 @@ def _request_from_dict(d, fmt, where=None) -> GenerationRequest:
     d = {key: value for key, value in d.items() if value is not None}
     meters = d.get("meters")
     try:
-        return GenerationRequest(
+        request = GenerationRequest(
             scheme=d["scheme"],
             year_bucket=YearBucket.parse(str(d.get("year", "NaN"))),
             fmt=fmt,
@@ -189,6 +195,11 @@ def _request_from_dict(d, fmt, where=None) -> GenerationRequest:
         )
     except (CorpusFormatError, GenerationError) as e:
         raise type(e)(f"{at}{e}") from None
+    canonical = corpus.derive_rhyme_scheme([None if c == "X" else c for c in request.scheme])
+    if canonical != request.scheme:
+        raise GenerationError(f"{at}scheme {request.scheme!r} is not in canonical form; "
+                              f"write it {canonical!r}")
+    return request
 
 
 @cli.command()

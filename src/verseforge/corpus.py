@@ -132,10 +132,6 @@ class Strophe:
         object.__setattr__(self, "scheme",
                            derive_rhyme_scheme([v.rhyme_group for v in self.verses]))
 
-    @classmethod
-    def from_verses(cls, verses, year, poem_index=None) -> "Strophe":
-        return cls(tuple(verses), bucketize_year(year), poem_index)
-
 
 @dataclass(slots=True)
 class CorpusStats:
@@ -211,7 +207,7 @@ def ingest(path) -> list[Strophe]:
                     raise CorpusFormatError(f"{where} strophe {si}: a strophe must be a list")
                 verses = [_parse_verse(v, f"{where} strophe {si}") for v in raw]
                 try:
-                    strophes.append(Strophe.from_verses(verses, year, poem_index=index))
+                    strophes.append(Strophe(tuple(verses), bucketize_year(year), index))
                 except CorpusFormatError as e:
                     raise CorpusFormatError(f"{where} strophe {si}: {e}") from None
     return strophes

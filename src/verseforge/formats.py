@@ -71,10 +71,6 @@ class ParsedStrophe:
     header: StropheHeader
     lines: tuple[tuple[LineAnnotation | None, str], ...]
 
-    @property
-    def verse_texts(self):
-        return [text for _, text in self.lines]
-
 
 def encode(strophe: Strophe, fmt: DataFormat, syllabifier=None) -> str:
     """A gold strophe as text in ``fmt``: its header, then each verse
@@ -99,6 +95,13 @@ def encode(strophe: Strophe, fmt: DataFormat, syllabifier=None) -> str:
     return "\n".join(out)
 
 
+def _parse_meter(letter: str, lineno: int) -> MeterLabel:
+    try:
+        return MeterLabel.parse(letter)
+    except ValueError:
+        raise FormatError(f"line {lineno}: unknown meter letter {letter!r}") from None
+
+
 def _parse_header(line: str, fmt: DataFormat, lineno: int) -> StropheHeader:
     if not line.startswith("# "):
         raise FormatError(f"line {lineno}: header must start with '# '")
@@ -118,10 +121,7 @@ def _parse_header(line: str, fmt: DataFormat, lineno: int) -> StropheHeader:
         raise FormatError(f"line {lineno}: bad year field {year!r}") from None
     meter = None
     if fmt is not DataFormat.METER_VERSE:
-        try:
-            meter = MeterLabel.parse(fields[2])
-        except ValueError:
-            raise FormatError(f"line {lineno}: unknown meter letter {fields[2]!r}") from None
+        meter = _parse_meter(fields[2], lineno)
     return StropheHeader(scheme, bucket, meter)
 
 
@@ -135,10 +135,7 @@ def _parse_verse_line(line: str, fmt: DataFormat, lineno: int):
             f"line {lineno}: expected {n_fields} annotation fields before the verse")
     if fmt is DataFormat.METER_VERSE:
         meter_s, syl_s, hint, text = parts
-        try:
-            meter = MeterLabel.parse(meter_s)
-        except ValueError:
-            raise FormatError(f"line {lineno}: unknown meter letter {meter_s!r}") from None
+        meter = _parse_meter(meter_s, lineno)
     else:
         syl_s, hint, text = parts
         meter = None
@@ -155,14 +152,11 @@ def _parse_verse_line(line: str, fmt: DataFormat, lineno: int):
 
 def parse(text: str, fmt: DataFormat) -> ParsedStrophe:
     """Inverse of encode; errors carry line numbers."""
-    lines = [l.rstrip() for l in text.rstrip("\n").split("\n")]
-    lines = [l for l in lines if l]
+    lines = [line for line in map(str.rstrip, text.split("\n")) if line]
     if not lines:
         raise FormatError("empty strophe text")
     header = _parse_header(lines[0], fmt, 1)
-    parsed = []
-    for i, line in enumerate(lines[1:], 2):
-        parsed.append(_parse_verse_line(line, fmt, i))
+    parsed = [_parse_verse_line(line, fmt, i) for i, line in enumerate(lines[1:], 2)]
     if len(parsed) != len(header.scheme):
         raise FormatError(
             f"scheme {header.scheme} expects {len(header.scheme)} verses, got {len(parsed)}")
@@ -192,9 +186,9 @@ def consistency_check(parsed: ParsedStrophe, syllabifier=None) -> list[VerseChec
     text?  This is the raw signal behind Num syl / End acc."""
     checks = []
     for ann, text in parsed.lines:
-        analysis = phonology.analyze(text, syllabifier)
         if ann is None:
             raise FormatError("consistency_check needs annotated lines")
+        analysis = phonology.analyze(text, syllabifier)
         checks.append(VerseCheck(*annotation_matches(ann, len(analysis.syllables),
                                                     analysis.clausula),
                                  annotated_syl=ann.syllable_count,

@@ -416,7 +416,7 @@ class _Trie(_Buckets):
             last[starts[d]:starts[d + 1]] = last[parent[starts[d] - 1:starts[d + 1] - 1]]
         last, parent = last[order], None
         depth = np.searchsorted(starts, order, "right") - 1
-        nodes = zip(order.tolist(), depth.tolist(), last.tolist())
+        nodes = zip(_ints(order), _ints(depth), _ints(last))
         order = depth = last = None  # not held while the caller iterates
         bucket = self.bucket
         ctxs = [()] * len(starts)
@@ -800,7 +800,9 @@ def save(model: NGramModel, path, config: dict | None = None) -> None:
             f.write(f"config\t{json.dumps(config)}\n".encode("utf-8"))
     arrays = [getattr(trie, name) for name in IMAGE_ARRAYS]
     if sys.byteorder == "big":
-        arrays = [_swapped(a) for a in arrays]
+        arrays = [array(a.typecode, a) for a in arrays]  # the model's own stay as they are
+        for a in arrays:
+            a.byteswap()
     head.update(starts=list(trie.starts), lengths=[len(a) for a in arrays])
     head["sha256"] = _image_digest(path, head, arrays)
     data = json.dumps(head).encode()
@@ -893,12 +895,6 @@ def _header_lines(head: dict) -> str:
 
 def _image_path(path) -> str:
     return os.fspath(path) + ".img"
-
-
-def _swapped(a: array) -> array:
-    a = array(a.typecode, a)
-    a.byteswap()
-    return a
 
 
 def _image_digest(path, head: dict, arrays) -> str:
@@ -1014,10 +1010,10 @@ def _parse(path) -> NGramModel:
     extends the record of the context one id shorter.  Each distinct
     event text is parsed into a bucket once, and every line with that
     text shares it.  The same lines are refused as when each line is
-    parsed on its own, and also an id or count that does not fit in 64
-    bits.  After the lines and the header, a context of ``order`` or more
-    ids is refused, before any node is numbered: the first line of the
-    longest context is named.
+    parsed on its own, among them a bucket that names a token twice, and
+    also an id or count that does not fit in 64 bits.  After the lines
+    and the header, a context of ``order`` or more ids is refused, before
+    any node is numbered: the first line of the longest context is named.
     """
     records = _Records()
     add_bucket, add_context = records.add_bucket, records.add_context
@@ -1040,6 +1036,8 @@ def _parse(path) -> NGramModel:
                         for ev in ev_s.split(" "):
                             t, c = ev.split(":")
                             bucket[int(t)] = int(c)
+                        if len(bucket) <= ev_s.count(" "):
+                            raise ValueError("a token named twice")
                         b = buckets[ev_s] = add_bucket(bucket)
                     add_context(ctx_s, b)
                     if (ids := len(ctx_s) and ctx_s.count(",") + 1) > widest:

@@ -26,11 +26,12 @@ SEP_TOKEN = "\n"
 EOS_TOKEN = "<eos>"
 UNK_TOKEN = "<unk>"
 UNK_GLYPH = "\ufffd"
+# the special tokens, in the order of their ids in every vocabulary
+SPECIALS = (SEP_TOKEN, EOS_TOKEN, UNK_TOKEN)
 
-_PIECE_RE = re.compile(r" ?[^ ]+| ")
-# the pieces of every line of a text: a newline is in no piece, so it
-# ends one as the end of a line does
-_TEXT_PIECE_RE = re.compile(r" ?[^ \n]+| ")
+# the pieces of a line, or of every line of a text: a newline is in no
+# piece, so it ends one as the end of a line does
+_PIECE_RE = re.compile(r" ?[^ \n]+| ")
 _WORD_RE = re.compile(r"^([\W\d_]*)([^\W\d_]+)([\W\d_]*)$", re.UNICODE)
 
 
@@ -78,7 +79,7 @@ class Vocab:
             self.id_of = {t: i for i, t in enumerate(self.tokens)}
         if len(self.id_of) != len(self.tokens):
             raise TokenizerError("duplicate tokens in vocabulary")
-        for special in (SEP_TOKEN, EOS_TOKEN, UNK_TOKEN):
+        for special in SPECIALS:
             if special not in self.id_of:
                 raise TokenizerError(f"special token {special!r} missing")
 
@@ -125,7 +126,7 @@ def save_vocab(vocab: Vocab, path, config: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write("#! verseforge-vocab v1\n")
         f.write(f"#! kind\t{vocab.kind.value}\n")
-        for name, tok in (("sep", SEP_TOKEN), ("eos", EOS_TOKEN), ("unk", UNK_TOKEN)):
+        for name, tok in zip(("sep", "eos", "unk"), SPECIALS):
             f.write(f"#! special\t{name}\t{_escape(tok)}\n")
         for tok in sorted(vocab.protected):
             f.write(f"#! protected\t{_escape(tok)}\n")
@@ -264,7 +265,7 @@ def _collect_protected(text: str) -> tuple[set[str], Counter]:
     """Annotation pieces, and the count of every other piece, in ``text``,
     texts joined by newlines: the pieces of all its lines are counted in
     one pass, and each distinct piece is classified once."""
-    piece_freq = Counter(_TEXT_PIECE_RE.findall(text))
+    piece_freq = Counter(_PIECE_RE.findall(text))
     protected = set(filter(is_annotation_piece, piece_freq))
     for piece in protected:
         del piece_freq[piece]
@@ -290,7 +291,7 @@ def train_bpe(texts, vocab_size: int) -> Vocab:
     alphabet = sorted(set(text) - {"\n"} - protected)
     if not alphabet and not protected:
         raise TokenizerError("cannot train BPE on an empty corpus")
-    base = [SEP_TOKEN, EOS_TOKEN, UNK_TOKEN] + sorted(protected) + alphabet
+    base = [*SPECIALS, *sorted(protected), *alphabet]
     if vocab_size < len(base):
         raise TokenizerError(
             f"vocab_size {vocab_size} below alphabet+specials ({len(base)})")
@@ -346,12 +347,12 @@ def build_vocab(kind: TokenizerKind, texts, vocab_size: int = 40000,
     """A ``kind`` vocabulary over ``texts``, single lines or whole strophes."""
     if kind is TokenizerKind.UNICODE:
         chars = sorted({ch for text in texts for ch in text} - {"\n"})
-        return Vocab(kind, [SEP_TOKEN, EOS_TOKEN, UNK_TOKEN] + chars)
+        return Vocab(kind, [*SPECIALS, *chars])
     if kind is TokenizerKind.SYLLABLE:
         protected, piece_freq = _collect_protected("\n".join(texts))
         seen = set()
         for piece in piece_freq:
             seen.update(syllable_piece_tokens(piece, syllabifier))
-        tokens = [SEP_TOKEN, EOS_TOKEN, UNK_TOKEN] + sorted(protected) + sorted(seen - protected)
+        tokens = [*SPECIALS, *sorted(protected), *sorted(seen - protected)]
         return Vocab(kind, tokens, protected)
     return train_bpe(texts, vocab_size)

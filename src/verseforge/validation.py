@@ -4,6 +4,7 @@ and the paired permutation significance test."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, product
@@ -11,7 +12,7 @@ from itertools import accumulate, chain, combinations, product
 import numpy as np
 
 from . import phonology
-from .corpus import METER_ORDER, SCHEME_LENGTHS, MeterLabel, derive_rhyme_scheme
+from .corpus import METER_ORDER, MeterLabel, derive_rhyme_scheme
 from .formats import DataFormat, annotation_matches
 # Neither is called here; perfbench's tracer wraps both by these names.
 from .phonology import ending_hint, verse_syllables  # noqa: F401
@@ -119,13 +120,22 @@ def _pattern_scores(pattern: str) -> tuple[float, ...]:
     return tuple(meter_score(pattern, label) for label in _SCORED_LABELS)
 
 
+def _check_threshold(threshold: float) -> None:
+    """Refuse a NaN threshold: no score compares below it, so no verse
+    would ever be N."""
+    if math.isnan(threshold):
+        raise ValueError(f"threshold must be a number, got {threshold}")
+
+
 def classify_meter(patterns: list[str],
                    threshold: float = DEFAULT_THRESHOLD) -> MeterLabel:
     """Best-scoring meter template for the pooled scores of ``patterns``
     (one verse, or the verses of a rhyme group), N below the threshold;
-    among equal scores the label earlier in ``METER_ORDER`` wins."""
+    among equal scores the label earlier in ``METER_ORDER`` wins.  A NaN
+    threshold raises ``ValueError``."""
     if not patterns or not all(patterns):
         raise ValueError("empty stress pattern")
+    _check_threshold(threshold)
     if len(patterns) == 1:
         scores = _pattern_scores(patterns[0])
     else:
@@ -176,15 +186,15 @@ def normalize_clausula(clausula: str) -> str:
 
 
 def predict_scheme(verse_texts: list[str], syllabifier=None) -> str:
-    """Rhyme scheme read off the verses' normalized clausulae."""
+    """Rhyme scheme read off the verses' normalized clausulae.  A verse
+    count that no scheme has raises ``ValueError``, from
+    ``corpus.derive_rhyme_scheme``."""
     return _scheme_of([phonology.analyze(t, syllabifier).clausula for t in verse_texts])
 
 
 def _scheme_of(clausulae: list[str]) -> str:
     """The scheme of verses with these clausulae, "" for a verse without
     syllables."""
-    if len(clausulae) not in SCHEME_LENGTHS:
-        raise ValueError(f"unsupported verse count {len(clausulae)}")
     keys = [normalize_clausula(c) if c else None for c in clausulae]
     ids = [None if k is None else keys.index(k) for k in keys]
     return derive_rhyme_scheme(ids)
@@ -237,8 +247,10 @@ def evaluate(pairs, syllabifier=None,
     separately; verse-level metrics run over parseable strophes only.
     Num syl and End acc check annotated verses only, and are None when
     no verse carries an annotation (the basic format).  Each verse is
-    analysed once, from the token memo's entries of its words.
+    analysed once, from the token memo's entries of its words.  A NaN
+    threshold raises ``ValueError`` before any strophe is scored.
     """
+    _check_threshold(threshold)
     syl_hits = verse_total = 0
     end_forced = [0, 0]  # hits, total
     end_free = [0, 0]

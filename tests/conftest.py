@@ -1,7 +1,7 @@
 import pytest
 
 from verseforge import corpus
-from verseforge.corpus import MeterLabel, Strophe, Verse
+from verseforge.corpus import MeterLabel, Strophe, Verse, YearBucket
 from helpers import DATA, EXAMPLE_VERSES
 
 
@@ -19,4 +19,4 @@ def fixture_strophes(fixture_path):
 def example_strophe():
     verses = [Verse(t, rhyme_group=1 + i % 2, gold_meter=MeterLabel.IAMB)
               for i, t in enumerate(EXAMPLE_VERSES)]
-    return Strophe.from_verses(verses, 1900)
+    return Strophe(tuple(verses), YearBucket(1900))

@@ -138,6 +138,26 @@ def test_train_lm_logs_contexts_per_order(mini_corpus, tmp_path, caplog):
     assert messages[0] == CONTEXTS_PER_ORDER
 
 
+def test_train_lm_without_order_trains_the_default_of_the_vocabulary_kind(
+        small_model, mini_corpus, tmp_path, capsys):
+    vocab, _ = small_model
+    model = tmp_path / "m.ngram"
+    assert main(["train-lm", "--corpus", str(mini_corpus), "--vocab", str(vocab),
+                 "--out", str(model)]) == 0
+    assert ngram.load(model).order == ngram.DEFAULT_ORDER[tokenizers.TokenizerKind.UNICODE]
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_train_lm_refuses_an_order_below_1(small_model, mini_corpus, tmp_path, capsys, order):
+    vocab, _ = small_model
+    model = tmp_path / "m.ngram"
+    capsys.readouterr()
+    assert main(["train-lm", "--corpus", str(mini_corpus), "--vocab", str(vocab),
+                 f"--order={order}", "--out", str(model)]) == 5
+    assert capsys.readouterr().err == f"error: order must be >= 1, got {order}\n"
+    assert not model.exists()
+
+
 def test_train_lm_ends_its_model_with_config_and_generate_reads_the_image(
         mini_corpus, tmp_path, capsys):
     vocab, model = tmp_path / "uni.vocab", tmp_path / "uni.ngram"
@@ -323,6 +343,19 @@ def test_evaluate_reports_a_verse_count_the_request_did_not_ask_for(tmp_path, ca
     report = json.loads(report_path.read_text(encoding="utf-8"))["report"]
     assert report["n_parse_failures"] == 0 and report["n_verses"] == len(scheme)
     assert report["rhyme_acc"] == report["meter_acc"] == report["meter_acc_verse"] == 0.0
+
+
+def test_evaluate_refuses_a_nan_threshold(tmp_path, capsys):
+    lines = [f"J # 9 # x # verš číslo {i}" for i in range(4)]
+    (tmp_path / "requests.jsonl").write_text('{"scheme": "ABAB"}\n', encoding="utf-8")
+    (tmp_path / "generations.jsonl").write_text(
+        json.dumps({"raw_text": "\n".join(["# ABAB # 1900"] + lines)}) + "\n",
+        encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--requests", str(tmp_path / "requests.jsonl"),
+                 "--generations", str(tmp_path / "generations.jsonl"),
+                 "--report", str(tmp_path / "r.json"), "--threshold", "nan"]) == 5
+    assert capsys.readouterr().err == "error: threshold must be a number, got nan\n"
 
 
 def test_significance(tmp_path, capsys):
@@ -599,6 +632,7 @@ def test_generate_refuses_a_model_context_of_order_or_more_ids(small_model, tmp_
 @pytest.mark.parametrize("bad", [
     "C\t{ctx},\t{ev}", "C\t{ctx},x\t{ev}",
     "C\t{ctx}\t0:1:2", "C\t{ctx}\t0:", "C\t{ctx}\t:1", "C\t{ctx}\t0:1  2:1",
+    "C\t\t1:2 1:5",
 ])
 def test_generate_rejects_a_malformed_model_line_after_valid_ones(small_model, tmp_path,
                                                                   capsys, bad):
@@ -739,8 +773,13 @@ def test_a_null_request_field_means_its_default(small_model, tmp_path, capsys, k
      "error: {where} max_tokens must be at least 1, got 0"),
     ('{"scheme": "ABAB", "max_tokens": -4}', 5,
      "error: {where} max_tokens must be at least 1, got -4"),
+    ('{"scheme": "BABA"}', 5,
+     "error: {where} scheme 'BABA' is not in canonical form; write it 'ABAB'"),
+    ('{"scheme": "ABAC"}', 5,
+     "error: {where} scheme 'ABAC' is not in canonical form; write it 'AXAX'"),
 ], ids=["meter", "strophe-meter", "year-text", "year-off-bucket", "scheme", "temperature",
-        "meter-count", "seed", "max-tokens-zero", "max-tokens-negative"])
+        "meter-count", "seed", "max-tokens-zero", "max-tokens-negative",
+        "scheme-letters-out-of-order", "scheme-single-letter"])
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
 def test_a_request_value_refused_by_its_type_names_its_line(small_model, tmp_path, capsys,
                                                             command, bad, rc, message):

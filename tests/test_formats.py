@@ -31,7 +31,7 @@ def test_encode_meter_verse(example_strophe):
 ])
 def test_parse_encode_identity(fmt, text, example_strophe):
     parsed = formats.parse(text, fmt)
-    assert parsed.verse_texts == [v.text for v in example_strophe.verses]
+    assert [verse for _, verse in parsed.lines] == [v.text for v in example_strophe.verses]
     assert parsed.header.scheme == "ABAB"
     assert str(parsed.header.year_bucket) == "1900"
     # and re-encoding the parse gives the same bytes
@@ -46,17 +46,17 @@ def test_round_trip_on_fixture(fixture_strophes):
         for fmt in DataFormat:
             text = formats.encode(strophe, fmt)
             parsed = formats.parse(text, fmt)
-            assert parsed.verse_texts == [v.text for v in strophe.verses]
+            assert [verse for _, verse in parsed.lines] == [v.text for v in strophe.verses]
 
 
 def test_hash_inside_verse_text_survives():
     verses = [Verse(t, 1 + i % 2, MeterLabel.IAMB) for i, t in enumerate(
         ["zpívá # moře vlny moři", "a duše letí # dávné reje",
          "svítí slunce tiché zoři", "padá # hvězda # do peřeje"])]
-    strophe = Strophe.from_verses(verses, 1900)
+    strophe = Strophe(tuple(verses), YearBucket(1900))
     for fmt in (DataFormat.VERSE_PAR, DataFormat.METER_VERSE):
         parsed = formats.parse(formats.encode(strophe, fmt), fmt)
-        assert parsed.verse_texts == [v.text for v in verses]
+        assert [verse for _, verse in parsed.lines] == [v.text for v in verses]
 
 
 def test_meter_verse_header_has_no_meter():
@@ -141,8 +141,10 @@ def test_consistency_check_ignores_hint_case():
     assert checks[0].end_ok
 
 
-def test_consistency_check_requires_annotations():
+def test_consistency_check_requires_annotations(monkeypatch):
     parsed = formats.parse(EXAMPLE_BASIC, DataFormat.BASIC)
+    # refused before any verse is analysed
+    monkeypatch.setattr(phonology, "analyze", lambda *args: pytest.fail("a verse was analysed"))
     with pytest.raises(FormatError):
         consistency_check(parsed)
 

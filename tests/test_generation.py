@@ -74,7 +74,7 @@ def test_forced_contract(fmt, scheme):
             assert not gen.forced_flags[i]
             first[letter] = i
     # partner verses repeat the annotation, not the verse text
-    texts = gen.parsed.verse_texts
+    texts = [text for _, text in gen.parsed.lines]
     assert len(set(texts)) == len(texts)
 
 

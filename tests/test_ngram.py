@@ -647,6 +647,10 @@ LOAD_BYTES_PER_CONTEXT = 250
 # The per-line loop that ``save`` ran before it rendered its text in
 # blocks peaked at about 88 bytes per context on this model.
 SAVE_BYTES_PER_CONTEXT = 80
+# Iterating ``counts.items()`` while ``_Trie.contexts`` held each node's
+# order, depth and last id as Python lists peaked at about 80 bytes per
+# context on this model.
+ITEMS_BYTES_PER_CONTEXT = 64
 
 
 def test_train_memory_stays_within_a_per_context_bound():
@@ -688,6 +692,14 @@ def test_save_memory_stays_within_a_per_context_bound(tmp_path):
     _, peak = traced_peak(lambda: ngram.save(model, tmp_path / "m.ngram"))
     assert n > 30_000
     assert peak < SAVE_BYTES_PER_CONTEXT * n
+
+
+def test_iterating_counts_stays_within_a_per_context_bound():
+    seqs, vocab = generated_model()
+    model = ngram.train(seqs, 6, vocab)
+    n, peak = traced_peak(lambda: sum(1 for _ in model.counts.items()))
+    assert n == len(model.counts) > 30_000
+    assert peak < ITEMS_BYTES_PER_CONTEXT * n
 
 
 def test_table_cache_is_bounded_and_evicts_least_recently_used(monkeypatch):
@@ -923,9 +935,10 @@ def reference_save(model, path, config=None):
 
 def reference_load(path):
     """``load`` (without a vocabulary) as it was before contexts reused
-    their parent's parse: each line parsed on its own.  After the lines
-    and the header, a context of ``order`` or more ids is refused, naming
-    the first line of the longest context."""
+    their parent's parse: each line parsed on its own, its bucket naming
+    each token once.  After the lines and the header, a context of
+    ``order`` or more ids is refused, naming the first line of the
+    longest context."""
     with open(path, encoding="utf-8") as f:
         if f.readline().rstrip("\n") != ngram.MODEL_MAGIC:
             raise NGramError(f"{path}: not a verseforge n-gram model")
@@ -943,6 +956,8 @@ def reference_load(path):
                     bucket = {}
                     for ev in parts[2].split(" "):
                         t, c = ev.split(":")
+                        if int(t) in bucket:
+                            raise ValueError(f"token {t} named twice")
                         bucket[int(t)] = int(c)
                     counts[ctx] = bucket
                     widths.append((lineno, len(ctx)))
@@ -1181,6 +1196,7 @@ def mutated_model_files(draw):
 @example(lines=["C\t1,2\t0:1", "C\tx\t0:1"])  # a malformed line is named first
 @example(lines=["order\t1", "C\t\t0:1", "C\t1\t0:1"])
 @example(lines=["order\t0", "C\t1\t0:1"])  # the header is checked first
+@example(lines=["C\t\t1:2 1:5"])  # a token named twice
 def test_load_refuses_the_lines_the_per_line_reference_refuses(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("bad") / "m.ngram"
     write_model(path, HEADER, lines)

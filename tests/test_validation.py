@@ -55,6 +55,15 @@ def test_threshold_override():
     assert classify_meter(["xXxXxxxXx"], threshold=0.9) is MeterLabel.NOT_RECOGNIZED
 
 
+def test_a_nan_threshold_is_refused_where_scoring_starts():
+    # no score compares below NaN, so no verse would ever be N
+    assert classify_meter(["xxxxxxxx"]) is MeterLabel.NOT_RECOGNIZED
+    with pytest.raises(ValueError, match="threshold must be a number, got nan"):
+        classify_meter(["xxxxxxxx"], threshold=float("nan"))
+    with pytest.raises(ValueError, match="threshold must be a number, got nan"):
+        evaluate([], threshold=float("nan"))
+
+
 def test_empty_pattern_raises():
     for patterns in ([""], [], ["xXxX", ""]):
         with pytest.raises(ValueError, match="empty stress pattern"):
@@ -498,9 +507,9 @@ def test_evaluate_calls_the_traced_boundaries(fixture_strophes, monkeypatch):
     report = evaluate(pairs, phonology.Syllabifier())
     parsed = [(req, gen.parsed) for req, gen in pairs if gen.parsed is not None]
     assert report.n_parse_failures == len(pairs) - len(parsed) > 0
-    matching = [p for req, p in parsed if len(p.verse_texts) == len(req.scheme)]
+    matching = [p for req, p in parsed if len(p.lines) == len(req.scheme)]
     assert 0 < len(matching) < len(parsed)
     assert len(meters_calls) == len(matching)
-    tokens = {t for _, p in parsed for text in p.verse_texts for t in text.split()}
+    tokens = {t for _, p in parsed for _, text in p.lines for t in text.split()}
     cores = [phonology.strip_punct(t) for t in tokens]
     assert sorted(words) == sorted(c for c in cores if c)
