@@ -12,6 +12,7 @@ import logging
 import math
 import sys
 from contextlib import nullcontext
+from itertools import zip_longest
 
 import click
 
@@ -152,17 +153,6 @@ def train_lm(ctx, corpus_path, vocab_path, order, discount, test_fraction, seed,
         log.info("held-out split is empty; no perplexity")
 
 
-def _record(line: str, where: str) -> dict:
-    """One JSONL line, which must hold an object."""
-    try:
-        d = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{where}: {e}") from None
-    if not isinstance(d, dict):
-        raise FormatError(f"{where}: expected a JSON object, got {type(d).__name__}")
-    return d
-
-
 _OPTIONAL_FIELD_TYPES = (
     ("meters", list), ("temperature", (int, float)), ("seed", int), ("max_tokens", int),
 )
@@ -238,7 +228,7 @@ def generate(ctx, model_path, vocab_path, scheme, year, meters, strophe_meter,
         with open(requests_path, encoding="utf-8") as f, \
                 (open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout)) as sink:
             for i, where, line in corpus.numbered_lines(f, requests_path):
-                d = _record(line, where)
+                d = corpus.record(line, where)
                 for key, value in (("temperature", temperature), ("seed", seed + i),
                                    ("max_tokens", max_tokens)):
                     if d.get(key) is None:
@@ -273,6 +263,28 @@ def generate(ctx, model_path, vocab_path, scheme, year, meters, strophe_meter,
         click.echo(f"# parse-error: {gen.parse_error}", err=True)
 
 
+def _pairs(requests, generations, fmt):
+    """Each (request, generated strophe) of the ``numbered_lines`` of a
+    request and a generation file, read in step.  When one file ends
+    before the other, the rest of the longer one is counted without
+    being parsed, and the two counts are raised as a ``FormatError``."""
+    for n, (r, g) in enumerate(zip_longest(requests, generations)):
+        if r is None or g is None:
+            # the shorter file ended after n records: count the longer one's rest
+            longer = n + 1 + sum(1 for _ in (requests if g is None else generations))
+            n_requests, n_generations = (longer, n) if g is None else (n, longer)
+            raise FormatError(f"{n_requests} requests but {n_generations} generations")
+        (_, r_where, r_line), (_, g_where, g_line) = r, g
+        req = _request_from_dict(corpus.record(r_line, r_where), fmt, r_where)
+        d = corpus.record(g_line, g_where)
+        raw_text, forced = d.get("raw_text"), d.get("forced", [])
+        if not isinstance(raw_text, str) or not isinstance(forced, list):
+            raise FormatError(
+                f"{g_where}: a generation needs a string 'raw_text' and a list 'forced'")
+        yield req, generation.GeneratedStrophe.from_text(
+            raw_text, req, bool(d.get("truncated")), forced)
+
+
 @cli.command()
 @click.option("--requests", "requests_path", required=True, type=click.Path())
 @click.option("--generations", "generations_path", required=True, type=click.Path())
@@ -284,27 +296,18 @@ def generate(ctx, model_path, vocab_path, scheme, year, meters, strophe_meter,
 @click.pass_context
 def evaluate(ctx, requests_path, generations_path, report_path, threshold, fmt,
              exceptions):
-    """Compute the five adherence metrics over generated strophes."""
+    """Compute the five adherence metrics over generated strophes.
+
+    The two files are read in step and each pair is scored as it is
+    read, so memory does not grow with the files."""
     fmt = DataFormat.parse(fmt)
     syllabifier = _syllabifier(exceptions)
-    pairs = []
     with open(requests_path, encoding="utf-8") as rf, \
             open(generations_path, encoding="utf-8") as gf:
-        req_lines = list(corpus.numbered_lines(rf, requests_path))
-        gen_lines = list(corpus.numbered_lines(gf, generations_path))
-    if len(req_lines) != len(gen_lines):
-        raise FormatError(
-            f"{len(req_lines)} requests but {len(gen_lines)} generations")
-    for (_, r_where, rl), (_, g_where, gl) in zip(req_lines, gen_lines):
-        req = _request_from_dict(_record(rl, r_where), fmt, r_where)
-        g = _record(gl, g_where)
-        raw_text, forced = g.get("raw_text"), g.get("forced", [])
-        if not isinstance(raw_text, str) or not isinstance(forced, list):
-            raise FormatError(
-                f"{g_where}: a generation needs a string 'raw_text' and a list 'forced'")
-        pairs.append((req, generation.GeneratedStrophe.from_text(
-            raw_text, req, bool(g.get("truncated")), forced)))
-    report = validation.evaluate(pairs, syllabifier, threshold)
+        report = validation.evaluate(
+            _pairs(corpus.numbered_lines(rf, requests_path),
+                   corpus.numbered_lines(gf, generations_path), fmt),
+            syllabifier, threshold)
     for key, value in report.to_dict().items():
         click.echo(f"{key}\t{value}")
     with open(report_path, "w", encoding="utf-8") as f:

@@ -186,22 +186,32 @@ def numbered_lines(f, path):
             yield index, f"{path}:{index + 1}", line
 
 
+def record(line: str, where: str) -> dict:
+    """The object of one JSON-lines record.  A line that ``json.loads``
+    refuses, one nested too deeply or holding a number of more digits
+    than ``int`` converts among them, and a value that is no object
+    raise ``CorpusFormatError`` naming ``where``, the line's
+    ``path:line``."""
+    try:
+        d = json.loads(line)
+    except (ValueError, RecursionError) as e:
+        raise CorpusFormatError(f"{where}: invalid JSON ({e})") from None
+    if not isinstance(d, dict):
+        raise CorpusFormatError(f"{where}: expected a JSON object, got {type(d).__name__}")
+    return d
+
+
 def ingest(path) -> list[Strophe]:
     """Load a corpus file; malformed records fail with a line-addressed error."""
     strophes = []
     with open(path, encoding="utf-8") as f:
         for index, where, line in numbered_lines(f, path):
-            try:
-                poem = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(f"{where}: invalid JSON ({e})") from None
-            if not isinstance(poem, dict) or "strophes" not in poem:
-                raise CorpusFormatError(f"{where}: poem object must have 'strophes'")
+            poem = record(line, where)
+            if not isinstance(poem.get("strophes"), list):
+                raise CorpusFormatError(f"{where}: field 'strophes' must be a list")
             year = poem.get("year")
             if year is not None and not json_isinstance(year, int):
                 raise CorpusFormatError(f"{where}: field 'year' must be integer or null")
-            if not isinstance(poem["strophes"], list):
-                raise CorpusFormatError(f"{where}: field 'strophes' must be a list")
             for si, raw in enumerate(poem["strophes"]):
                 if not isinstance(raw, list):
                     raise CorpusFormatError(f"{where} strophe {si}: a strophe must be a list")

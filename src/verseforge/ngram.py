@@ -926,7 +926,10 @@ def _read_image(path) -> NGramModel | None:
         at = len(IMAGE_MAGIC) + 8 + n
         if at > size:
             raise ValueError("header runs past the end of the file")
-        head = json.loads(f.read(n))
+        try:
+            head = json.loads(f.read(n))
+        except RecursionError:  # nested too deeply to decode
+            raise ValueError("malformed header") from None
         # each field of exactly its type: a JSON true is no int
         if (not isinstance(head, dict) or head.keys() != _IMAGE_HEADER.keys()
                 or any(type(head[key]) is not kind for key, kind in _IMAGE_HEADER.items())

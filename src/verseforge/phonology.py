@@ -126,11 +126,26 @@ def _split_at(word: str, nuclei: list[tuple[int, int]]) -> tuple[str, ...]:
     return tuple(pieces)
 
 
+def _override(word: str, parts) -> tuple[str, ...]:
+    """``parts`` as the syllables of ``word``; raises ``PhonologyError``
+    unless they spell it, in any case, and each has a nucleus."""
+    parts = tuple(parts)
+    if "".join(parts).lower() != word.lower():
+        raise PhonologyError(f"split does not spell {word!r}")
+    for part in parts:
+        if not _find_nuclei(part):
+            raise PhonologyError(f"syllable {part!r} has no nucleus")
+    return parts
+
+
 class Syllabifier:
     """Per-word syllable overrides and the token memo that uses them."""
 
     def __init__(self, exceptions: dict[str, tuple[str, ...]] | None = None):
-        self._exceptions = MappingProxyType(dict(exceptions or {}))
+        """Each override is checked by ``_override`` and keyed by its
+        word's lowercase spelling, which lookups use."""
+        self._exceptions = MappingProxyType(
+            {word.lower(): _override(word, parts) for word, parts in (exceptions or {}).items()})
         self._tokens = _TokenMemo(self)
 
     @property
@@ -152,15 +167,10 @@ class Syllabifier:
                 except ValueError:
                     raise PhonologyError(
                         f"{path}:{lineno}: expected word<TAB>syl-la-bles")
-                parts = tuple(split.split("-"))
-                if "".join(parts) != word:
-                    raise PhonologyError(
-                        f"{path}:{lineno}: split does not spell {word!r}")
-                for part in parts:
-                    if not _find_nuclei(part):
-                        raise PhonologyError(
-                            f"{path}:{lineno}: syllable {part!r} has no nucleus")
-                exceptions[word.lower()] = parts
+                try:
+                    exceptions[word.lower()] = _override(word, split.split("-"))
+                except PhonologyError as e:
+                    raise PhonologyError(f"{path}:{lineno}: {e}") from None
         return cls(exceptions)
 
 

@@ -241,7 +241,8 @@ def _requested_meters(request, parsed) -> list[MeterLabel | None]:
 
 def evaluate(pairs, syllabifier=None,
              threshold: float = DEFAULT_THRESHOLD) -> MetricsReport:
-    """Five adherence metrics over (request, generated strophe) pairs.
+    """Five adherence metrics over (request, generated strophe) pairs,
+    an iterable read once, one pair at a time.
 
     Unparseable strophes fail all strophe-level metrics and are counted
     separately; verse-level metrics run over parseable strophes only.

@@ -133,6 +133,10 @@ def test_a_blank_line_between_poems_still_counts_in_poem_index(tmp_path):
 
 @pytest.mark.parametrize("mutate,message", [
     (lambda p: "{broken", "invalid JSON"),
+    (lambda p: "[" * 100_000, r"invalid JSON \(maximum recursion depth exceeded"),
+    (lambda p: p.replace('"year": 1900', '"year": ' + "9" * 5000),
+     r"invalid JSON \(Exceeds the limit \(4300 digits\)"),
+    (lambda p: "[]", "expected a JSON object, got list"),
     (lambda p: json.dumps({"year": 1900}), "strophes"),
     (lambda p: p.replace('"meter": "J"', '"meter": "Q"'), "meter"),
     (lambda p: p.replace('"rhyme": 1', '"rhyme": "one"'), "rhyme"),

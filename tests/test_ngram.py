@@ -261,6 +261,8 @@ HEAD = len(ngram.IMAGE_MAGIC) + 8  # where an image's JSON header starts
     (lambda raw, path: b"X" + raw[1:], "not a model image"),
     (lambda raw, path: raw[:HEAD + 5], "header runs past the end"),
     (lambda raw, path: raw[:HEAD] + b"[" + raw[HEAD + 1:], "Expecting"),
+    (lambda raw, path: ngram.IMAGE_MAGIC + (100_000).to_bytes(8, "little") + b"[" * 100_000,
+     "malformed header"),
     (lambda raw, path: raw.replace(b'"order"', b'"ordex"', 1), "malformed header"),
     (lambda raw, path: re.sub(rb'"lengths": \[\d', b'"lengths": [-', raw, count=1),
      "malformed header"),
@@ -290,9 +292,10 @@ HEAD = len(ngram.IMAGE_MAGIC) + 8  # where an image's JSON header starts
     (set_field("discount", 0.5), "header differs from the text's"),
     (set_field("vocab_hash", "0" * 64), "header differs from the text's"),
     (resigned(lambda head, arrays: head["starts"].insert(1, 1)), "starts does not hold a trie"),
-], ids=["magic", "header-cut", "header-json", "header-key", "header-length", "longer",
-        "shorter", "array-byte", "kids-first", "kids-order", "bucket-below", "bucket-above",
-        "ev_off-order", "starts-end", "order-str", "order-float", "order-bool", "discount-str",
+], ids=["magic", "header-cut", "header-json", "header-deep", "header-key", "header-length",
+        "longer", "shorter", "array-byte", "kids-first", "kids-order", "bucket-below",
+        "bucket-above", "ev_off-order", "starts-end", "order-str", "order-float", "order-bool",
+        "discount-str",
         "vocab_size-float", "vocab_hash-null", "starts-null", "starts-float",
         "starts-beyond-64-bits", "order-other", "order-beyond-64-bits", "discount-other",
         "vocab_hash-other", "starts-deeper-than-order"])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import unicodedata
 
@@ -137,6 +138,28 @@ def test_exceptions_file_refuses_a_syllable_with_no_nucleus(tmp_path, entry):
     path.write_text(f"moři\tmoř-i\n{entry}\n", encoding="utf-8")
     with pytest.raises(ph.PhonologyError, match=rf"^{path}:2: .*no nucleus"):
         ph.Syllabifier.from_exceptions_file(path)
+
+
+@pytest.mark.parametrize("exceptions, message", [
+    ({"pst": ("p", "st")}, "syllable 'p' has no nucleus"),
+    ({"moři": ("moř", "i"), "mrak": ("mrak", "")}, "syllable '' has no nucleus"),
+    ({"kolo": ("kol", "x")}, "split does not spell 'kolo'"),
+], ids=["consonants-only", "empty-syllable", "other-word"])
+def test_overrides_are_checked_where_they_enter(exceptions, message):
+    """The constructor refuses an override that the exceptions file
+    refuses, so that none can split a word into pieces it does not spell
+    or into a syllable with no nucleus."""
+    with pytest.raises(ph.PhonologyError, match=f"^{re.escape(message)}$"):
+        ph.Syllabifier(exceptions)
+
+
+def test_an_override_is_keyed_by_its_lowercase_spelling():
+    syl = ph.Syllabifier({"Moři": ("Moř", "i")})
+    assert dict(syl.exceptions) == {"moři": ("Moř", "i")}
+    assert ph.syllabify("moři", syl) == ("moř", "i")
+    assert ph.syllabify("MOŘI", syl) == ("MOŘ", "I")
+    # a split spells its word in any case, since lookups ignore case
+    assert ph.Syllabifier({"MOŘI": ("moř", "i")}).exceptions == {"moři": ("moř", "i")}
 
 
 # "İ" lowercases to two characters, "i" and a combining dot above.
