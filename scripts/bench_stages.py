@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Time the stages that turn a gold strophe into token ids: format encode
+(``formats.encode``) and tokenizer encode (``tokenizers.encode``) of each
+tokenizer kind, on the fixture corpus and on a 2x scaled copy of it.
+
+Run from the repo root:
+
+    python3 scripts/bench_stages.py [--checkout DIR[=LABEL] ...] \\
+        [--repeats N] [--seed S] [--out FILE]
+
+Each ``--checkout`` (default: this repository) is a source tree whose
+``src/verseforge`` is measured; with two or more, the runs of each stage
+alternate between them, so that a slow spell of the host falls on both.
+Every run is a process of its own, which ingests the corpus, builds
+what the stage needs untimed and then times one pass of the stage over
+every item, on a cold token memo.  The corpora come from this
+repository: its fixture, and ``perfbench/synth.py``'s ``scaled_corpus``
+of it with 2 copies and seed ``--seed``.  Times are scaled by
+``perfbench/hostspeed.py``'s reference, timed around each window of
+``WINDOW`` items, so that they read as on a host where the reference
+takes 1 ms, as the benchmark's end-to-end times do.
+
+One JSON row per checkout, stage, corpus and kind: the checkout's label
+(``git describe --always --dirty`` unless given), the stage, corpus,
+tokenizer kind (null for format encode) and format, the item count, the
+median scaled wall time of the repeats with each repeat's, the items per
+second at that median and the largest peak RSS of the runs.  The rows
+are printed, and with ``--out`` written to that JSON file's ``"stages"``
+list, its other keys kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+FIXTURE = ROOT / "tests" / "data" / "fixture_corpus.jsonl"
+SCALED_COPIES = 2
+WINDOW = 100            # items per window between two host-speed references
+BPE_VOCAB_SIZE = 200    # the size of the benchmark's ``our`` vocabulary
+FORMAT = "meter_verse"  # the format whose texts the tokenizers encode
+# (stage, tokenizer kind, format)
+STAGES = [("format_encode", None, "verse_par"), ("format_encode", None, "meter_verse")] + [
+    ("tokenizer_encode", kind, FORMAT) for kind in ("unicode", "syllable", "our")]
+
+
+def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str) -> dict:
+    """One timed pass of ``stage`` over the strophes of ``corpus_path``."""
+    import hostspeed
+    from verseforge import corpus, formats, tokenizers
+    from verseforge.formats import DataFormat
+    from verseforge.tokenizers import TokenizerKind
+
+    fmt = DataFormat.parse(fmt)
+    strophes = corpus.ingest(corpus_path)
+    if stage == "format_encode":
+        items = strophes
+
+        def step(s):
+            formats.encode(s, fmt)
+    else:
+        items = [formats.encode(s, fmt) for s in strophes]
+        vocab = tokenizers.build_vocab(TokenizerKind.parse(kind), items, BPE_VOCAB_SIZE)
+
+        def step(text):
+            tokenizers.encode(vocab, text)
+    clock = time.perf_counter
+    windows = hostspeed.Windows()
+    windows.start()
+    raw_s = scaled_s = 0.0
+    for lo in range(0, len(items), WINDOW):
+        t = clock()
+        for item in items[lo:lo + WINDOW]:
+            step(item)
+        raw = clock() - t
+        raw_s += raw
+        scaled_s += raw * windows.close()
+    return {"items": len(items), "wall_s": scaled_s, "raw_s": raw_s,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+def label_of(checkout: Path) -> str:
+    try:
+        return subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
+                              capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return checkout.name
+
+
+def child(checkout: Path, stage, kind, fmt, corpus_path) -> dict:
+    """``run_stage`` in a process of its own, on ``checkout``'s package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(checkout / "src"), str(PERFBENCH)]))
+    out = subprocess.run(
+        [sys.executable, __file__, "--run-stage", stage, kind or "", fmt, str(corpus_path)],
+        env=env, capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--checkout", action="append", default=[],
+                    help="DIR or DIR=LABEL of a source tree to measure (repeatable)")
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--seed", default="0", help="seed of the scaled corpus")
+    ap.add_argument("--out", help="JSON file whose 'stages' list the rows replace")
+    ap.add_argument("--run-stage", nargs=4, metavar=("STAGE", "KIND", "FORMAT", "CORPUS"),
+                    help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.run_stage:
+        stage, kind, fmt, corpus_path = args.run_stage
+        print(json.dumps(run_stage(stage, kind or None, fmt, corpus_path)))
+        return
+
+    sys.path.insert(0, str(PERFBENCH))
+    import synth
+
+    checkouts = []
+    for spec in args.checkout or [str(ROOT)]:
+        path, _, label = spec.partition("=")
+        path = Path(path).resolve()
+        checkouts.append((path, label or label_of(path)))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpora = {"fixture": FIXTURE, f"scaled{SCALED_COPIES}x": Path(tmp) / "scaled.jsonl"}
+        synth.write_jsonl(synth.scaled_corpus(synth.read_jsonl(FIXTURE), SCALED_COPIES,
+                                              args.seed), corpora[f"scaled{SCALED_COPIES}x"])
+        runs = {}
+        for r in range(args.repeats):
+            for name, corpus_path in corpora.items():
+                for stage, kind, fmt in STAGES:
+                    # alternate which checkout runs first
+                    for path, label in checkouts[r % 2:] + checkouts[:r % 2]:
+                        runs.setdefault((label, stage, name, kind, fmt), []).append(
+                            child(path, stage, kind, fmt, corpus_path))
+    rows = []
+    for (label, stage, name, kind, fmt), results in runs.items():
+        wall = statistics.median(x["wall_s"] for x in results)
+        rows.append({"commit": label, "stage": stage, "corpus": name, "kind": kind,
+                     "format": fmt, "items": results[0]["items"], "wall_s": round(wall, 5),
+                     "wall_s_runs": [round(x["wall_s"], 5) for x in results],
+                     "items_per_s": round(results[0]["items"] / wall, 1),
+                     "peak_rss_mb": round(max(x["peak_rss_mb"] for x in results), 1)})
+    rows.sort(key=lambda row: (row["stage"], row["corpus"], row["kind"] or "", row["format"],
+                               row["commit"]))
+    for row in rows:
+        print(json.dumps(row))
+    if args.out:
+        doc = json.loads(Path(args.out).read_text(encoding="utf-8")) if Path(args.out).exists() \
+            else {}
+        doc["stages"] = rows
+        Path(args.out).write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n",
+                                  encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

@@ -278,11 +278,14 @@ def _pairs(requests, generations, fmt):
         req = _request_from_dict(corpus.record(r_line, r_where), fmt, r_where)
         d = corpus.record(g_line, g_where)
         raw_text, forced = d.get("raw_text"), d.get("forced", [])
+        truncated = d.get("truncated", False)
         if not isinstance(raw_text, str) or not isinstance(forced, list):
             raise FormatError(
                 f"{g_where}: a generation needs a string 'raw_text' and a list 'forced'")
-        yield req, generation.GeneratedStrophe.from_text(
-            raw_text, req, bool(d.get("truncated")), forced)
+        if not all(isinstance(f, bool) for f in forced) or not isinstance(truncated, bool):
+            raise FormatError(
+                f"{g_where}: 'forced' must hold booleans and 'truncated' be a boolean")
+        yield req, generation.GeneratedStrophe.from_text(raw_text, req, truncated, forced)
 
 
 @cli.command()

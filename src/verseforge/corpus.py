@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -186,18 +187,45 @@ def numbered_lines(f, path):
             yield index, f"{path}:{index + 1}", line
 
 
+# a JSON escape of a UTF-16 surrogate, in either case
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def _strings(value):
+    """Every string in a decoded JSON value, keys included."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            yield value
+        elif isinstance(value, dict):
+            stack += value
+            stack += value.values()
+        elif isinstance(value, list):
+            stack += value
+
+
 def record(line: str, where: str) -> dict:
     """The object of one JSON-lines record.  A line that ``json.loads``
     refuses, one nested too deeply or holding a number of more digits
-    than ``int`` converts among them, and a value that is no object
-    raise ``CorpusFormatError`` naming ``where``, the line's
-    ``path:line``."""
+    than ``int`` converts among them, a value that is no object and a
+    string holding a lone surrogate (an unpaired ``\\ud800``-``\\udfff``
+    escape, which no UTF-8 output can write) raise ``CorpusFormatError``
+    naming ``where``, the line's ``path:line``.  Only a line with a
+    surrogate escape has its strings searched."""
     try:
         d = json.loads(line)
     except (ValueError, RecursionError) as e:
         raise CorpusFormatError(f"{where}: invalid JSON ({e})") from None
     if not isinstance(d, dict):
         raise CorpusFormatError(f"{where}: expected a JSON object, got {type(d).__name__}")
+    if _SURROGATE_ESCAPE_RE.search(line):
+        for s in _strings(d):
+            m = _SURROGATE_RE.search(s)
+            if m:
+                raise CorpusFormatError(
+                    f"{where}: a string holds the lone surrogate \\u{ord(m[0]):04x}")
     return d
 
 

@@ -44,11 +44,18 @@ class LineAnnotation:
 
     def prefix(self, fmt: DataFormat) -> str:
         """The forced-generation prefix string for this annotation."""
-        if fmt is DataFormat.METER_VERSE:
-            return f"{self.meter.value}{SEP}{self.syllable_count}{SEP}{self.ending_hint}{SEP}"
-        if fmt is DataFormat.VERSE_PAR:
-            return f"{self.syllable_count}{SEP}{self.ending_hint}{SEP}"
-        raise FormatError(f"format {fmt.value} carries no line annotations")
+        return annotation_prefix(fmt, self.meter, self.syllable_count, self.ending_hint)
+
+
+def annotation_prefix(fmt: DataFormat, meter: MeterLabel | None, syllable_count: int,
+                      ending_hint: str) -> str:
+    """The prefix of a verse annotated with these fields in ``fmt``;
+    ``meter`` is read only in METER_VERSE."""
+    if fmt is DataFormat.METER_VERSE:
+        return f"{meter.value}{SEP}{syllable_count}{SEP}{ending_hint}{SEP}"
+    if fmt is DataFormat.VERSE_PAR:
+        return f"{syllable_count}{SEP}{ending_hint}{SEP}"
+    raise FormatError(f"format {fmt.value} carries no line annotations")
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,24 +81,24 @@ class ParsedStrophe:
 
 def encode(strophe: Strophe, fmt: DataFormat, syllabifier=None) -> str:
     """A gold strophe as text in ``fmt``: its header, then each verse
-    behind the annotation prefix that phonology derives for it."""
+    behind the annotation prefix that phonology derives for it.  A
+    verse's syllable count (one stress mark per syllable) and clausula
+    are read from the syllabifier's token memo (``phonology._verse``);
+    an annotated verse with no syllable raises ``PhonologyError``."""
     header = StropheHeader(
         scheme=strophe.scheme,
         year_bucket=strophe.year_bucket,
         strophe_meter=None if fmt is DataFormat.METER_VERSE else modal_meter(strophe),
     )
     out = [header.render(fmt)]
+    if fmt is DataFormat.BASIC:
+        out += [v.text for v in strophe.verses]
+        return "\n".join(out)
     for v in strophe.verses:
-        if fmt is DataFormat.BASIC:
-            out.append(v.text)
-            continue
-        analysis = phonology.analyze(v.text, syllabifier)
-        ann = LineAnnotation(
-            meter=v.gold_meter if fmt is DataFormat.METER_VERSE else None,
-            syllable_count=len(analysis.syllables),
-            ending_hint=analysis.ending_hint(),
-        )
-        out.append(ann.prefix(fmt) + v.text)
+        _, stress, clausula = phonology._verse(v.text, syllabifier)
+        if not stress:
+            raise phonology.no_syllables(v.text)
+        out.append(annotation_prefix(fmt, v.gold_meter, len(stress), clausula) + v.text)
     return "\n".join(out)
 
 

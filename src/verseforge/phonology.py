@@ -267,8 +267,13 @@ class VerseAnalysis:
     def ending_hint(self) -> str:
         """The clausula; PhonologyError when the verse has no syllables."""
         if not self.syllables:
-            raise PhonologyError(f"verse has no syllables: {self.text!r}")
+            raise no_syllables(self.text)
         return self.clausula
+
+
+def no_syllables(text: str) -> PhonologyError:
+    """The error of a verse that needs, and lacks, a syllable."""
+    return PhonologyError(f"verse has no syllables: {text!r}")
 
 
 def analyze(text: str, syllabifier: Syllabifier | None = None) -> VerseAnalysis:

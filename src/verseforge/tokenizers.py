@@ -19,6 +19,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 from . import phonology
 
@@ -235,13 +236,16 @@ def line_tokens(vocab: Vocab, line: str, syllabifier=None) -> list[str]:
 
 def encode(vocab: Vocab, text: str, syllabifier=None) -> list[int]:
     """Token ids; lines are joined by the separator id.  Tokens missing
-    from the vocabulary become the unknown id (never an exception)."""
+    from the vocabulary become the unknown id (never an exception).
+    Each line's tokens are mapped to ids in one ``map`` over
+    ``line_tokens``, for every kind; the syllables of a SYLLABLE line
+    come from the syllabifier's token memo."""
     id_of, sep_id, unk_id = vocab.id_of, vocab.sep_id, vocab.unk_id
     ids = []
     for i, line in enumerate(text.split("\n")):
         if i:
             ids.append(sep_id)
-        ids.extend([id_of.get(tok, unk_id) for tok in line_tokens(vocab, line, syllabifier)])
+        ids += map(id_of.get, line_tokens(vocab, line, syllabifier), repeat(unk_id))
     return ids
 
 

@@ -660,6 +660,52 @@ def test_evaluate_rejects_a_bad_line(tmp_path, capsys, requests, generations, wh
     assert where in err and "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("fields", [
+    '"forced": ["x"]', '"forced": [1, 0]', '"forced": [null]', '"forced": [[true]]',
+    '"truncated": {"a": 1}', '"truncated": 1', '"truncated": "yes"', '"truncated": null',
+])
+def test_evaluate_refuses_forced_flags_and_truncation_that_are_no_booleans(tmp_path, capsys,
+                                                                            fields):
+    (tmp_path / "requests.jsonl").write_text('{"scheme": "ABAB"}\n' * 2, encoding="utf-8")
+    (tmp_path / "generations.jsonl").write_text(
+        '{"raw_text": "# ABAB # 1900", "forced": [true, false], "truncated": true}\n'
+        f'{{"raw_text": "# ABAB # 1900", {fields}}}\n', encoding="utf-8")
+    rc = main(["evaluate", "--requests", str(tmp_path / "requests.jsonl"),
+               "--generations", str(tmp_path / "generations.jsonl"),
+               "--report", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert "generations.jsonl:2:" in err and "boolean" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_lone_surrogate_in_a_request_names_its_line_before_anything_is_written(
+        small_model, tmp_path, capsys):
+    vocab, model = small_model
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text(f'{GOOD_REQUEST}\n{{"scheme": "ABAB", "note": "a\\ud800b"}}\n',
+                        encoding="utf-8")
+    out = tmp_path / "gen.jsonl"
+    rc = main(["generate", "--model", str(model), "--vocab", str(vocab),
+               "--requests", str(requests), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert "requests.jsonl:2: " in err and "surrogate" in err and "Traceback" not in err
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_a_lone_surrogate_in_a_corpus_leaves_no_vocabulary(mini_corpus, tmp_path, capsys):
+    lines = mini_corpus.read_text(encoding="utf-8").splitlines()
+    lines[5] = lines[5].replace('"text": "', '"text": "\\udc00', 1)
+    mini_corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["train-tokenizer", "--corpus", str(mini_corpus), "--kind", "unicode",
+               "--out", str(tmp_path / "v.vocab")])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert "mini.jsonl:6: " in err and "surrogate" in err and "Traceback" not in err
+    assert not (tmp_path / "v.vocab").exists()
+
 # Lines that ``json.loads`` refuses with no ``JSONDecodeError``: one
 # nested past the recursion limit, and one holding a number of more
 # digits than ``int`` converts.

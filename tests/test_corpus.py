@@ -156,6 +156,29 @@ def test_ingest_line_addressed_errors(tmp_path, mutate, message):
     assert ":1" in str(err.value)
 
 
+
+@pytest.mark.parametrize("escape", [r"\ud800", r"\uD800", r"\udfff", r"\uDC00x", r"\ud83d\ud83d"])
+@pytest.mark.parametrize("spot", ["text", "meter", "key"])
+def test_a_lone_surrogate_escape_names_its_line(tmp_path, escape, spot):
+    poem = json.dumps(_poem())
+    if spot == "key":
+        poem = poem.replace('"year"', '"' + escape + '": 0, "year"', 1)
+    else:
+        poem = poem.replace(f'"{spot}": "', f'"{spot}": "{escape}', 1)
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(_poem()) + "\n" + poem + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"c\.jsonl:2: .*lone surrogate"):
+        corpus.ingest(path)
+
+
+@pytest.mark.parametrize("text", [r"\ud83d\ude00", r"\uD83D\uDE00", r"\\ud800", r"\ud7ff"])
+def test_a_surrogate_pair_or_an_escaped_backslash_is_no_lone_surrogate(tmp_path, text):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(_poem()).replace('"text": "', f'"text": "{text}', 1) + "\n",
+                    encoding="utf-8")
+    assert len(corpus.ingest(path)) == 1
+
+
 def test_split_is_deterministic_and_exact(fixture_strophes):
     train1, test1 = corpus.split(fixture_strophes, 0.1, seed=7)
     train2, test2 = corpus.split(fixture_strophes, 0.1, seed=7)

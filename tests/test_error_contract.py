@@ -20,7 +20,7 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 
 # stand-ins for a JSON value of another type
 OTHER_VALUES = [None, 0, -1, 7, 10**6, 0.5, -2.5, math.nan, math.inf, "", "x", "ABAB",
-                [], [5], {}, True, [[5]]]
+                "\udfff", [], [5], {}, True, [[5]]]
 
 # what a character mutation inserts: the separators of every file format
 MUTANT_CHARS = "\t\n ,:#\\-059xJé"
@@ -187,3 +187,40 @@ def test_mutated_inputs_exit_with_a_documented_code(setup, data):
     mutated[name].write_text(mutate(data, text), encoding="utf-8")
     for argv in commands(name, mutated, tmp):
         assert main(argv) in EXIT_CODES, argv
+
+
+def with_lone_surrogate(record, n):
+    """A copy of ``record`` with a lone surrogate put into its ``n``-th
+    string: its string values first, then its keys."""
+    record = copy.deepcopy(record)
+    spots = list(value_spots(record))
+    values = [(c, k) for c, k in spots if isinstance(c[k], str)]
+    keys = [(c, k) for c, k in spots if isinstance(c, dict)]
+    if n < len(values):
+        container, key = values[n]
+        container[key] = container[key][:1] + "\ud800" + container[key][1:]
+    else:
+        container, key = keys[n - len(values)]
+        container[key[:1] + "\udc00" + key[1:]] = container.pop(key)
+    return record
+
+
+@pytest.mark.parametrize("name", ["corpus.jsonl", "requests.jsonl", "generations.jsonl"])
+def test_a_lone_surrogate_in_any_string_names_its_line(setup, capsys, name):
+    """Each string value and key of a record's line, with a lone surrogate
+    escape in it, is refused with exit 4 and the line's ``path:line``."""
+    tmp, paths = setup
+    lines = paths[name].read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    spots = list(value_spots(record))
+    n_strings = sum(isinstance(c[k], str) for c, k in spots) + sum(
+        isinstance(c, dict) for c, _ in spots)
+    mutated = dict(paths, **{name: tmp / f"surrogate-{name}"})
+    for n in range(n_strings):
+        line = json.dumps(with_lone_surrogate(record, n)) + "\n"
+        mutated[name].write_text("".join([lines[0], line, *lines[2:]]), encoding="utf-8")
+        for argv in commands(name, mutated, tmp):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 4, (argv, line)
+            assert f"{mutated[name]}:2: " in err and "surrogate" in err, err

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verseforge import formats, phonology
-from verseforge.corpus import MeterLabel, Strophe, Verse, YearBucket
+from verseforge.corpus import MeterLabel, Strophe, Verse, YearBucket, modal_meter
 from verseforge.formats import (
     DataFormat,
     FormatError,
@@ -178,3 +179,72 @@ def test_consistency_check_matches_the_pinned_loop(fixture_strophes):
         with pytest.raises(FormatError) as pinned:
             _checks_as_pinned(basic)
         assert str(got.value) == str(pinned.value)
+
+
+def _strophe_of(texts, meters="JTJT"):
+    verses = [Verse(t, 1 + i % 2, MeterLabel.parse(m)) for i, (t, m) in enumerate(zip(texts, meters))]
+    return Strophe(tuple(verses), YearBucket(1900))
+
+
+@pytest.mark.parametrize("fmt", [DataFormat.VERSE_PAR, DataFormat.METER_VERSE])
+@pytest.mark.parametrize("bare", ["v s k", "z, — !", "« … »"])
+def test_encode_refuses_a_verse_without_syllables(fmt, bare, example_strophe):
+    texts = [v.text for v in example_strophe.verses]
+    texts[2] = bare
+    with pytest.raises(phonology.PhonologyError) as err:
+        formats.encode(_strophe_of(texts), fmt)
+    assert str(err.value) == f"verse has no syllables: {bare!r}"
+
+
+def test_basic_encodes_a_verse_without_syllables(example_strophe):
+    texts = [v.text for v in example_strophe.verses]
+    texts[2] = "v s k"
+    assert formats.encode(_strophe_of(texts), DataFormat.BASIC).split("\n")[3] == "v s k"
+
+
+def _encode_as_pinned(strophe, fmt, syllabifier=None):
+    """encode as it was written over ``analyze`` and ``LineAnnotation.prefix``."""
+    header = StropheHeader(strophe.scheme, strophe.year_bucket,
+                           None if fmt is DataFormat.METER_VERSE else modal_meter(strophe))
+    out = [header.render(fmt)]
+    for v in strophe.verses:
+        if fmt is DataFormat.BASIC:
+            out.append(v.text)
+            continue
+        analysis = phonology.analyze(v.text, syllabifier)
+        ann = LineAnnotation(meter=v.gold_meter if fmt is DataFormat.METER_VERSE else None,
+                             syllable_count=len(analysis.syllables),
+                             ending_hint=analysis.ending_hint())
+        out.append(ann.prefix(fmt) + v.text)
+    return "\n".join(out)
+
+
+# polysyllables, monosyllables that end a verse, stressed prepositions,
+# unstressed function words and clitics without a nucleus
+_WORDS = ["moři", "vysokém", "peřeje", "brázdu", "duchu", "vlny", "stříbro", "loď",
+          "bok", "krev", "noc", "na", "do", "před", "a", "se", "ten", "v", "z", "s", "k",
+          "čtvrť", "prst", "Ölberg", "İris"]
+_PUNCT = ["", "", ",", ".", "!", "—", "…", "«", "»", "?!"]
+_token = st.builds(
+    lambda pre, word, case, post: pre + case(word) + post,
+    st.sampled_from(_PUNCT), st.sampled_from(_WORDS),
+    st.sampled_from([str, str.upper, str.capitalize, str.swapcase]), st.sampled_from(_PUNCT))
+_verse_text = st.lists(_token, min_size=1, max_size=6).map(" ".join).filter(str.strip)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(_verse_text, min_size=4, max_size=4),
+       meters=st.lists(st.sampled_from("JTDAXYHPN"), min_size=4, max_size=4),
+       exceptions=st.sampled_from([None, {"moři": ("mo", "ři")}, {"prst": ("prst",)}]))
+def test_encode_matches_the_pinned_path(texts, meters, exceptions):
+    syllabifier = phonology.Syllabifier(exceptions) if exceptions else None
+    strophe = _strophe_of(texts, meters)
+    for fmt in DataFormat:
+        try:
+            want = _encode_as_pinned(strophe, fmt, syllabifier)
+        except phonology.PhonologyError as e:
+            with pytest.raises(phonology.PhonologyError) as got:
+                formats.encode(strophe, fmt, syllabifier)
+            assert str(got.value) == str(e)
+        else:
+            assert formats.encode(strophe, fmt, syllabifier) == want

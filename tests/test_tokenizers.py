@@ -1,9 +1,10 @@
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verseforge import formats, tokenizers as tok
+from verseforge import corpus, formats, tokenizers as tok
 from verseforge.formats import DataFormat
 from verseforge.tokenizers import (
     EOS_TOKEN,
@@ -14,6 +15,7 @@ from verseforge.tokenizers import (
     TokenizerKind,
     Vocab,
 )
+from helpers import DATA
 
 HEADER = "# ABAB # 1900"
 SPECIALS = [SEP_TOKEN, EOS_TOKEN, UNK_TOKEN]
@@ -293,3 +295,33 @@ def test_vocab_escapes_match_the_pinned_functions(s):
     assert tok._escape(s) == _escape_as_pinned(s)
     assert tok._unescape(s) == _unescape_as_pinned(s)
     assert tok._unescape(tok._escape(s)) == s
+
+
+def _encode_as_pinned(vocab, text, syllabifier=None):
+    """encode as it was written, with a list comprehension per line."""
+    ids = []
+    for i, line in enumerate(text.split("\n")):
+        if i:
+            ids.append(vocab.sep_id)
+        ids.extend([vocab.id_of.get(t, vocab.unk_id)
+                    for t in tok.line_tokens(vocab, line, syllabifier)])
+    return ids
+
+
+@lru_cache(maxsize=None)
+def _vocabs():
+    """A vocabulary of each kind over the first 60 fixture strophes."""
+    strophes = corpus.ingest(DATA / "fixture_corpus.jsonl")[:60]
+    texts = [formats.encode(s, DataFormat.METER_VERSE) for s in strophes]
+    return {kind: tok.build_vocab(kind, texts, 300) for kind in TokenizerKind}
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(list(TokenizerKind)),
+       text=st.text(alphabet="aeioumnrvkšřůéíáýJTX# 0123456789,.\nß\u03a9\u0301€Q",
+                    max_size=60))
+def test_encode_matches_the_pinned_comprehension(kind, text):
+    """Characters outside the vocabularies (ß, Ω, a combining acute, €, Q)
+    map to the unknown id on every path."""
+    vocab = _vocabs()[kind]
+    assert tok.encode(vocab, text) == _encode_as_pinned(vocab, text)
