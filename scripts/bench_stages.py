@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
-"""Time the stages that turn a gold strophe into token ids: format encode
-(``formats.encode``) and tokenizer encode (``tokenizers.encode``) of each
-tokenizer kind, on the fixture corpus and on a 2x scaled copy of it.
+"""Time the stages that turn a gold strophe into token ids and a model:
+format encode (``formats.encode``), tokenizer encode
+(``tokenizers.encode``) of each tokenizer kind, and for ``unicode`` at its
+default order the model's training (``ngram.train``), ``save``, ``load``
+through the image and the parse of its text alone (``ngram._parse``), on
+the fixture corpus and on a 2x scaled copy of it.
 
 Run from the repo root:
 
@@ -13,7 +16,11 @@ Each ``--checkout`` (default: this repository) is a source tree whose
 alternate between them, so that a slow spell of the host falls on both.
 Every run is a process of its own, which ingests the corpus, builds
 what the stage needs untimed and then times one pass of the stage over
-every item, on a cold token memo.  The corpora come from this
+every item, on a cold token memo.  The model stages read a model that
+an earlier process of the same checkout trained on the whole corpus and
+saved, so that a load run's peak RSS is the load's own; their item count
+is the model's contexts, and ``lm_train``'s is the tokens it counts,
+end-of-strophe ids included.  The corpora come from this
 repository: its fixture, and ``perfbench/synth.py``'s ``scaled_corpus``
 of it with 2 copies and seed ``--seed``.  Times are scaled by
 ``perfbench/hostspeed.py``'s reference, timed around each window of
@@ -49,31 +56,76 @@ SCALED_COPIES = 2
 WINDOW = 100            # items per window between two host-speed references
 BPE_VOCAB_SIZE = 200    # the size of the benchmark's ``our`` vocabulary
 FORMAT = "meter_verse"  # the format whose texts the tokenizers encode
+MODEL_KIND = "unicode"  # the kind whose model the model stages train, save and load
+MODEL_STAGES = ("save", "load", "load_text")  # the stages that read the saved model
 # (stage, tokenizer kind, format)
 STAGES = [("format_encode", None, "verse_par"), ("format_encode", None, "meter_verse")] + [
-    ("tokenizer_encode", kind, FORMAT) for kind in ("unicode", "syllable", "our")]
+    ("tokenizer_encode", kind, FORMAT) for kind in ("unicode", "syllable", "our")] + [
+    (stage, MODEL_KIND, FORMAT) for stage in ("lm_train", *MODEL_STAGES)]
 
 
-def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str) -> dict:
-    """One timed pass of ``stage`` over the strophes of ``corpus_path``."""
-    import hostspeed
+def encoded(corpus_path: str, fmt: str, kind: str):
+    """The ``fmt`` texts of the corpus's strophes and the ``kind``
+    vocabulary built from them."""
     from verseforge import corpus, formats, tokenizers
     from verseforge.formats import DataFormat
     from verseforge.tokenizers import TokenizerKind
 
-    fmt = DataFormat.parse(fmt)
-    strophes = corpus.ingest(corpus_path)
+    texts = [formats.encode(s, DataFormat.parse(fmt)) for s in corpus.ingest(corpus_path)]
+    return texts, tokenizers.build_vocab(TokenizerKind.parse(kind), texts, BPE_VOCAB_SIZE)
+
+
+def sequences(vocab, texts) -> list[list[int]]:
+    from verseforge import tokenizers
+
+    return [tokenizers.encode(vocab, t) + [vocab.eos_id] for t in texts]
+
+
+def save_model(corpus_path: str, model_dir: str) -> None:
+    """Train the ``MODEL_KIND`` model of the corpus at its default order
+    and save it, text and image, as ``model_dir/model.ngram``."""
+    from verseforge import ngram
+
+    texts, vocab = encoded(corpus_path, FORMAT, MODEL_KIND)
+    model = ngram.train(sequences(vocab, texts), ngram.DEFAULT_ORDER[vocab.kind], vocab)
+    ngram.save(model, os.path.join(model_dir, "model.ngram"))
+
+
+def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
+              model_dir: str) -> dict:
+    """One timed pass of ``stage`` over the strophes of ``corpus_path``,
+    or over the model that ``save_model`` saved in ``model_dir``."""
+    import hostspeed
+    from verseforge import corpus, formats, ngram, tokenizers
+    from verseforge.formats import DataFormat
+
+    model_path = os.path.join(model_dir, "model.ngram")
     if stage == "format_encode":
-        items = strophes
+        fmt = DataFormat.parse(fmt)
+        items = corpus.ingest(corpus_path)
 
         def step(s):
             formats.encode(s, fmt)
-    else:
-        items = [formats.encode(s, fmt) for s in strophes]
-        vocab = tokenizers.build_vocab(TokenizerKind.parse(kind), items, BPE_VOCAB_SIZE)
+    elif stage == "tokenizer_encode":
+        items, vocab = encoded(corpus_path, fmt, kind)
 
         def step(text):
             tokenizers.encode(vocab, text)
+    elif stage == "lm_train":
+        texts, vocab = encoded(corpus_path, fmt, kind)
+        items = [sequences(vocab, texts)]
+
+        def step(seqs):
+            return ngram.train(seqs, ngram.DEFAULT_ORDER[vocab.kind], vocab)
+    elif stage == "save":
+        items = [ngram.load(model_path)]
+
+        def step(model):
+            ngram.save(model, os.path.join(model_dir, "resaved.ngram"))
+            return model
+    else:
+        items = [model_path]
+        step = ngram.load if stage == "load" else ngram._parse
     clock = time.perf_counter
     windows = hostspeed.Windows()
     windows.start()
@@ -81,12 +133,18 @@ def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str) -> dict:
     for lo in range(0, len(items), WINDOW):
         t = clock()
         for item in items[lo:lo + WINDOW]:
-            step(item)
+            out = step(item)
         raw = clock() - t
         raw_s += raw
         scaled_s += raw * windows.close()
-    return {"items": len(items), "wall_s": scaled_s, "raw_s": raw_s,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    if stage == "lm_train":
+        n = sum(map(len, items[0]))
+    elif stage in MODEL_STAGES:
+        n = len(out.counts)
+    else:
+        n = len(items)
+    return {"items": n, "wall_s": scaled_s, "raw_s": raw_s, "peak_rss_mb": peak_rss_mb}
 
 
 def label_of(checkout: Path) -> str:
@@ -97,13 +155,12 @@ def label_of(checkout: Path) -> str:
         return checkout.name
 
 
-def child(checkout: Path, stage, kind, fmt, corpus_path) -> dict:
-    """``run_stage`` in a process of its own, on ``checkout``'s package."""
+def child(checkout: Path, *args) -> str:
+    """This script with ``args`` in a process of its own, on
+    ``checkout``'s package; its standard output."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(checkout / "src"), str(PERFBENCH)]))
-    out = subprocess.run(
-        [sys.executable, __file__, "--run-stage", stage, kind or "", fmt, str(corpus_path)],
-        env=env, capture_output=True, text=True, check=True).stdout
-    return json.loads(out.splitlines()[-1])
+    return subprocess.run([sys.executable, __file__, *map(str, args)],
+                          env=env, capture_output=True, text=True, check=True).stdout
 
 
 def main(argv=None) -> None:
@@ -113,12 +170,18 @@ def main(argv=None) -> None:
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--seed", default="0", help="seed of the scaled corpus")
     ap.add_argument("--out", help="JSON file whose 'stages' list the rows replace")
-    ap.add_argument("--run-stage", nargs=4, metavar=("STAGE", "KIND", "FORMAT", "CORPUS"),
+    ap.add_argument("--run-stage", nargs=5,
+                    metavar=("STAGE", "KIND", "FORMAT", "CORPUS", "MODEL_DIR"),
+                    help=argparse.SUPPRESS)
+    ap.add_argument("--save-model", nargs=2, metavar=("CORPUS", "MODEL_DIR"),
                     help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.run_stage:
-        stage, kind, fmt, corpus_path = args.run_stage
-        print(json.dumps(run_stage(stage, kind or None, fmt, corpus_path)))
+        stage, kind, fmt, corpus_path, model_dir = args.run_stage
+        print(json.dumps(run_stage(stage, kind or None, fmt, corpus_path, model_dir)))
+        return
+    if args.save_model:
+        save_model(*args.save_model)
         return
 
     sys.path.insert(0, str(PERFBENCH))
@@ -133,14 +196,22 @@ def main(argv=None) -> None:
         corpora = {"fixture": FIXTURE, f"scaled{SCALED_COPIES}x": Path(tmp) / "scaled.jsonl"}
         synth.write_jsonl(synth.scaled_corpus(synth.read_jsonl(FIXTURE), SCALED_COPIES,
                                               args.seed), corpora[f"scaled{SCALED_COPIES}x"])
+        model_dirs = {}
+        for i, (path, label) in enumerate(checkouts):
+            for name, corpus_path in corpora.items():
+                model_dirs[label, name] = Path(tmp) / f"model-{i}-{name}"
+                model_dirs[label, name].mkdir()
+                child(path, "--save-model", corpus_path, model_dirs[label, name])
         runs = {}
         for r in range(args.repeats):
             for name, corpus_path in corpora.items():
                 for stage, kind, fmt in STAGES:
                     # alternate which checkout runs first
                     for path, label in checkouts[r % 2:] + checkouts[:r % 2]:
+                        out = child(path, "--run-stage", stage, kind or "", fmt, corpus_path,
+                                    model_dirs[label, name])
                         runs.setdefault((label, stage, name, kind, fmt), []).append(
-                            child(path, stage, kind, fmt, corpus_path))
+                            json.loads(out.splitlines()[-1]))
     rows = []
     for (label, stage, name, kind, fmt), results in runs.items():
         wall = statistics.median(x["wall_s"] for x in results)

@@ -19,12 +19,12 @@ from enum import Enum
 
 BUCKET_YEARS = 20
 
-# Dataset-frequency order of meter labels; also the tie-break order used
-# throughout (header modal meter, meter classification).
-METER_ORDER = "JTDAXYHPN"
-
 
 class MeterLabel(str, Enum):
+    """A verse meter.  The members are declared in dataset-frequency
+    order, which is also the tie-break order used throughout (header
+    modal meter, meter classification)."""
+
     IAMB = "J"
     TROCHEE = "T"
     DACTYL = "D"
@@ -43,9 +43,11 @@ class MeterLabel(str, Enum):
             raise CorpusFormatError(f"unknown meter label {s!r}") from None
 
 
+METERS = tuple(MeterLabel)
+METER_ORDER = "".join(m.value for m in METERS)
 # Each label under its letter and under itself, since a member hashes by
 # its name and its letter alone would not find it.
-_METERS = {key: m for m in MeterLabel for key in (m.value, m)}
+_METERS = {key: m for m in METERS for key in (m.value, m)}
 
 
 class CorpusFormatError(ValueError):
@@ -189,21 +191,6 @@ def numbered_lines(f, path):
 
 # a JSON escape of a UTF-16 surrogate, in either case
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
-
-
-def _strings(value):
-    """Every string in a decoded JSON value, keys included."""
-    stack = [value]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, str):
-            yield value
-        elif isinstance(value, dict):
-            stack += value
-            stack += value.values()
-        elif isinstance(value, list):
-            stack += value
 
 
 def record(line: str, where: str) -> dict:
@@ -211,9 +198,9 @@ def record(line: str, where: str) -> dict:
     refuses, one nested too deeply or holding a number of more digits
     than ``int`` converts among them, a value that is no object and a
     string holding a lone surrogate (an unpaired ``\\ud800``-``\\udfff``
-    escape, which no UTF-8 output can write) raise ``CorpusFormatError``
-    naming ``where``, the line's ``path:line``.  Only a line with a
-    surrogate escape has its strings searched."""
+    escape, which no UTF-8 output can write; the first in the line is
+    named) raise ``CorpusFormatError`` naming ``where``, the line's
+    ``path:line``.  Only a line with a surrogate escape is encoded."""
     try:
         d = json.loads(line)
     except (ValueError, RecursionError) as e:
@@ -221,11 +208,11 @@ def record(line: str, where: str) -> dict:
     if not isinstance(d, dict):
         raise CorpusFormatError(f"{where}: expected a JSON object, got {type(d).__name__}")
     if _SURROGATE_ESCAPE_RE.search(line):
-        for s in _strings(d):
-            m = _SURROGATE_RE.search(s)
-            if m:
-                raise CorpusFormatError(
-                    f"{where}: a string holds the lone surrogate \\u{ord(m[0]):04x}")
+        try:
+            json.dumps(d, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise CorpusFormatError(f"{where}: a string holds the lone surrogate "
+                                    f"\\u{ord(e.object[e.start]):04x}") from None
     return d
 
 
@@ -281,8 +268,6 @@ def stats(strophes: list[Strophe]) -> CorpusStats:
 
 
 def modal_meter(strophe: Strophe) -> MeterLabel:
-    """Most prevalent verse meter; ties break by dataset-frequency order."""
-    counts = Counter(v.gold_meter for v in strophe.verses)
-    best = max(counts.items(),
-               key=lambda kv: (kv[1], -METER_ORDER.index(kv[0].value)))
-    return best[0]
+    """Most prevalent verse meter; ties break by ``MeterLabel``'s order."""
+    meters = [v.gold_meter for v in strophe.verses]
+    return max(METERS, key=meters.count)

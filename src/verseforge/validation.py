@@ -12,7 +12,7 @@ from itertools import accumulate, chain, combinations, product
 import numpy as np
 
 from . import phonology
-from .corpus import METER_ORDER, MeterLabel, derive_rhyme_scheme
+from .corpus import METERS, MeterLabel, derive_rhyme_scheme
 from .formats import DataFormat, annotation_matches
 # Neither is called here; perfbench's tracer wraps both by these names.
 from .phonology import ending_hint, verse_syllables  # noqa: F401
@@ -111,7 +111,7 @@ def meter_score(pattern: str, label: MeterLabel) -> float:
     return best
 
 
-_SCORED_LABELS = tuple(MeterLabel(letter) for letter in METER_ORDER[:-1])
+_SCORED_LABELS = METERS[:-1]
 
 
 @lru_cache(maxsize=PATTERN_CACHE_ENTRIES)
@@ -131,8 +131,8 @@ def classify_meter(patterns: list[str],
                    threshold: float = DEFAULT_THRESHOLD) -> MeterLabel:
     """Best-scoring meter template for the pooled scores of ``patterns``
     (one verse, or the verses of a rhyme group), N below the threshold;
-    among equal scores the label earlier in ``METER_ORDER`` wins.  A NaN
-    threshold raises ``ValueError``."""
+    among equal scores the label declared earlier in ``MeterLabel`` wins.
+    A NaN threshold raises ``ValueError``."""
     if not patterns or not all(patterns):
         raise ValueError("empty stress pattern")
     _check_threshold(threshold)

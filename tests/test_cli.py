@@ -695,6 +695,33 @@ def test_a_lone_surrogate_in_a_request_names_its_line_before_anything_is_written
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1
 
 
+# json.loads decodes a line nested this deep; the check for a lone
+# surrogate must get as deep.
+NESTED_DEPTH = 900
+
+
+@pytest.mark.parametrize("name", ["mini.jsonl", "requests.jsonl", "generations.jsonl"])
+def test_a_lone_surrogate_nested_deep_names_its_line(mini_corpus, tmp_path, capsys, name):
+    nested = "[" * NESTED_DEPTH + '"a\\ud800"' + "]" * NESTED_DEPTH
+    paths = {"mini.jsonl": mini_corpus, "requests.jsonl": tmp_path / "requests.jsonl",
+             "generations.jsonl": tmp_path / "generations.jsonl"}
+    paths["requests.jsonl"].write_text(REQUEST_LINE * 2, encoding="utf-8")
+    paths["generations.jsonl"].write_text(GENERATION_LINE * 2, encoding="utf-8")
+    lines = paths[name].read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1][:-1] + ', "deep": ' + nested + "}"
+    paths[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = (["ingest", "--corpus", str(mini_corpus), "--stats-out", str(out)]
+            if name == "mini.jsonl" else
+            ["evaluate", "--requests", str(paths["requests.jsonl"]),
+             "--generations", str(paths["generations.jsonl"]), "--report", str(out)])
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert f"{name}:2: " in err and "lone surrogate \\ud800" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_a_lone_surrogate_in_a_corpus_leaves_no_vocabulary(mini_corpus, tmp_path, capsys):
     lines = mini_corpus.read_text(encoding="utf-8").splitlines()
     lines[5] = lines[5].replace('"text": "', '"text": "\\udc00', 1)

@@ -1,5 +1,7 @@
 import importlib.util
+import itertools
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -171,6 +173,16 @@ def test_a_lone_surrogate_escape_names_its_line(tmp_path, escape, spot):
         corpus.ingest(path)
 
 
+def test_two_lone_surrogates_name_the_first_in_the_line(tmp_path):
+    poem = json.dumps(_poem())
+    head, _, tail = poem.rpartition('"text": "')
+    poem = head.replace('"text": "', '"text": "\\udc01', 1) + '"text": "\\ud802' + tail
+    path = tmp_path / "c.jsonl"
+    path.write_text(poem + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"c\.jsonl:1: .*lone surrogate \\udc01$"):
+        corpus.ingest(path)
+
+
 @pytest.mark.parametrize("text", [r"\ud83d\ude00", r"\uD83D\uDE00", r"\\ud800", r"\ud7ff"])
 def test_a_surrogate_pair_or_an_escaped_backslash_is_no_lone_surrogate(tmp_path, text):
     path = tmp_path / "c.jsonl"
@@ -198,6 +210,34 @@ def test_modal_meter_tie_breaks_by_frequency_order():
     verses = [V(rhyme=1, meter=m) for m in ("T", "T", "T", "D")]
     strophe = Strophe(tuple(verses), YearBucket(1900))
     assert modal_meter(strophe) is MeterLabel.TROCHEE
+
+
+def modal_meter_by_count_and_index(strophe):
+    """The reference rule: the most common label of the strophe, ties
+    broken by the earlier place in ``METER_ORDER``."""
+    counts = Counter(v.gold_meter for v in strophe.verses)
+    return max(counts.items(),
+               key=lambda kv: (kv[1], -corpus.METER_ORDER.index(kv[0].value)))[0]
+
+
+def test_the_meter_order_is_pinned():
+    assert corpus.METER_ORDER == "JTDAXYHPN"
+
+
+def strophe_of_meters(meters):
+    return Strophe(tuple(V(meter=m.value) for m in meters), YearBucket(1900))
+
+
+def test_modal_meter_is_the_count_and_index_rule_for_every_four_verse_strophe():
+    for meters in itertools.product(MeterLabel, repeat=4):
+        strophe = strophe_of_meters(meters)
+        assert modal_meter(strophe) is modal_meter_by_count_and_index(strophe), meters
+
+
+@given(st.lists(st.sampled_from(list(MeterLabel)), min_size=6, max_size=6))
+def test_modal_meter_is_the_count_and_index_rule_for_six_verse_strophes(meters):
+    strophe = strophe_of_meters(meters)
+    assert modal_meter(strophe) is modal_meter_by_count_and_index(strophe)
 
 
 def test_stats(fixture_strophes):
