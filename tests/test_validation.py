@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from functools import lru_cache
 
@@ -142,19 +143,44 @@ def reference_strophe_meters(patterns: list[str], scheme: str,
 
 
 @st.composite
-def schemes_and_patterns(draw):
+def schemes_and_patterns(draw, pattern=st.text("xX", max_size=14)):
     n = draw(st.sampled_from([4, 6]))
     scheme = draw(st.one_of(st.just("X" * n), st.text("ABCX", min_size=n, max_size=n)))
-    patterns = draw(st.lists(st.text("xX", max_size=14), min_size=n, max_size=n))
+    patterns = draw(st.lists(pattern, min_size=n, max_size=n))
     return scheme, patterns
 
 
+# Equal thresholds of another sign or type (0.0 and -0.0, 1 and 1.0)
+# classify alike, so a label scored under one may serve the other.
+THRESHOLDS = [0.3, validation.DEFAULT_THRESHOLD, 0.9, math.inf, -math.inf, 0.0, -0.0, 1, 1.0]
+
+
+@st.composite
+def recurring_calls(draw):
+    """Strophes whose stress patterns come from a small pool, so that
+    rhyme groups recur from call to call, each with a threshold of its
+    own."""
+    pool = draw(st.lists(st.text("xX", min_size=1, max_size=14), min_size=1, max_size=4))
+    pattern = st.one_of(st.just(""), st.sampled_from(pool))
+    return draw(st.lists(st.tuples(schemes_and_patterns(pattern), st.sampled_from(THRESHOLDS)),
+                         min_size=1, max_size=8))
+
+
 @settings(max_examples=300, deadline=None)
-@given(schemes_and_patterns(), st.sampled_from([0.3, validation.DEFAULT_THRESHOLD, 0.9]))
-def test_strophe_meters_match_reference(case, threshold):
-    scheme, patterns = case
-    assert (strophe_meters(patterns, scheme, threshold)
-            == reference_strophe_meters(patterns, scheme, threshold))
+@given(st.one_of(recurring_calls(),
+                 st.lists(st.tuples(schemes_and_patterns(), st.sampled_from(THRESHOLDS)),
+                          min_size=1, max_size=3)))
+def test_strophe_meters_match_reference(calls):
+    for (scheme, patterns), threshold in calls:
+        assert (strophe_meters(patterns, scheme, threshold)
+                == reference_strophe_meters(patterns, scheme, threshold))
+        voiced = [p for p in patterns if p]
+        for p in voiced:
+            assert (classify_meter([p], threshold)
+                    == reference_classify_meter(p, threshold=threshold))
+        if voiced:
+            assert (classify_meter(voiced, threshold)
+                    == reference_classify_meter(voiced[0], voiced, threshold))
 
 
 # Reference: the meter templates as they were built from every ordering
