@@ -28,7 +28,10 @@ DEFAULT_THRESHOLD = 0.6
 MAX_COMPOSED_LENGTH = 24
 
 # Bound of the per-pattern score cache, in distinct stress patterns
-# (about 0.4 KB each), and of the rhyme-key cache, in distinct clausulae.
+# (about 0.4 KB each), of the rhyme-group label memo, in distinct
+# (patterns of a group, threshold) keys (about 0.3 KB each for a pair),
+# and of the rhyme-key cache, in distinct clausulae.  Each is a cache of
+# its own, so group labels never evict a pattern's scores.
 PATTERN_CACHE_ENTRIES = 16384
 
 
@@ -132,10 +135,19 @@ def classify_meter(patterns: list[str],
     """Best-scoring meter template for the pooled scores of ``patterns``
     (one verse, or the verses of a rhyme group), N below the threshold;
     among equal scores the label declared earlier in ``MeterLabel`` wins.
-    A NaN threshold raises ``ValueError``."""
+    A NaN threshold raises ``ValueError``.  The label comes from the
+    memo that ``strophe_meters`` reads too (``_group_label``)."""
     if not patterns or not all(patterns):
         raise ValueError("empty stress pattern")
     _check_threshold(threshold)
+    return _group_label(tuple(patterns), threshold)
+
+
+@lru_cache(maxsize=PATTERN_CACHE_ENTRIES)
+def _group_label(patterns: tuple[str, ...], threshold: float) -> MeterLabel:
+    """``classify_meter`` of non-empty patterns and a threshold that is
+    no NaN.  Equal thresholds share an entry (0.0 and -0.0, 1 and 1.0);
+    they compare alike with every score, so they classify alike."""
     if len(patterns) == 1:
         scores = _pattern_scores(patterns[0])
     else:
@@ -153,17 +165,19 @@ def strophe_meters(patterns: list[str], scheme: str,
 
     The verses of a rhyme group share one label; an X verse is a group of
     its own.  A verse without syllables (empty pattern) is N and adds
-    nothing to the scores of its rhyme-group partners.
+    nothing to the scores of its rhyme-group partners.  A NaN threshold
+    raises ``ValueError``, also when no verse has syllables.
     """
     if len(patterns) != len(scheme):
         raise ValueError("one stress pattern per scheme letter required")
+    _check_threshold(threshold)
     groups: dict[str | int, list[int]] = {}
     for i, letter in enumerate(scheme):
         if patterns[i]:
             groups.setdefault(i if letter == "X" else letter, []).append(i)
     out = [MeterLabel.NOT_RECOGNIZED] * len(patterns)
     for idxs in groups.values():
-        label = classify_meter([patterns[i] for i in idxs], threshold)
+        label = _group_label(tuple([patterns[i] for i in idxs]), threshold)
         for i in idxs:
             out[i] = label
     return out

@@ -65,6 +65,13 @@ def test_a_nan_threshold_is_refused_where_scoring_starts():
         evaluate([], threshold=float("nan"))
 
 
+def test_strophe_meters_refuse_a_nan_threshold_with_no_verse_to_score():
+    with pytest.raises(ValueError, match="threshold must be a number, got nan"):
+        strophe_meters(["", "", "", ""], "ABAB", float("nan"))
+    with pytest.raises(ValueError, match="threshold must be a number, got nan"):
+        strophe_meters(FIG1_PATTERNS, "AXXA", float("nan"))
+
+
 def test_empty_pattern_raises():
     for patterns in ([""], [], ["xXxX", ""]):
         with pytest.raises(ValueError, match="empty stress pattern"):
