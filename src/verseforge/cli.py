@@ -72,7 +72,7 @@ def ingest(ctx, corpus_path, stats_out, min_scheme_count):
         counts = corpus.stats(strophes).scheme_counts
         strophes = [s for s in strophes if counts[s.scheme] >= min_scheme_count]
     st = corpus.stats(strophes)
-    with open(stats_out, "w", encoding="utf-8") as f:
+    with corpus.replacing(stats_out) as f:
         json.dump({"config": _config(ctx), "stats": st.to_dict()}, f,
                   ensure_ascii=False, indent=2)
     click.echo(f"{st.n_strophes} strophes, {st.n_verses} verses, {st.n_poems} poems")
@@ -313,7 +313,7 @@ def evaluate(ctx, requests_path, generations_path, report_path, threshold, fmt,
             syllabifier, threshold)
     for key, value in report.to_dict().items():
         click.echo(f"{key}\t{value}")
-    with open(report_path, "w", encoding="utf-8") as f:
+    with corpus.replacing(report_path) as f:
         json.dump({"config": _config(ctx), "report": report.to_dict()}, f, indent=2)
 
 

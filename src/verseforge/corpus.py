@@ -11,9 +11,11 @@ non-rhyming verses); ``meter`` is a one-letter meter label.
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -187,6 +189,27 @@ def numbered_lines(f, path):
         line = line.strip()
         if line:
             yield index, f"{path}:{index + 1}", line
+
+
+@contextmanager
+def replacing(path, mode: str = "w"):
+    """A file opened in ``mode`` ("w" for UTF-8 text, "wb") under a
+    temporary name beside ``path``, moved onto ``path`` by ``os.replace``
+    when the block ends; when the block raises, the temporary file is
+    removed and ``path`` is left as it was.  An ``OSError`` of the
+    temporary file names ``path`` instead."""
+    name = os.fspath(path)
+    tmp = f"{name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, name)
+    except BaseException as e:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:
+            raise type(e)(e.errno, e.strerror, name) from None
+        raise
 
 
 # a JSON escape of a UTF-16 surrogate, in either case

@@ -86,6 +86,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import replacing
 from .tokenizers import TokenizerKind, Vocab
 
 DEFAULT_DISCOUNT = 0.75
@@ -785,6 +786,12 @@ def save(model: NGramModel, path, config: dict | None = None) -> None:
     file's bytes, the header without it and the arrays, so ``load`` can
     tell an image of another text, or one changed since, from the image
     of its text.
+
+    Each file is written under a temporary name and then replaces its
+    final name (``corpus.replacing``), the text first: a save cut short
+    leaves no partial file, and one cut short in the image leaves the
+    new text beside the old image, whose sha256 then fails, so ``load``
+    logs it and parses the text.
     """
     trie = model._trie
     bucket = np.frombuffer(trie.bucket, np.int64)
@@ -794,7 +801,7 @@ def save(model: NGramModel, path, config: dict | None = None) -> None:
     ev_text, ev_at = _event_texts(trie)
     step = max(SAVE_BLOCK_BYTES // rows.shape[1], 1)
     head = {key: getattr(model, key) for key in MODEL_HEADER}
-    with open(path, "wb") as f:
+    with replacing(path, "wb") as f:
         f.write(_header_lines(head).encode("utf-8"))
         for lo in range(0, len(nodes), step):
             block = nodes[lo:lo + step]
@@ -810,7 +817,7 @@ def save(model: NGramModel, path, config: dict | None = None) -> None:
     head.update(starts=list(trie.starts), lengths=[len(a) for a in arrays])
     head["sha256"] = _image_digest(path, head, arrays)
     data = json.dumps(head).encode()
-    with open(_image_path(path), "wb") as f:
+    with replacing(_image_path(path), "wb") as f:
         f.write(IMAGE_MAGIC + len(data).to_bytes(8, "little") + data)
         for a in arrays:
             f.write(a)

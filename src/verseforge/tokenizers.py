@@ -22,6 +22,7 @@ from enum import Enum
 from itertools import repeat
 
 from . import phonology
+from .corpus import replacing
 
 SEP_TOKEN = "\n"
 EOS_TOKEN = "<eos>"
@@ -123,8 +124,10 @@ def _unescape(s: str) -> str:
 
 def save_vocab(vocab: Vocab, path, config: dict | None = None) -> None:
     """One ``token<TAB>id`` per line, headed by kind/special/protected
-    lines; then ``config``, when given, as a ``#! config`` line of JSON."""
-    with open(path, "w", encoding="utf-8") as f:
+    lines; then ``config``, when given, as a ``#! config`` line of JSON.
+    The file is written under a temporary name and then replaces
+    ``path`` (``corpus.replacing``)."""
+    with replacing(path) as f:
         f.write("#! verseforge-vocab v1\n")
         f.write(f"#! kind\t{vocab.kind.value}\n")
         for name, tok in zip(("sep", "eos", "unk"), SPECIALS):

@@ -722,6 +722,42 @@ def test_a_lone_surrogate_nested_deep_names_its_line(mini_corpus, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", "evaluate"])
+def test_a_report_cut_short_leaves_the_file_before_it_and_no_other(mini_corpus, tmp_path,
+                                                                   monkeypatch, command):
+    """A report whose write fails part-way, here on a value that
+    ``json`` cannot encode, leaves no file, or the file that was there."""
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "out.json"
+    (tmp_path / "requests.jsonl").write_text(REQUEST_LINE * 2, encoding="utf-8")
+    (tmp_path / "generations.jsonl").write_text(GENERATION_LINE * 2, encoding="utf-8")
+    argv = (["ingest", "--corpus", str(mini_corpus), "--stats-out", str(out)]
+            if command == "ingest" else
+            ["evaluate", "--requests", str(tmp_path / "requests.jsonl"),
+             "--generations", str(tmp_path / "generations.jsonl"), "--report", str(out)])
+    owner = corpus.CorpusStats if command == "ingest" else validation.MetricsReport
+    to_dict = owner.to_dict
+    monkeypatch.setattr(owner, "to_dict", lambda self: {**to_dict(self), "bad": object()})
+    for before in (None, "the report before\n"):
+        if before is not None:
+            out.write_text(before, encoding="utf-8")
+        with pytest.raises(TypeError):
+            main(argv)
+        assert list(out_dir.iterdir()) == ([] if before is None else [out])
+        assert before is None or out.read_text(encoding="utf-8") == before
+
+
+@pytest.mark.parametrize("where", ["missing/s.json", ""], ids=["missing-directory", "directory"])
+def test_an_output_that_cannot_be_written_names_its_path(mini_corpus, tmp_path, capsys, where):
+    out = tmp_path / "out" / where
+    (tmp_path / "out").mkdir()
+    rc = main(["ingest", "--corpus", str(mini_corpus), "--stats-out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3 and f": '{out}'\n" in err, err
+    assert list((tmp_path / "out").iterdir()) == [] and len(list(tmp_path.iterdir())) == 2
+
+
 def test_a_lone_surrogate_in_a_corpus_leaves_no_vocabulary(mini_corpus, tmp_path, capsys):
     lines = mini_corpus.read_text(encoding="utf-8").splitlines()
     lines[5] = lines[5].replace('"text": "', '"text": "\\udc00', 1)

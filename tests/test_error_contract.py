@@ -56,7 +56,23 @@ def setup(tmp_path_factory):
                  "--out", str(paths["generations.jsonl"])]) == 0
     paths["a.txt"].write_text("0.9\n0.5\n0.7\n", encoding="utf-8")
     paths["b.txt"].write_text("0.8\n0.6\n0.1\n", encoding="utf-8")
+    (tmp / "out").mkdir()
     return tmp, paths
+
+
+def run_in(out, argv):
+    """``main(argv)``, whose output files go to the empty directory
+    ``out``, and its exit code.  After a non-zero exit no output file is
+    left, except what ``generate --out`` streamed by design; the
+    directory is emptied again either way."""
+    code = main(argv)
+    left = sorted(p.name for p in out.iterdir())
+    for p in out.iterdir():
+        p.unlink()
+    if code:
+        streamed = ["g.jsonl"] if argv[0] == "generate" else []
+        assert left in ([], streamed), (argv, left)
+    return code
 
 
 def commands(name, paths, out):
@@ -185,8 +201,8 @@ def test_mutated_inputs_exit_with_a_documented_code(setup, data):
     mutate = retyped if name.endswith(".jsonl") else char_mutated
     mutated = dict(paths, **{name: tmp / f"mutated-{name}"})
     mutated[name].write_text(mutate(data, text), encoding="utf-8")
-    for argv in commands(name, mutated, tmp):
-        assert main(argv) in EXIT_CODES, argv
+    for argv in commands(name, mutated, tmp / "out"):
+        assert run_in(tmp / "out", argv) in EXIT_CODES, argv
 
 
 def with_lone_surrogate(record, n):
@@ -219,8 +235,8 @@ def test_a_lone_surrogate_in_any_string_names_its_line(setup, capsys, name):
     for n in range(n_strings):
         line = json.dumps(with_lone_surrogate(record, n)) + "\n"
         mutated[name].write_text("".join([lines[0], line, *lines[2:]]), encoding="utf-8")
-        for argv in commands(name, mutated, tmp):
-            code = main(argv)
+        for argv in commands(name, mutated, tmp / "out"):
+            code = run_in(tmp / "out", argv)
             err = capsys.readouterr().err
             assert code == 4, (argv, line)
             assert f"{mutated[name]}:2: " in err and "surrogate" in err, err

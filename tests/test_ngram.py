@@ -316,6 +316,48 @@ def test_a_refused_image_is_logged_and_the_text_parsed(tmp_path, caplog, fixture
     assert_same_rows(loaded, m, list(m.counts)[::50])
 
 
+def saved_files(path) -> dict:
+    """The bytes of each file in ``path``'s directory, by name."""
+    return {p.name: p.read_bytes() for p in Path(path).parent.iterdir()}
+
+
+def test_a_save_that_fails_in_the_text_leaves_the_model_before_it(tmp_path):
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["abcd"])
+    old, new = (ngram.train([tok.encode(vocab, t)], 3, vocab) for t in ("abcd", "dcba"))
+    path = tmp_path / "m.ngram"
+    with pytest.raises(TypeError):  # a config json.dumps refuses, written after the counts
+        ngram.save(new, path, {"bad": object()})
+    assert saved_files(path) == {}
+    ngram.save(old, path)
+    before = saved_files(path)
+    with pytest.raises(TypeError):
+        ngram.save(new, path, {"bad": object()})
+    assert saved_files(path) == before
+    assert load_by(path, vocab, image=True).counts == old.counts
+
+
+def test_a_save_that_fails_in_the_image_leaves_the_new_text_and_the_old_image(
+        tmp_path, caplog):
+    """The text is replaced first, so a save cut short in the image
+    leaves the new text beside the old image, whose sha256 fails: the
+    text is parsed, and the new model loads."""
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["abcd"])
+    old, new = (ngram.train([tok.encode(vocab, t)], 3, vocab) for t in ("abcd", "dcba"))
+    path = tmp_path / "m.ngram"
+    ngram.save(new, tmp_path / "new.ngram")
+    new_text = (tmp_path / "new.ngram").read_bytes()
+    for p in list(tmp_path.iterdir()):
+        p.unlink()
+    ngram.save(old, path)
+    old_image = Path(f"{path}.img").read_bytes()
+    with patch.object(ngram, "IMAGE_MAGIC", "not bytes"), pytest.raises(TypeError):
+        ngram.save(new, path)
+    assert saved_files(path) == {"m.ngram": new_text, "m.ngram.img": old_image}
+    caplog.set_level(logging.WARNING, logger="verseforge.ngram")
+    assert ngram.load(path, vocab).counts == new.counts
+    assert "model image not used: sha256 differs" in caplog.text
+
+
 def test_an_image_holds_little_endian_arrays_on_any_host(tmp_path, fixture_strophes):
     """On a big-endian host ``save`` swaps each array's bytes and ``load``
     swaps them back: here, a little-endian host that calls itself

@@ -241,6 +241,24 @@ def test_save_load_round_trip_with_escaping(tmp_path):
     assert loaded.protected == vocab.protected
 
 
+# A config that ``json.dumps`` refuses fails a save after every token
+# line is written.
+UNWRITABLE_CONFIG = {"subcommand": "x", "bad": object()}
+
+
+def test_a_failed_save_vocab_leaves_the_file_before_it_and_no_other(tmp_path):
+    vocab = tok.build_vocab(TokenizerKind.UNICODE, ["ab"])
+    path = tmp_path / "v.vocab"
+    with pytest.raises(TypeError):
+        tok.save_vocab(vocab, path, UNWRITABLE_CONFIG)
+    assert list(tmp_path.iterdir()) == []
+    tok.save_vocab(vocab, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        tok.save_vocab(tok.build_vocab(TokenizerKind.UNICODE, ["cd"]), path, UNWRITABLE_CONFIG)
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
+
+
 def test_load_vocab_skips_a_blank_line(tmp_path):
     vocab = tok.build_vocab(TokenizerKind.UNICODE, ["ab"])
     path = tmp_path / "v.vocab"
