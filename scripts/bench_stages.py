@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Time the stages that turn a gold strophe into token ids and a model:
-format encode (``formats.encode``), tokenizer encode
-(``tokenizers.encode``) of each tokenizer kind, and for ``unicode`` at its
-default order the model's training (``ngram.train``), ``save``, ``load``
-through the image and the parse of its text alone (``ngram._parse``), on
-the fixture corpus and on a 2x scaled copy of it.
+"""Time the stages that turn a gold strophe into token ids and a model,
+and the model into scored strophes: format encode (``formats.encode``),
+tokenizer encode (``tokenizers.encode``) of each tokenizer kind, and for
+``unicode`` at its default order the model's training (``ngram.train``),
+``save``, ``load`` through the image, the parse of its text alone
+(``ngram._parse``) and forced generation (``generation.generate_forced``);
+and the evaluation (``validation.evaluate``) of the gold strophes; on the
+fixture corpus and on a 2x scaled copy of it.
 
 Run from the repo root:
 
@@ -20,7 +22,16 @@ every item, on a cold token memo.  The model stages read a model that
 an earlier process of the same checkout trained on the whole corpus and
 saved, so that a load run's peak RSS is the load's own; their item count
 is the model's contexts, and ``lm_train``'s is the tokens it counts,
-end-of-strophe ids included.  The corpora come from this
+end-of-strophe ids included.  ``generate`` runs ``GENERATE_REQUESTS``
+forced requests, spread over the corpus's strophes, each with its
+scheme, year and gold meters and its index as seed, on that model; its
+items are strophes, and its tokens the ids of the generated texts, fed
+annotation prefixes included.  ``evaluate`` scores the ``meter_verse``
+text of every strophe against a request of its scheme, year and gold
+meters, in calls of ``EVAL_BATCH`` strophes, on a fresh syllabifier;
+its items are verses, and the row holds the hits and misses of the
+token memo and of ``validation``'s caches during the pass (null for a
+cache the checkout lacks).  The corpora come from this
 repository: its fixture, and ``perfbench/synth.py``'s ``scaled_corpus``
 of it with 2 copies and seed ``--seed``.  Times are scaled by
 ``perfbench/hostspeed.py``'s reference, timed around each window of
@@ -29,9 +40,11 @@ takes 1 ms, as the benchmark's end-to-end times do.
 
 One JSON row per checkout, stage, corpus and kind: the checkout's label
 (``git describe --always --dirty`` unless given), the stage, corpus,
-tokenizer kind (null for format encode) and format, the item count, the
-median scaled wall time of the repeats with each repeat's, the items per
-second at that median and the largest peak RSS of the runs.  The rows
+tokenizer kind (null for format encode and evaluate) and format, the item
+count, the median scaled wall time of the repeats with each repeat's, the
+items per second at that median and the largest peak RSS of the runs;
+``generate`` rows add the tokens and tokens per second, ``evaluate``
+rows the cache counts.  The rows
 are printed, and with ``--out`` written to that JSON file's ``"stages"``
 list, its other keys kept.
 """
@@ -58,10 +71,13 @@ BPE_VOCAB_SIZE = 200    # the size of the benchmark's ``our`` vocabulary
 FORMAT = "meter_verse"  # the format whose texts the tokenizers encode
 MODEL_KIND = "unicode"  # the kind whose model the model stages train, save and load
 MODEL_STAGES = ("save", "load", "load_text")  # the stages that read the saved model
+GENERATE_REQUESTS = 200  # forced requests of the generate stage
+EVAL_BATCH = 50          # strophes per evaluate call, as in the benchmark's workload
 # (stage, tokenizer kind, format)
 STAGES = [("format_encode", None, "verse_par"), ("format_encode", None, "meter_verse")] + [
     ("tokenizer_encode", kind, FORMAT) for kind in ("unicode", "syllable", "our")] + [
-    (stage, MODEL_KIND, FORMAT) for stage in ("lm_train", *MODEL_STAGES)]
+    (stage, MODEL_KIND, FORMAT) for stage in ("lm_train", *MODEL_STAGES, "generate")] + [
+    ("evaluate", None, FORMAT)]
 
 
 def encoded(corpus_path: str, fmt: str, kind: str):
@@ -83,12 +99,34 @@ def sequences(vocab, texts) -> list[list[int]]:
 
 def save_model(corpus_path: str, model_dir: str) -> None:
     """Train the ``MODEL_KIND`` model of the corpus at its default order
-    and save it, text and image, as ``model_dir/model.ngram``."""
-    from verseforge import ngram
+    and save it, text and image, as ``model_dir/model.ngram``, and its
+    vocabulary as ``model_dir/model.vocab``."""
+    from verseforge import ngram, tokenizers
 
     texts, vocab = encoded(corpus_path, FORMAT, MODEL_KIND)
     model = ngram.train(sequences(vocab, texts), ngram.DEFAULT_ORDER[vocab.kind], vocab)
     ngram.save(model, os.path.join(model_dir, "model.ngram"))
+    tokenizers.save_vocab(vocab, os.path.join(model_dir, "model.vocab"))
+
+
+def gold_requests(strophes, fmt):
+    """A request of each strophe's scheme, year and gold meters, seeded
+    by its index."""
+    from verseforge.generation import GenerationRequest
+
+    return [GenerationRequest(s.scheme, s.year_bucket, fmt, seed=i,
+                              per_verse_meters=tuple(v.gold_meter for v in s.verses))
+            for i, s in enumerate(strophes)]
+
+
+def cache_counts() -> dict:
+    """[hits, misses] so far of each of ``validation``'s caches, None for
+    one that the package lacks."""
+    from verseforge import validation
+
+    caches = {name: getattr(validation, name, None)
+              for name in ("_pattern_scores", "_group_label", "normalize_clausula")}
+    return {name: cache and list(cache.cache_info()[:2]) for name, cache in caches.items()}
 
 
 def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
@@ -96,10 +134,11 @@ def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
     """One timed pass of ``stage`` over the strophes of ``corpus_path``,
     or over the model that ``save_model`` saved in ``model_dir``."""
     import hostspeed
-    from verseforge import corpus, formats, ngram, tokenizers
+    from verseforge import corpus, formats, generation, ngram, phonology, tokenizers, validation
     from verseforge.formats import DataFormat
 
     model_path = os.path.join(model_dir, "model.ngram")
+    extra = {}
     if stage == "format_encode":
         fmt = DataFormat.parse(fmt)
         items = corpus.ingest(corpus_path)
@@ -123,6 +162,26 @@ def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
         def step(model):
             ngram.save(model, os.path.join(model_dir, "resaved.ngram"))
             return model
+    elif stage == "generate":
+        vocab = tokenizers.load_vocab(os.path.join(model_dir, "model.vocab"))
+        model = ngram.load(model_path, vocab)
+        strophes = corpus.ingest(corpus_path)
+        items = gold_requests(strophes[::max(len(strophes) // GENERATE_REQUESTS, 1)],
+                              DataFormat.parse(fmt))[:GENERATE_REQUESTS]
+
+        def step(request):
+            return generation.generate_forced(model, vocab, request)
+    elif stage == "evaluate":
+        fmt = DataFormat.parse(fmt)
+        strophes = corpus.ingest(corpus_path)
+        pairs = [(r, generation.GeneratedStrophe.from_text(formats.encode(s, fmt), r))
+                 for s, r in zip(strophes, gold_requests(strophes, fmt))]
+        items = [pairs[lo:lo + EVAL_BATCH] for lo in range(0, len(pairs), EVAL_BATCH)]
+        syllabifier = phonology.Syllabifier()
+        before = cache_counts()
+
+        def step(batch):
+            return validation.evaluate(batch, syllabifier)
     else:
         items = [model_path]
         step = ngram.load if stage == "load" else ngram._parse
@@ -130,10 +189,11 @@ def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
     windows = hostspeed.Windows()
     windows.start()
     raw_s = scaled_s = 0.0
+    outs = []
     for lo in range(0, len(items), WINDOW):
         t = clock()
         for item in items[lo:lo + WINDOW]:
-            out = step(item)
+            outs.append(step(item))
         raw = clock() - t
         raw_s += raw
         scaled_s += raw * windows.close()
@@ -141,10 +201,22 @@ def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
     if stage == "lm_train":
         n = sum(map(len, items[0]))
     elif stage in MODEL_STAGES:
-        n = len(out.counts)
+        n = len(outs[-1].counts)
+    elif stage == "evaluate":
+        verses = [text for _, g in pairs if g.parsed for _, text in g.parsed.lines]
+        n = len(verses)
+        assert sum(report.n_verses for report in outs) == n
+        # the token memo, fresh and never full here, misses once per distinct token
+        misses = len(syllabifier._tokens)
+        extra["caches"] = {"token_memo": [sum(len(t.split()) for t in verses) - misses, misses]}
+        for name, counts in cache_counts().items():
+            extra["caches"][name] = counts and [a - b for a, b in zip(counts, before[name])]
     else:
         n = len(items)
-    return {"items": n, "wall_s": scaled_s, "raw_s": raw_s, "peak_rss_mb": peak_rss_mb}
+    if stage == "generate":
+        extra["tokens"] = sum(len(tokenizers.encode(vocab, g.raw_text)) for g in outs)
+    return {"items": n, "wall_s": scaled_s, "raw_s": raw_s, "peak_rss_mb": peak_rss_mb,
+            **extra}
 
 
 def label_of(checkout: Path) -> str:
@@ -220,6 +292,11 @@ def main(argv=None) -> None:
                      "wall_s_runs": [round(x["wall_s"], 5) for x in results],
                      "items_per_s": round(results[0]["items"] / wall, 1),
                      "peak_rss_mb": round(max(x["peak_rss_mb"] for x in results), 1)})
+        if "tokens" in results[0]:
+            rows[-1].update(tokens=results[0]["tokens"],
+                            tokens_per_s=round(results[0]["tokens"] / wall, 1))
+        if "caches" in results[0]:
+            rows[-1]["caches"] = results[0]["caches"]
     rows.sort(key=lambda row: (row["stage"], row["corpus"], row["kind"] or "", row["format"],
                                row["commit"]))
     for row in rows:
