@@ -14,6 +14,7 @@ import json
 import os
 import random
 import re
+import stat
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -193,23 +194,46 @@ def numbered_lines(f, path):
 
 @contextmanager
 def replacing(path, mode: str = "w"):
-    """A file opened in ``mode`` ("w" for UTF-8 text, "wb") under a
-    temporary name beside ``path``, moved onto ``path`` by ``os.replace``
-    when the block ends; when the block raises, the temporary file is
-    removed and ``path`` is left as it was.  An ``OSError`` of the
-    temporary file names ``path`` instead."""
+    """A file opened in ``mode`` ("w" for UTF-8 text, "wb") to write
+    ``path``.  Where ``path`` is missing or resolves, through any
+    symlinks, to a regular file, it is a temporary file beside that file,
+    moved onto it by ``os.replace`` when the block ends; when the block
+    raises, the temporary file is removed and the file is left as it was.
+    An ``OSError`` of the temporary file names ``path`` instead.  Any
+    other ``path`` (a FIFO, a device such as ``/dev/null`` or
+    ``/dev/stdout`` on a pipe, a directory) is opened as it is."""
     name = os.fspath(path)
-    tmp = f"{name}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+    encoding = None if "b" in mode else "utf-8"
+    target = _replaceable(name)
+    if target is None:
+        with open(name, mode, encoding=encoding) as f:
             yield f
-        os.replace(tmp, name)
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=encoding) as f:
+            yield f
+        os.replace(tmp, target)
     except BaseException as e:
         if os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(e, OSError) and e.filename == tmp:
             raise type(e)(e.errno, e.strerror, name) from None
         raise
+
+
+def _replaceable(name: str) -> str | None:
+    """The real path of ``name`` when it is missing or the very regular
+    file that ``name`` resolves to, else None."""
+    target = os.path.realpath(name)
+    try:
+        st = os.stat(name)
+    except FileNotFoundError:
+        return target
+    except OSError:
+        return None
+    regular = stat.S_ISREG(st.st_mode) and os.path.exists(target)
+    return target if regular and os.path.samestat(st, os.stat(target)) else None
 
 
 # a JSON escape of a UTF-16 surrogate, in either case

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import logging
+import os
+import stat
 import tracemalloc
 from unittest.mock import patch
 
@@ -722,6 +724,21 @@ def test_a_lone_surrogate_nested_deep_names_its_line(mini_corpus, tmp_path, caps
     assert not out.exists()
 
 
+def report_argv(command, mini_corpus, tmp_path, out) -> list[str]:
+    """``ingest`` of the mini corpus, or ``evaluate`` of two pairs, with
+    its report written to ``out``."""
+    if command == "ingest":
+        return ["ingest", "--corpus", str(mini_corpus), "--stats-out", str(out)]
+    (tmp_path / "requests.jsonl").write_text(REQUEST_LINE * 2, encoding="utf-8")
+    (tmp_path / "generations.jsonl").write_text(GENERATION_LINE * 2, encoding="utf-8")
+    return ["evaluate", "--requests", str(tmp_path / "requests.jsonl"),
+            "--generations", str(tmp_path / "generations.jsonl"), "--report", str(out)]
+
+
+def report_of(command, text: str) -> dict:
+    return json.loads(text)["stats" if command == "ingest" else "report"]
+
+
 @pytest.mark.parametrize("command", ["ingest", "evaluate"])
 def test_a_report_cut_short_leaves_the_file_before_it_and_no_other(mini_corpus, tmp_path,
                                                                    monkeypatch, command):
@@ -730,12 +747,7 @@ def test_a_report_cut_short_leaves_the_file_before_it_and_no_other(mini_corpus, 
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     out = out_dir / "out.json"
-    (tmp_path / "requests.jsonl").write_text(REQUEST_LINE * 2, encoding="utf-8")
-    (tmp_path / "generations.jsonl").write_text(GENERATION_LINE * 2, encoding="utf-8")
-    argv = (["ingest", "--corpus", str(mini_corpus), "--stats-out", str(out)]
-            if command == "ingest" else
-            ["evaluate", "--requests", str(tmp_path / "requests.jsonl"),
-             "--generations", str(tmp_path / "generations.jsonl"), "--report", str(out)])
+    argv = report_argv(command, mini_corpus, tmp_path, out)
     owner = corpus.CorpusStats if command == "ingest" else validation.MetricsReport
     to_dict = owner.to_dict
     monkeypatch.setattr(owner, "to_dict", lambda self: {**to_dict(self), "bad": object()})
@@ -748,14 +760,72 @@ def test_a_report_cut_short_leaves_the_file_before_it_and_no_other(mini_corpus, 
         assert before is None or out.read_text(encoding="utf-8") == before
 
 
-@pytest.mark.parametrize("where", ["missing/s.json", ""], ids=["missing-directory", "directory"])
-def test_an_output_that_cannot_be_written_names_its_path(mini_corpus, tmp_path, capsys, where):
-    out = tmp_path / "out" / where
+@pytest.mark.parametrize("command", ["ingest", "evaluate"])
+@pytest.mark.parametrize("before", [None, "the report before\n"], ids=["dangling", "to-a-file"])
+def test_a_report_is_written_through_a_symlink(mini_corpus, tmp_path, command, before):
+    """The link stays a link, and the file it names holds the report."""
+    (tmp_path / "real").mkdir()
     (tmp_path / "out").mkdir()
+    target, link = tmp_path / "real" / "report.json", tmp_path / "out" / "report.json"
+    if before is not None:
+        target.write_text(before, encoding="utf-8")
+    link.symlink_to(target)
+    assert main(report_argv(command, mini_corpus, tmp_path, link)) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert report_of(command, target.read_text(encoding="utf-8"))
+    assert list((tmp_path / "real").iterdir()) == [target]
+    assert list((tmp_path / "out").iterdir()) == [link]
+
+
+@pytest.mark.parametrize("command", ["ingest", "evaluate"])
+def test_a_report_is_written_into_a_fifo(mini_corpus, tmp_path, command):
+    """A FIFO, like a pipe given as ``/dev/stdout``, is written as it is
+    and stays a FIFO."""
+    fifo = tmp_path / "out" / "report.fifo"
+    fifo.parent.mkdir()
+    os.mkfifo(fifo)
+    # a reader opened first lets the write open at once; the report fits
+    # in the pipe's buffer
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(report_argv(command, mini_corpus, tmp_path, fifo)) == 0
+        chunks = []
+        while chunk := os.read(reader, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(reader)
+    assert report_of(command, b"".join(chunks).decode("utf-8"))
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert list(fifo.parent.iterdir()) == [fifo]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_report_is_written_into_an_open_file_that_has_no_name(mini_corpus, tmp_path):
+    """``/proc/self/fd/N`` of a file that was removed while open (as
+    ``/dev/stdout`` may be) resolves to no file; it is written as it is."""
+    gone = tmp_path / "out" / "gone.json"
+    gone.parent.mkdir()
+    with open(gone, "w+", encoding="utf-8") as f:
+        gone.unlink()
+        assert main(report_argv("ingest", mini_corpus, tmp_path,
+                                f"/proc/self/fd/{f.fileno()}")) == 0
+        f.seek(0)
+        assert report_of("ingest", f.read())
+    assert list(gone.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["missing/s.json", "", "f/s.json"],
+                         ids=["missing-directory", "directory", "under-a-file"])
+def test_an_output_that_cannot_be_written_names_its_path(mini_corpus, tmp_path, capsys, where):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "f").write_text("a file\n", encoding="utf-8")
+    out = tmp_path / "out" / where
     rc = main(["ingest", "--corpus", str(mini_corpus), "--stats-out", str(out)])
     err = capsys.readouterr().err
     assert rc == 3 and f": '{out}'\n" in err, err
-    assert list((tmp_path / "out").iterdir()) == [] and len(list(tmp_path.iterdir())) == 2
+    assert list((tmp_path / "out").iterdir()) == [tmp_path / "out" / "f"]
+    assert (tmp_path / "out" / "f").read_text(encoding="utf-8") == "a file\n"
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_a_lone_surrogate_in_a_corpus_leaves_no_vocabulary(mini_corpus, tmp_path, capsys):

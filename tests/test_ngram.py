@@ -358,6 +358,21 @@ def test_a_save_that_fails_in_the_image_leaves_the_new_text_and_the_old_image(
     assert "model image not used: sha256 differs" in caplog.text
 
 
+def test_a_model_is_saved_through_a_symlink(tmp_path):
+    """The text goes into the file the link names; the image, as the
+    name ``load`` looks for, beside the link."""
+    vocab = tok.build_vocab(tok.TokenizerKind.UNICODE, ["abcd"])
+    model = ngram.train([tok.encode(vocab, "abcd")], 3, vocab)
+    (tmp_path / "real").mkdir()
+    target, link = tmp_path / "real" / "m.ngram", tmp_path / "link.ngram"
+    link.symlink_to(target)
+    ngram.save(model, link)
+    assert link.is_symlink() and list(target.parent.iterdir()) == [target]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.ngram", "link.ngram.img", "real"]
+    assert load_by(link, vocab, image=True).counts == model.counts
+    assert load_by(link, vocab, image=False).counts == model.counts
+
+
 def test_an_image_holds_little_endian_arrays_on_any_host(tmp_path, fixture_strophes):
     """On a big-endian host ``save`` swaps each array's bytes and ``load``
     swaps them back: here, a little-endian host that calls itself

@@ -259,6 +259,15 @@ def test_a_failed_save_vocab_leaves_the_file_before_it_and_no_other(tmp_path):
     assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
 
 
+def test_save_vocab_writes_through_a_symlink(tmp_path):
+    vocab = tok.build_vocab(TokenizerKind.UNICODE, ["ab"])
+    target, link = tmp_path / "v.vocab", tmp_path / "link.vocab"
+    link.symlink_to(target)
+    tok.save_vocab(vocab, link)
+    assert link.is_symlink() and tok.load_vocab(target).tokens == vocab.tokens
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
 def test_load_vocab_skips_a_blank_line(tmp_path):
     vocab = tok.build_vocab(TokenizerKind.UNICODE, ["ab"])
     path = tmp_path / "v.vocab"
