@@ -28,10 +28,10 @@ DEFAULT_THRESHOLD = 0.6
 MAX_COMPOSED_LENGTH = 24
 
 # Bound of the per-pattern score cache, in distinct stress patterns
-# (about 0.4 KB each), of the rhyme-group label memo, in distinct
-# (patterns of a group, threshold) keys (about 0.3 KB each for a pair),
-# and of the rhyme-key cache, in distinct clausulae.  Each is a cache of
-# its own, so group labels never evict a pattern's scores.
+# (about 0.4 KB each), of the rhyme-group memo, in distinct stress
+# patterns of a group (about 0.3 KB each for a pair), and of the
+# rhyme-key cache, in distinct clausulae.  Each is a cache of its own, so
+# groups never evict a pattern's scores.
 PATTERN_CACHE_ENTRIES = 16384
 
 
@@ -135,28 +135,26 @@ def classify_meter(patterns: list[str],
     """Best-scoring meter template for the pooled scores of ``patterns``
     (one verse, or the verses of a rhyme group), N below the threshold;
     among equal scores the label declared earlier in ``MeterLabel`` wins.
-    A NaN threshold raises ``ValueError``.  The label comes from the
-    memo that ``strophe_meters`` reads too (``_group_label``)."""
+    A NaN threshold raises ``ValueError``.  The best score and its label
+    come from the memo that ``strophe_meters`` reads too (``_pooled``)."""
     if not patterns or not all(patterns):
         raise ValueError("empty stress pattern")
     _check_threshold(threshold)
-    return _group_label(tuple(patterns), threshold)
+    best, label = _pooled(tuple(patterns))
+    return MeterLabel.NOT_RECOGNIZED if best < threshold else label
 
 
 @lru_cache(maxsize=PATTERN_CACHE_ENTRIES)
-def _group_label(patterns: tuple[str, ...], threshold: float) -> MeterLabel:
-    """``classify_meter`` of non-empty patterns and a threshold that is
-    no NaN.  Equal thresholds share an entry (0.0 and -0.0, 1 and 1.0);
-    they compare alike with every score, so they classify alike."""
+def _pooled(patterns: tuple[str, ...]) -> tuple[float, MeterLabel]:
+    """The best pooled score of non-empty patterns and the label that
+    ``classify_meter`` gives them at any threshold not above it."""
     if len(patterns) == 1:
         scores = _pattern_scores(patterns[0])
     else:
         rows = [_pattern_scores(p) for p in patterns]
         scores = [sum(col) / len(rows) for col in zip(*rows)]
     best = max(scores)
-    if best < threshold:
-        return MeterLabel.NOT_RECOGNIZED
-    return _SCORED_LABELS[scores.index(best)]
+    return best, _SCORED_LABELS[scores.index(best)]
 
 
 def strophe_meters(patterns: list[str], scheme: str,
@@ -177,7 +175,9 @@ def strophe_meters(patterns: list[str], scheme: str,
             groups.setdefault(i if letter == "X" else letter, []).append(i)
     out = [MeterLabel.NOT_RECOGNIZED] * len(patterns)
     for idxs in groups.values():
-        label = _group_label(tuple([patterns[i] for i in idxs]), threshold)
+        best, label = _pooled(tuple([patterns[i] for i in idxs]))
+        if best < threshold:
+            label = MeterLabel.NOT_RECOGNIZED
         for i in idxs:
             out[i] = label
     return out

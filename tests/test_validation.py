@@ -157,8 +157,9 @@ def schemes_and_patterns(draw, pattern=st.text("xX", max_size=14)):
     return scheme, patterns
 
 
-# Equal thresholds of another sign or type (0.0 and -0.0, 1 and 1.0)
-# classify alike, so a label scored under one may serve the other.
+# Drawn per call, so a group scored under one threshold is read back
+# under another, the infinities and equal thresholds of another sign or
+# type (0.0 and -0.0, 1 and 1.0) among them.
 THRESHOLDS = [0.3, validation.DEFAULT_THRESHOLD, 0.9, math.inf, -math.inf, 0.0, -0.0, 1, 1.0]
 
 
