@@ -125,7 +125,7 @@ def cache_counts() -> dict:
     from verseforge import validation
 
     caches = {name: getattr(validation, name, None)
-              for name in ("_pattern_scores", "_group_label", "normalize_clausula")}
+              for name in ("_pattern_scores", "_pooled", "normalize_clausula")}
     return {name: cache and list(cache.cache_info()[:2]) for name, cache in caches.items()}
 
 
@@ -189,11 +189,14 @@ def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
     windows = hostspeed.Windows()
     windows.start()
     raw_s = scaled_s = 0.0
-    outs = []
+    # only the stages whose counts read every output keep them
+    outs = [] if stage in ("generate", "evaluate") else None
     for lo in range(0, len(items), WINDOW):
         t = clock()
         for item in items[lo:lo + WINDOW]:
-            outs.append(step(item))
+            out = step(item)
+            if outs is not None:
+                outs.append(out)
         raw = clock() - t
         raw_s += raw
         scaled_s += raw * windows.close()
@@ -201,7 +204,7 @@ def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
     if stage == "lm_train":
         n = sum(map(len, items[0]))
     elif stage in MODEL_STAGES:
-        n = len(outs[-1].counts)
+        n = len(out.counts)
     elif stage == "evaluate":
         verses = [text for _, g in pairs if g.parsed for _, text in g.parsed.lines]
         n = len(verses)
