@@ -29,7 +29,7 @@ MAX_COMPOSED_LENGTH = 24
 
 # Bound of the per-pattern score cache, in distinct stress patterns
 # (about 0.4 KB each), of the rhyme-group memo, in distinct stress
-# patterns of a group (about 0.3 KB each for a pair), and of the
+# patterns of a group (about 0.2 KB each for a pair), and of the
 # rhyme-key cache, in distinct clausulae.  Each is a cache of its own, so
 # groups never evict a pattern's scores.
 PATTERN_CACHE_ENTRIES = 16384
