@@ -431,6 +431,53 @@ class _Trie(_Buckets):
                 yield ctx, node
 
 
+class _Prepared:
+    """What a row reads of each bucket of ``trie``, fixed once its counts
+    are, for an order's vocabulary size V and discount d: per bucket,
+    ``weight``, the backoff weight d * n / total of its n events, and
+    ``bad``, 1 when an id falls outside [0, V), else 2 when a count is
+    below 1, else 0; per event, ``share``, its discounted share
+    (c - d) / total.  Each value is the one operation of ``_level``'s
+    arithmetic that it replaces, so rows are unchanged bit for bit."""
+
+    def __init__(self, trie: _Trie, vocab_size: int, discount: float):
+        self.trie, self.vocab_size, self.discount = trie, vocab_size, discount
+        self.weight, self.share, self.bad = array("d"), array("d"), bytearray()
+        self.extend()
+
+    def extend(self) -> None:
+        """Prepare the buckets added to the store since the last call,
+        reading the event arrays through views: a bad bucket's values
+        are computed, without a warning, and never read."""
+        trie, first = self.trie, len(self.weight)
+        off = np.frombuffer(trie.ev_off, np.int64)[first:]
+        if len(off) < 2:
+            return
+        ids = np.frombuffer(trie.ev_id, np.int64)
+        counts = np.frombuffer(trie.ev_count, np.int64)[off[0]:]
+        size = np.diff(off)
+        total = np.frombuffer(trie.total, np.float64)[first:]
+        d = self.discount
+        bad = 2 * (np.minimum.reduceat(counts, off[:-1] - off[0]) < 1)
+        bad[(ids[off[:-1]] < 0) | (ids[off[1:] - 1] >= self.vocab_size)] = 1
+        with np.errstate(all="ignore"):
+            weight = d * size / total
+            share = counts - d
+            share /= np.repeat(total, size)
+        self.weight.frombytes(memoryview(weight).cast("B"))
+        self.share.frombytes(memoryview(share).cast("B"))
+        self.bad += memoryview(bad.astype(np.uint8))
+
+    def error(self, b: int, ctx: tuple[int, ...], k: int) -> NGramError:
+        """Why bad bucket ``b``, of ``ctx[len(ctx) - k:]``, has no row."""
+        trie, sub = self.trie, list(ctx[len(ctx) - k:])
+        if self.bad[b] == 1:
+            o, e = trie.ev_off[b], trie.ev_off[b + 1]
+            return NGramError(f"token id out of range [0, {self.vocab_size}) after "
+                              f"context {sub}: {list(trie.ev_id[o:e])}")
+        return NGramError(f"count below 1 after context {sub}")
+
+
 class _Records(_Buckets):
     """Contexts and buckets in the order they are added: each context but
     the empty one a record that extends an earlier record (its context
@@ -574,9 +621,12 @@ class Bucket(Mapping):
 
     def __setitem__(self, token, count):
         events = {**self._events, token: count}
-        trie = self._model._trie
+        model = self._model
+        trie = model._trie
         trie.bucket[self._node] = trie.add_bucket(events)
-        self._model._tables.clear()
+        model._tables.clear()
+        if model._prep is not None:
+            model._prep.extend()
         self._events = events
 
 
@@ -597,6 +647,7 @@ class NGramModel:
         # (trailing context, temperature) -> sampling table, and
         # (node, None) -> shared row; least recently used first
         self._tables: OrderedDict = OrderedDict()
+        self._prep: _Prepared | None = None  # built at the first row or ``prob``
 
     @classmethod
     def from_counts(cls, counts: Mapping, order: int, vocab_size: int,
@@ -626,33 +677,31 @@ class NGramModel:
     def _context(self, context: Sequence[int]) -> tuple[int, ...]:
         return tuple(context[-(self.order - 1):]) if self.order > 1 else ()
 
+    def _prepared(self) -> _Prepared:
+        if self._prep is None:
+            self._prep = _Prepared(self._trie, self.vocab_size, self.discount)
+        return self._prep
+
     def _level(self, p: np.ndarray, node: int, ctx: tuple[int, ...], k: int) -> np.ndarray:
         """``p`` blended with the discounted counts of ``node``, the node of
         ``ctx[len(ctx) - k:]`` (``p`` itself when it has no counts).  A
         writable ``p`` is updated in place; a read-only one, a shared row,
         is scaled into a new row."""
-        trie = self._trie
+        trie, prep = self._trie, self._prep
         b = trie.bucket[node]
         if b < 0:
             return p
-        o, e = trie.ev_off[b], trie.ev_off[b + 1]
-        ids, counts = trie.ev_id, trie.ev_count
-        if ids[o] < 0 or ids[e - 1] >= self.vocab_size:
-            raise NGramError(
-                f"token id out of range [0, {self.vocab_size}) after context "
-                f"{list(ctx[len(ctx) - k:])}: {list(ids[o:e])}")
-        if (counts[o] if e - o == 1 else min(counts[o:e])) < 1:
-            raise NGramError(f"count below 1 after context {list(ctx[len(ctx) - k:])}")
-        d = self.discount
-        total = trie.total[b]
-        g = d * (e - o) / total
+        if prep.bad[b]:
+            raise prep.error(b, ctx, k)
+        g = prep.weight[b]
         if p.flags.writeable:
             p *= g
         else:
             p = g * p
-        for i in range(o, e):
+        ids, share = trie.ev_id, prep.share
+        for i in range(trie.ev_off[b], trie.ev_off[b + 1]):
             t = ids[i]
-            p[t] = (counts[i] - d) / total + p[t]
+            p[t] = share[i] + p[t]
         return p
 
     def _shared_row(self, ctx: tuple[int, ...], path: list[int], j: int) -> np.ndarray:
@@ -673,6 +722,7 @@ class NGramModel:
 
     def next_dist(self, context: Sequence[int]) -> np.ndarray:
         """Distribution over the vocabulary given trailing context ids."""
+        self._prepared()
         ctx = self._context(context)
         path = self._trie.walk(ctx)
         j = min(SHARED_SUFFIX_LEN, max(len(ctx) - 1, 0), len(path) - 1)
@@ -680,6 +730,30 @@ class NGramModel:
         for k in range(j + 1, len(path)):
             p = self._level(p, path[k], ctx, k)
         return p if p.flags.writeable else p.copy()
+
+    def prob(self, context: Sequence[int], token: int) -> float:
+        """``next_dist(context)[token]``, bit for bit, without a row: the
+        same levels, each checked and applied to the one entry, found by
+        a ``bisect`` into the level's bucket.  A token outside the
+        vocabulary raises ``NGramError``."""
+        if not 0 <= token < self.vocab_size:
+            raise NGramError(f"token id {token} out of range [0, {self.vocab_size})")
+        prep, trie = self._prepared(), self._trie
+        ctx = self._context(context)
+        ids, off, bucket = trie.ev_id, trie.ev_off, trie.bucket
+        q = 1.0 / self.vocab_size
+        for k, node in enumerate(trie.walk(ctx)):
+            b = bucket[node]
+            if b < 0:
+                continue
+            if prep.bad[b]:
+                raise prep.error(b, ctx, k)
+            q = prep.weight[b] * q
+            e = off[b + 1]
+            i = bisect_left(ids, token, off[b], e)
+            if i < e and ids[i] == token:
+                q = prep.share[i] + q
+        return q
 
     def _remember(self, key, value) -> None:
         tables = self._tables
@@ -690,7 +764,7 @@ class NGramModel:
     def logprob(self, ids: Sequence[int]) -> float:
         lp = 0.0
         for i, token in enumerate(ids):
-            lp += math.log(self.next_dist(ids[max(0, i - self.order + 1):i])[token])
+            lp += math.log(self.prob(ids[max(0, i - self.order + 1):i], token))
         return lp
 
     def perplexity(self, sequences) -> float:
@@ -722,7 +796,9 @@ def sampling_table(p: np.ndarray, temperature: float) -> array | int:
     """What a draw from row ``p`` at ``temperature`` needs: the cumulative
     distribution that ``Generator.choice`` builds for the normalised
     (tempered) row, as an ``array('d')``, or the argmax id when tempering
-    underflows."""
+    underflows.  The normalised row is written into the table's own
+    buffer and accumulated there in place; ``add.accumulate`` is
+    ``cumsum``, without the cost that ``cumsum(out=...)`` adds."""
     if temperature != 1.0:
         with np.errstate(divide="ignore"):
             logits = np.log(p) / temperature
@@ -731,16 +807,14 @@ def sampling_table(p: np.ndarray, temperature: float) -> array | int:
         total = q.sum()
         if not np.isfinite(total) or total <= 0:
             return int(np.argmax(p))
-        q /= total
     else:
-        q = p / p.sum()
-    if not (q >= 0).all():
-        raise NGramError("next-token probabilities contain NaN or negative entries")
-    # filled in place, with no second copy of the row; ``add.accumulate``
-    # is ``cumsum``, without the cost that ``cumsum(out=...)`` adds
+        q, total = p, np.add.reduce(p)
     table = array("d", [0.0]) * len(q)
     cdf = np.frombuffer(table, np.float64)
-    np.add.accumulate(q, out=cdf)
+    np.divide(q, total, out=cdf)
+    if not np.minimum.reduce(cdf) >= 0:
+        raise NGramError("next-token probabilities contain NaN or negative entries")
+    np.add.accumulate(cdf, out=cdf)
     cdf /= cdf[-1]
     return table
 

@@ -1,8 +1,10 @@
 import json
 import logging
+import math
 import operator
 import re
 import tracemalloc
+import warnings
 from array import array
 from bisect import bisect_left, bisect_right
 from pathlib import Path
@@ -973,6 +975,149 @@ def test_out_of_range_short_bucket_raises_on_every_call(tmp_path, bad_ctx):
             model.next_dist([0, 1, 2, 0, 1])
         with pytest.raises(NGramError, match="out of range"):
             ngram.sample_with_rng(model, [1, 2, 0, 1], 1.0, np.random.default_rng(0))
+
+
+def row_logprob(model, ids):
+    """``logprob`` as a sum over ``next_dist`` rows, one row per token."""
+    lp = 0.0
+    for i, token in enumerate(ids):
+        lp += math.log(model.next_dist(ids[max(0, i - model.order + 1):i])[token])
+    return lp
+
+
+def assert_probs_are_the_rows(model, contexts):
+    for ctx in contexts:
+        row = reference_next_dist(model, ctx)
+        for t in range(model.vocab_size):
+            assert model.prob(ctx, t) == row[t]
+            assert type(model.prob(ctx, t)) is float
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=small_models())
+def test_prob_is_the_entry_of_the_row(case):
+    """Cold (no row or table built yet), then warm (after every row and a
+    draw), ``prob`` gives each entry of ``next_dist`` bit for bit, and
+    ``logprob`` and ``perplexity`` give the sums over rows."""
+    model, contexts, more = case
+    contexts = contexts + [[]]
+    assert model._prep is None and not model._tables
+    assert_probs_are_the_rows(model, contexts)
+    for ctx in contexts:
+        assert np.array_equal(model.next_dist(ctx), reference_next_dist(model, ctx))
+        ngram.sample_with_rng(model, ctx, 1.0, np.random.default_rng(0))
+    assert_probs_are_the_rows(model, contexts)
+    seqs = [ctx + more for ctx in contexts]
+    for seq in seqs:
+        assert model.logprob(seq) == row_logprob(model, seq)
+    lp = sum(row_logprob(model, seq) for seq in seqs)
+    n = sum(map(len, seqs))
+    if n:
+        assert model.perplexity(seqs) == math.exp(-lp / n)
+
+
+def test_prob_refuses_a_token_outside_the_vocabulary():
+    m = tiny_model()
+    for token in (-1, 3, BIG):
+        with pytest.raises(NGramError, match=rf"token id {token} out of range \[0, 3\)"):
+            m.prob([0], token)
+    with pytest.raises(NGramError, match="out of range"):
+        m.logprob([0, 3])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=small_models(), data=st.data())
+def test_a_write_back_extends_the_prepared_buckets(case, data):
+    """Rows and ``prob`` after each of a few count write-backs, with the
+    prepared arrays built before them, equal the reference on the edited
+    counts, and equal a model built afresh from those counts."""
+    model, contexts, _ = case
+    counts = {ctx: dict(bucket) for ctx, bucket in model.counts.items()}
+    if not counts:
+        return
+    contexts = contexts + [[]]
+    for ctx in contexts:
+        model.next_dist(ctx)
+    tokens = st.integers(0, model.vocab_size - 1)
+    for _ in range(data.draw(st.integers(1, 3))):
+        ctx = data.draw(st.sampled_from(sorted(counts)))
+        token, count = data.draw(tokens), data.draw(st.integers(1, 5))
+        model.counts[ctx][token] = count
+        counts[ctx][token] = count
+        fresh = NGramModel.from_counts(counts, model.order, model.vocab_size,
+                                       discount=model.discount)
+        for c in contexts:
+            row = model.next_dist(c)
+            assert np.array_equal(row, reference_next_dist(fresh, c))
+            assert np.array_equal(row, fresh.next_dist(c))
+        assert_probs_are_the_rows(model, contexts)
+    assert len(model._prep.weight) == len(model._trie.total)
+    assert len(model._prep.share) == len(model._trie.ev_id)
+
+
+def bad_bucket_model(bad):
+    """An order-4 model over 3 tokens whose path to the context (0, 1, 2)
+    holds the buckets of ``bad``, context -> events, beside good ones."""
+    counts = {(): {0: 2, 1: 1}, (2,): {0: 1}, (1, 2): {1: 1, 2: 1}, (0, 1, 2): {2: 3}}
+    return NGramModel.from_counts({**counts, **bad}, 4, 3)
+
+
+BAD_BUCKETS = {
+    "id-above": ({(1, 2): {1: 1, 9: 1}},
+                 "token id out of range [0, 3) after context [1, 2]: [1, 9]"),
+    "id-below": ({(2,): {-1: 1, 0: 1}},
+                 "token id out of range [0, 3) after context [2]: [-1, 0]"),
+    "count-0": ({(0, 1, 2): {2: 0}}, "count below 1 after context [0, 1, 2]"),
+    "total-0": ({(): {0: 1, 1: -1}}, "count below 1 after context []"),
+    "both": ({(2,): {0: 0, 5: 1}},
+             "token id out of range [0, 3) after context [2]: [0, 5]"),
+    # the shallowest bad bucket on the path is named
+    "two": ({(): {0: 1, 1: 0}, (1, 2): {7: 1}}, "count below 1 after context []"),
+}
+
+
+@pytest.mark.parametrize("bad, message", BAD_BUCKETS.values(), ids=BAD_BUCKETS.keys())
+def test_a_bad_bucket_raises_on_every_call_without_a_warning(bad, message):
+    """A bucket with an id out of range or a count below 1 raises the same
+    ``NGramError`` from ``next_dist``, ``prob``, ``logprob`` and a draw,
+    each time, and numpy warns of nothing, also where its total is 0."""
+    model = bad_bucket_model(bad)
+    calls = [lambda: model.next_dist([0, 1, 2]), lambda: model.prob([0, 1, 2], 1),
+             lambda: model.logprob([0, 1, 2, 1]),
+             lambda: ngram.sample_with_rng(model, [0, 1, 2], 1.0, np.random.default_rng(0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3):
+            for call in calls:
+                with pytest.raises(NGramError) as e:
+                    call()
+                assert str(e.value) == message
+
+
+def test_a_write_back_of_a_bad_count_raises_and_a_good_one_mends_it():
+    model = bad_bucket_model({})
+    good = model.next_dist([0, 1, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model.counts[(1, 2)][2] = 0
+        for call in (lambda: model.next_dist([0, 1, 2]), lambda: model.prob([1, 2], 0)):
+            with pytest.raises(NGramError, match=r"^count below 1 after context \[1, 2\]$"):
+                call()
+        model.counts[(1, 2)][2] = 1
+        assert np.array_equal(model.next_dist([0, 1, 2]), good)
+        assert model.prob([0, 1, 2], 2) == good[2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5, -np.inf, np.inf], ids=str)
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_sampling_table_refuses_nan_and_negative_rows(bad, at):
+    row = np.array([0.5, 0.25, 0.125, 0.0, 0.125])
+    row[at] = bad
+    with np.errstate(invalid="ignore", divide="ignore"):
+        with pytest.raises(NGramError, match="NaN or negative"):
+            ngram.sampling_table(row, 1.0)
+    row[at] = -0.0  # a negative zero is no negative entry
+    assert np.asarray(ngram.sampling_table(row, 1.0))[-1] == 1.0
 
 
 def reference_save(model, path, config=None):
