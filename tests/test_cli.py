@@ -828,6 +828,83 @@ def test_an_output_that_cannot_be_written_names_its_path(mini_corpus, tmp_path, 
     assert len(list(tmp_path.iterdir())) == 2
 
 
+# the commands that write an output file, which they name with this option
+WRITERS = {"ingest": "--stats-out", "train-tokenizer": "--out", "train-lm": "--out",
+           "evaluate": "--report"}
+
+
+def writer_argv(command, inputs, out) -> list[str]:
+    """``command`` reading the files of ``inputs``, by their role, and
+    writing ``out``."""
+    reads = {"ingest": ["--corpus", inputs["corpus"]],
+             "train-tokenizer": ["--corpus", inputs["corpus"]],
+             "train-lm": ["--corpus", inputs["corpus"], "--vocab", inputs["vocab"],
+                          "--order", "2"],
+             "evaluate": ["--requests", inputs["requests"],
+                          "--generations", inputs["generations"]]}[command]
+    return [command, *map(str, reads), WRITERS[command], str(out)]
+
+
+@pytest.mark.parametrize("command", WRITERS)
+@pytest.mark.parametrize("where", ["nodir/out", "nodir/deeper/out", "link"])
+def test_a_missing_output_directory_is_refused_before_any_input_is_read(tmp_path, capsys,
+                                                                        command, where):
+    """Every input is missing too, so the output is named only when it is
+    checked before any input is opened; a link into a missing directory
+    counts as that directory."""
+    inputs = {role: tmp_path / "absent" / role
+              for role in ("corpus", "vocab", "requests", "generations")}
+    out = tmp_path / where
+    if where == "link":
+        out.symlink_to(tmp_path / "nodir" / "out")
+    rc = main(writer_argv(command, inputs, out))
+    assert (rc, capsys.readouterr().err) == (
+        3, f"missing file: [Errno 2] No such file or directory: '{out}'\n")
+    assert list(tmp_path.iterdir()) == ([out] if where == "link" else [])
+
+
+@pytest.fixture()
+def writer_inputs(mini_corpus, small_model, tmp_path):
+    (tmp_path / "requests.jsonl").write_text(REQUEST_LINE * 2, encoding="utf-8")
+    (tmp_path / "generations.jsonl").write_text(GENERATION_LINE * 2, encoding="utf-8")
+    return {"corpus": mini_corpus, "vocab": small_model[0],
+            "requests": tmp_path / "requests.jsonl",
+            "generations": tmp_path / "generations.jsonl"}
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_an_output_through_a_symlink_or_to_dev_null_is_still_written(writer_inputs, tmp_path,
+                                                                     command):
+    """The early check of the output's directory leaves alone an output
+    that exists, whatever its kind, and a link into a directory that
+    exists.  ``train-lm`` also writes the image beside its output, so it
+    gets no ``/dev/null``."""
+    (tmp_path / "real").mkdir()
+    (tmp_path / "out").mkdir()
+    target, link = tmp_path / "real" / "written", tmp_path / "out" / "written"
+    link.symlink_to(target)
+    assert main(writer_argv(command, writer_inputs, link)) == 0
+    assert link.is_symlink() and target.stat().st_size > 0
+    if command != "train-lm":
+        assert main(writer_argv(command, writer_inputs, os.devnull)) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.parametrize("command", ["ingest", "train-tokenizer", "evaluate"])
+def test_an_output_into_a_fifo_is_still_written(writer_inputs, tmp_path, command):
+    fifo = tmp_path / "out" / "written.fifo"
+    fifo.parent.mkdir()
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(writer_argv(command, writer_inputs, fifo)) == 0
+        written = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert written and stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert list(fifo.parent.iterdir()) == [fifo]
+
+
 def test_a_lone_surrogate_in_a_corpus_leaves_no_vocabulary(mini_corpus, tmp_path, capsys):
     lines = mini_corpus.read_text(encoding="utf-8").splitlines()
     lines[5] = lines[5].replace('"text": "', '"text": "\\udc00', 1)

@@ -205,6 +205,28 @@ def test_mutated_inputs_exit_with_a_documented_code(setup, data):
         assert run_in(tmp / "out", argv) in EXIT_CODES, argv
 
 
+def test_a_missing_output_directory_exits_3_naming_the_output(setup, capsys):
+    """Each command that writes a report, vocabulary or model into a
+    directory that is missing exits 3 and names that output, with its
+    inputs missing too: it checks the output before it opens any input.
+    ``generate`` streams into its ``--out`` and is left out."""
+    tmp, paths = setup
+    gone = tmp / "gone"
+    absent = {name: tmp / "absent" / name for name in paths}
+    checked = set()
+    for name in paths:
+        for argv in commands(name, absent, gone):
+            out = [a for a in argv if a.startswith(f"{gone}/")]
+            if argv[0] == "generate" or not out:
+                continue
+            assert main(argv) == 3, argv
+            assert capsys.readouterr().err == (
+                f"missing file: [Errno 2] No such file or directory: '{out[0]}'\n")
+            checked.add(argv[0])
+    assert checked == {"ingest", "train-tokenizer", "train-lm", "evaluate"}
+    assert not gone.exists() and not (tmp / "absent").exists()
+
+
 def with_lone_surrogate(record, n):
     """A copy of ``record`` with a lone surrogate put into its ``n``-th
     string: its string values first, then its keys."""
