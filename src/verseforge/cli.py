@@ -67,6 +67,7 @@ exceptions_option = click.option("--exceptions", default=None, type=click.Path()
 @click.pass_context
 def ingest(ctx, corpus_path, stats_out, min_scheme_count):
     """Validate a corpus file and write distribution statistics."""
+    corpus.check_directory(stats_out)
     strophes = corpus.ingest(corpus_path)
     if min_scheme_count > 0:
         counts = corpus.stats(strophes).scheme_counts
@@ -105,6 +106,7 @@ def stats(corpus_path, top):
 @click.pass_context
 def train_tokenizer(ctx, corpus_path, kind, vocab_size, out, fmt, exceptions):
     """Build a tokenizer vocabulary from format-encoded strophes."""
+    corpus.check_directory(out)
     kind = TokenizerKind.parse(kind)
     syllabifier = _syllabifier(exceptions)
     fmt = DataFormat.parse(fmt)
@@ -129,6 +131,7 @@ def train_lm(ctx, corpus_path, vocab_path, order, discount, test_fraction, seed,
              out, fmt, exceptions):
     """Train the n-gram model on the train split of the corpus and log
     its perplexity on the held-out split."""
+    corpus.check_directory(out)
     vocab = tokenizers.load_vocab(vocab_path)
     syllabifier = _syllabifier(exceptions)
     if order is None:
@@ -303,6 +306,7 @@ def evaluate(ctx, requests_path, generations_path, report_path, threshold, fmt,
 
     The two files are read in step and each pair is scored as it is
     read, so memory does not grow with the files."""
+    corpus.check_directory(report_path)
     fmt = DataFormat.parse(fmt)
     syllabifier = _syllabifier(exceptions)
     with open(requests_path, encoding="utf-8") as rf, \

@@ -10,6 +10,7 @@ non-rhyming verses); ``meter`` is a one-letter meter label.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
@@ -220,6 +221,22 @@ def replacing(path, mode: str = "w"):
         if isinstance(e, OSError) and e.filename == tmp:
             raise type(e)(e.errno, e.strerror, name) from None
         raise
+
+
+def check_directory(path) -> None:
+    """Raise the ``OSError``, naming ``path``, that ``replacing(path)``
+    would raise because the directory it would write in is missing or is
+    no directory; a command calls it before it reads any input.  A
+    ``path`` that exists, whatever its kind, is left to ``replacing``."""
+    name = os.fspath(path)
+    if os.path.exists(name):
+        return
+    try:
+        st = os.stat(os.path.dirname(os.path.realpath(name)))
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, name) from None
+    if not stat.S_ISDIR(st.st_mode):
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), name)
 
 
 def _replaceable(name: str) -> str | None:
