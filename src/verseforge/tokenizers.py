@@ -75,6 +75,10 @@ class Vocab:
     tokens: list[str]
     protected: set[str] = field(default_factory=set)
     id_of: dict[str, int] = field(default_factory=dict)
+    # piece -> its tokens, the memo of ``bpe_piece_tokens``; not compared
+    # or shown, as it only repeats what ``id_of`` gives
+    piece_tokens: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.id_of:
@@ -196,6 +200,19 @@ def syllable_piece_tokens(piece: str, syllabifier=None) -> list[str]:
 
 
 def bpe_piece_tokens(piece: str, vocab: Vocab) -> list[str]:
+    """The BPE tokens of ``piece``, memoized in ``vocab.piece_tokens``,
+    which holds at most ``phonology.TOKEN_MEMO_ENTRIES`` pieces and is
+    cleared when full."""
+    memo = vocab.piece_tokens
+    toks = memo.get(piece)
+    if toks is None:
+        if len(memo) >= phonology.TOKEN_MEMO_ENTRIES:
+            memo.clear()
+        toks = memo[piece] = tuple(_bpe_merged(piece, vocab))
+    return list(toks)
+
+
+def _bpe_merged(piece: str, vocab: Vocab) -> list[str]:
     if is_annotation_piece(piece) and piece in vocab.id_of:
         return [piece]
     symbols = list(piece)

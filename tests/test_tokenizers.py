@@ -1,10 +1,11 @@
 from collections import Counter
 from functools import lru_cache
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verseforge import corpus, formats, tokenizers as tok
+from verseforge import corpus, formats, phonology, tokenizers as tok
 from verseforge.formats import DataFormat
 from verseforge.tokenizers import (
     EOS_TOKEN,
@@ -352,3 +353,58 @@ def test_encode_matches_the_pinned_comprehension(kind, text):
     map to the unknown id on every path."""
     vocab = _vocabs()[kind]
     assert tok.encode(vocab, text) == _encode_as_pinned(vocab, text)
+
+
+def reference_bpe_piece_tokens(piece: str, vocab: Vocab) -> list[str]:
+    """``bpe_piece_tokens`` without its memo: the merge loop, which merges
+    the leftmost pair of the lowest merged id everywhere until no pair
+    merges."""
+    if tok.is_annotation_piece(piece) and piece in vocab.id_of:
+        return [piece]
+    symbols = list(piece)
+    while len(symbols) > 1:
+        merges = [(vocab.id_of[a + b], (a, b)) for a, b in zip(symbols, symbols[1:])
+                  if a + b in vocab.id_of]
+        if not merges:
+            break
+        symbols = tok._merge_pair(symbols, min(merges, key=lambda m: m[0])[1])
+    return symbols
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=bpe_corpora, vocab_size=st.integers(0, 50),
+       more=st.lists(bpe_words.map(lambda w: " " + w), max_size=5),
+       bound=st.sampled_from([None, 1, 2, 3]))
+def test_the_piece_memo_gives_the_merge_loop(texts, vocab_size, more, bound):
+    """Cold and warm, and under a memo bound of a few pieces, each piece's
+    tokens are the merge loop's, in a list the caller owns."""
+    try:
+        vocab = tok.train_bpe(texts, vocab_size)
+    except TokenizerError:
+        return
+    pieces = [p for text in texts for line in text.split("\n") for p in tok.pieces(line)]
+    with patch.object(phonology, "TOKEN_MEMO_ENTRIES", bound or phonology.TOKEN_MEMO_ENTRIES):
+        for _ in range(2):
+            for piece in pieces + more:
+                got = tok.bpe_piece_tokens(piece, vocab)
+                assert got == reference_bpe_piece_tokens(piece, vocab)
+                got.append("x")
+            assert len(vocab.piece_tokens) <= (bound or len(set(pieces + more)))
+
+
+def test_the_piece_memo_is_no_part_of_a_vocab_and_keeps_the_ids(fixture_strophes):
+    texts = [formats.encode(s, DataFormat.METER_VERSE) for s in fixture_strophes[:100]]
+    used, fresh = (tok.build_vocab(TokenizerKind.OUR, texts, 300) for _ in range(2))
+    ids = [tok.encode(used, text) for text in texts]
+    assert len(used.piece_tokens) == len({p for text in texts for line in text.split("\n")
+                                          for p in tok.pieces(line)})
+    assert not fresh.piece_tokens
+    assert used == fresh and repr(used) == repr(fresh)
+    with patch.object(phonology, "TOKEN_MEMO_ENTRIES", 2):
+        assert [tok.encode(fresh, text) for text in texts] == ids
+        assert len(fresh.piece_tokens) <= 2
+    assert ids == [[fresh.id_of.get(t, fresh.unk_id)
+                    for line_no, line in enumerate(text.split("\n"))
+                    for t in ([SEP_TOKEN] if line_no else [])
+                    + [t for p in tok.pieces(line) for t in reference_bpe_piece_tokens(p, fresh)]]
+                   for text in texts]
