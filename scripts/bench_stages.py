@@ -3,10 +3,11 @@
 and the model into scored strophes: format encode (``formats.encode``),
 tokenizer encode (``tokenizers.encode``) of each tokenizer kind, and for
 ``unicode`` at its default order the model's training (``ngram.train``),
-``save``, ``load`` through the image, the parse of its text alone
-(``ngram._parse``) and forced generation (``generation.generate_forced``);
-and the evaluation (``validation.evaluate``) of the gold strophes; on the
-fixture corpus and on a 2x scaled copy of it.
+its held-out perplexity (``NGramModel.perplexity``), ``save``, ``load``
+through the image, the parse of its text alone (``ngram._parse``) and
+forced generation (``generation.generate_forced``); and the evaluation
+(``validation.evaluate``) of the gold strophes; on the fixture corpus and
+on a 2x scaled copy of it.
 
 Run from the repo root:
 
@@ -22,16 +23,24 @@ every item, on a cold token memo.  The model stages read a model that
 an earlier process of the same checkout trained on the whole corpus and
 saved, so that a load run's peak RSS is the load's own; their item count
 is the model's contexts, and ``lm_train``'s is the tokens it counts,
-end-of-strophe ids included.  ``generate`` runs ``GENERATE_REQUESTS``
+end-of-strophe ids included.  ``perplexity`` trains a model on the
+train split of ``train-lm``'s defaults (``TEST_FRACTION``, seed 0)
+untimed and times one ``perplexity`` over the held-out split; its items
+are the tokens scored, and the row holds the perplexity.  ``generate`` runs ``GENERATE_REQUESTS``
 forced requests, spread over the corpus's strophes, each with its
 scheme, year and gold meters and its index as seed, on that model; its
 items are strophes, and its tokens the ids of the generated texts, fed
-annotation prefixes included.  ``evaluate`` scores the ``meter_verse``
+annotation prefixes included, and its row holds the hits and misses of
+the model's table cache, counted by a second, untimed pass of the same
+requests on a freshly loaded model: a draw that finds no table calls
+``next_dist`` once.  ``evaluate`` scores the ``meter_verse``
 text of every strophe against a request of its scheme, year and gold
 meters, in calls of ``EVAL_BATCH`` strophes, on a fresh syllabifier;
 its items are verses, and the row holds the hits and misses of the
 token memo and of ``validation``'s caches during the pass (null for a
-cache the checkout lacks).  The corpora come from this
+cache the checkout lacks); a ``tokenizer_encode`` row of ``our`` holds
+those of the vocabulary's piece memo (null where the checkout lacks
+it).  The corpora come from this
 repository: its fixture, and ``perfbench/synth.py``'s ``scaled_corpus``
 of it with 2 copies and seed ``--seed``.  Times are scaled by
 ``perfbench/hostspeed.py``'s reference, timed around each window of
@@ -43,8 +52,9 @@ One JSON row per checkout, stage, corpus and kind: the checkout's label
 tokenizer kind (null for format encode and evaluate) and format, the item
 count, the median scaled wall time of the repeats with each repeat's, the
 items per second at that median and the largest peak RSS of the runs;
-``generate`` rows add the tokens and tokens per second, ``evaluate``
-rows the cache counts.  The rows
+``generate`` rows add the tokens and tokens per second, ``perplexity``
+rows the perplexity, and the rows of the stages with caches their
+counts.  The rows
 are printed, and with ``--out`` written to that JSON file's ``"stages"``
 list, its other keys kept.
 """
@@ -72,11 +82,13 @@ FORMAT = "meter_verse"  # the format whose texts the tokenizers encode
 MODEL_KIND = "unicode"  # the kind whose model the model stages train, save and load
 MODEL_STAGES = ("save", "load", "load_text")  # the stages that read the saved model
 GENERATE_REQUESTS = 200  # forced requests of the generate stage
+TEST_FRACTION = 0.05     # the held-out share of the perplexity stage, train-lm's default
 EVAL_BATCH = 50          # strophes per evaluate call, as in the benchmark's workload
 # (stage, tokenizer kind, format)
 STAGES = [("format_encode", None, "verse_par"), ("format_encode", None, "meter_verse")] + [
     ("tokenizer_encode", kind, FORMAT) for kind in ("unicode", "syllable", "our")] + [
-    (stage, MODEL_KIND, FORMAT) for stage in ("lm_train", *MODEL_STAGES, "generate")] + [
+    (stage, MODEL_KIND, FORMAT)
+    for stage in ("lm_train", "perplexity", *MODEL_STAGES, "generate")] + [
     ("evaluate", None, FORMAT)]
 
 
@@ -129,6 +141,34 @@ def cache_counts() -> dict:
     return {name: cache and list(cache.cache_info()[:2]) for name, cache in caches.items()}
 
 
+def table_counts(model, vocab, requests) -> list[int]:
+    """[hits, misses] of ``model``'s table cache over the forced
+    generation of ``requests``: every draw is a lookup, and every miss
+    calls ``next_dist`` once."""
+    from verseforge import generation, ngram
+
+    draws = misses = 0
+    sample, next_dist = ngram.sample_with_rng, model.next_dist
+
+    def counted_sample(*args):
+        nonlocal draws
+        draws += 1
+        return sample(*args)
+
+    def counted_next_dist(context):
+        nonlocal misses
+        misses += 1
+        return next_dist(context)
+
+    model.next_dist, ngram.sample_with_rng = counted_next_dist, counted_sample
+    try:
+        for request in requests:
+            generation.generate_forced(model, vocab, request)
+    finally:
+        ngram.sample_with_rng = sample
+    return [draws - misses, misses]
+
+
 def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
               model_dir: str) -> dict:
     """One timed pass of ``stage`` over the strophes of ``corpus_path``,
@@ -156,6 +196,13 @@ def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
 
         def step(seqs):
             return ngram.train(seqs, ngram.DEFAULT_ORDER[vocab.kind], vocab)
+    elif stage == "perplexity":
+        texts, vocab = encoded(corpus_path, fmt, kind)
+        train_set, held_out = corpus.split(list(range(len(texts))), TEST_FRACTION, 0)
+        model = ngram.train(sequences(vocab, [texts[i] for i in train_set]),
+                            ngram.DEFAULT_ORDER[vocab.kind], vocab)
+        items = [sequences(vocab, [texts[i] for i in held_out])]
+        step = model.perplexity
     elif stage == "save":
         items = [ngram.load(model_path)]
 
@@ -201,7 +248,7 @@ def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
         raw_s += raw
         scaled_s += raw * windows.close()
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    if stage == "lm_train":
+    if stage in ("lm_train", "perplexity"):
         n = sum(map(len, items[0]))
     elif stage in MODEL_STAGES:
         n = len(out.counts)
@@ -216,8 +263,16 @@ def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
             extra["caches"][name] = counts and [a - b for a, b in zip(counts, before[name])]
     else:
         n = len(items)
-    if stage == "generate":
+    if stage == "perplexity":
+        extra["perplexity"] = out
+    elif stage == "tokenizer_encode" and kind == "our":
+        # a fresh vocabulary, its memo never full here, misses once per distinct piece
+        memo = getattr(vocab, "piece_tokens", None)
+        lookups = sum(len(tokenizers.pieces(line)) for text in items for line in text.split("\n"))
+        extra["caches"] = {"piece_memo": memo and [lookups - len(memo), len(memo)]}
+    elif stage == "generate":
         extra["tokens"] = sum(len(tokenizers.encode(vocab, g.raw_text)) for g in outs)
+        extra["caches"] = {"tables": table_counts(ngram.load(model_path, vocab), vocab, items)}
     return {"items": n, "wall_s": scaled_s, "raw_s": raw_s, "peak_rss_mb": peak_rss_mb,
             **extra}
 
@@ -298,8 +353,9 @@ def main(argv=None) -> None:
         if "tokens" in results[0]:
             rows[-1].update(tokens=results[0]["tokens"],
                             tokens_per_s=round(results[0]["tokens"] / wall, 1))
-        if "caches" in results[0]:
-            rows[-1]["caches"] = results[0]["caches"]
+        for key in ("perplexity", "caches"):
+            if key in results[0]:
+                rows[-1][key] = results[0][key]
     rows.sort(key=lambda row: (row["stage"], row["corpus"], row["kind"] or "", row["format"],
                                row["commit"]))
     for row in rows:
