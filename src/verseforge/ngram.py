@@ -446,9 +446,10 @@ class _Prepared:
         self.extend()
 
     def extend(self) -> None:
-        """Prepare the buckets added to the store since the last call,
-        reading the event arrays through views: a bad bucket's values
-        are computed, without a warning, and never read."""
+        """Prepare the buckets added to the store since the last call.  The
+        event arrays are read through views, and each value is written
+        into its array's own buffer; a bad bucket's values are computed,
+        without a warning, and never read."""
         trie, first = self.trie, len(self.weight)
         off = np.frombuffer(trie.ev_off, np.int64)[first:]
         if len(off) < 2:
@@ -460,13 +461,16 @@ class _Prepared:
         d = self.discount
         bad = 2 * (np.minimum.reduceat(counts, off[:-1] - off[0]) < 1)
         bad[(ids[off[:-1]] < 0) | (ids[off[1:] - 1] >= self.vocab_size)] = 1
-        with np.errstate(all="ignore"):
-            weight = d * size / total
-            share = counts - d
-            share /= np.repeat(total, size)
-        self.weight.frombytes(memoryview(weight).cast("B"))
-        self.share.frombytes(memoryview(share).cast("B"))
         self.bad += memoryview(bad.astype(np.uint8))
+        self.weight.frombytes(bytes(8 * len(size)))
+        self.share.frombytes(bytes(8 * len(counts)))
+        weight = np.frombuffer(self.weight, np.float64)[first:]
+        share = np.frombuffer(self.share, np.float64)[off[0]:]
+        with np.errstate(all="ignore"):
+            np.multiply(d, size, out=weight)
+            weight /= total
+            np.subtract(counts, d, out=share)
+            share /= np.repeat(total, size)
 
     def error(self, b: int, ctx: tuple[int, ...], k: int) -> NGramError:
         """Why bad bucket ``b``, of ``ctx[len(ctx) - k:]``, has no row."""
