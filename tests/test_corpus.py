@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import itertools
 import json
@@ -268,3 +269,24 @@ def test_fixture_script_regenerates_the_fixture_byte_for_byte(tmp_path, monkeypa
     monkeypatch.setattr(script, "OUT", tmp_path / "fixture_corpus.jsonl")
     script.main()
     assert script.OUT.read_bytes() == fixture_path.read_bytes()
+
+
+@pytest.mark.parametrize("where, code", [("missing/out", errno.ENOENT),
+                                         ("missing/deeper/out", errno.ENOENT),
+                                         ("f/out", errno.ENOTDIR), ("f/deeper/out", errno.ENOTDIR)])
+def test_check_directory_raises_what_replacing_would(tmp_path, where, code):
+    """``check_directory`` refuses an output up front with the error that
+    ``replacing`` raises when it comes to write it, naming the output,
+    and neither leaves a file."""
+    (tmp_path / "f").write_text("a file\n", encoding="utf-8")
+    out = tmp_path / where
+    with pytest.raises(OSError) as early:
+        corpus.check_directory(out)
+    with pytest.raises(OSError) as late:
+        with corpus.replacing(out) as f:
+            f.write("never written\n")
+    for e in (early.value, late.value):
+        assert (type(e), e.errno, e.filename) == (type(late.value), code, str(out))
+    assert list(tmp_path.iterdir()) == [tmp_path / "f"]
+    corpus.check_directory(tmp_path / "new")  # a missing file in a directory that exists
+    corpus.check_directory(tmp_path / "f")
