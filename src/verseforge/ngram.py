@@ -56,9 +56,18 @@ temperature, in a least-recently-used cache of at most
 table), which ``sample_with_rng`` reads and fills with one lookup per
 draw; other models get a table built per draw.
 
-A row is built level by level, from the root down to the deepest node on
-the context's path: each level with counts scales the row by its backoff
-weight and adds its discounted counts.  The levels of the last
+A row is built level by level, from the uniform row at the root down to
+the deepest node on the context's path: each level with counts scales
+the row by its bucket's backoff weight d * n / total, over its n events,
+and adds to each of its events' entries the event's discounted share
+(c - d) / total.  These are fixed once the counts are, so a model
+prepares them once (``_Prepared``), with numpy over views of the event
+arrays, at its first row or ``prob``: per bucket the weight and a flag
+for an id outside [0, V) or a count below 1, per event the share.  A
+count write-back extends them by its one bucket.  A level reads them
+with the operations, in the order, that computed them per call, so rows
+do not change by a bit, and a flagged bucket raises the same
+``NGramError`` each time a row uses it.  The levels of the last
 ``SHARED_SUFFIX_LEN`` tokens, short of the whole context, depend only on
 those tokens, so every context that ends in them shares one read-only
 partial row.  These rows, the empty context's among them, live in the
@@ -68,6 +77,12 @@ row scales it into a new row, and each later level updates that row in
 place.  The arithmetic is that of a fresh row per level, operation for
 operation, so rows are bit-identical to it, and ``next_dist`` always
 returns a row the caller owns.
+
+``NGramModel.prob(context, token)`` is one entry of that row, bit for
+bit, with no row built: it walks the same path and applies each level's
+weight and, when a ``bisect`` finds the token in the level's bucket, its
+share, to the one entry.  ``logprob`` and ``perplexity`` sum it, so a
+token costs O(order * log bucket) in place of O(order * V).
 """
 
 from __future__ import annotations
@@ -433,12 +448,13 @@ class _Trie(_Buckets):
 
 class _Prepared:
     """What a row reads of each bucket of ``trie``, fixed once its counts
-    are, for an order's vocabulary size V and discount d: per bucket,
+    are, for a model's vocabulary size V and discount d: per bucket,
     ``weight``, the backoff weight d * n / total of its n events, and
     ``bad``, 1 when an id falls outside [0, V), else 2 when a count is
     below 1, else 0; per event, ``share``, its discounted share
-    (c - d) / total.  Each value is the one operation of ``_level``'s
-    arithmetic that it replaces, so rows are unchanged bit for bit."""
+    (c - d) / total.  Each value comes from the operations, in the order,
+    that a level ran for it on every call, so rows are unchanged bit for
+    bit."""
 
     def __init__(self, trie: _Trie, vocab_size: int, discount: float):
         self.trie, self.vocab_size, self.discount = trie, vocab_size, discount
