@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -6,7 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from verseforge import corpus
 from verseforge.corpus import (
@@ -290,3 +291,214 @@ def test_check_directory_raises_what_replacing_would(tmp_path, where, code):
     assert list(tmp_path.iterdir()) == [tmp_path / "f"]
     corpus.check_directory(tmp_path / "new")  # a missing file in a directory that exists
     corpus.check_directory(tmp_path / "f")
+
+
+def load_synth():
+    """``perfbench/synth.py``, loaded by file path under its own name."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("synth", path)
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    return synth
+
+
+def repr_digest(strophes) -> str:
+    return hashlib.sha256(repr(strophes).encode("utf-8")).hexdigest()
+
+
+FIXTURE_INGEST_SHA256 = "09151234c462b36fd0833e769511b1a2932b31e7d6392b31b617db332c2b91dd"
+SCALED_INGEST_SHA256 = "2dd6a18211ca09e68b68c017e1673252411ff5f9e197ff29ee59f3ae3da95f3f"
+
+
+def test_ingest_is_pinned_on_the_fixture_and_a_scaled_corpus(tmp_path, fixture_path):
+    """The ``repr`` of every strophe ``ingest`` returns, on the fixture and
+    on the 2x scaled copy that ``scripts/bench_stages.py`` times."""
+    synth = load_synth()
+    scaled = tmp_path / "scaled.jsonl"
+    synth.write_jsonl(synth.scaled_corpus(synth.read_jsonl(fixture_path), 2, "0"), scaled)
+    assert repr_digest(corpus.ingest(fixture_path)) == FIXTURE_INGEST_SHA256
+    assert repr_digest(corpus.ingest(scaled)) == SCALED_INGEST_SHA256
+
+
+def _verse(text="a bok svůj pěnné do peřeje", rhyme=1, meter="J"):
+    return {"text": text, "rhyme": rhyme, "meter": meter}
+
+
+def _two_strophes():
+    """A poem of two four-verse strophes, both ABAB."""
+    return {"year": 1893, "strophes": [[_verse(rhyme=r) for r in (1, 2, 1, 2)]
+                                       for _ in range(2)]}
+
+
+def _set(**fields):
+    """Verse 2 of strophe 1 with ``fields`` set."""
+    def mutate(poem):
+        poem["strophes"][1][2].update(fields)
+    return mutate
+
+
+def _drop(*keys):
+    def mutate(poem):
+        for key in keys:
+            del poem["strophes"][1][2][key]
+    return mutate
+
+
+def _put(value, at=2):
+    """Verse ``at`` of strophe 1 replaced by ``value``."""
+    def mutate(poem):
+        poem["strophes"][1][at] = value
+    return mutate
+
+
+def _strophe(value):
+    def mutate(poem):
+        poem["strophes"][1] = value
+    return mutate
+
+
+def _length(n):
+    def mutate(poem):
+        poem["strophes"][1] = [_verse(rhyme=1 + i % 2) for i in range(n)]
+    return mutate
+
+
+# one corruption of the second line's poem each, and the exact text that
+# ``ingest`` raises after that line's ``path:line``
+CORRUPTIONS = {
+    "missing-text": (_drop("text"), " strophe 1: missing field 'text'"),
+    "missing-rhyme": (_drop("rhyme"), " strophe 1: missing field 'rhyme'"),
+    "missing-meter": (_drop("meter"), " strophe 1: missing field 'meter'"),
+    "missing-all": (_drop("text", "rhyme", "meter"), " strophe 1: missing field 'text'"),
+    "rhyme-true": (_set(rhyme=True), " strophe 1: field 'rhyme' must be integer or null"),
+    "rhyme-false": (_set(rhyme=False), " strophe 1: field 'rhyme' must be integer or null"),
+    "rhyme-str": (_set(rhyme="1"), " strophe 1: field 'rhyme' must be integer or null"),
+    "rhyme-float": (_set(rhyme=1.0), " strophe 1: field 'rhyme' must be integer or null"),
+    "rhyme-list": (_set(rhyme=[1]), " strophe 1: field 'rhyme' must be integer or null"),
+    "text-list": (_set(text=["a", "b"]), " strophe 1: field 'text' must be a string"),
+    "text-null": (_set(text=None), " strophe 1: field 'text' must be a string"),
+    "text-int": (_set(text=5), " strophe 1: field 'text' must be a string"),
+    "meter-unknown": (_set(meter="Q"), " strophe 1: unknown meter label 'Q'"),
+    "meter-lower": (_set(meter="j"), " strophe 1: unknown meter label 'j'"),
+    "meter-list": (_set(meter=["J"]), " strophe 1: unknown meter label ['J']"),
+    "meter-object": (_set(meter={"J": 1}), " strophe 1: unknown meter label {'J': 1}"),
+    "meter-null": (_set(meter=None), " strophe 1: unknown meter label None"),
+    "text-blank": (_set(text="  \t "), " strophe 1: verse text is empty"),
+    "text-empty": (_set(text=""), " strophe 1: verse text is empty"),
+    "verse-list": (_put(["a", 1, "J"]), " strophe 1: verse is not an object"),
+    "verse-str": (_put("text"), " strophe 1: verse is not an object"),
+    "verse-null": (_put(None), " strophe 1: verse is not an object"),
+    "verse-int": (_put(3), " strophe 1: verse is not an object"),
+    "strophe-object": (_strophe({"0": _verse()}), " strophe 1: a strophe must be a list"),
+    "strophe-str": (_strophe("verses"), " strophe 1: a strophe must be a list"),
+    "strophe-null": (_strophe(None), " strophe 1: a strophe must be a list"),
+    "three-verses": (_length(3), " strophe 1: unsupported strophe length 3: expected 4 or 6"),
+    "five-verses": (_length(5), " strophe 1: unsupported strophe length 5: expected 4 or 6"),
+    "no-verses": (_length(0), " strophe 1: unsupported strophe length 0: expected 4 or 6"),
+    # the checks' order: the first field of the first bad verse is named
+    "text-and-meter": (_set(text=1, meter="Q"), " strophe 1: field 'text' must be a string"),
+    "rhyme-and-meter": (_set(rhyme="x", meter="Q"),
+                        " strophe 1: field 'rhyme' must be integer or null"),
+    "blank-and-meter": (_set(text=" ", meter="Q"), " strophe 1: unknown meter label 'Q'"),
+    "two-bad-verses": (lambda p: (_put(None, 3)(p), _set(rhyme=True)(p)),
+                       " strophe 1: field 'rhyme' must be integer or null"),
+    "bad-verse-of-five": (lambda p: (p["strophes"][1].append(_verse()), _set(meter="Q")(p)),
+                          " strophe 1: unknown meter label 'Q'"),
+    "strophes-null": (lambda p: p.update(strophes=None), ": field 'strophes' must be a list"),
+    "year-true": (lambda p: p.update(year=True), ": field 'year' must be integer or null"),
+}
+
+
+@pytest.mark.parametrize("mutate, message", CORRUPTIONS.values(), ids=CORRUPTIONS)
+def test_each_corrupted_field_raises_its_exact_message(tmp_path, mutate, message):
+    poem = _two_strophes()
+    mutate(poem)
+    path = tmp_path / "c.jsonl"
+    _write_corpus(path, [_two_strophes(), poem])
+    with pytest.raises(CorpusFormatError) as err:
+        corpus.ingest(path)
+    assert str(err.value) == f"{path}:2{message}"
+
+
+def reference_verse(obj, where):
+    """A verse record read one field at a time, the checks in the order
+    ``ingest`` names their failures."""
+    if not isinstance(obj, dict):
+        raise CorpusFormatError(f"{where}: verse is not an object")
+    for key in ("text", "rhyme", "meter"):
+        if key not in obj:
+            raise CorpusFormatError(f"{where}: missing field {key!r}")
+    if not isinstance(obj["text"], str):
+        raise CorpusFormatError(f"{where}: field 'text' must be a string")
+    rhyme = obj["rhyme"]
+    if rhyme is not None and (not isinstance(rhyme, int) or isinstance(rhyme, bool)):
+        raise CorpusFormatError(f"{where}: field 'rhyme' must be integer or null")
+    meter = obj["meter"]
+    if not isinstance(meter, str) or meter not in corpus.METER_ORDER or len(meter) != 1:
+        raise CorpusFormatError(f"{where}: unknown meter label {meter!r}")
+    if not obj["text"].strip():
+        raise CorpusFormatError(f"{where}: verse text is empty")
+    return Verse(obj["text"], rhyme, MeterLabel(meter))
+
+
+def reference_strophes(poem, where, index):
+    """The strophes of a poem whose ``year`` and ``strophes`` are valid."""
+    out = []
+    for si, raw in enumerate(poem["strophes"]):
+        if not isinstance(raw, list):
+            raise CorpusFormatError(f"{where} strophe {si}: a strophe must be a list")
+        verses = tuple(reference_verse(v, f"{where} strophe {si}") for v in raw)
+        if len(verses) not in corpus.SCHEME_LENGTHS:
+            raise CorpusFormatError(f"{where} strophe {si}: unsupported strophe length "
+                                    f"{len(verses)}: expected 4 or 6")
+        out.append(Strophe(verses, bucketize_year(poem["year"]), index))
+    return out
+
+
+json_values = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(0, 2),
+                        st.sampled_from(["", " ", "J", "Q", "a b", "\t"]),
+                        st.lists(st.sampled_from(["J", 1]), max_size=2))
+
+
+def mostly(good, bad, one_in=4):
+    """``good``, but ``bad`` one time in ``one_in``."""
+    return st.sampled_from([good] * (one_in - 1) + [bad]).flatmap(lambda strategy: strategy)
+
+
+good_fields = {"text": st.sampled_from(["a bok svůj", "lesy", " v ní ", "Ó!"]),
+               "rhyme": st.one_of(st.none(), st.integers(-2, 4)),
+               "meter": st.sampled_from(corpus.METER_ORDER)}
+# a verse whose every field may be bad, or that lacks some, or a value
+# that is no object
+full_records = st.fixed_dictionaries({key: mostly(good, json_values, 3)
+                                      for key, good in good_fields.items()})
+verse_records = st.one_of(
+    full_records, full_records,
+    st.fixed_dictionaries({}, optional={**good_fields, "extra": json_values}),
+    json_values)
+strophe_records = mostly(
+    st.sampled_from([4, 4, 4, 6, 6, 0, 3, 5]).flatmap(
+        lambda n: st.lists(mostly(st.fixed_dictionaries(good_fields), verse_records, 6),
+                           min_size=n, max_size=n)),
+    json_values, 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poems=st.lists(st.fixed_dictionaries({
+    "year": st.one_of(st.none(), st.integers(1800, 1950)),
+    "strophes": st.lists(strophe_records, max_size=2)}), min_size=1, max_size=3))
+def test_ingest_reads_and_refuses_as_the_field_by_field_checks(tmp_path_factory, poems):
+    """Every record, well formed or corrupted, gives the strophes, or the
+    first error with its exact text, that checking one field at a time
+    gives."""
+    path = tmp_path_factory.mktemp("c") / "c.jsonl"
+    _write_corpus(path, poems)
+    try:
+        expected = [s for i, p in enumerate(poems)
+                    for s in reference_strophes(p, f"{path}:{i + 1}", i)]
+    except CorpusFormatError as e:
+        with pytest.raises(CorpusFormatError) as err:
+            corpus.ingest(path)
+        assert str(err.value) == str(e)
+    else:
+        assert corpus.ingest(path) == expected
