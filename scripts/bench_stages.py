@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the stages that turn a gold strophe into token ids and a model,
-and the model into scored strophes: format encode (``formats.encode``),
+and the model into scored strophes: ingest (``corpus.ingest``), format
+encode (``formats.encode``),
 tokenizer encode (``tokenizers.encode``) of each tokenizer kind, and for
 ``unicode`` at its default order the model's training (``ngram.train``),
 its held-out perplexity (``NGramModel.perplexity``), ``save``, ``load``
@@ -19,10 +20,11 @@ Each ``--checkout`` (default: this repository) is a source tree whose
 alternate between them, so that a slow spell of the host falls on both.
 Every run is a process of its own, which ingests the corpus, builds
 what the stage needs untimed and then times one pass of the stage over
-every item, on a cold token memo.  The model stages read a model that
-an earlier process of the same checkout trained on the whole corpus and
-saved, so that a load run's peak RSS is the load's own; their item count
-is the model's contexts, and ``lm_train``'s is the tokens it counts,
+every item, on a cold token memo.  ``ingest`` reads the corpus file
+once; its items are the strophes it returns.  The model stages read a
+model that an earlier process of the same checkout trained on the whole
+corpus and saved, so that a load run's peak RSS is the load's own; their
+item count is the model's contexts, and ``lm_train``'s is the tokens it counts,
 end-of-strophe ids included.  ``perplexity`` trains a model on the
 train split of ``train-lm``'s defaults (``TEST_FRACTION``, seed 0)
 untimed and times one ``perplexity`` over the held-out split; its items
@@ -39,8 +41,9 @@ meters, in calls of ``EVAL_BATCH`` strophes, on a fresh syllabifier;
 its items are verses, and the row holds the hits and misses of the
 token memo and of ``validation``'s caches during the pass (null for a
 cache the checkout lacks); a ``tokenizer_encode`` row of ``our`` holds
-those of the vocabulary's piece memo (null where the checkout lacks
-it).  The corpora come from this
+those of the vocabulary's piece memo, and one of ``syllable`` those of
+the syllabifier's, emptied after the vocabulary is built (null where the
+checkout lacks it).  The corpora come from this
 repository: its fixture, and ``perfbench/synth.py``'s ``scaled_corpus``
 of it with 2 copies and seed ``--seed``.  Times are scaled by
 ``perfbench/hostspeed.py``'s reference, timed around each window of
@@ -49,7 +52,8 @@ takes 1 ms, as the benchmark's end-to-end times do.
 
 One JSON row per checkout, stage, corpus and kind: the checkout's label
 (``git describe --always --dirty`` unless given), the stage, corpus,
-tokenizer kind (null for format encode and evaluate) and format, the item
+tokenizer kind (null for ingest, format encode and evaluate) and format
+(null for ingest), the item
 count, the median scaled wall time of the repeats with each repeat's, the
 items per second at that median and the largest peak RSS of the runs;
 ``generate`` rows add the tokens and tokens per second, ``perplexity``
@@ -85,7 +89,8 @@ GENERATE_REQUESTS = 200  # forced requests of the generate stage
 TEST_FRACTION = 0.05     # the held-out share of the perplexity stage, train-lm's default
 EVAL_BATCH = 50          # strophes per evaluate call, as in the benchmark's workload
 # (stage, tokenizer kind, format)
-STAGES = [("format_encode", None, "verse_par"), ("format_encode", None, "meter_verse")] + [
+STAGES = [("ingest", None, None), ("format_encode", None, "verse_par"),
+          ("format_encode", None, "meter_verse")] + [
     ("tokenizer_encode", kind, FORMAT) for kind in ("unicode", "syllable", "our")] + [
     (stage, MODEL_KIND, FORMAT)
     for stage in ("lm_train", "perplexity", *MODEL_STAGES, "generate")] + [
@@ -169,7 +174,7 @@ def table_counts(model, vocab, requests) -> list[int]:
     return [draws - misses, misses]
 
 
-def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
+def run_stage(stage: str, kind: str | None, fmt: str | None, corpus_path: str,
               model_dir: str) -> dict:
     """One timed pass of ``stage`` over the strophes of ``corpus_path``,
     or over the model that ``save_model`` saved in ``model_dir``."""
@@ -179,7 +184,10 @@ def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
 
     model_path = os.path.join(model_dir, "model.ngram")
     extra = {}
-    if stage == "format_encode":
+    if stage == "ingest":
+        items = [corpus_path]
+        step = corpus.ingest
+    elif stage == "format_encode":
         fmt = DataFormat.parse(fmt)
         items = corpus.ingest(corpus_path)
 
@@ -187,6 +195,12 @@ def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
             formats.encode(s, fmt)
     elif stage == "tokenizer_encode":
         items, vocab = encoded(corpus_path, fmt, kind)
+        # the piece memo, None where the checkout lacks it; building a
+        # syllable vocabulary fills the syllabifier's
+        owner = phonology._DEFAULT if kind == "syllable" else vocab
+        memo = getattr(owner, "piece_tokens", None)
+        if memo:
+            memo.clear()
 
         def step(text):
             tokenizers.encode(vocab, text)
@@ -252,6 +266,8 @@ def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
         n = sum(map(len, items[0]))
     elif stage in MODEL_STAGES:
         n = len(out.counts)
+    elif stage == "ingest":
+        n = len(out)
     elif stage == "evaluate":
         verses = [text for _, g in pairs if g.parsed for _, text in g.parsed.lines]
         n = len(verses)
@@ -265,9 +281,8 @@ def run_stage(stage: str, kind: str | None, fmt: str, corpus_path: str,
         n = len(items)
     if stage == "perplexity":
         extra["perplexity"] = out
-    elif stage == "tokenizer_encode" and kind == "our":
-        # a fresh vocabulary, its memo never full here, misses once per distinct piece
-        memo = getattr(vocab, "piece_tokens", None)
+    elif stage == "tokenizer_encode" and kind != "unicode":
+        # a memo emptied before the pass, never full here, misses once per distinct piece
         lookups = sum(len(tokenizers.pieces(line)) for text in items for line in text.split("\n"))
         extra["caches"] = {"piece_memo": memo and [lookups - len(memo), len(memo)]}
     elif stage == "generate":
@@ -308,7 +323,7 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
     if args.run_stage:
         stage, kind, fmt, corpus_path, model_dir = args.run_stage
-        print(json.dumps(run_stage(stage, kind or None, fmt, corpus_path, model_dir)))
+        print(json.dumps(run_stage(stage, kind or None, fmt or None, corpus_path, model_dir)))
         return
     if args.save_model:
         save_model(*args.save_model)
@@ -338,7 +353,7 @@ def main(argv=None) -> None:
                 for stage, kind, fmt in STAGES:
                     # alternate which checkout runs first
                     for path, label in checkouts[r % 2:] + checkouts[:r % 2]:
-                        out = child(path, "--run-stage", stage, kind or "", fmt, corpus_path,
+                        out = child(path, "--run-stage", stage, kind or "", fmt or "", corpus_path,
                                     model_dirs[label, name])
                         runs.setdefault((label, stage, name, kind, fmt), []).append(
                             json.loads(out.splitlines()[-1]))
@@ -356,8 +371,8 @@ def main(argv=None) -> None:
         for key in ("perplexity", "caches"):
             if key in results[0]:
                 rows[-1][key] = results[0][key]
-    rows.sort(key=lambda row: (row["stage"], row["corpus"], row["kind"] or "", row["format"],
-                               row["commit"]))
+    rows.sort(key=lambda row: (row["stage"], row["corpus"], row["kind"] or "",
+                               row["format"] or "", row["commit"]))
     for row in rows:
         print(json.dumps(row))
     if args.out:
