@@ -681,6 +681,37 @@ def test_an_image_deeper_than_its_order_is_refused_and_so_is_its_text(tmp_path, 
     assert message.endswith("model image not used: starts does not hold a trie")
 
 
+@pytest.mark.parametrize("ids", [[0, 4, 2], [0, 9, 2]], ids=["in-range", "out-of-range"])
+def test_an_image_whose_bucket_ids_do_not_ascend_is_refused(tmp_path, caplog, ids):
+    """A bucket's ids ascend in every store: the text's parse sorts them,
+    and a row's range check and ``prob``'s ``bisect`` rely on it.  The
+    image of a model whose ids were reordered in memory is refused, and
+    the text, whose parse sorts them again, is read: its rows and ``prob``
+    agree, or its out-of-range id is refused as for any parsed model."""
+    model = NGramModel.from_counts({(): {0: 2, 2: 1, 4: 3}, (1,): {2: 1}, (3,): {0: 1, 1: 1}},
+                                   2, 5)
+    trie = model._trie
+    at = trie.ev_off[trie.bucket[0]]
+    trie.ev_id[at:at + 3] = array("q", ids)
+    path = tmp_path / "m.ngram"
+    ngram.save(model, path)
+    caplog.set_level(logging.WARNING, logger="verseforge.ngram")
+    loaded = ngram.load(path)
+    [message] = [r.getMessage() for r in caplog.records if r.name == "verseforge.ngram"]
+    assert message.endswith("model image not used: ev_id does not hold a trie")
+    assert loaded.counts == ngram._parse(path).counts
+    assert list(loaded.counts[()]) == sorted(ids)
+    for ctx in [(), (1,), (3,), (0,)]:
+        if max(ids) < 5:
+            row = loaded.next_dist(ctx)
+            assert [loaded.prob(ctx, t) for t in range(5)] == row.tolist()
+        else:
+            for read in (loaded.next_dist, lambda c: loaded.prob(c, 2)):
+                with pytest.raises(NGramError, match=r"^token id out of range \[0, 5\) after "
+                                                     r"context \[\]: \[0, 2, 9\]$"):
+                    read(ctx)
+
+
 def generated_model():
     """An order-6 model of tens of thousands of contexts: 400 random
     sequences of 60 ids over a 15-token vocabulary."""
