@@ -1075,6 +1075,14 @@ def _read_image(path) -> NGramModel | None:
     ]:
         if not ok:
             raise ValueError(f"{what} does not hold a trie")
+    # each bucket's ids ascend; a bucket's first id may lie below the
+    # last of the bucket before it.  Compared, not subtracted: the
+    # difference of two int64 ids can overflow.
+    ids = np.frombuffer(ev_id, np.int64)
+    up = ids[1:] > ids[:-1]
+    up[o[1:-1] - 1] = True
+    if not up.all():
+        raise ValueError("ev_id does not hold a trie")
     model = NGramModel(**{key: head[key] for key in MODEL_HEADER})
     model._trie = _Trie(kids, tok, bucket, starts, ev_off, total, ev_id, ev_count)
     return model
@@ -1087,8 +1095,9 @@ def load(path, vocab: Vocab | None = None) -> NGramModel:
     when there is one that passes every check: its sha256 over the text
     and itself, its exact length, its header fields, which must give the
     text's header lines, and each array's ranges and order, as a trie
-    needs them.  The id ranges and counts of a bucket are checked
-    when a row uses it, as for a parsed model.  An image that fails a
+    needs them, each bucket's ids ascending among them.  The id ranges
+    and counts of a bucket are checked when a row uses it, as for a
+    parsed model.  An image that fails a
     check is logged and the text parsed.  A text that cannot be opened
     raises its own ``OSError`` before any image is read."""
     open(path, "rb").close()
