@@ -166,22 +166,28 @@ def json_isinstance(value, types) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-def _parse_verse(obj, where: str) -> Verse:
-    if not isinstance(obj, dict):
-        raise CorpusFormatError(f"{where}: verse is not an object")
-    for key in ("text", "rhyme", "meter"):
-        if key not in obj:
-            raise CorpusFormatError(f"{where}: missing field {key!r}")
-    if not isinstance(obj["text"], str):
-        raise CorpusFormatError(f"{where}: field 'text' must be a string")
-    rhyme = obj["rhyme"]
-    if rhyme is not None and not json_isinstance(rhyme, int):
-        raise CorpusFormatError(f"{where}: field 'rhyme' must be integer or null")
+def _parse_verse(obj, where: str, si: int) -> Verse:
+    """The ``Verse`` of one decoded verse record, checked in one pass:
+    an object, its ``text``, ``rhyme`` and ``meter`` read in that order,
+    a string text, a null or integer rhyme, a known meter letter and a
+    non-blank text.  The first check that fails raises the one
+    ``CorpusFormatError`` that names it, after ``where``, the record's
+    ``path:line``, and the strophe index ``si``.  Decoded JSON values have
+    exact types, so ``type`` tells them apart; ``true`` is no integer."""
+    if type(obj) is not dict:
+        raise CorpusFormatError(f"{where} strophe {si}: verse is not an object")
     try:
-        return Verse(text=obj["text"], rhyme_group=rhyme,
-                     gold_meter=MeterLabel.parse(obj["meter"]))
+        text, rhyme, meter = obj["text"], obj["rhyme"], obj["meter"]
+    except KeyError as e:
+        raise CorpusFormatError(f"{where} strophe {si}: missing field {e.args[0]!r}") from None
+    if type(text) is not str:
+        raise CorpusFormatError(f"{where} strophe {si}: field 'text' must be a string")
+    if rhyme is not None and type(rhyme) is not int:
+        raise CorpusFormatError(f"{where} strophe {si}: field 'rhyme' must be integer or null")
+    try:
+        return Verse(text, rhyme, MeterLabel.parse(meter))
     except CorpusFormatError as e:
-        raise CorpusFormatError(f"{where}: {e}") from None
+        raise CorpusFormatError(f"{where} strophe {si}: {e}") from None
 
 
 def numbered_lines(f, path):
@@ -281,7 +287,13 @@ def record(line: str, where: str) -> dict:
 
 
 def ingest(path) -> list[Strophe]:
-    """Load a corpus file; malformed records fail with a line-addressed error."""
+    """Load a corpus file; malformed records fail with a line-addressed error.
+
+    Each verse record is read and checked in one pass by ``_parse_verse``,
+    the one place that names what is wrong with a verse; a message's
+    ``path:line`` and strophe are formatted only when it raises.  A
+    poem's strophes share its one ``YearBucket``, which is frozen and
+    compares by value."""
     strophes = []
     with open(path, encoding="utf-8") as f:
         for index, where, line in numbered_lines(f, path):
@@ -291,12 +303,13 @@ def ingest(path) -> list[Strophe]:
             year = poem.get("year")
             if year is not None and not json_isinstance(year, int):
                 raise CorpusFormatError(f"{where}: field 'year' must be integer or null")
+            bucket = bucketize_year(year)
             for si, raw in enumerate(poem["strophes"]):
                 if not isinstance(raw, list):
                     raise CorpusFormatError(f"{where} strophe {si}: a strophe must be a list")
-                verses = [_parse_verse(v, f"{where} strophe {si}") for v in raw]
+                verses = [_parse_verse(v, where, si) for v in raw]
                 try:
-                    strophes.append(Strophe(tuple(verses), bucketize_year(year), index))
+                    strophes.append(Strophe(tuple(verses), bucket, index))
                 except CorpusFormatError as e:
                     raise CorpusFormatError(f"{where} strophe {si}: {e}") from None
     return strophes
