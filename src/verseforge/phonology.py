@@ -139,7 +139,9 @@ def _override(word: str, parts) -> tuple[str, ...]:
 
 
 class Syllabifier:
-    """Per-word syllable overrides and the token memo that uses them."""
+    """Per-word syllable overrides and the memos that use them: the token
+    memo, and ``piece_tokens``, in which ``tokenizers.syllable_piece_tokens``
+    memoizes each piece's syllable tokens."""
 
     def __init__(self, exceptions: dict[str, tuple[str, ...]] | None = None):
         """Each override is checked by ``_override`` and keyed by its
@@ -147,6 +149,7 @@ class Syllabifier:
         self._exceptions = MappingProxyType(
             {word.lower(): _override(word, parts) for word, parts in (exceptions or {}).items()})
         self._tokens = _TokenMemo(self)
+        self.piece_tokens: dict[str, tuple[str, ...]] = {}
 
     @property
     def exceptions(self):

@@ -182,7 +182,28 @@ def load_vocab(path) -> Vocab:
 # ---------------------------------------------------------------------------
 # piece-level tokenization
 
+def _memoized(memo: dict, piece: str, split, arg) -> list[str]:
+    """``split(piece, arg)``, memoized in ``memo`` (piece -> its tokens),
+    which holds at most ``phonology.TOKEN_MEMO_ENTRIES`` pieces and is
+    cleared when full; the one bounded piece memo, for ``syllable`` and
+    ``our``.  The list returned is the caller's own."""
+    toks = memo.get(piece)
+    if toks is None:
+        if len(memo) >= phonology.TOKEN_MEMO_ENTRIES:
+            memo.clear()
+        toks = memo[piece] = tuple(split(piece, arg))
+    return list(toks)
+
+
 def syllable_piece_tokens(piece: str, syllabifier=None) -> list[str]:
+    """The syllable tokens of ``piece``, memoized in the syllabifier's
+    ``piece_tokens`` (the module's own syllabifier's for None).  Its
+    overrides are read-only, so no entry goes stale."""
+    return _memoized((syllabifier or phonology._DEFAULT).piece_tokens, piece,
+                     _syllable_split, syllabifier)
+
+
+def _syllable_split(piece: str, syllabifier) -> list[str]:
     if is_annotation_piece(piece):
         return [piece]
     space = " " if piece.startswith(" ") else ""
@@ -200,16 +221,8 @@ def syllable_piece_tokens(piece: str, syllabifier=None) -> list[str]:
 
 
 def bpe_piece_tokens(piece: str, vocab: Vocab) -> list[str]:
-    """The BPE tokens of ``piece``, memoized in ``vocab.piece_tokens``,
-    which holds at most ``phonology.TOKEN_MEMO_ENTRIES`` pieces and is
-    cleared when full."""
-    memo = vocab.piece_tokens
-    toks = memo.get(piece)
-    if toks is None:
-        if len(memo) >= phonology.TOKEN_MEMO_ENTRIES:
-            memo.clear()
-        toks = memo[piece] = tuple(_bpe_merged(piece, vocab))
-    return list(toks)
+    """The BPE tokens of ``piece``, memoized in ``vocab.piece_tokens``."""
+    return _memoized(vocab.piece_tokens, piece, _bpe_merged, vocab)
 
 
 def _bpe_merged(piece: str, vocab: Vocab) -> list[str]:
@@ -258,8 +271,9 @@ def encode(vocab: Vocab, text: str, syllabifier=None) -> list[int]:
     """Token ids; lines are joined by the separator id.  Tokens missing
     from the vocabulary become the unknown id (never an exception).
     Each line's tokens are mapped to ids in one ``map`` over
-    ``line_tokens``, for every kind; the syllables of a SYLLABLE line
-    come from the syllabifier's token memo."""
+    ``line_tokens``, for every kind; the tokens of each piece of a
+    SYLLABLE line come from the syllabifier's piece memo, and those of an
+    OUR line from the vocabulary's."""
     id_of, sep_id, unk_id = vocab.id_of, vocab.sep_id, vocab.unk_id
     ids = []
     for i, line in enumerate(text.split("\n")):

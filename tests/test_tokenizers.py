@@ -408,3 +408,69 @@ def test_the_piece_memo_is_no_part_of_a_vocab_and_keeps_the_ids(fixture_strophes
                     for t in ([SEP_TOKEN] if line_no else [])
                     + [t for p in tok.pieces(line) for t in reference_bpe_piece_tokens(p, fresh)]]
                    for text in texts]
+
+
+def reference_syllable_piece_tokens(piece: str, syllabifier=None) -> list[str]:
+    """``syllable_piece_tokens`` without its memo: an annotation piece, or
+    one that is no word between punctuation, or one without a syllable,
+    stays whole; else its word's syllables, the first taking the leading
+    space and punctuation and the last the trailing punctuation."""
+    if tok.is_annotation_piece(piece):
+        return [piece]
+    space = " " if piece.startswith(" ") else ""
+    m = tok._WORD_RE.match(piece[len(space):])
+    if m is None:
+        return [piece]
+    pre, letters, post = m.groups()
+    sylls = list(phonology.analyze(letters, syllabifier).syllables)
+    if not sylls:
+        return [piece]
+    sylls[0] = space + pre + sylls[0]
+    sylls[-1] += post
+    return sylls
+
+
+syllable_lines = st.text(alphabet="aeioumnrvkšřůéíáýJTX# 0123456789,.()!ß́", max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(syllable_lines, min_size=1, max_size=4),
+       overrides=st.booleans(), bound=st.sampled_from([None, 1, 2, 3]))
+def test_the_syllable_piece_memo_gives_the_unmemoized_split(lines, overrides, bound):
+    """Cold and warm, under a memo bound of a few pieces, and for the
+    module's own syllabifier and one with overrides, each piece's tokens
+    are those split without the memo, in a list the caller owns; each
+    syllabifier keeps its own memo."""
+    syllabifier = phonology.Syllabifier({"mamu": ("mam", "u")}) if overrides else None
+    default = phonology.Syllabifier()
+    pieces = [p for line in lines + ["mamu a maminka"] for p in tok.pieces(line)]
+    with patch.object(phonology, "TOKEN_MEMO_ENTRIES", bound or phonology.TOKEN_MEMO_ENTRIES), \
+            patch.object(phonology, "_DEFAULT", default):
+        for _ in range(2):
+            for piece in pieces:
+                got = tok.syllable_piece_tokens(piece, syllabifier)
+                assert got == reference_syllable_piece_tokens(piece, syllabifier)
+                got.append("x")
+            assert 0 < len((syllabifier or default).piece_tokens) <= (bound or len(set(pieces)))
+        assert tok.syllable_piece_tokens(" mamu", syllabifier) == ([" mam", "u"] if overrides
+                                                                 else [" ma", "mu"])
+    assert bool(default.piece_tokens) is not overrides
+
+
+def test_syllable_encode_and_vocabulary_keep_their_ids_under_the_piece_memo(fixture_strophes):
+    texts = [formats.encode(s, DataFormat.METER_VERSE) for s in fixture_strophes[:100]]
+    syllabifier = phonology.Syllabifier()
+    vocab = tok.build_vocab(TokenizerKind.SYLLABLE, texts, syllabifier=syllabifier)
+    distinct = {p for text in texts for line in text.split("\n") for p in tok.pieces(line)}
+    # the vocabulary splits each piece that is no annotation once
+    assert set(syllabifier.piece_tokens) == {p for p in distinct
+                                             if not tok.is_annotation_piece(p)}
+    ids = [tok.encode(vocab, text, syllabifier) for text in texts]
+    assert len(syllabifier.piece_tokens) == len(distinct)
+    with patch.object(phonology, "TOKEN_MEMO_ENTRIES", 2):
+        assert [tok.encode(vocab, text, phonology.Syllabifier()) for text in texts] == ids
+    assert ids == [[vocab.id_of.get(t, vocab.unk_id)
+                    for line_no, line in enumerate(text.split("\n"))
+                    for t in ([SEP_TOKEN] if line_no else [])
+                    + [t for p in tok.pieces(line) for t in reference_syllable_piece_tokens(p)]]
+                   for text in texts]
