@@ -404,6 +404,29 @@ def test_counts_is_a_view_in_tuple_order(fixture_strophes):
         m.counts[ctx] = {0: 1}
 
 
+def wide_vocabulary_model(tokens, order):
+    """A model trained on random sequences over ``tokens`` ids, deep
+    enough that ``tokens + 1`` to the power ``order - 1`` passes 2**63."""
+    vocab = tok.Vocab(TokenizerKind.UNICODE,
+                      [*tok.SPECIALS, *(chr(0x100 + i) for i in range(tokens))])
+    rng = np.random.default_rng(tokens)
+    seqs = [rng.integers(0, len(vocab), 3 * order).tolist() for _ in range(40)]
+    return ngram.train(seqs, order, vocab)
+
+
+@pytest.mark.parametrize("tokens, order, words", [(300, 9, 2), (300, 16, 3), (20, 6, 1)])
+def test_tuple_order_holds_when_a_key_needs_several_words(tokens, order, words):
+    """The walk's keys of a wide vocabulary's deep contexts span more
+    than one int64 word, and they still sort the nodes into tuple order,
+    each context before its extensions."""
+    trie = wide_vocabulary_model(tokens, order)._trie
+    keys = ngram._Keys(np.frombuffer(trie.tok, np.int64)[1:])
+    keys.walk(trie.parents() - 1)
+    assert len(keys.words) == words
+    contexts = [ctx for ctx, _ in trie.contexts()]
+    assert contexts == sorted(contexts)
+
+
 def test_a_bucket_reprs_as_its_events():
     m = tiny_model()
     assert repr(m.counts[(0,)]) == repr({0: 1, 1: 1})
