@@ -9,16 +9,19 @@ same way.
 """
 
 import hashlib
+import importlib.util
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verseforge import formats, ngram, tokenizers as tok
+from verseforge import corpus, formats, ngram, tokenizers as tok
 from verseforge.corpus import MeterLabel, YearBucket
 from verseforge.formats import DataFormat
 from verseforge.generation import GenerationRequest, generate_basic, generate_forced
+from helpers import DATA
 
 KINDS = [tok.TokenizerKind.UNICODE, tok.TokenizerKind.SYLLABLE, tok.TokenizerKind.OUR]
 REQUESTS = [
@@ -122,6 +125,47 @@ def test_our_vocab_at_the_default_budget_golden(fixture_strophes, tmp_path):
     assert len(vocab) == 707
     digest = file_sha256(tok.save_vocab, vocab, tmp_path / "v.vocab")
     assert digest == OUR_DEFAULT_BUDGET_SHA256
+
+
+# The `meter_verse` texts of a 2x `perfbench/synth.py` copy of the
+# fixture (seed 0, as `scripts/bench_stages.py` builds it): the `our`
+# vocabulary at the CLI's default budget (8,529 tokens), and the id
+# sequences of the texts under it and under the `syllable` vocabulary,
+# one line of ids per text.  Far fewer of its pieces repeat than the
+# fixture's, so the piece memos miss more.
+SCALED_SHA256 = {
+    "our vocab": "8aa1af248399a4fb8db73888d6317fb48b60f38f108834e49e7906ee6eeacca1",
+    "our ids": "c73ddc4901597fba02f663fe25749f85b1752336a2795bdc29f7d93b040d1c75",
+    "syllable ids": "35fe0b784c4450ebbec5b70466f4352da4ad50be6f5bb649a4635570b1351a22",
+}
+SYNTH = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
+
+
+@pytest.fixture(scope="module")
+def scaled_texts(tmp_path_factory):
+    """``perfbench/synth.py`` imports nothing from the package, so it is
+    loaded by file path."""
+    spec = importlib.util.spec_from_file_location("perfbench_synth", SYNTH)
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    path = tmp_path_factory.mktemp("scaled") / "scaled.jsonl"
+    synth.write_jsonl(synth.scaled_corpus(synth.read_jsonl(DATA / "fixture_corpus.jsonl"), 2, 0),
+                      path)
+    return [formats.encode(s, DataFormat.METER_VERSE) for s in corpus.ingest(path)]
+
+
+def ids_sha256(vocab, texts):
+    return hashlib.sha256("\n".join(" ".join(map(str, tok.encode(vocab, text)))
+                                    for text in texts).encode()).hexdigest()
+
+
+def test_scaled_corpus_vocab_and_ids_golden(scaled_texts, tmp_path):
+    our = tok.build_vocab(tok.TokenizerKind.OUR, scaled_texts, vocab_size=40000)
+    assert len(our) == 8529
+    assert file_sha256(tok.save_vocab, our, tmp_path / "v.vocab") == SCALED_SHA256["our vocab"]
+    assert ids_sha256(our, scaled_texts) == SCALED_SHA256["our ids"]
+    syllable = tok.build_vocab(tok.TokenizerKind.SYLLABLE, scaled_texts)
+    assert ids_sha256(syllable, scaled_texts) == SCALED_SHA256["syllable ids"]
 
 
 def test_model_file_golden(fixture_texts, tmp_path):
