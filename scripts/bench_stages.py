@@ -2,7 +2,9 @@
 """Time the stages that turn a gold strophe into token ids and a model,
 and the model into scored strophes: ingest (``corpus.ingest``), format
 encode (``formats.encode``),
-tokenizer encode (``tokenizers.encode``) of each tokenizer kind, and for
+tokenizer encode (``tokenizers.encode``) of each tokenizer kind, the
+vocabulary build (``tokenizers.build_vocab``) of ``syllable`` and ``our``
+as ``train-tokenizer`` runs it, and for
 ``unicode`` at its default order the model's training (``ngram.train``),
 its held-out perplexity (``NGramModel.perplexity``), ``save``, ``load``
 through the image, the parse of its text alone (``ngram._parse``) and
@@ -25,8 +27,10 @@ once; its items are the strophes it returns.  The model stages read a
 model that an earlier process of the same checkout trained on the whole
 corpus and saved, so that a load run's peak RSS is the load's own; their
 item count is the model's contexts, and ``lm_train``'s is the tokens it counts,
-end-of-strophe ids included.  ``perplexity`` trains a model on the
-train split of ``train-lm``'s defaults (``TEST_FRACTION``, seed 0)
+end-of-strophe ids included.  ``vocab_build`` builds the vocabulary of
+the encoded texts at ``train-tokenizer``'s default budget
+(``VOCAB_BUDGET``) in one call; its items are the texts.
+``perplexity`` trains a model on the train split of ``train-lm``'s defaults (``TEST_FRACTION``, seed 0)
 untimed and times one ``perplexity`` over the held-out split; its items
 are the tokens scored, and the row holds the perplexity.  ``generate`` runs ``GENERATE_REQUESTS``
 forced requests, spread over the corpus's strophes, each with its
@@ -82,6 +86,7 @@ FIXTURE = ROOT / "tests" / "data" / "fixture_corpus.jsonl"
 SCALED_COPIES = 2
 WINDOW = 100            # items per window between two host-speed references
 BPE_VOCAB_SIZE = 200    # the size of the benchmark's ``our`` vocabulary
+VOCAB_BUDGET = 40000    # train-tokenizer's default --vocab-size, of the vocab_build stage
 FORMAT = "meter_verse"  # the format whose texts the tokenizers encode
 MODEL_KIND = "unicode"  # the kind whose model the model stages train, save and load
 MODEL_STAGES = ("save", "load", "load_text")  # the stages that read the saved model
@@ -92,6 +97,7 @@ EVAL_BATCH = 50          # strophes per evaluate call, as in the benchmark's wor
 STAGES = [("ingest", None, None), ("format_encode", None, "verse_par"),
           ("format_encode", None, "meter_verse")] + [
     ("tokenizer_encode", kind, FORMAT) for kind in ("unicode", "syllable", "our")] + [
+    ("vocab_build", kind, FORMAT) for kind in ("syllable", "our")] + [
     (stage, MODEL_KIND, FORMAT)
     for stage in ("lm_train", "perplexity", *MODEL_STAGES, "generate")] + [
     ("evaluate", None, FORMAT)]
@@ -204,6 +210,12 @@ def run_stage(stage: str, kind: str | None, fmt: str | None, corpus_path: str,
 
         def step(text):
             tokenizers.encode(vocab, text)
+    elif stage == "vocab_build":
+        kind = tokenizers.TokenizerKind.parse(kind)
+        items = [[formats.encode(s, DataFormat.parse(fmt)) for s in corpus.ingest(corpus_path)]]
+
+        def step(texts):
+            return tokenizers.build_vocab(kind, texts, VOCAB_BUDGET)
     elif stage == "lm_train":
         texts, vocab = encoded(corpus_path, fmt, kind)
         items = [sequences(vocab, texts)]
@@ -268,6 +280,8 @@ def run_stage(stage: str, kind: str | None, fmt: str | None, corpus_path: str,
         n = len(out.counts)
     elif stage == "ingest":
         n = len(out)
+    elif stage == "vocab_build":
+        n = len(items[0])
     elif stage == "evaluate":
         verses = [text for _, g in pairs if g.parsed for _, text in g.parsed.lines]
         n = len(verses)
