@@ -138,18 +138,41 @@ def _override(word: str, parts) -> tuple[str, ...]:
     return parts
 
 
+class BoundedMemo(dict):
+    """key -> ``compute(key)``, computed at the key's first lookup.  Holds
+    at most ``TOKEN_MEMO_ENTRIES`` keys; a full memo is cleared.  A hit
+    is one dict lookup."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key):
+        value = self._compute(key)
+        if len(self) >= TOKEN_MEMO_ENTRIES:
+            self.clear()
+        self[key] = value
+        return value
+
+
 class Syllabifier:
     """Per-word syllable overrides and the memos that use them: the token
-    memo, and ``piece_tokens``, in which ``tokenizers.syllable_piece_tokens``
-    memoizes each piece's syllable tokens."""
+    memo, and ``piece_tokens``, each piece's syllable tokens, which
+    ``tokenizers`` makes at its first use."""
 
     def __init__(self, exceptions: dict[str, tuple[str, ...]] | None = None):
         """Each override is checked by ``_override`` and keyed by its
         word's lowercase spelling, which lookups use."""
         self._exceptions = MappingProxyType(
             {word.lower(): _override(word, parts) for word, parts in (exceptions or {}).items()})
-        self._tokens = _TokenMemo(self)
-        self.piece_tokens: dict[str, tuple[str, ...]] = {}
+        # whitespace token -> the ``_Word`` of the token with its
+        # punctuation removed, None when that has no syllable
+        self._tokens = BoundedMemo(self._word_of)
+        self.piece_tokens: BoundedMemo | None = None
+
+    def _word_of(self, token: str) -> _Word | None:
+        core = strip_punct(token)
+        return _word(core, syllabify(core, self)) if core else None
 
     @property
     def exceptions(self):
@@ -185,24 +208,6 @@ class Syllabifier:
 #   next word;
 # - its clausula when it has two or more syllables, else None.
 _Word = tuple[tuple[str, ...], tuple[str, ...], str, bool, str | None]
-
-
-class _TokenMemo(dict):
-    """Whitespace token -> the ``_Word`` of the token with its punctuation
-    removed, None when that has no syllable.  Holds at most
-    ``TOKEN_MEMO_ENTRIES`` tokens; a full memo is cleared."""
-
-    def __init__(self, syllabifier: Syllabifier):
-        super().__init__()
-        self._syllabifier = syllabifier
-
-    def __missing__(self, token: str) -> _Word | None:
-        core = strip_punct(token)
-        word = _word(core, syllabify(core, self._syllabifier)) if core else None
-        if len(self) >= TOKEN_MEMO_ENTRIES:
-            self.clear()
-        self[token] = word
-        return word
 
 
 def _word(word: str, sylls: tuple[str, ...]) -> _Word | None:

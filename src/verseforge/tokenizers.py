@@ -19,7 +19,8 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from functools import partial
+from itertools import chain, repeat
 
 from . import phonology
 from .corpus import replacing
@@ -75,10 +76,9 @@ class Vocab:
     tokens: list[str]
     protected: set[str] = field(default_factory=set)
     id_of: dict[str, int] = field(default_factory=dict)
-    # piece -> its tokens, the memo of ``bpe_piece_tokens``; not compared
-    # or shown, as it only repeats what ``id_of`` gives
-    piece_tokens: dict[str, tuple[str, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
+    # piece -> its BPE tokens; not compared or shown, as it only repeats
+    # what ``id_of`` gives
+    piece_tokens: phonology.BoundedMemo = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.id_of:
@@ -88,6 +88,7 @@ class Vocab:
         for special in SPECIALS:
             if special not in self.id_of:
                 raise TokenizerError(f"special token {special!r} missing")
+        self.piece_tokens = phonology.BoundedMemo(partial(_bpe_merged, vocab=self))
 
     def __len__(self):
         return len(self.tokens)
@@ -182,52 +183,36 @@ def load_vocab(path) -> Vocab:
 # ---------------------------------------------------------------------------
 # piece-level tokenization
 
-def _memoized(memo: dict, piece: str, split, arg) -> list[str]:
-    """``split(piece, arg)``, memoized in ``memo`` (piece -> its tokens),
-    which holds at most ``phonology.TOKEN_MEMO_ENTRIES`` pieces and is
-    cleared when full; the one bounded piece memo, for ``syllable`` and
-    ``our``.  The list returned is the caller's own."""
-    toks = memo.get(piece)
-    if toks is None:
-        if len(memo) >= phonology.TOKEN_MEMO_ENTRIES:
-            memo.clear()
-        toks = memo[piece] = tuple(split(piece, arg))
-    return list(toks)
+def _syllable_memo(syllabifier) -> phonology.BoundedMemo:
+    """The piece memo of ``syllabifier`` (the module's own syllabifier's
+    for None), made at its first use.  Its overrides are read-only, so
+    no entry goes stale."""
+    syllabifier = syllabifier or phonology._DEFAULT
+    if syllabifier.piece_tokens is None:
+        syllabifier.piece_tokens = phonology.BoundedMemo(
+            partial(_syllable_split, syllabifier=syllabifier))
+    return syllabifier.piece_tokens
 
 
-def syllable_piece_tokens(piece: str, syllabifier=None) -> list[str]:
-    """The syllable tokens of ``piece``, memoized in the syllabifier's
-    ``piece_tokens`` (the module's own syllabifier's for None).  Its
-    overrides are read-only, so no entry goes stale."""
-    return _memoized((syllabifier or phonology._DEFAULT).piece_tokens, piece,
-                     _syllable_split, syllabifier)
-
-
-def _syllable_split(piece: str, syllabifier) -> list[str]:
+def _syllable_split(piece: str, syllabifier) -> tuple[str, ...]:
     if is_annotation_piece(piece):
-        return [piece]
+        return (piece,)
     space = " " if piece.startswith(" ") else ""
-    core = piece[len(space):]
-    m = _WORD_RE.match(core)
+    m = _WORD_RE.match(piece[len(space):])
     if m is None:
-        return [piece]
+        return (piece,)
     pre, letters, post = m.groups()
     sylls = list(phonology.analyze(letters, syllabifier).syllables)
     if not sylls:
-        return [piece]
+        return (piece,)
     sylls[0] = space + pre + sylls[0]
-    sylls[-1] = sylls[-1] + post
-    return sylls
+    sylls[-1] += post
+    return tuple(sylls)
 
 
-def bpe_piece_tokens(piece: str, vocab: Vocab) -> list[str]:
-    """The BPE tokens of ``piece``, memoized in ``vocab.piece_tokens``."""
-    return _memoized(vocab.piece_tokens, piece, _bpe_merged, vocab)
-
-
-def _bpe_merged(piece: str, vocab: Vocab) -> list[str]:
+def _bpe_merged(piece: str, vocab: Vocab) -> tuple[str, ...]:
     if is_annotation_piece(piece) and piece in vocab.id_of:
-        return [piece]
+        return (piece,)
     symbols = list(piece)
     while len(symbols) > 1:
         best_id, best_at = None, None
@@ -239,7 +224,7 @@ def _bpe_merged(piece: str, vocab: Vocab) -> list[str]:
         if best_id is None:
             break
         symbols = _merge_pair(symbols, (symbols[best_at], symbols[best_at + 1]))
-    return symbols
+    return tuple(symbols)
 
 
 def _merge_pair(symbols, pair: tuple[str, str]) -> list[str]:
@@ -256,15 +241,13 @@ def _merge_pair(symbols, pair: tuple[str, str]) -> list[str]:
 
 
 def line_tokens(vocab: Vocab, line: str, syllabifier=None) -> list[str]:
+    """The tokens of ``line``: its characters for UNICODE, else each
+    piece's tokens, read from the piece memo of the kind, the
+    vocabulary's for OUR and the syllabifier's for SYLLABLE."""
     if vocab.kind is TokenizerKind.UNICODE:
         return list(line)
-    toks = []
-    for piece in pieces(line):
-        if vocab.kind is TokenizerKind.SYLLABLE:
-            toks.extend(syllable_piece_tokens(piece, syllabifier))
-        else:
-            toks.extend(bpe_piece_tokens(piece, vocab))
-    return toks
+    memo = vocab.piece_tokens if vocab.kind is TokenizerKind.OUR else _syllable_memo(syllabifier)
+    return list(chain.from_iterable(map(memo.__getitem__, pieces(line))))
 
 
 def encode(vocab: Vocab, text: str, syllabifier=None) -> list[int]:
@@ -388,9 +371,7 @@ def build_vocab(kind: TokenizerKind, texts, vocab_size: int = 40000,
         return Vocab(kind, [*SPECIALS, *chars])
     if kind is TokenizerKind.SYLLABLE:
         protected, piece_freq = _collect_protected("\n".join(texts))
-        seen = set()
-        for piece in piece_freq:
-            seen.update(syllable_piece_tokens(piece, syllabifier))
+        seen = set(chain.from_iterable(map(_syllable_memo(syllabifier).__getitem__, piece_freq)))
         tokens = [*SPECIALS, *sorted(protected), *sorted(seen - protected)]
         return Vocab(kind, tokens, protected)
     return train_bpe(texts, vocab_size)
