@@ -61,10 +61,14 @@ UNSTRESSED_MONOSYLLABLES = {
 }
 
 
-# Bound of a Syllabifier's token memo, in entries; a full memo is
-# cleared.  About 0.5 KB per entry (498 bytes measured over 12,830
-# tokens), so at most about 33 MB.
+# Bound of each memo (``BoundedMemo``), in entries of ordinary tokens:
+# a key is charged one entry, and one more for every 16 of its
+# characters, which hold about as much as an ordinary entry.  About 0.5
+# KB per entry (498 bytes measured over 12,830 tokens, 450 per charge
+# for keys of 1,000 or 2,000 characters), so at most about 33 MB
+# however long the keys.
 TOKEN_MEMO_ENTRIES = 65536
+KEY_CHARS_PER_ENTRY = 16
 
 
 class PhonologyError(ValueError):
@@ -139,20 +143,28 @@ def _override(word: str, parts) -> tuple[str, ...]:
 
 
 class BoundedMemo(dict):
-    """key -> ``compute(key)``, computed at the key's first lookup.  Holds
-    at most ``TOKEN_MEMO_ENTRIES`` keys; a full memo is cleared.  A hit
-    is one dict lookup."""
+    """key -> ``compute(key)``, computed at the key's first lookup.  Each
+    key is charged ``1 + len(key) // KEY_CHARS_PER_ENTRY`` entries; a memo
+    that a new key would take past ``TOKEN_MEMO_ENTRIES`` is cleared
+    first.  A hit is one dict lookup."""
 
     def __init__(self, compute):
         super().__init__()
         self._compute = compute
+        self._charge = 0
 
     def __missing__(self, key):
         value = self._compute(key)
-        if len(self) >= TOKEN_MEMO_ENTRIES:
+        charge = 1 + len(key) // KEY_CHARS_PER_ENTRY
+        if self._charge + charge > TOKEN_MEMO_ENTRIES:
             self.clear()
+        self._charge += charge
         self[key] = value
         return value
+
+    def clear(self):
+        super().clear()
+        self._charge = 0
 
 
 class Syllabifier:

@@ -1,3 +1,4 @@
+import random
 import re
 import tracemalloc
 import unicodedata
@@ -5,7 +6,7 @@ import unicodedata
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verseforge import phonology as ph
+from verseforge import phonology as ph, tokenizers as tok
 from helpers import EXAMPLE_VERSES
 from test_analysis_goldens import punct, verses
 
@@ -381,3 +382,33 @@ def test_token_memo_stays_within_a_per_entry_bound(fixture_strophes):
         tracemalloc.stop()
     assert len(memo) > 600
     assert current < MEMO_BYTES_PER_ENTRY * len(memo)
+
+
+LONG_KEY_SYLLABLES = ["ma", "ko", "stro", "při", "ně", "vel", "ký", "dů", "chu", "zrn", "á"]
+
+
+@pytest.mark.parametrize("memo", ["token", "syllable", "our"])
+def test_a_memo_of_long_keys_stays_within_its_bound(memo, monkeypatch):
+    """However long its keys, a memo holds about what a full memo of
+    ordinary tokens does: ``MEMO_BYTES_PER_ENTRY`` bytes for each of its
+    ``TOKEN_MEMO_ENTRIES``.  Each key is a distinct word of 1,000
+    characters, built while memory is traced so that a key the memo
+    keeps counts; a syllable piece fills the token memo too."""
+    monkeypatch.setattr(ph, "TOKEN_MEMO_ENTRIES", 256)
+    syl = ph.Syllabifier()
+    vocab = {"syllable": tok.Vocab(tok.TokenizerKind.SYLLABLE, list(tok.SPECIALS)),
+             "our": tok.train_bpe([" ".join(LONG_KEY_SYLLABLES)], 60)}.get(memo)
+    rng = random.Random(0)
+    tracemalloc.start()
+    try:
+        for _ in range(64):
+            word = "".join(rng.choice(LONG_KEY_SYLLABLES) for _ in range(400))[:1000]
+            if vocab is None:
+                syl._tokens[word]
+            else:
+                tok.line_tokens(vocab, " " + word, syl)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    memos = 2 if memo == "syllable" else 1
+    assert current < memos * MEMO_BYTES_PER_ENTRY * ph.TOKEN_MEMO_ENTRIES
