@@ -146,9 +146,13 @@ def save_vocab(vocab: Vocab, path, config: dict | None = None) -> None:
 
 
 def load_vocab(path) -> Vocab:
+    """The vocabulary that ``save_vocab`` wrote to ``path``; an error
+    names the ``path:line`` it is in, or the ``path`` when it is of the
+    file as a whole."""
     kind = None
     protected = set()
     tokens = []
+    id_of = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -174,10 +178,16 @@ def load_vocab(path) -> Vocab:
                 raise TokenizerError(f"{path}:{lineno}: expected token<TAB>id") from None
             if idx != len(tokens):
                 raise TokenizerError(f"{path}:{lineno}: ids must be dense, got {idx}")
-            tokens.append(_unescape(tok))
+            tok = _unescape(tok)
+            if id_of.setdefault(tok, idx) != idx:
+                raise TokenizerError(f"{path}:{lineno}: duplicate token {tok!r}")
+            tokens.append(tok)
     if kind is None:
         raise TokenizerError(f"{path}: missing '#! kind' header")
-    return Vocab(kind, tokens, protected)
+    try:
+        return Vocab(kind, tokens, protected, id_of)
+    except TokenizerError as e:
+        raise TokenizerError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -977,6 +977,33 @@ def test_generate_rejects_a_truncated_vocab_line(small_model, tmp_path, capsys, 
     assert "bad.vocab:2:" in err and "Traceback" not in err
 
 
+def test_train_lm_names_the_vocab_file_of_a_duplicate_or_a_missing_special(
+        small_model, mini_corpus, tmp_path, capsys):
+    """A token named twice is refused at its second line, and a missing
+    special token with the file's name."""
+    vocab, _ = small_model
+    lines = vocab.read_text(encoding="utf-8").splitlines()
+    first = next(i for i, line in enumerate(lines) if line.endswith("\t3"))
+    last = max(i for i, line in enumerate(lines) if not line.startswith("#!"))
+    n = int(lines[last].rsplit("\t", 1)[1]) + 1
+    bad_vocab = tmp_path / "bad.vocab"
+    cases = [
+        (lines[:last + 1] + [lines[first].replace("\t3", f"\t{n}")] + lines[last + 1:],
+         f"{bad_vocab}:{last + 2}: duplicate token"),
+        ([line if line != "\\n\t0" else "\u00a4\t0" for line in lines],
+         f"{bad_vocab}: special token '\\n' missing"),
+    ]
+    for bad, message in cases:
+        assert bad != lines
+        bad_vocab.write_text("\n".join(bad) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["train-lm", "--corpus", str(mini_corpus), "--vocab", str(bad_vocab),
+                   "--out", str(tmp_path / "m.ngram")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("bad", ["order", "C\t0", "C\t\t0", "C\tx\t0:1",
                                  "order\tx", "discount\ty", "vocab_size\tz"])
 def test_generate_rejects_a_truncated_model_line(small_model, tmp_path, capsys, bad):
