@@ -8,13 +8,16 @@ words can be overridden through an exceptions file (one
 ``analyze`` is the one path from a verse to its syllables, stress
 pattern and clausula; ``verse_syllables``, ``stress_pattern`` and
 ``ending_hint`` read their fact off it.  Each ``Syllabifier`` memoizes
-every raw whitespace token it has seen, up to ``TOKEN_MEMO_ENTRIES``
-tokens, after which the memo starts afresh.  A token's entry holds what
-depends on the token alone: its syllables, its casefolded syllables,
-its stress marks as a word of its own, whether it leans on the next
-word, and, for a word of two or more syllables, its clausula.  A verse
-then costs one memo lookup per token; only a verse that ends in a
-monosyllable reads a clausula across two words.
+every raw whitespace token it has seen in a ``BoundedMemo``, the one
+memo type of the package, which ``tokenizers`` builds its piece memos
+from too: a dict that computes a missing key's value and is cleared
+when its keys, charged by length, would pass ``TOKEN_MEMO_ENTRIES``.
+A token's entry holds what depends on the token alone: its syllables,
+its casefolded syllables, its stress marks as a word of its own,
+whether it leans on the next word, and, for a word of two or more
+syllables, its clausula.  A verse then costs one memo lookup per token;
+only a verse that ends in a monosyllable reads a clausula across two
+words.
 """
 
 from __future__ import annotations

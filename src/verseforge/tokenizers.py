@@ -8,6 +8,13 @@ Annotation pieces (rhyme schemes, meter letters, numbers, ``#``) are
 kept atomic when the vocabulary holds them, as every OUR and SYLLABLE
 vocabulary built here does, so frequent annotations stay single tokens;
 UNICODE always splits to characters.
+
+An OUR or SYLLABLE line is split into space-attached pieces, and each
+piece's tokens are read from a piece memo, a ``phonology.BoundedMemo``
+of piece -> tuple of tokens: the vocabulary's ``piece_tokens`` for OUR,
+and for SYLLABLE the syllabifier's, whose overrides decide the split.
+A piece is split once per memo, and a line costs one dict lookup per
+piece.
 """
 
 from __future__ import annotations
@@ -76,8 +83,8 @@ class Vocab:
     tokens: list[str]
     protected: set[str] = field(default_factory=set)
     id_of: dict[str, int] = field(default_factory=dict)
-    # piece -> its BPE tokens; not compared or shown, as it only repeats
-    # what ``id_of`` gives
+    # piece -> its BPE tokens, read for OUR only; not compared or shown,
+    # as it only repeats what ``id_of`` gives
     piece_tokens: phonology.BoundedMemo = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -208,7 +215,8 @@ def _syllable_split(piece: str, syllabifier) -> tuple[str, ...]:
     if is_annotation_piece(piece):
         return (piece,)
     space = " " if piece.startswith(" ") else ""
-    m = _WORD_RE.match(piece[len(space):])
+    core = piece[len(space):]
+    m = _WORD_RE.match(core)
     if m is None:
         return (piece,)
     pre, letters, post = m.groups()
@@ -216,7 +224,7 @@ def _syllable_split(piece: str, syllabifier) -> tuple[str, ...]:
     if not sylls:
         return (piece,)
     sylls[0] = space + pre + sylls[0]
-    sylls[-1] += post
+    sylls[-1] = sylls[-1] + post
     return tuple(sylls)
 
 
