@@ -9,8 +9,9 @@ as ``train-tokenizer`` runs it, and for
 its held-out perplexity (``NGramModel.perplexity``), ``save``, ``load``
 through the image, the parse of its text alone (``ngram._parse``) and
 forced generation (``generation.generate_forced``); and the evaluation
-(``validation.evaluate``) of the gold strophes; on the fixture corpus and
-on a 2x scaled copy of it.
+(``validation.evaluate``) of the gold strophes, and the parse of their
+texts (``GeneratedStrophe.from_text``); on the fixture corpus and on a 2x
+scaled copy of it.
 
 Run from the repo root:
 
@@ -44,7 +45,16 @@ text of every strophe against a request of its scheme, year and gold
 meters, in calls of ``EVAL_BATCH`` strophes, on a fresh syllabifier;
 its items are verses, and the row holds the hits and misses of the
 token memo and of ``validation``'s caches during the pass (null for a
-cache the checkout lacks); a ``tokenizer_encode`` row of ``our`` holds
+cache the checkout lacks).  ``parse`` reads the ``meter_verse`` text of
+every strophe with ``GeneratedStrophe.from_text`` against its request,
+on cold parse memos, in three variants named in the kind column:
+``encoded``, the text as ``formats.encode`` writes it; ``forced_floor``,
+where each verse's ending hint is made unique, but a verse that rhymes
+with an earlier one copies that verse's annotation prefix, as forced
+decoding does; and ``no_repeat``, where every hint is unique.  Its items
+are strophes, and the row holds the hits and misses of the memos of
+header lines, annotation prefixes and year buckets (null where the
+checkout lacks them); a ``tokenizer_encode`` row of ``our`` holds
 those of the vocabulary's piece memo, and one of ``syllable`` those of
 the syllabifier's, emptied after the vocabulary is built (null where the
 checkout lacks it).  The corpora come from this
@@ -56,7 +66,8 @@ takes 1 ms, as the benchmark's end-to-end times do.
 
 One JSON row per checkout, stage, corpus and kind: the checkout's label
 (``git describe --always --dirty`` unless given), the stage, corpus,
-tokenizer kind (null for ingest, format encode and evaluate) and format
+tokenizer kind (null for ingest, format encode and evaluate; the
+variant for parse) and format
 (null for ingest), the item
 count, the median scaled wall time of the repeats with each repeat's, the
 items per second at that median and the largest peak RSS of the runs;
@@ -93,6 +104,7 @@ MODEL_STAGES = ("save", "load", "load_text")  # the stages that read the saved m
 GENERATE_REQUESTS = 200  # forced requests of the generate stage
 TEST_FRACTION = 0.05     # the held-out share of the perplexity stage, train-lm's default
 EVAL_BATCH = 50          # strophes per evaluate call, as in the benchmark's workload
+PARSE_VARIANTS = ("encoded", "forced_floor", "no_repeat")  # the texts the parse stage reads
 # (stage, tokenizer kind, format)
 STAGES = [("ingest", None, None), ("format_encode", None, "verse_par"),
           ("format_encode", None, "meter_verse")] + [
@@ -100,7 +112,7 @@ STAGES = [("ingest", None, None), ("format_encode", None, "verse_par"),
     ("vocab_build", kind, FORMAT) for kind in ("syllable", "our")] + [
     (stage, MODEL_KIND, FORMAT)
     for stage in ("lm_train", "perplexity", *MODEL_STAGES, "generate")] + [
-    ("evaluate", None, FORMAT)]
+    ("evaluate", None, FORMAT)] + [("parse", variant, FORMAT) for variant in PARSE_VARIANTS]
 
 
 def encoded(corpus_path: str, fmt: str, kind: str):
@@ -140,6 +152,34 @@ def gold_requests(strophes, fmt):
     return [GenerationRequest(s.scheme, s.year_bucket, fmt, seed=i,
                               per_verse_meters=tuple(v.gold_meter for v in s.verses))
             for i, s in enumerate(strophes)]
+
+
+def variant_text(text: str, scheme: str, variant: str, tag: str) -> str:
+    """The ``meter_verse`` ``text`` of a strophe of ``scheme`` as the
+    parse stage reads it in ``variant``; ``tag``, unique to the strophe,
+    and the verse's index make a hint unique."""
+    if variant == "encoded":
+        return text
+    header, *lines = text.split("\n")
+    sep = " # "
+    out, first = [header], {}
+    for i, (letter, line) in enumerate(zip(scheme, lines)):
+        meter, syl, hint, verse = line.split(sep, 3)
+        prefix = sep.join([meter, syl, f"{hint}{tag}.{i}"])
+        if variant == "forced_floor" and letter != "X":
+            prefix = first.setdefault(letter, prefix)
+        out.append(prefix + sep + verse)
+    return "\n".join(out)
+
+
+def parse_memos(fmt) -> dict:
+    """The memos that parsing ``fmt`` text reads, None for one that the
+    package lacks."""
+    from verseforge import corpus, formats
+
+    headers, annotations = (getattr(formats, name, None) for name in ("_HEADERS", "_ANNOTATIONS"))
+    return {"headers": headers and headers[fmt], "annotations": annotations and annotations[fmt],
+            "buckets": getattr(corpus, "_BUCKETS", None)}
 
 
 def cache_counts() -> dict:
@@ -255,6 +295,17 @@ def run_stage(stage: str, kind: str | None, fmt: str | None, corpus_path: str,
 
         def step(batch):
             return validation.evaluate(batch, syllabifier)
+    elif stage == "parse":
+        fmt = DataFormat.parse(fmt)
+        strophes = corpus.ingest(corpus_path)
+        items = [(variant_text(formats.encode(s, fmt), s.scheme, kind, f"~{i}"), r)
+                 for i, (s, r) in enumerate(zip(strophes, gold_requests(strophes, fmt)))]
+        memos = parse_memos(fmt)
+        for memo in filter(None, memos.values()):
+            memo.clear()
+
+        def step(item):
+            return generation.GeneratedStrophe.from_text(*item)
     else:
         items = [model_path]
         step = ngram.load if stage == "load" else ngram._parse
@@ -263,7 +314,7 @@ def run_stage(stage: str, kind: str | None, fmt: str | None, corpus_path: str,
     windows.start()
     raw_s = scaled_s = 0.0
     # only the stages whose counts read every output keep them
-    outs = [] if stage in ("generate", "evaluate") else None
+    outs = [] if stage in ("generate", "evaluate", "parse") else None
     for lo in range(0, len(items), WINDOW):
         t = clock()
         for item in items[lo:lo + WINDOW]:
@@ -299,6 +350,15 @@ def run_stage(stage: str, kind: str | None, fmt: str | None, corpus_path: str,
         # a memo emptied before the pass, never full here, misses once per distinct piece
         lookups = sum(len(tokenizers.pieces(line)) for text in items for line in text.split("\n"))
         extra["caches"] = {"piece_memo": memo and [lookups - len(memo), len(memo)]}
+    elif stage == "parse":
+        assert not any(g.parse_error for g in outs)
+        # memos emptied before the pass, never full here, miss once per
+        # distinct key: each text looks its header line up, each verse
+        # its prefix, and each header that misses its year bucket
+        lookups = {"headers": len(items), "annotations": sum(len(g.parsed.lines) for g in outs),
+                   "buckets": memos["headers"] and len(memos["headers"])}
+        extra["caches"] = {name: None if memo is None else [lookups[name] - len(memo), len(memo)]
+                           for name, memo in memos.items()}
     elif stage == "generate":
         extra["tokens"] = sum(len(tokenizers.encode(vocab, g.raw_text)) for g in outs)
         extra["caches"] = {"tables": table_counts(ngram.load(model_path, vocab), vocab, items)}
