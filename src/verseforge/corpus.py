@@ -21,6 +21,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
+from . import phonology
+
 BUCKET_YEARS = 20
 
 
@@ -79,13 +81,23 @@ class YearBucket:
 
     @classmethod
     def parse(cls, s: str) -> "YearBucket":
-        if s == "NaN":
-            return cls(None)
-        try:
-            start = int(s)
-        except ValueError:
-            raise CorpusFormatError(f"bad year bucket {s!r}") from None
-        return cls(start)
+        """The bucket ``s`` names, one shared bucket per distinct string;
+        a string that names none raises afresh each time."""
+        return _BUCKETS[s]
+
+
+def _bucket(s: str) -> YearBucket:
+    if s == "NaN":
+        return YearBucket(None)
+    try:
+        start = int(s)
+    except ValueError:
+        raise CorpusFormatError(f"bad year bucket {s!r}") from None
+    return YearBucket(start)
+
+
+# bucket string -> its YearBucket
+_BUCKETS = phonology.BoundedMemo(_bucket)
 
 
 def bucketize_year(year: int | None) -> YearBucket:

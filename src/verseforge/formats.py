@@ -6,12 +6,21 @@ METER_VERSE  header ``# SCHEME # YEAR``, verses prefixed ``METER # SYL # HINT # 
 
 Annotation fields are separated by exactly `` # ``; verse text may
 itself contain ``#`` because only the first N separators are split off.
+
+``parse`` reads each distinct header line, and each distinct annotation
+prefix (a verse line's fields before the separator that precedes its
+text), once per format: a ``phonology.BoundedMemo`` of each hands out
+one shared frozen ``StropheHeader`` or ``LineAnnotation`` for every line
+that repeats it, and ``YearBucket.parse`` one ``YearBucket`` per bucket
+string.  A line that does not parse raises afresh each time, so no
+error is memoized; its message gains its line number from the caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from . import phonology
 from .corpus import SCHEME_LETTERS, MeterLabel, Strophe, YearBucket, modal_meter
@@ -102,34 +111,69 @@ def encode(strophe: Strophe, fmt: DataFormat, syllabifier=None) -> str:
     return "\n".join(out)
 
 
-def _parse_meter(letter: str, lineno: int) -> MeterLabel:
+def _parse_meter(letter: str) -> MeterLabel:
     try:
         return MeterLabel.parse(letter)
     except ValueError:
-        raise FormatError(f"line {lineno}: unknown meter letter {letter!r}") from None
+        raise FormatError(f"unknown meter letter {letter!r}") from None
 
 
-def _parse_header(line: str, fmt: DataFormat, lineno: int) -> StropheHeader:
+def _header(line: str, fmt: DataFormat) -> StropheHeader:
+    """The header of ``line`` in ``fmt``; errors carry no line number."""
     if not line.startswith("# "):
-        raise FormatError(f"line {lineno}: header must start with '# '")
+        raise FormatError("header must start with '# '")
     fields = line[2:].rstrip().split(SEP)
     if fields and fields[-1] == "#":  # tolerate a trailing separator
         fields = fields[:-1]
     want = 2 if fmt is DataFormat.METER_VERSE else 3
     if len(fields) != want:
-        raise FormatError(
-            f"line {lineno}: header has {len(fields)} fields, expected {want}")
+        raise FormatError(f"header has {len(fields)} fields, expected {want}")
     scheme, year = fields[0], fields[1]
     if not scheme or any(c not in SCHEME_LETTERS for c in scheme):
-        raise FormatError(f"line {lineno}: bad rhyme scheme {scheme!r}")
+        raise FormatError(f"bad rhyme scheme {scheme!r}")
     try:
         bucket = YearBucket.parse(year)
     except ValueError:
-        raise FormatError(f"line {lineno}: bad year field {year!r}") from None
+        raise FormatError(f"bad year field {year!r}") from None
     meter = None
     if fmt is not DataFormat.METER_VERSE:
-        meter = _parse_meter(fields[2], lineno)
+        meter = _parse_meter(fields[2])
     return StropheHeader(scheme, bucket, meter)
+
+
+def _annotation(prefix: str, fmt: DataFormat) -> LineAnnotation:
+    """The annotation of a verse line's ``prefix`` in ``fmt``, its fields
+    before the separator that precedes the verse text; errors carry no
+    line number."""
+    if fmt is DataFormat.METER_VERSE:
+        meter_s, syl_s, hint = prefix.split(SEP)
+        meter = _parse_meter(meter_s)
+    else:
+        syl_s, hint = prefix.split(SEP)
+        meter = None
+    try:
+        syl = int(syl_s)
+    except ValueError:
+        raise FormatError(f"syllable count {syl_s!r} is not an integer") from None
+    if syl <= 0:
+        raise FormatError(f"syllable count must be positive, got {syl}")
+    if not hint:
+        raise FormatError("empty ending hint")
+    return LineAnnotation(meter, syl, hint)
+
+
+# header line -> its StropheHeader, and annotation prefix -> its
+# LineAnnotation, one memo of each per format
+_HEADERS = {fmt: phonology.BoundedMemo(partial(_header, fmt=fmt)) for fmt in DataFormat}
+_ANNOTATIONS = {fmt: phonology.BoundedMemo(partial(_annotation, fmt=fmt))
+                for fmt in (DataFormat.VERSE_PAR, DataFormat.METER_VERSE)}
+
+
+def _parse_header(line: str, fmt: DataFormat, lineno: int) -> StropheHeader:
+    try:
+        return _HEADERS[fmt][line]
+    except FormatError as e:
+        raise FormatError(f"line {lineno}: {e}") from None
 
 
 def _parse_verse_line(line: str, fmt: DataFormat, lineno: int):
@@ -140,21 +184,11 @@ def _parse_verse_line(line: str, fmt: DataFormat, lineno: int):
     if len(parts) != n_fields + 1:
         raise FormatError(
             f"line {lineno}: expected {n_fields} annotation fields before the verse")
-    if fmt is DataFormat.METER_VERSE:
-        meter_s, syl_s, hint, text = parts
-        meter = _parse_meter(meter_s, lineno)
-    else:
-        syl_s, hint, text = parts
-        meter = None
+    text = parts[n_fields]
     try:
-        syl = int(syl_s)
-    except ValueError:
-        raise FormatError(f"line {lineno}: syllable count {syl_s!r} is not an integer") from None
-    if syl <= 0:
-        raise FormatError(f"line {lineno}: syllable count must be positive, got {syl}")
-    if not hint:
-        raise FormatError(f"line {lineno}: empty ending hint")
-    return LineAnnotation(meter, syl, hint), text
+        return _ANNOTATIONS[fmt][line[:len(line) - len(text) - len(SEP)]], text
+    except FormatError as e:
+        raise FormatError(f"line {lineno}: {e}") from None
 
 
 def parse(text: str, fmt: DataFormat) -> ParsedStrophe:

@@ -8,7 +8,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verseforge import formats
+from verseforge import corpus, formats
 from verseforge.corpus import SCHEME_LETTERS, MeterLabel, YearBucket
 from verseforge.formats import SEP, DataFormat, FormatError, LineAnnotation, StropheHeader
 from helpers import EXAMPLE_METER_VERSE, EXAMPLE_VERSE_PAR
@@ -165,7 +165,9 @@ def _parse_as_pinned(text, fmt):
 
 
 def clear_parse_memos():
-    """Empty every memo that ``parse`` reads (none before the memos)."""
+    """Empty every memo that ``parse`` reads."""
+    for memo in [*formats._HEADERS.values(), *formats._ANNOTATIONS.values(), corpus._BUCKETS]:
+        memo.clear()
 
 
 # Fields that parse, fields that do not, and fields that hold the
