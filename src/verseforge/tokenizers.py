@@ -220,9 +220,10 @@ def _syllable_split(piece: str, syllabifier) -> tuple[str, ...]:
     if m is None:
         return (piece,)
     pre, letters, post = m.groups()
-    sylls = list(phonology.analyze(letters, syllabifier).syllables)
-    if not sylls:
+    word = syllabifier._tokens[letters]  # None when it has no syllable
+    if word is None:
         return (piece,)
+    sylls = list(word[0])
     sylls[0] = space + pre + sylls[0]
     sylls[-1] = sylls[-1] + post
     return tuple(sylls)
