@@ -1,17 +1,23 @@
 """Pins of ``formats.parse``: the digest of what it returns, or of the
 error it raises, for every fixture strophe in every format, its error
-messages at several line numbers, and a property test against the
-parse path as it was written before any memo (``_parse_as_pinned``)."""
+messages at several line numbers, a property test against the parse
+path as it was written before any memo (``_parse_as_pinned``), and the
+bound and the sharing of the memos of header lines, annotation prefixes
+and year buckets."""
 
+import dataclasses
 import hashlib
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verseforge import corpus, formats
+from verseforge import corpus, formats, phonology
 from verseforge.corpus import SCHEME_LETTERS, MeterLabel, YearBucket
 from verseforge.formats import SEP, DataFormat, FormatError, LineAnnotation, StropheHeader
 from helpers import EXAMPLE_METER_VERSE, EXAMPLE_VERSE_PAR
+from test_phonology import MEMO_BYTES_PER_ENTRY
 
 # sha256 over the outcomes of parsing the fixture's texts, encoded in
 # each format in the order of ``DataFormat``, in the format of the key:
@@ -241,3 +247,79 @@ def test_parse_matches_the_pinned_path(data, fmt):
             outcome(_parse_header_as_pinned, line, fmt, lineno)
         assert outcome(formats._parse_verse_line, line, fmt, lineno) == \
             outcome(_parse_verse_line_as_pinned, line, fmt, lineno)
+
+
+# ---------------------------------------------------------------------------
+# the memos: bounded, and shared only because what they hold is frozen
+
+
+@pytest.mark.parametrize("frozen", [
+    StropheHeader("ABAB", YearBucket(1900), MeterLabel.IAMB),
+    LineAnnotation(MeterLabel.IAMB, 9, "oři"), YearBucket(1900)])
+def test_the_records_that_parse_shares_are_frozen(frozen):
+    """One record stands for every line that repeats its text; that is
+    invisible only because none can be changed."""
+    assert type(frozen).__dataclass_params__.frozen
+    field = dataclasses.fields(frozen)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(frozen, field, getattr(frozen, field))
+    with pytest.raises((AttributeError, TypeError)):  # slots: no attribute to add
+        frozen.extra = 1
+
+
+@pytest.mark.parametrize("fmt,example", [(DataFormat.METER_VERSE, EXAMPLE_METER_VERSE),
+                                         (DataFormat.VERSE_PAR, EXAMPLE_VERSE_PAR)])
+def test_strophes_that_repeat_a_line_share_its_record(fmt, example):
+    header, *verses = example.split("\n")
+    n_fields = 3 if fmt is DataFormat.METER_VERSE else 2
+    # the same header over other verses, behind the same annotation prefixes
+    other = "\n".join([header, *(SEP.join(v.split(SEP, n_fields)[:n_fields] + ["jiný verš"])
+                                  for v in verses)])
+    first, second = formats.parse(example, fmt), formats.parse(other, fmt)
+    assert second.header is first.header
+    assert all(a is b for (a, _), (b, _) in zip(first.lines, second.lines))
+    # another scheme of the same year shares its bucket
+    third = formats.parse(other.replace("# ABAB", "# AABB", 1), fmt)
+    assert third.header is not first.header
+    assert third.header.year_bucket is first.header.year_bucket
+    assert YearBucket.parse("1900") is first.header.year_bucket
+
+
+# Bytes allowed beyond a memo's bound: one more entry of a 2,000-character
+# key of two-byte characters, held in the key and again in its record.
+# At 256 entries the memos measured 8.7-20.8 KB, and 268-532 KB when a
+# memo keeps every key.
+MEMO_SLACK_BYTES = 8192
+
+
+@pytest.mark.parametrize("kind,fmt", [
+    *(("header", fmt) for fmt in DataFormat), *(("bucket", fmt) for fmt in DataFormat),
+    ("annotation", DataFormat.VERSE_PAR), ("annotation", DataFormat.METER_VERSE)])
+def test_a_parse_memo_of_long_keys_stays_within_its_bound(kind, fmt, monkeypatch):
+    """However long its header lines, annotation prefixes or bucket
+    strings, each memo that ``parse`` reads holds about what a full memo
+    of ordinary tokens does, plus ``MEMO_SLACK_BYTES``.  Each key is a
+    distinct field of 2,000 characters that parses, built while memory
+    is traced so that a key the memo keeps counts."""
+    monkeypatch.setattr(phonology, "TOKEN_MEMO_ENTRIES", 256)
+    meter = "" if fmt is DataFormat.METER_VERSE else SEP + "J"
+    rng = random.Random(0)
+    clear_parse_memos()
+    tracemalloc.start()
+    try:
+        for _ in range(64):
+            if kind == "header":
+                scheme = "".join(rng.choices(SCHEME_LETTERS, k=2000))
+                formats._parse_header("# " + scheme + SEP + "1900" + meter, fmt, 1)
+            elif kind == "annotation":
+                hint = "".join(rng.choices("řšžáíé", k=2000))
+                prefix = ("J" + SEP if fmt is DataFormat.METER_VERSE else "") + "9" + SEP + hint
+                formats._parse_verse_line(prefix + SEP + "verš", fmt, 2)
+            else:
+                year = "".join(rng.choices("123456789", k=1998)) + "00"
+                formats._parse_header("# ABAB" + SEP + year + meter, fmt, 1)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        clear_parse_memos()
+    assert current < MEMO_BYTES_PER_ENTRY * phonology.TOKEN_MEMO_ENTRIES + MEMO_SLACK_BYTES
