@@ -118,7 +118,7 @@ def _parse_meter(letter: str) -> MeterLabel:
         raise FormatError(f"unknown meter letter {letter!r}") from None
 
 
-def _header(line: str, fmt: DataFormat) -> StropheHeader:
+def _header(fmt: DataFormat, line: str) -> StropheHeader:
     """The header of ``line`` in ``fmt``; errors carry no line number."""
     if not line.startswith("# "):
         raise FormatError("header must start with '# '")
@@ -141,7 +141,7 @@ def _header(line: str, fmt: DataFormat) -> StropheHeader:
     return StropheHeader(scheme, bucket, meter)
 
 
-def _annotation(prefix: str, fmt: DataFormat) -> LineAnnotation:
+def _annotation(fmt: DataFormat, prefix: str) -> LineAnnotation:
     """The annotation of a verse line's ``prefix`` in ``fmt``, its fields
     before the separator that precedes the verse text; errors carry no
     line number."""
@@ -164,8 +164,8 @@ def _annotation(prefix: str, fmt: DataFormat) -> LineAnnotation:
 
 # header line -> its StropheHeader, and annotation prefix -> its
 # LineAnnotation, one memo of each per format
-_HEADERS = {fmt: phonology.BoundedMemo(partial(_header, fmt=fmt)) for fmt in DataFormat}
-_ANNOTATIONS = {fmt: phonology.BoundedMemo(partial(_annotation, fmt=fmt))
+_HEADERS = {fmt: phonology.BoundedMemo(partial(_header, fmt)) for fmt in DataFormat}
+_ANNOTATIONS = {fmt: phonology.BoundedMemo(partial(_annotation, fmt))
                 for fmt in (DataFormat.VERSE_PAR, DataFormat.METER_VERSE)}
 
 
