@@ -255,7 +255,7 @@ def test_parse_matches_the_pinned_path(data, fmt):
 
 @pytest.mark.parametrize("frozen", [
     StropheHeader("ABAB", YearBucket(1900), MeterLabel.IAMB),
-    LineAnnotation(MeterLabel.IAMB, 9, "oři"), YearBucket(1900)])
+    LineAnnotation(MeterLabel.IAMB, 9, "oři"), YearBucket(1900)], ids=lambda r: type(r).__name__)
 def test_the_records_that_parse_shares_are_frozen(frozen):
     """One record stands for every line that repeats its text; that is
     invisible only because none can be changed."""
@@ -267,9 +267,9 @@ def test_the_records_that_parse_shares_are_frozen(frozen):
         frozen.extra = 1
 
 
-@pytest.mark.parametrize("fmt,example", [(DataFormat.METER_VERSE, EXAMPLE_METER_VERSE),
-                                         (DataFormat.VERSE_PAR, EXAMPLE_VERSE_PAR)])
-def test_strophes_that_repeat_a_line_share_its_record(fmt, example):
+@pytest.mark.parametrize("fmt", [DataFormat.METER_VERSE, DataFormat.VERSE_PAR])
+def test_strophes_that_repeat_a_line_share_its_record(fmt):
+    example = EXAMPLE_METER_VERSE if fmt is DataFormat.METER_VERSE else EXAMPLE_VERSE_PAR
     header, *verses = example.split("\n")
     n_fields = 3 if fmt is DataFormat.METER_VERSE else 2
     # the same header over other verses, behind the same annotation prefixes
