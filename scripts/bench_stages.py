@@ -22,8 +22,10 @@ Each ``--checkout`` (default: this repository) is a source tree whose
 ``src/verseforge`` is measured; with two or more, the runs of each stage
 alternate between them, so that a slow spell of the host falls on both.
 Every run is a process of its own, which ingests the corpus, builds
-what the stage needs untimed and then times one pass of the stage over
-every item, on a cold token memo.  ``ingest`` reads the corpus file
+what the stage needs untimed, collects its garbage (``gc.collect``)
+and then times one pass of the stage over every item, on a cold token
+memo, counting the full (generation-2) collections that fall inside
+the pass.  ``ingest`` reads the corpus file
 once; its items are the strophes it returns.  The model stages read a
 model that an earlier process of the same checkout trained on the whole
 corpus and saved, so that a load run's peak RSS is the load's own; their
@@ -70,7 +72,8 @@ tokenizer kind (null for ingest, format encode and evaluate; the
 variant for parse) and format
 (null for ingest), the item
 count, the median scaled wall time of the repeats with each repeat's, the
-items per second at that median and the largest peak RSS of the runs;
+items per second at that median, the largest peak RSS of the runs and
+each repeat's count of full collections in the pass;
 ``generate`` rows add the tokens and tokens per second, ``perplexity``
 rows the perplexity, and the rows of the stages with caches their
 counts.  The rows
@@ -81,6 +84,7 @@ list, its other keys kept.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import resource
@@ -310,6 +314,17 @@ def run_stage(stage: str, kind: str | None, fmt: str | None, corpus_path: str,
         items = [model_path]
         step = ngram.load if stage == "load" else ngram._parse
     clock = time.perf_counter
+    # the start of each full collection during the pass; the garbage of
+    # the untimed set-up is collected first, so that where a full
+    # collection lands depends less on what the set-up allocated
+    full = []
+
+    def count_full(phase, info):
+        if phase == "start" and info["generation"] == 2:
+            full.append(1)
+
+    gc.collect()
+    gc.callbacks.append(count_full)
     windows = hostspeed.Windows()
     windows.start()
     raw_s = scaled_s = 0.0
@@ -324,6 +339,7 @@ def run_stage(stage: str, kind: str | None, fmt: str | None, corpus_path: str,
         raw = clock() - t
         raw_s += raw
         scaled_s += raw * windows.close()
+    gc.callbacks.remove(count_full)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if stage in ("lm_train", "perplexity"):
         n = sum(map(len, items[0]))
@@ -363,7 +379,7 @@ def run_stage(stage: str, kind: str | None, fmt: str | None, corpus_path: str,
         extra["tokens"] = sum(len(tokenizers.encode(vocab, g.raw_text)) for g in outs)
         extra["caches"] = {"tables": table_counts(ngram.load(model_path, vocab), vocab, items)}
     return {"items": n, "wall_s": scaled_s, "raw_s": raw_s, "peak_rss_mb": peak_rss_mb,
-            **extra}
+            "full_collections": len(full), **extra}
 
 
 def label_of(checkout: Path) -> str:
@@ -438,7 +454,8 @@ def main(argv=None) -> None:
                      "format": fmt, "items": results[0]["items"], "wall_s": round(wall, 5),
                      "wall_s_runs": [round(x["wall_s"], 5) for x in results],
                      "items_per_s": round(results[0]["items"] / wall, 1),
-                     "peak_rss_mb": round(max(x["peak_rss_mb"] for x in results), 1)})
+                     "peak_rss_mb": round(max(x["peak_rss_mb"] for x in results), 1),
+                     "full_collections_runs": [x["full_collections"] for x in results]})
         if "tokens" in results[0]:
             rows[-1].update(tokens=results[0]["tokens"],
                             tokens_per_s=round(results[0]["tokens"] / wall, 1))
