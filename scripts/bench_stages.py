@@ -2,9 +2,9 @@
 """Time the stages that turn a gold strophe into token ids and a model,
 and the model into scored strophes: ingest (``corpus.ingest``), format
 encode (``formats.encode``),
-tokenizer encode (``tokenizers.encode``) of each tokenizer kind, the
-vocabulary build (``tokenizers.build_vocab``) of ``syllable`` and ``our``
-as ``train-tokenizer`` runs it, and for
+tokenizer encode (``tokenizers.encode``) and the vocabulary build
+(``tokenizers.build_vocab``, as ``train-tokenizer`` runs it) of each
+tokenizer kind, and for
 ``unicode`` at its default order the model's training (``ngram.train``),
 its held-out perplexity (``NGramModel.perplexity``), ``save``, ``load``
 through the image, the parse of its text alone (``ngram._parse``) and
@@ -113,7 +113,7 @@ PARSE_VARIANTS = ("encoded", "forced_floor", "no_repeat")  # the texts the parse
 STAGES = [("ingest", None, None), ("format_encode", None, "verse_par"),
           ("format_encode", None, "meter_verse")] + [
     ("tokenizer_encode", kind, FORMAT) for kind in ("unicode", "syllable", "our")] + [
-    ("vocab_build", kind, FORMAT) for kind in ("syllable", "our")] + [
+    ("vocab_build", kind, FORMAT) for kind in ("unicode", "syllable", "our")] + [
     (stage, MODEL_KIND, FORMAT)
     for stage in ("lm_train", "perplexity", *MODEL_STAGES, "generate")] + [
     ("evaluate", None, FORMAT)] + [("parse", variant, FORMAT) for variant in PARSE_VARIANTS]
