@@ -363,8 +363,10 @@ def run_stage(stage: str, kind: str | None, fmt: str | None, corpus_path: str,
     if stage == "perplexity":
         extra["perplexity"] = out
     elif stage == "tokenizer_encode" and kind != "unicode":
-        # a memo emptied before the pass, never full here, misses once per distinct piece
-        lookups = sum(len(tokenizers.pieces(line)) for text in items for line in text.split("\n"))
+        # a memo emptied before the pass, never full here, misses once per
+        # distinct piece; encode looks up each piece that the checkout's
+        # piece pattern finds in a text, a newline's too where it is one
+        lookups = sum(len(tokenizers._PIECE_RE.findall(text)) for text in items)
         extra["caches"] = {"piece_memo": memo and [lookups - len(memo), len(memo)]}
     elif stage == "parse":
         assert not any(g.parse_error for g in outs)

@@ -9,12 +9,15 @@ kept atomic when the vocabulary holds them, as every OUR and SYLLABLE
 vocabulary built here does, so frequent annotations stay single tokens;
 UNICODE always splits to characters.
 
-An OUR or SYLLABLE line is split into space-attached pieces, and each
-piece's tokens are read from a piece memo, a ``phonology.BoundedMemo``
-of piece -> tuple of tokens: the vocabulary's ``piece_tokens`` for OUR,
-and for SYLLABLE the syllabifier's, whose overrides decide the split.
-A piece is split once per memo, and a line costs one dict lookup per
-piece.
+A text is encoded in one pass, whatever its number of lines, and one
+``map`` takes each of its tokens to its id.  A UNICODE text's tokens are
+its characters.  An OUR or SYLLABLE text is split by one ``findall``
+into space-attached pieces, each newline a piece of its own whose token
+is the separator, and each piece's tokens are read from a piece memo, a
+``phonology.BoundedMemo`` of piece -> tuple of tokens: the vocabulary's
+``piece_tokens`` for OUR, and for SYLLABLE the syllabifier's, whose
+overrides decide the split.  A piece is split once per memo, and a text
+costs one dict lookup per piece and one per token.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ UNK_GLYPH = "\ufffd"
 # the special tokens, in the order of their ids in every vocabulary
 SPECIALS = (SEP_TOKEN, EOS_TOKEN, UNK_TOKEN)
 
-# the pieces of a line, or of every line of a text: a newline is in no
-# piece, so it ends one as the end of a line does
-_PIECE_RE = re.compile(r" ?[^ \n]+| ")
+# the pieces of a text: space-attached words, lone spaces and newlines,
+# a newline ending a piece as the end of a line does
+_PIECE_RE = re.compile(r" ?[^ \n]+| |\n")
 _WORD_RE = re.compile(r"^([\W\d_]*)([^\W\d_]+)([\W\d_]*)$", re.UNICODE)
 
 
@@ -259,30 +262,28 @@ def _merge_pair(symbols, pair: tuple[str, str]) -> list[str]:
     return out
 
 
-def line_tokens(vocab: Vocab, line: str, syllabifier=None) -> list[str]:
-    """The tokens of ``line``: its characters for UNICODE, else each
+def _tokens(vocab: Vocab, text: str, syllabifier):
+    """The tokens of ``text``: its characters for UNICODE, else each
     piece's tokens, read from the piece memo of the kind, the
-    vocabulary's for OUR and the syllabifier's for SYLLABLE."""
+    vocabulary's for OUR and the syllabifier's for SYLLABLE; a newline's
+    piece is the separator token."""
     if vocab.kind is TokenizerKind.UNICODE:
-        return list(line)
+        return text
     memo = vocab.piece_tokens if vocab.kind is TokenizerKind.OUR else _syllable_memo(syllabifier)
-    return list(chain.from_iterable(map(memo.__getitem__, pieces(line))))
+    return chain.from_iterable(map(memo.__getitem__, _PIECE_RE.findall(text)))
+
+
+def line_tokens(vocab: Vocab, line: str, syllabifier=None) -> list[str]:
+    """The tokens of ``line``, read as ``encode`` reads a text."""
+    return list(_tokens(vocab, line, syllabifier))
 
 
 def encode(vocab: Vocab, text: str, syllabifier=None) -> list[int]:
-    """Token ids; lines are joined by the separator id.  Tokens missing
-    from the vocabulary become the unknown id (never an exception).
-    Each line's tokens are mapped to ids in one ``map`` over
-    ``line_tokens``, for every kind; the tokens of each piece of a
-    SYLLABLE line come from the syllabifier's piece memo, and those of an
-    OUR line from the vocabulary's."""
-    id_of, sep_id, unk_id = vocab.id_of, vocab.sep_id, vocab.unk_id
-    ids = []
-    for i, line in enumerate(text.split("\n")):
-        if i:
-            ids.append(sep_id)
-        ids += map(id_of.get, line_tokens(vocab, line, syllabifier), repeat(unk_id))
-    return ids
+    """Token ids; lines are joined by the separator id, a newline's.
+    Tokens missing from the vocabulary become the unknown id (never an
+    exception).  The whole text is read in one pass: its tokens, of every
+    line at once, go to ids in one ``map``."""
+    return list(map(vocab.id_of.get, _tokens(vocab, text, syllabifier), repeat(vocab.unk_id)))
 
 
 def decode(vocab: Vocab, ids) -> str:
@@ -302,13 +303,14 @@ def decode(vocab: Vocab, ids) -> str:
 # vocabulary construction
 
 def _collect_protected(text: str) -> tuple[set[str], Counter]:
-    """Annotation pieces, and the count of every other piece, in ``text``,
-    texts joined by newlines: the pieces of all its lines are counted in
-    one pass, and each distinct piece is classified once."""
+    """Annotation pieces, and the count of every other piece but the
+    newline's, in ``text``, texts joined by newlines: the pieces of all
+    its lines are counted in one pass, and each distinct piece is
+    classified once."""
     piece_freq = Counter(_PIECE_RE.findall(text))
     protected = set(filter(is_annotation_piece, piece_freq))
-    for piece in protected:
-        del piece_freq[piece]
+    for piece in (*protected, SEP_TOKEN):
+        piece_freq.pop(piece, None)
     return protected, piece_freq
 
 
