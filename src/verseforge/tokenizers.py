@@ -388,8 +388,7 @@ def build_vocab(kind: TokenizerKind, texts, vocab_size: int = 40000,
                 syllabifier=None) -> Vocab:
     """A ``kind`` vocabulary over ``texts``, single lines or whole strophes."""
     if kind is TokenizerKind.UNICODE:
-        chars = sorted({ch for text in texts for ch in text} - {"\n"})
-        return Vocab(kind, [*SPECIALS, *chars])
+        return Vocab(kind, [*SPECIALS, *sorted(set("\n".join(texts)) - {SEP_TOKEN})])
     if kind is TokenizerKind.SYLLABLE:
         protected, piece_freq = _collect_protected("\n".join(texts))
         seen = set(chain.from_iterable(map(_syllable_memo(syllabifier).__getitem__, piece_freq)))
